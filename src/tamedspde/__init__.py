@@ -50,13 +50,10 @@ from .ergodicity import (
 )
 from .fem import (
     FemOperators,
-    apply_resolvent,
     apply_resolvent_power,
     assemble,
     dispersion_eigenvalue,
     eigen_smallest,
-    projection_load,
-    solve_semi_implicit,
 )
 from .grid import (
     Grid1D,
@@ -68,31 +65,11 @@ from .grid import (
     inverse_sine_transform,
     l2_norm,
     lp_norm,
-    mass_inner,
     sine_mode,
     sine_transform,
     zeros,
 )
-from .noise import (
-    NoiseIncrement,
-    PathSampler,
-    QWienerSpec,
-    aggregate_increments,
-    c_q_constant,
-    restrict_modes,
-    sample_increment,
-)
-from .schemes import (
-    ChainState,
-    InitialCondition,
-    OVERFLOW_GUARD,
-    Scheme,
-    SchemeConfig,
-    Trajectory,
-    initial_state,
-    lyapunov_V,
-    simulate,
-    step,
-)
+from .noise import PathSampler, QWienerSpec, c_q_constant
+from .schemes import InitialCondition, OVERFLOW_GUARD, Scheme, SchemeConfig
 
 __version__ = "0.1.0"

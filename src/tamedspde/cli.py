@@ -31,26 +31,15 @@ from .coefficients import (
     InfeasibleAssumptions,
     check_assumptions,
 )
+from .engine import BatchChains, EnsembleNoise
 from .grid import Grid1D
 from .noise import QWienerSpec
 from .reporting import CheckResult, write_csv, write_verdicts
-from .schemes import InitialCondition, SchemeConfig, simulate
+from .schemes import InitialCondition, SchemeConfig
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
-
-KINDS = (
-    "simulate",
-    "lyapunov",
-    "longrun",
-    "coupling",
-    "ergodic",
-    "blowup",
-    "strong-rate",
-    "semigroup-rate",
-    "check-assumptions",
-)
 
 
 class ConfigError(Exception):
@@ -246,7 +235,7 @@ def _echo_resolved(cfg: ConfigReader, out_dir: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_check_assumptions(cfg: ConfigReader, out: Path) -> list:
+def _run_check_assumptions(cfg: ConfigReader, out: Path, seed: int) -> list:
     grid = Grid1D(cfg.get_int("grid", "n_cells", default=256, minimum=2))
     spec = _build_coefficients(cfg)
     noise = _build_noise(cfg, grid)
@@ -295,24 +284,32 @@ def _run_check_assumptions(cfg: ConfigReader, out: Path) -> list:
     return checks
 
 
+SIMULATE_OBSERVABLES = ("h1_sq", "l2_sq", "lq2", "lyapunov")
+
+
 def _run_simulate(cfg: ConfigReader, out: Path, seed: int) -> list:
     config = _build_scheme_config(cfg, seed)
     x0 = _build_initial(cfg).build(config.grid)
     stride = cfg.get_int("monte_carlo", "record_stride", default=1, minimum=1)
     path_id = cfg.get_int("monte_carlo", "path_id", default=0, minimum=0)
-    traj = simulate(config, x0, path_id, record_stride=stride)
-    names = sorted(traj.observables)
-    rows = [
-        [int(s), float(t)] + [float(traj.observables[n][i]) for n in names]
-        for i, (s, t) in enumerate(zip(traj.steps, traj.times))
-    ]
-    write_csv(out / "trajectory.csv", ["step", "time"] + names, rows)
-    blew = traj.blowup_step is not None
+    chain = BatchChains(config, x0.values)
+    fns = [ergodicity.OBSERVABLE_ROWS[name] for name in SIMULATE_OBSERVABLES]
+    rows = []
+
+    def record(step, states):
+        rows.append(
+            [step, step * config.tau] + [float(fn(states, config)[0]) for fn in fns]
+        )
+
+    chain.run(EnsembleNoise(config, [path_id]), config.n_steps, stride, record)
+    write_csv(out / "trajectory.csv", ["step", "time", *SIMULATE_OBSERVABLES], rows)
+    blowup_step = int(chain.blowup_step[0])
+    blew = blowup_step >= 0
     return [
         CheckResult(
             "simulate-completed",
             not blew,
-            f"blow-up at step {traj.blowup_step}" if blew else
+            f"blow-up at step {blowup_step}" if blew else
             f"{config.n_steps} steps recorded every {stride}",
         )
     ]
@@ -572,7 +569,7 @@ def _run_strong_rate(cfg: ConfigReader, out: Path, seed: int) -> list:
     ]
 
 
-def _run_semigroup_rate(cfg: ConfigReader, out: Path) -> list:
+def _run_semigroup_rate(cfg: ConfigReader, out: Path, seed: int) -> list:
     axis = cfg.get_str("ladder", "axis", default=_REQUIRED, choices={"tau", "h"})
     mode = cfg.get_int("ladder", "mode", default=1, minimum=1)
     t = cfg.get_float("ladder", "t", default=1.0, exclusive_min=0.0)
@@ -599,6 +596,21 @@ def _run_semigroup_rate(cfg: ConfigReader, out: Path) -> list:
     ]
 
 
+# One runner per experiment kind; the config's [experiment] kind picks it.
+RUNNERS = {
+    "simulate": _run_simulate,
+    "lyapunov": _run_lyapunov,
+    "longrun": _run_longrun,
+    "coupling": _run_coupling,
+    "ergodic": _run_ergodic,
+    "blowup": _run_blowup,
+    "strong-rate": _run_strong_rate,
+    "semigroup-rate": _run_semigroup_rate,
+    "check-assumptions": _run_check_assumptions,
+}
+KINDS = tuple(RUNNERS)
+
+
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
@@ -615,24 +627,7 @@ def run_experiment(config_path: Path, output_override=None) -> int:
         )
         out_dir.mkdir(parents=True, exist_ok=True)
         _echo_resolved(cfg, out_dir)
-        if kind == "check-assumptions":
-            checks = _run_check_assumptions(cfg, out_dir)
-        elif kind == "simulate":
-            checks = _run_simulate(cfg, out_dir, seed)
-        elif kind == "lyapunov":
-            checks = _run_lyapunov(cfg, out_dir, seed)
-        elif kind == "longrun":
-            checks = _run_longrun(cfg, out_dir, seed)
-        elif kind == "coupling":
-            checks = _run_coupling(cfg, out_dir, seed)
-        elif kind == "ergodic":
-            checks = _run_ergodic(cfg, out_dir, seed)
-        elif kind == "blowup":
-            checks = _run_blowup(cfg, out_dir, seed)
-        elif kind == "strong-rate":
-            checks = _run_strong_rate(cfg, out_dir, seed)
-        else:
-            checks = _run_semigroup_rate(cfg, out_dir)
+        checks = RUNNERS[kind](cfg, out_dir, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

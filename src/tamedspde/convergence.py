@@ -27,9 +27,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fem
-from .engine import BatchChains, rows_l2_sq
-from .grid import Grid1D, GridFunction
-from .noise import PathSampler, _synth_matrix, pairwise_tree_sum_axis
+from .engine import BatchChains
+from .grid import Grid1D, GridFunction, rows_l2_sq
+from .noise import PathSampler, pairwise_tree_sum_axis, synth_rows
 from .parallel import parallel_map, path_chunks
 from .schemes import InitialCondition, SchemeConfig
 
@@ -181,7 +181,7 @@ def strong_error_ladder(
     ratios = [r for r, _ in members]
     record_every = int(np.gcd.reduce(ratios))
     k_ref = reference.noise.truncation
-    synth_ref = np.ascontiguousarray(_synth_matrix(reference.grid.n_cells)[:, :k_ref].T)
+    synth_ref = synth_rows(reference.grid.n_cells, k_ref)
 
     def one_path(path_id: int):
         sampler = PathSampler(reference.noise, reference.seed, path_id)
@@ -200,8 +200,7 @@ def strong_error_ladder(
                 if ratio == 1
                 else pairwise_tree_sum_axis(fine.reshape(n_ref // ratio, ratio, k_ref))
             )
-            synth_c = np.ascontiguousarray(_synth_matrix(grid.n_cells)[:, :k_c].T)
-            vals = np.ascontiguousarray(agg[:, :k_c]) @ synth_c
+            vals = np.ascontiguousarray(agg[:, :k_c]) @ synth_rows(grid.n_cells, k_c)
             states, member_blown = _run_member(cfg, x0.build(grid).values, vals, 1)
             blown = blown or member_blown
             idx = _restriction_indices(reference.grid, grid)

@@ -1,19 +1,21 @@
-"""Vectorized lockstep driver for ensembles of chains.
+"""The stepping core: every driver advances chains through ``step_rows``.
 
 The Monte Carlo harnesses advance many independent paths of the same scheme
 configuration; doing so row-by-row wastes most of the time in per-call
 overhead.  ``BatchChains`` keeps the ensemble as a (paths, nodes) matrix and
-advances every path in one set of array operations.  The step arithmetic is
-shared with ``tamedspde.schemes.step`` through ``step_rows``, so the two
-drivers implement the same scheme.
+advances every path in one set of array operations; a single path is a
+1-row ensemble.  ``EnsembleNoise`` draws each path's counter-based stream
+and synthesizes the nodal increments of all rows in one product.
 
-Blow-up handling matches the scalar driver: a row whose right-hand side or
-solution trips the overflow guard is frozen at its last finite state, and
-the failing step index is recorded.
+Blow-up is detected, not raised: a row whose right-hand side or solution
+trips the overflow guard is frozen at its last finite state, and the
+failing step index is recorded, which is what the untamed baseline's
+blow-up statistics measure.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -21,8 +23,14 @@ from scipy.linalg.lapack import dpbtrs as _dpbtrs
 
 from . import fem
 from .coefficients import eval_f, eval_f_tau, eval_g, eval_g_tau
-from .noise import PathSampler, _synth_matrix
-from .schemes import OVERFLOW_GUARD, Scheme, SchemeConfig, _operators
+from .grid import Grid1D, rows_l2_sq
+from .noise import PathSampler, synth_rows
+from .schemes import OVERFLOW_GUARD, Scheme, SchemeConfig
+
+
+@functools.lru_cache(maxsize=32)
+def _operators(grid: Grid1D) -> fem.FemOperators:
+    return fem.assemble(grid)
 
 
 def drift_diffusion_rows(config: SchemeConfig, values: np.ndarray):
@@ -42,12 +50,21 @@ def mass_matvec_rows(ops: fem.FemOperators, v: np.ndarray) -> np.ndarray:
     return y
 
 
+def resolvent_rows(ops: fem.FemOperators, tau: float, v: np.ndarray) -> np.ndarray:
+    """(M + tau K)^{-1} M applied to each row of v, by banded Cholesky solves."""
+    z, info = _dpbtrs(ops._cholesky(tau), mass_matvec_rows(ops, v).T)
+    if info != 0:
+        raise RuntimeError(f"banded triangular solve failed (info={info})")
+    return np.ascontiguousarray(z.T)
+
+
 def step_rows(config: SchemeConfig, values: np.ndarray, noise_values: np.ndarray):
     """One scheme step for a (paths, nodes) matrix of states.
 
-    Returns (new_values, blown): ``blown`` marks rows that tripped the
-    overflow guard during this step; such a row's output is meaningless and
-    the caller keeps the previous state instead.
+    Solves (M + tau K) Z_n = M [Z_{n-1} + tau f*(Z_{n-1}) + g*(Z_{n-1}) dW]
+    row by row.  Returns (new_values, blown): ``blown`` marks rows that
+    tripped the overflow guard during this step; such a row's output is
+    meaningless and the caller keeps the previous state instead.
     """
     tau = config.tau
     f_part, g_part = drift_diffusion_rows(config, values)
@@ -56,11 +73,7 @@ def step_rows(config: SchemeConfig, values: np.ndarray, noise_values: np.ndarray
         bad_rhs = ~(np.abs(rhs).max(axis=-1) < np.inf)
     if np.any(bad_rhs):
         rhs = np.where(bad_rhs[:, None], 0.0, rhs)  # keep LAPACK inputs finite
-    ops = _operators(config.grid)
-    fac = ops._cholesky(tau)
-    load = mass_matvec_rows(ops, rhs)
-    z, _info = _dpbtrs(fac, load.T)
-    z = np.ascontiguousarray(z.T)
+    z = resolvent_rows(_operators(config.grid), tau, rhs)
     blown = bad_rhs.copy()
     with np.errstate(invalid="ignore"):
         suspect = ~(np.abs(z).max(axis=-1) <= OVERFLOW_GUARD)
@@ -75,29 +88,6 @@ def step_rows(config: SchemeConfig, values: np.ndarray, noise_values: np.ndarray
     return z, blown
 
 
-# --- vectorized norms over (paths, nodes) matrices -------------------------
-
-
-def rows_l2_sq(v: np.ndarray, h: float) -> np.ndarray:
-    cross = np.sum(v[..., :-1] * v[..., 1:], axis=-1)
-    return h / 6.0 * (4.0 * np.sum(v * v, axis=-1) + 2.0 * cross)
-
-
-def rows_h1_sq(v: np.ndarray, h: float) -> np.ndarray:
-    cross = np.sum(v[..., :-1] * v[..., 1:], axis=-1)
-    return (2.0 * np.sum(v * v, axis=-1) - 2.0 * cross) / h
-
-
-def rows_lp(v: np.ndarray, h: float, p: float) -> np.ndarray:
-    if np.isinf(p):
-        return np.abs(v).max(axis=-1)
-    return (h * np.sum(np.abs(v) ** p, axis=-1)) ** (1.0 / p)
-
-
-def rows_lyapunov(v: np.ndarray, h: float, tau: float) -> np.ndarray:
-    return rows_l2_sq(v, h) + 2.0 * tau * rows_h1_sq(v, h)
-
-
 class EnsembleNoise:
     """Per-path counter-based streams, synthesized jointly per step."""
 
@@ -107,9 +97,7 @@ class EnsembleNoise:
         ]
         self.grid = config.grid
         self.tau = config.tau
-        self._synth_t = np.ascontiguousarray(
-            _synth_matrix(config.grid.n_cells)[:, : config.noise.truncation].T
-        )
+        self._synth_t = synth_rows(config.grid.n_cells, config.noise.truncation)
 
     def coeff_rows(self, step_index: int) -> np.ndarray:
         return np.stack([s.coeffs(step_index, self.tau) for s in self.samplers])
@@ -158,11 +146,15 @@ class BatchChains:
         record_stride: int = 1,
         record=None,
     ):
-        """Advance ``n_steps`` steps, calling ``record(step, states)`` at strides."""
+        """Advance ``n_steps`` steps, calling ``record(step, states)`` at strides.
+
+        Records step 0, every multiple of ``record_stride`` and the last step.
+        """
+        if record_stride < 1:
+            raise ValueError(f"record_stride must be >= 1, got {record_stride}")
         if record is not None:
             record(0, self.states)
         for n in range(1, n_steps + 1):
             self.advance(noise.value_rows(n - 1))
             if record is not None and (n % record_stride == 0 or n == n_steps):
                 record(n, self.states)
-

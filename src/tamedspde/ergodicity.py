@@ -26,15 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import grid as gridmod
 from .coefficients import AssumptionReport, CoefficientSpec, eval_g
-from .engine import (
-    BatchChains,
-    EnsembleNoise,
-    rows_l2_sq,
-    rows_lyapunov,
-)
-from .grid import GridFunction
+from .engine import BatchChains, EnsembleNoise
+from .grid import GridFunction, rows_h1_sq, rows_l2_sq, rows_lp, rows_lyapunov
 from .parallel import parallel_map, path_chunks
 from .schemes import Scheme, SchemeConfig
 
@@ -111,8 +105,8 @@ def lyapunov_contraction_test(
         v1 = np.concatenate(parallel_map(one_chunk, path_chunks(n_samples)))
         est = float(np.mean(v1))
         se = float(np.std(v1, ddof=1) / math.sqrt(n_samples))
-        x_l2 = gridmod.l2_norm(anchor) ** 2
-        x_v = x_l2 + 2.0 * tau * gridmod.h1_seminorm(anchor) ** 2
+        x_l2 = float(rows_l2_sq(anchor.values, h))
+        x_v = float(rows_lyapunov(anchor.values, h, tau))
         probes.append(
             LyapunovProbe(
                 anchor_l2_sq=x_l2,
@@ -178,7 +172,7 @@ def long_run_moment_test(
     all_l2 = np.vstack([p[1] for p in parts])  # (paths, n_recorded)
     n_blow = sum(p[2] for p in parts)
     k1, k2 = report.lyap_contraction, report.lyap_source
-    env = k2 / k1 + np.exp(-k1 * config.tau * steps) * gridmod.l2_norm(x0) ** 2
+    env = k2 / k1 + np.exp(-k1 * config.tau * steps) * rows_l2_sq(x0.values, h)
     return LongRunResult(
         steps=steps,
         mean_l2_sq=all_l2.mean(axis=0),
@@ -264,6 +258,7 @@ def _least_squares_line(x: np.ndarray, y: np.ndarray):
 
 # Vectorized observables over (paths, nodes) state matrices.
 def _rows_mode1(v: np.ndarray, grid) -> np.ndarray:
+    """First coefficient of ``grid.sine_transform`` per row, as one dot product."""
     w = np.sqrt(2.0) * np.sin(np.pi * grid.nodes) / grid.n_cells
     scale = math.sqrt((2.0 + math.cos(math.pi * grid.h)) / 3.0)
     return (v @ w) * scale
@@ -271,6 +266,9 @@ def _rows_mode1(v: np.ndarray, grid) -> np.ndarray:
 
 OBSERVABLE_ROWS = {
     "l2_sq": lambda v, cfg: rows_l2_sq(v, cfg.grid.h),
+    "h1_sq": lambda v, cfg: rows_h1_sq(v, cfg.grid.h),
+    "lq2": lambda v, cfg: rows_lp(v, cfg.grid.h, cfg.coefficients.q + 2),
+    "lyapunov": lambda v, cfg: rows_lyapunov(v, cfg.grid.h, cfg.tau),
     "mode1": lambda v, cfg: _rows_mode1(v, cfg.grid),
     "one": lambda v, cfg: np.ones(v.shape[0]),
     "exp_neg_l2sq": lambda v, cfg: np.exp(-rows_l2_sq(v, cfg.grid.h)),

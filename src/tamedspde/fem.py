@@ -2,10 +2,12 @@
 
 Assembles the tridiagonal mass matrix M (rows h/6 * [1, 4, 1]) and stiffness
 matrix K (rows 1/h * [-1, 2, -1]) for the interior nodes of a ``Grid1D``,
-and provides the semi-implicit resolvent step: solving (M + tau*K) z = load
-by banded Cholesky elimination.  The resolvent S = (M + tau*K)^{-1} M is
-nonexpansive in the mass norm, which is what makes the schemes in
-``tamedspde.schemes`` unconditionally stable in the linear part.
+with the banded Cholesky factor of (M + tau*K) cached per step size.  The
+resolvent S = (M + tau*K)^{-1} M is nonexpansive in the mass norm, which is
+what makes the schemes unconditionally stable in the linear part; the
+stepping core applies it row-wise in ``tamedspde.engine.resolvent_rows``.
+``apply_resolvent_power`` and ``eigen_smallest`` are the reference
+operators the operator suite checks against closed forms.
 """
 
 from __future__ import annotations
@@ -84,31 +86,6 @@ def assemble(grid: Grid1D) -> FemOperators:
     )
 
 
-def solve_semi_implicit(ops: FemOperators, tau: float, load: np.ndarray) -> np.ndarray:
-    """Solve (M + tau*K) z = load by banded Cholesky elimination.
-
-    ``load`` is the assembled right-hand side (already mass-weighted).
-    tau = 0 is allowed and reduces to a mass solve.
-    """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    load = np.asarray(load, dtype=np.float64)
-    if load.shape != (ops.grid.n_interior,):
-        raise ValueError(
-            f"load has shape {load.shape}, expected ({ops.grid.n_interior},)"
-        )
-    z, info = _dpbtrs(ops._cholesky(tau), load)
-    if info != 0:  # pragma: no cover - cannot happen for a valid factor
-        raise RuntimeError(f"banded triangular solve failed (info={info})")
-    return z
-
-
-def apply_resolvent(ops: FemOperators, tau: float, u: GridFunction) -> GridFunction:
-    """One resolvent step S u = (M + tau*K)^{-1} M u."""
-    z = solve_semi_implicit(ops, tau, ops.mass_matvec(u.values.copy()))
-    return GridFunction(ops.grid, z)
-
-
 def apply_resolvent_power(
     ops: FemOperators, tau: float, u: GridFunction, k: int
 ) -> GridFunction:
@@ -120,39 +97,6 @@ def apply_resolvent_power(
     for _ in range(k):
         z, _info = _dpbtrs(fac, ops.mass_matvec(z))
     return GridFunction(ops.grid, z)
-
-
-def projection_load(ops: FemOperators, w, mode: str = "nodal") -> np.ndarray:
-    """Right-hand-side load realizing the L2 projection of w onto the mesh.
-
-    mode = "nodal": interpolate w at the nodes, then multiply by M
-    (mass-consistent; preserves pointwise semantics of tamed coefficients).
-    mode = "gauss": per-element 2-point Gauss quadrature of integral(w * phi_i);
-    requires a callable w and differs from nodal by O(h^2) on smooth w.
-    """
-    grid = ops.grid
-    if mode == "nodal":
-        if isinstance(w, GridFunction):
-            vals = w.values
-        else:
-            vals = np.asarray(w(grid.nodes), dtype=np.float64)
-        return ops.mass_matvec(vals.copy())
-    if mode == "gauss":
-        if not callable(w):
-            raise ValueError("gauss quadrature mode requires a callable w")
-        h = grid.h
-        # 2-point Gauss on each element, hat-function weights.
-        xg = (np.array([-1.0, 1.0]) / np.sqrt(3.0) + 1.0) / 2.0  # in [0, 1]
-        load = np.zeros(grid.n_interior)
-        elem_left = np.arange(grid.n_cells) * h
-        for g in xg:
-            x = elem_left + g * h
-            fx = np.asarray(w(x), dtype=np.float64) * (h / 2.0)
-            # phi_i is ascending (slope g) on element i-1, descending on element i.
-            load += fx[:-1] * g  # element i-1 contribution to node i
-            load += fx[1:] * (1.0 - g)  # element i contribution to node i
-        return load
-    raise ValueError(f"unknown projection mode {mode!r}")
 
 
 def eigen_smallest(ops: FemOperators, tol: float = 1e-10, max_iter: int = 200) -> float:

@@ -3,11 +3,14 @@
 The domain is the unit interval (0, 1) with homogeneous Dirichlet boundary
 conditions.  A ``GridFunction`` stores the interior nodal values of a
 continuous piecewise-linear function; boundary values are identically zero.
-Norms provided:
+Norms provided (the L2, H1 and L^p norms and the Lyapunov functional are
+defined once, as ``rows_*`` over (paths, nodes) matrices; the scalar forms
+are 1-row views on a ``GridFunction``):
 
 - ``l2_norm``:       L2 norm of the interpolant, via the P1 mass matrix.
 - ``h1_seminorm``:   exact L2 norm of the interpolant's gradient (stiffness).
 - ``lp_norm``:       L^p norm by composite trapezoid quadrature at the nodes.
+- ``rows_lyapunov``: the Lyapunov functional ||Z||^2 + 2 tau ||grad Z||^2.
 - ``fractional_norm``: Sobolev-scale norm with mode weights (k*pi)^(2*theta)
   on the sine expansion.
 
@@ -137,32 +140,42 @@ def mass_weights(grid: Grid1D) -> np.ndarray:
     return (2.0 + np.cos(k * np.pi * grid.h)) / 3.0
 
 
-def mass_inner(u: GridFunction, v: GridFunction) -> float:
-    """L2 inner product of the interpolants, u^T M v with the P1 mass matrix."""
-    _check_same_grid(u, v)
-    h = u.grid.h
-    a, b = u.values, v.values
-    cross = a[:-1] @ b[1:] + a[1:] @ b[:-1]
-    return float(h / 6.0 * (4.0 * (a @ b) + cross))
+# --- norms over (paths, nodes) matrices; the scalar norms are 1-row views ---
+
+
+def rows_l2_sq(v: np.ndarray, h: float) -> np.ndarray:
+    """v^T M v per row, with the P1 mass matrix: the squared L2 norm of each interpolant."""
+    cross = np.sum(v[..., :-1] * v[..., 1:], axis=-1)
+    return h / 6.0 * (4.0 * np.sum(v * v, axis=-1) + 2.0 * cross)
+
+
+def rows_h1_sq(v: np.ndarray, h: float) -> np.ndarray:
+    """v^T K v per row, with the P1 stiffness matrix: the squared gradient norm."""
+    cross = np.sum(v[..., :-1] * v[..., 1:], axis=-1)
+    return (2.0 * np.sum(v * v, axis=-1) - 2.0 * cross) / h
+
+
+def rows_lp(v: np.ndarray, h: float, p: float) -> np.ndarray:
+    """L^p norm per row by composite trapezoid quadrature; p = inf gives max|.|."""
+    if np.isinf(p):
+        return np.abs(v).max(axis=-1)
+    # Boundary values vanish, so trapezoid weights reduce to h at the interior.
+    return (h * np.sum(np.abs(v) ** p, axis=-1)) ** (1.0 / p)
+
+
+def rows_lyapunov(v: np.ndarray, h: float, tau: float) -> np.ndarray:
+    """V(Z) = ||Z||^2 + 2 tau ||grad Z||^2 per row, the functional the tamed schemes contract."""
+    return rows_l2_sq(v, h) + 2.0 * tau * rows_h1_sq(v, h)
 
 
 def l2_norm(u: GridFunction) -> float:
     """(u^T M u)^(1/2): the exact L2 norm of the piecewise-linear interpolant."""
-    return float(np.sqrt(max(mass_inner(u, u), 0.0)))
-
-
-def stiffness_inner(u: GridFunction, v: GridFunction) -> float:
-    """H1-seminorm inner product, u^T K v with the P1 stiffness matrix."""
-    _check_same_grid(u, v)
-    h = u.grid.h
-    a, b = u.values, v.values
-    cross = a[:-1] @ b[1:] + a[1:] @ b[:-1]
-    return float((2.0 * (a @ b) - cross) / h)
+    return float(np.sqrt(max(rows_l2_sq(u.values, u.grid.h), 0.0)))
 
 
 def h1_seminorm(u: GridFunction) -> float:
     """(u^T K u)^(1/2): the exact L2 norm of the interpolant's gradient."""
-    return float(np.sqrt(max(stiffness_inner(u, u), 0.0)))
+    return float(np.sqrt(max(rows_h1_sq(u.values, u.grid.h), 0.0)))
 
 
 def lp_norm(u: GridFunction, p: float) -> float:
@@ -173,11 +186,7 @@ def lp_norm(u: GridFunction, p: float) -> float:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    v = np.abs(u.values)
-    if np.isinf(p):
-        return float(v.max(initial=0.0))
-    # Boundary values vanish, so trapezoid weights reduce to h at the interior.
-    return float((u.grid.h * np.sum(v**p)) ** (1.0 / p))
+    return float(rows_lp(u.values, u.grid.h, p))
 
 
 def sine_transform(u: GridFunction) -> SpectralCoeffs:

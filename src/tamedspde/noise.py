@@ -21,13 +21,11 @@ coupled convergence ladders rely on.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
-from .grid import Grid1D, GridFunction
+from .grid import Grid1D
 
 _MASK64 = (1 << 64) - 1
 
@@ -72,26 +70,6 @@ def c_q_constant(spec: QWienerSpec) -> float:
     return 2.0 * spec.trace()
 
 
-@dataclass(frozen=True, eq=False)
-class NoiseIncrement:
-    """One Q-Wiener increment: nodal values plus the modal coefficients behind them."""
-
-    grid: Grid1D
-    tau: float
-    coeffs: np.ndarray = field(repr=False)  # sqrt(lambda_k tau) zeta_k, k = 1..K
-    values: np.ndarray = field(repr=False)  # nodal synthesis of coeffs
-    stream: tuple = ()
-
-    def __post_init__(self):
-        for name in ("coeffs", "values"):
-            a = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-
-    def as_grid_function(self) -> GridFunction:
-        return GridFunction(self.grid, self.values)
-
-
 @functools.lru_cache(maxsize=32)
 def _synth_matrix(n_cells: int) -> np.ndarray:
     i = np.arange(1, n_cells)[:, None]
@@ -99,17 +77,18 @@ def _synth_matrix(n_cells: int) -> np.ndarray:
     return np.sqrt(2.0) * np.sin(i * k * np.pi / n_cells)
 
 
-def synth_values(coeffs: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Nodal values of sum_k coeffs[k-1] sqrt(2) sin(k pi x) at the interior nodes."""
-    if len(coeffs) > grid.n_interior:
+def synth_rows(n_cells: int, n_modes: int) -> np.ndarray:
+    """(n_modes, n_cells - 1) synthesis matrix S: (coeffs @ S)[i] = sum_k coeffs[k-1] e_k(x_i).
+
+    ``_synth_matrix`` is symmetric bit for bit (sin(i k pi / n) is computed
+    from the integer product i k), so its first rows are its first columns
+    transposed: a C-contiguous view of the cached matrix, not a copy.
+    """
+    if n_modes > n_cells - 1:
         raise ValueError(
-            f"{len(coeffs)} modes alias on a grid with {grid.n_interior} interior nodes"
+            f"{n_modes} modes alias on a grid with {n_cells - 1} interior nodes"
         )
-    if grid.n_interior <= 512:
-        return _synth_matrix(grid.n_cells)[:, : len(coeffs)] @ coeffs
-    c = np.zeros(grid.n_interior)
-    c[: len(coeffs)] = coeffs
-    return scipy.fft.dst(c, type=1) * (np.sqrt(2.0) / 2.0)
+    return _synth_matrix(n_cells)[:n_modes]
 
 
 def _stream_key(seed: int, path_id: int) -> int:
@@ -153,101 +132,16 @@ class PathSampler:
             self._scale_cache = (tau, np.sqrt(self._eigs * tau))
         return self._scale_cache[1] * self.normals(step_index)
 
-    def increment(self, step_index: int, tau: float, grid: Grid1D) -> NoiseIncrement:
-        w = self.coeffs(step_index, tau)
-        return NoiseIncrement(
-            grid=grid,
-            tau=tau,
-            coeffs=w,
-            values=synth_values(w, grid),
-            stream=(self.seed, self.path_id, step_index),
-        )
 
-
-def sample_increment(
-    spec: QWienerSpec,
-    tau: float,
-    seed: int,
-    path_id: int,
-    step_index: int,
-    grid: Grid1D,
-) -> NoiseIncrement:
-    """One increment from the deterministic stream; see the module docstring."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    gen = np.random.Generator(
-        np.random.Philox(key=_stream_key(seed, path_id), counter=step_index << 128)
-    )
-    w = np.sqrt(spec.eigenvalues() * tau) * gen.standard_normal(spec.truncation)
-    return NoiseIncrement(
-        grid=grid,
-        tau=tau,
-        coeffs=w,
-        values=synth_values(w, grid),
-        stream=(seed, path_id, step_index),
-    )
-
-
-def pairwise_tree_sum(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum with a fixed balanced pairwise tree (adjacent pairs, odd tail carried).
+def pairwise_tree_sum_axis(a: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Sum over one axis with a fixed balanced pairwise tree (adjacent pairs, odd tail carried).
 
     For power-of-two counts, two-stage aggregation composes bit-identically
     with one-shot aggregation, which is what the nested step ladders need.
     """
-    items = list(arrays)
-    if not items:
-        raise ValueError("nothing to sum")
-    while len(items) > 1:
-        nxt = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)]
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    return items[0]
-
-
-def pairwise_tree_sum_axis(a: np.ndarray, axis: int = 1) -> np.ndarray:
-    """Vectorized pairwise tree over one axis; same tree as pairwise_tree_sum."""
     a = np.moveaxis(a, axis, 0)
     while a.shape[0] > 1:
         m = a.shape[0]
         even = a[0 : m - 1 : 2] + a[1:m:2]
         a = even if m % 2 == 0 else np.concatenate([even, a[-1:]], axis=0)
     return a[0]
-
-
-def aggregate_increments(increments: Sequence[NoiseIncrement]) -> NoiseIncrement:
-    """Sum fine increments over one coarse step of the same Brownian path."""
-    incs = list(increments)
-    if not incs:
-        raise ValueError("no increments to aggregate")
-    grid = incs[0].grid
-    tau_fine = incs[0].tau
-    for inc in incs[1:]:
-        if inc.grid != grid:
-            raise ValueError("all increments must live on the same grid")
-        if inc.tau != tau_fine:
-            raise ValueError("all increments must share the same fine step")
-    return NoiseIncrement(
-        grid=grid,
-        tau=tau_fine * len(incs),
-        coeffs=pairwise_tree_sum([i.coeffs for i in incs]),
-        values=pairwise_tree_sum([i.values for i in incs]),
-        stream=("agg", incs[0].stream, len(incs)),
-    )
-
-
-def restrict_modes(inc: NoiseIncrement, grid: Grid1D) -> NoiseIncrement:
-    """The same increment truncated to a coarser grid's own mode count."""
-    k = grid.n_interior
-    if k > len(inc.coeffs):
-        raise ValueError(
-            f"target grid needs {k} modes but the increment carries {len(inc.coeffs)}"
-        )
-    w = inc.coeffs[:k]
-    return NoiseIncrement(
-        grid=grid,
-        tau=inc.tau,
-        coeffs=w,
-        values=synth_values(w, grid),
-        stream=("restrict", inc.stream, k),
-    )

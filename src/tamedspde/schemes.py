@@ -1,4 +1,4 @@
-"""Semi-implicit time steppers: tamed, drift-tamed, and the untamed baseline.
+"""Scheme definitions: tamed, drift-tamed, and the untamed baseline.
 
 One step from Z_{n-1} to Z_n solves the linear system
 
@@ -13,32 +13,21 @@ where '.' is the pointwise nodal product with the noise increment and the
 
 The linear part is treated implicitly (nonexpansive resolvent), the
 coefficients explicitly; taming keeps the explicit part stable uniformly in
-the horizon.  Blow-up is detected, not raised: a sticky flag freezes the
-chain at its last finite state, which is what the untamed baseline's
-blow-up statistics measure.
+the horizon.  This module holds what one chain is (``SchemeConfig``, its
+initial data and the overflow guard); the step itself is implemented once,
+for (paths, nodes) matrices, in ``tamedspde.engine``.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
-import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import fem
 from .coefficients import CoefficientSpec
-from .grid import (
-    Grid1D,
-    GridFunction,
-    h1_seminorm,
-    l2_norm,
-    lp_norm,
-    sine_transform,
-)
-from .noise import NoiseIncrement, PathSampler, QWienerSpec
+from .grid import Grid1D, GridFunction
+from .noise import QWienerSpec
 
 OVERFLOW_GUARD = 1e12
 
@@ -110,112 +99,3 @@ class SchemeConfig:
     @property
     def n_steps(self) -> int:
         return round(self.horizon / self.tau)
-
-
-@dataclass(frozen=True, eq=False)
-class ChainState:
-    """Chain position after ``step_index`` steps; frozen once the guard trips."""
-
-    step_index: int
-    state: GridFunction
-    blown_up: bool = False
-    blowup_step: Optional[int] = None
-
-
-def initial_state(x0: GridFunction) -> ChainState:
-    return ChainState(0, x0)
-
-
-@functools.lru_cache(maxsize=32)
-def _operators(grid: Grid1D) -> fem.FemOperators:
-    return fem.assemble(grid)
-
-
-def step(state: ChainState, config: SchemeConfig, increment: NoiseIncrement) -> ChainState:
-    """Advance one step; a tripped blow-up guard freezes the state instead of raising."""
-    if state.blown_up:
-        return ChainState(state.step_index + 1, state.state, True, state.blowup_step)
-    if increment.grid != config.grid:
-        raise ValueError("noise increment grid does not match the scheme grid")
-    from .engine import step_rows  # deferred: engine imports this module
-
-    z, blown = step_rows(config, state.state.values[None, :], increment.values[None, :])
-    n = state.step_index + 1
-    if blown[0]:
-        return ChainState(n, state.state, True, n)
-    return ChainState(n, GridFunction(config.grid, z[0]))
-
-
-def lyapunov_V(state, tau: float) -> float:
-    """V(Z) = ||Z||^2 + 2 tau ||grad Z||^2, the functional the tamed schemes contract."""
-    u = state.state if isinstance(state, ChainState) else state
-    return l2_norm(u) ** 2 + 2.0 * tau * h1_seminorm(u) ** 2
-
-
-# Observables recordable along a trajectory, keyed by name.
-OBSERVABLES = {
-    "l2_sq": lambda u, cfg: l2_norm(u) ** 2,
-    "h1_sq": lambda u, cfg: h1_seminorm(u) ** 2,
-    "lq2": lambda u, cfg: lp_norm(u, cfg.coefficients.q + 2),
-    "lyapunov": lambda u, cfg: lyapunov_V(u, cfg.tau),
-    "mode1": lambda u, cfg: float(sine_transform(u).coeffs[0]),
-    "one": lambda u, cfg: 1.0,
-    "exp_neg_l2sq": lambda u, cfg: math.exp(-l2_norm(u) ** 2),
-}
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Recorded observables of one path, plus its final state."""
-
-    config: SchemeConfig
-    path_id: int
-    steps: np.ndarray = field(repr=False)
-    observables: dict = field(repr=False)
-    final: ChainState = field(repr=False)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.steps * self.config.tau
-
-    @property
-    def blowup_step(self) -> Optional[int]:
-        return self.final.blowup_step
-
-
-def simulate(
-    config: SchemeConfig,
-    x0: GridFunction,
-    path_id: int,
-    record_stride: int = 1,
-    observables: tuple = ("l2_sq", "h1_sq", "lq2", "lyapunov"),
-) -> Trajectory:
-    """Run one path for the full horizon, recording observables every stride.
-
-    Deterministic in (config, path_id); after a blow-up the frozen (last
-    finite) state keeps being recorded and the failure step is reported.
-    """
-    if x0.grid != config.grid:
-        raise ValueError("initial state grid does not match the scheme grid")
-    if record_stride < 1:
-        raise ValueError(f"record_stride must be >= 1, got {record_stride}")
-    fns = {name: OBSERVABLES[name] for name in observables}
-    sampler = PathSampler(config.noise, config.seed, path_id)
-    state = initial_state(x0)
-    recorded_steps = [0]
-    series = {name: [fn(x0, config)] for name, fn in fns.items()}
-    n_steps = config.n_steps
-    for n in range(1, n_steps + 1):
-        inc = sampler.increment(n - 1, config.tau, config.grid)
-        state = step(state, config, inc)
-        if n % record_stride == 0 or n == n_steps:
-            recorded_steps.append(n)
-            for name, fn in fns.items():
-                series[name].append(fn(state.state, config))
-    return Trajectory(
-        config=config,
-        path_id=path_id,
-        steps=np.asarray(recorded_steps),
-        observables={k: np.asarray(v) for k, v in series.items()},
-        final=state,
-    )

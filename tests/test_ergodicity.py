@@ -9,6 +9,7 @@ from tamedspde.coefficients import (
     linear_ou,
 )
 from tamedspde.ergodicity import (
+    OBSERVABLE_ROWS,
     StepSizeNotCertified,
     coupling_decay_test,
     em_blowup_probe,
@@ -19,7 +20,7 @@ from tamedspde.ergodicity import (
     nondegeneracy_precheck,
 )
 from tamedspde.fem import dispersion_eigenvalue
-from tamedspde.grid import Grid1D, zeros
+from tamedspde.grid import Grid1D, GridFunction, sine_transform, zeros
 from tamedspde.noise import QWienerSpec
 from tamedspde.schemes import InitialCondition, SchemeConfig
 
@@ -196,3 +197,15 @@ def test_blowup_probe_linear_never_blows():
 def test_linear_stationary_oracle_requires_linear_spec():
     with pytest.raises(ValueError):
         linear_stationary_l2_sq(ac_config())
+
+
+def test_mode1_observable_matches_sine_transform():
+    rng = np.random.default_rng(12)
+    for n_cells in (8, 32, 257):
+        grid = Grid1D(n_cells)
+        cfg = SchemeConfig(tau=2.0**-6, grid=grid, horizon=1.0, scheme="gtem",
+                           coefficients=AC, noise=QWienerSpec(3.0, 1.0, n_cells - 1))
+        rows = rng.standard_normal((5, grid.n_interior)) * rng.uniform(0.1, 10.0, (5, 1))
+        got = OBSERVABLE_ROWS["mode1"](rows, cfg)
+        expected = [sine_transform(GridFunction(grid, r)).coeffs[0] for r in rows]
+        assert np.allclose(got, expected, rtol=1e-13, atol=0.0)

@@ -1,15 +1,27 @@
 import numpy as np
 import pytest
 
+from tamedspde import engine
+from tamedspde.coefficients import CoefficientSpec
+from tamedspde.engine import mass_matvec_rows, resolvent_rows, step_rows
 from tamedspde.fem import (
     apply_resolvent_power,
     assemble,
     dispersion_eigenvalue,
     eigen_smallest,
-    projection_load,
-    solve_semi_implicit,
 )
-from tamedspde.grid import Grid1D, GridFunction, l2_norm, sine_mode, zeros
+from tamedspde.grid import Grid1D, GridFunction, l2_norm, rows_l2_sq, sine_mode, zeros
+from tamedspde.noise import QWienerSpec
+from tamedspde.schemes import SchemeConfig
+
+ZERO_COEFFS = CoefficientSpec(drift=(0.0,), diffusion=(0.0,), q=0, variant="drift_only")
+
+
+def linear_config(n_cells, tau):
+    """f = g = 0: one scheme step is exactly the resolvent (M + tau K)^{-1} M."""
+    return SchemeConfig(tau=tau, grid=Grid1D(n_cells), horizon=tau, scheme="drift_gtem",
+                        coefficients=ZERO_COEFFS,
+                        noise=QWienerSpec(3.0, 1.0, n_cells - 1))
 
 
 def test_assemble_single_interior_node():
@@ -33,16 +45,17 @@ def test_assemble_structure():
 
 
 def test_solve_semi_implicit_scalar_case():
-    ops = assemble(Grid1D(2))
-    z = solve_semi_implicit(ops, 0.1, np.array([1.0 / 3.0]))
-    assert np.isclose(z[0], 5.0 / 11.0, rtol=1e-14)
+    # one interior node: (1/3 + 0.1 * 4) z = 1/3
+    z, blown = step_rows(linear_config(2, 0.1), np.array([[1.0]]), np.zeros((1, 1)))
+    assert np.isclose(z[0, 0], 5.0 / 11.0, rtol=1e-14)
+    assert not blown[0]
 
 
 def test_solve_tau_zero_identity():
     ops = assemble(Grid1D(32))
     rng = np.random.default_rng(0)
-    u = rng.standard_normal(31)
-    z = solve_semi_implicit(ops, 0.0, ops.mass_matvec(u))
+    u = rng.standard_normal((3, 31))
+    z = resolvent_rows(ops, 0.0, u)
     assert np.max(np.abs(z - u)) <= 1e-12
 
 
@@ -50,26 +63,39 @@ def test_solve_residual_and_contraction():
     rng = np.random.default_rng(1)
     for n, tau in [(16, 0.3), (64, 1.0), (256, 0.01)]:
         ops = assemble(Grid1D(n))
-        load = rng.standard_normal(n - 1)
-        z = solve_semi_implicit(ops, tau, load)
+        u = rng.standard_normal((4, n - 1))
+        z = resolvent_rows(ops, tau, u)
         A = ops.mass_dense() + tau * ops.stiff_dense()
-        resid = np.linalg.norm(A @ z - load)
-        assert resid <= 1e-12 * np.linalg.norm(load)
+        load = u @ ops.mass_dense()
+        resid = np.linalg.norm(z @ A - load, axis=1)
+        assert np.all(resid <= 1e-12 * np.linalg.norm(load, axis=1))
         # (M + tau K) z = M u  implies  ||z||_M <= ||u||_M
-        u = GridFunction(ops.grid, rng.standard_normal(n - 1))
-        z = solve_semi_implicit(ops, tau, ops.mass_matvec(u.values.copy()))
-        assert l2_norm(GridFunction(ops.grid, z)) <= l2_norm(u) * (1.0 + 1e-13)
+        h = ops.grid.h
+        assert np.all(rows_l2_sq(z, h) <= rows_l2_sq(u, h) * (1.0 + 1e-13) ** 2)
 
 
 def test_banded_vs_dense_reference():
     rng = np.random.default_rng(2)
     for n_cells in (8, 64, 513):
-        ops = assemble(Grid1D(n_cells))
         tau = float(rng.uniform(0.01, 1.0))
-        load = rng.standard_normal(n_cells - 1)
-        z = solve_semi_implicit(ops, tau, load)
-        dense = np.linalg.solve(ops.mass_dense() + tau * ops.stiff_dense(), load)
+        cfg = linear_config(n_cells, tau)
+        ops = assemble(cfg.grid)
+        u = rng.standard_normal((3, n_cells - 1))
+        z, blown = step_rows(cfg, u, np.zeros_like(u))
+        A = ops.mass_dense() + tau * ops.stiff_dense()
+        dense = np.linalg.solve(A, ops.mass_dense() @ u.T).T
         assert np.max(np.abs(z - dense)) <= 1e-12
+        assert not blown.any()
+
+
+def test_failed_banded_solve_raises(monkeypatch):
+    def failing_dpbtrs(fac, load):
+        return np.zeros_like(load), -1
+
+    monkeypatch.setattr(engine, "_dpbtrs", failing_dpbtrs)
+    cfg = linear_config(16, 0.1)
+    with pytest.raises(RuntimeError, match="info=-1"):
+        step_rows(cfg, np.ones((2, 15)), np.zeros((2, 15)))
 
 
 def test_resolvent_power_zero_and_nonexpansive():
@@ -94,26 +120,38 @@ def test_resolvent_power_sine_mode_decay():
 
 
 def test_projection_load_modes():
+    # the step's load is the mass-consistent projection M w of the nodal values
     g = Grid1D(32)
     ops = assemble(g)
-    assert np.all(projection_load(ops, zeros(g)) == 0.0)
-    # w already piecewise linear: nodal projection load is exactly M w
+    assert np.all(mass_matvec_rows(ops, np.zeros((2, 31))) == 0.0)
     rng = np.random.default_rng(4)
-    w = GridFunction(g, rng.standard_normal(31))
-    assert np.allclose(projection_load(ops, w), ops.mass_matvec(w.values.copy()))
-    with pytest.raises(ValueError):
-        projection_load(ops, w, mode="gauss")
-    with pytest.raises(ValueError):
-        projection_load(ops, w, mode="simpson")
+    w = rng.standard_normal((3, 31))
+    expected = w @ ops.mass_dense()
+    assert np.allclose(mass_matvec_rows(ops, w.copy()), expected, rtol=1e-14, atol=1e-15)
+    for row, exp in zip(w, expected):
+        assert np.allclose(ops.mass_matvec(row.copy()), exp, rtol=1e-14, atol=1e-15)
+
+
+def gauss_load(grid, f):
+    """integral(f * phi_i) by 2-point Gauss quadrature on each element."""
+    h = grid.h
+    load = np.zeros(grid.n_interior)
+    elem_left = np.arange(grid.n_cells) * h
+    for g in (np.array([-1.0, 1.0]) / np.sqrt(3.0) + 1.0) / 2.0:
+        fx = f(elem_left + g * h) * (h / 2.0)
+        # phi_i is ascending (slope g) on element i-1, descending on element i.
+        load += fx[:-1] * g + fx[1:] * (1.0 - g)
+    return load
 
 
 def test_projection_gauss_vs_nodal_second_order():
-    # quadrature and nodal loads differ by O(h^2) on smooth data
+    # the quadrature load and the nodal load M f(x) differ by O(h^2) on smooth data
     f = lambda x: np.sin(np.pi * x)
     diffs = []
     for n in (16, 32, 64):
         ops = assemble(Grid1D(n))
-        d = projection_load(ops, f, mode="gauss") - projection_load(ops, f, mode="nodal")
+        nodal = mass_matvec_rows(ops, f(ops.grid.nodes)[None, :])[0]
+        d = gauss_load(ops.grid, f) - nodal
         diffs.append(np.max(np.abs(d)) / ops.grid.h)  # per-load-row scale ~ h
     ratios = [diffs[i] / diffs[i + 1] for i in range(len(diffs) - 1)]
     for r in ratios:

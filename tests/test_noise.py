@@ -1,19 +1,36 @@
 import numpy as np
 import pytest
 
-from tamedspde.grid import Grid1D, mass_inner, sine_mode
+from tamedspde.coefficients import allen_cahn
+from tamedspde.engine import EnsembleNoise
+from tamedspde.fem import assemble
+from tamedspde.grid import Grid1D, sine_mode
 from tamedspde.noise import (
     PathSampler,
     QWienerSpec,
-    aggregate_increments,
+    _stream_key,
+    _synth_matrix,
     c_q_constant,
-    restrict_modes,
-    sample_increment,
-    synth_values,
+    pairwise_tree_sum_axis,
+    synth_rows,
 )
+from tamedspde.schemes import SchemeConfig
 
 GRID = Grid1D(64)
 SPEC = QWienerSpec(decay_exponent=3.0, scale=1.0, truncation=63)
+
+
+def noise_config(spec=SPEC, grid=GRID, tau=0.01, seed=0):
+    return SchemeConfig(tau=tau, grid=grid, horizon=tau, scheme="gtem",
+                        coefficients=allen_cahn(1.0), noise=spec, seed=seed)
+
+
+def fresh_philox_coeffs(spec, tau, seed, path_id, step_index):
+    """The stream as the noise module defines it, from a freshly built generator."""
+    gen = np.random.Generator(
+        np.random.Philox(key=_stream_key(seed, path_id), counter=step_index << 128)
+    )
+    return np.sqrt(spec.eigenvalues() * tau) * gen.standard_normal(spec.truncation)
 
 
 def test_spec_validation():
@@ -27,34 +44,35 @@ def test_spec_validation():
 
 
 def test_determinism_and_scaling():
-    a = sample_increment(SPEC, 0.01, 42, 3, 17, GRID)
-    b = sample_increment(SPEC, 0.01, 42, 3, 17, GRID)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.coeffs, b.coeffs)
-    # with the normals fixed, values scale as sqrt(tau)
-    c = sample_increment(SPEC, 0.0025, 42, 3, 17, GRID)
-    assert np.allclose(c.values, a.values / 2.0, rtol=1e-12)
+    a = PathSampler(SPEC, 42, 3).coeffs(17, 0.01)
+    b = PathSampler(SPEC, 42, 3).coeffs(17, 0.01)
+    assert np.array_equal(a, b)
+    # with the normals fixed, coefficients and nodal values scale as sqrt(tau)
+    c = PathSampler(SPEC, 42, 3).coeffs(17, 0.0025)
+    assert np.allclose(c, a / 2.0, rtol=1e-12)
+    synth = synth_rows(GRID.n_cells, SPEC.truncation)
+    assert np.allclose(c @ synth, (a @ synth) / 2.0, rtol=1e-12, atol=1e-15)
     with pytest.raises(ValueError):
-        sample_increment(SPEC, 0.0, 42, 3, 17, GRID)
+        PathSampler(SPEC, 42, 3).coeffs(17, 0.0)
 
 
 def test_sampler_matches_standalone_and_random_access():
+    # re-seating one generator per step equals a fresh Philox at that counter
     ps = PathSampler(SPEC, 42, 3)
-    seq = [ps.increment(k, 0.01, GRID) for k in range(5)]
-    for k, inc in enumerate(seq):
-        ref = sample_increment(SPEC, 0.01, 42, 3, k, GRID)
-        assert np.array_equal(inc.values, ref.values)
+    seq = [ps.coeffs(k, 0.01) for k in range(5)]
+    for k, w in enumerate(seq):
+        assert np.array_equal(w, fresh_philox_coeffs(SPEC, 0.01, 42, 3, k))
     # revisiting an earlier step reproduces it exactly
-    assert np.array_equal(ps.increment(2, 0.01, GRID).coeffs, seq[2].coeffs)
+    assert np.array_equal(ps.coeffs(2, 0.01), seq[2])
 
 
 def test_mode_variance_mc_oracle():
     # Var<dW, q_1> over many samples ~ lambda_1 * tau
     tau, n = 0.01, 10_000
     spec = QWienerSpec(3.0, 1.0, 63)
-    e1 = sine_mode(GRID, 1)
-    ps = [sample_increment(spec, tau, 7, p, 0, GRID) for p in range(n)]
-    proj = np.array([mass_inner(p.as_grid_function(), e1) for p in ps])
+    values = EnsembleNoise(noise_config(spec, tau=tau, seed=7), range(n)).value_rows(0)
+    m_e1 = assemble(GRID).mass_matvec(sine_mode(GRID, 1).values.copy())
+    proj = values @ m_e1  # mass inner product with e_1
     var = proj.var(ddof=1)
     se = var * np.sqrt(2.0 / (n - 1))  # SE of a variance estimate
     assert abs(var - tau * 1.0) <= 3.0 * se
@@ -63,18 +81,14 @@ def test_mode_variance_mc_oracle():
 
 def test_mode_independence_and_trace():
     tau, n = 0.04, 10_000
-    coeffs = np.stack(
-        [sample_increment(SPEC, tau, 11, p, 0, GRID).coeffs for p in range(n)]
-    )
+    coeffs = EnsembleNoise(noise_config(tau=tau, seed=11), range(n)).coeff_rows(0)
     # cross-covariance of distinct modes within 3 SE of zero
     for j, k in [(0, 1), (1, 4), (2, 7)]:
         c = np.cov(coeffs[:, j], coeffs[:, k], ddof=1)[0, 1]
         se = np.sqrt(coeffs[:, j].var(ddof=1) * coeffs[:, k].var(ddof=1) / (n - 1))
         assert abs(c) <= 3.0 * se
-    # E ||dW||^2 ~ tau * trace (mass-norm quadrature bias is << 3 SE)
-    sq = np.array(
-        [rows for rows in (coeffs**2).sum(axis=1)]
-    )  # Parseval proxy: sum of modal coefficients squared
+    # E ||dW||^2 ~ tau * trace (Parseval proxy: sum of modal coefficients squared)
+    sq = (coeffs**2).sum(axis=1)
     expected = tau * SPEC.trace()
     se = sq.std(ddof=1) / np.sqrt(n)
     assert abs(sq.mean() - expected) <= 3.0 * se
@@ -82,8 +96,9 @@ def test_mode_independence_and_trace():
 
 def test_independence_across_steps():
     tau, n = 0.01, 4000
-    a = np.stack([sample_increment(SPEC, tau, 13, p, 0, GRID).coeffs[:3] for p in range(n)])
-    b = np.stack([sample_increment(SPEC, tau, 13, p, 1, GRID).coeffs[:3] for p in range(n)])
+    noise = EnsembleNoise(noise_config(tau=tau, seed=13), range(n))
+    a = noise.coeff_rows(0)[:, :3]
+    b = noise.coeff_rows(1)[:, :3]
     for m in range(3):
         c = np.cov(a[:, m], b[:, m], ddof=1)[0, 1]
         se = np.sqrt(a[:, m].var(ddof=1) * b[:, m].var(ddof=1) / (n - 1))
@@ -91,67 +106,79 @@ def test_independence_across_steps():
 
 
 def test_aggregation_identity_and_variance():
-    ps = PathSampler(SPEC, 5, 0)
-    one = ps.increment(0, 0.01, GRID)
-    agg = aggregate_increments([one])
-    assert np.array_equal(agg.values, one.values)
-    assert agg.tau == one.tau
+    one = PathSampler(SPEC, 5, 0).coeffs(0, 0.01)
+    assert np.array_equal(pairwise_tree_sum_axis(one[None, None, :]), one[None, :])
 
     # variance of a 4-step aggregate ~ 4 * lambda_k * tau_fine
     tau, n = 0.01, 10_000
-    sums = []
-    for p in range(n):
-        sp = PathSampler(SPEC, 6, p)
-        sums.append(aggregate_increments([sp.increment(k, tau, GRID) for k in range(4)]).coeffs[0])
-    var = np.array(sums).var(ddof=1)
+    noise = EnsembleNoise(noise_config(tau=tau, seed=6), range(n))
+    fine = np.stack([noise.coeff_rows(k) for k in range(4)], axis=1)  # (paths, 4, K)
+    sums = pairwise_tree_sum_axis(fine)[:, 0]
+    var = sums.var(ddof=1)
     se = var * np.sqrt(2.0 / (n - 1))
     assert abs(var - 4.0 * tau * 1.0) <= 3.0 * se
 
 
 def test_aggregation_associativity_power_of_two():
+    # the ladder aggregates a fine path by reshaping to (coarse steps, ratio, K)
     ps = PathSampler(SPEC, 9, 1)
-    incs = [ps.increment(k, 0.005, GRID) for k in range(8)]
-    one_shot = aggregate_increments(incs)
-    nested = aggregate_increments(
-        [aggregate_increments(incs[:4]), aggregate_increments(incs[4:])]
-    )
-    pairs = aggregate_increments(
-        [aggregate_increments(incs[i : i + 2]) for i in range(0, 8, 2)]
-    )
-    assert np.array_equal(one_shot.values, nested.values)
-    assert np.array_equal(one_shot.values, pairs.values)
-    assert np.array_equal(one_shot.coeffs, pairs.coeffs)
-    with pytest.raises(ValueError):
-        aggregate_increments([])
-    with pytest.raises(ValueError):
-        aggregate_increments([incs[0], ps.increment(9, 0.01, GRID)])  # mixed tau
+    fine = np.stack([ps.coeffs(k, 0.005) for k in range(8)])
+    k = SPEC.truncation
+    one_shot = pairwise_tree_sum_axis(fine.reshape(1, 8, k))
+    halves = pairwise_tree_sum_axis(fine.reshape(2, 4, k))
+    nested = pairwise_tree_sum_axis(halves.reshape(1, 2, k))
+    pairs = pairwise_tree_sum_axis(fine.reshape(4, 2, k))
+    from_pairs = pairwise_tree_sum_axis(pairs.reshape(1, 4, k))
+    assert np.array_equal(one_shot, nested)
+    assert np.array_equal(one_shot, from_pairs)
+    synth = synth_rows(GRID.n_cells, k)
+    assert np.array_equal(one_shot @ synth, from_pairs @ synth)
+    # an odd count carries its tail: the result is still the full sum
+    odd = pairwise_tree_sum_axis(fine[:5][None])
+    assert np.allclose(odd[0], fine[:5].sum(axis=0), rtol=1e-13, atol=1e-15)
 
 
 def test_coarse_path_is_prefix_of_fine_path():
     # bit-level coupling: coarse-grid increments are a mode prefix of fine ones
     fine_spec = QWienerSpec(3.0, 1.0, 63)
     coarse_grid = Grid1D(16)
-    fine = sample_increment(fine_spec, 0.01, 21, 4, 8, GRID)
-    coarse = sample_increment(fine_spec.for_grid(coarse_grid), 0.01, 21, 4, 8, coarse_grid)
-    assert np.array_equal(fine.coeffs[:15], coarse.coeffs)
-    restricted = restrict_modes(fine, coarse_grid)
-    assert np.array_equal(restricted.coeffs, coarse.coeffs)
-    assert np.array_equal(restricted.values, coarse.values)
+    coarse_spec = fine_spec.for_grid(coarse_grid)
+    fine = PathSampler(fine_spec, 21, 4).coeffs(8, 0.01)
+    coarse = PathSampler(coarse_spec, 21, 4).coeffs(8, 0.01)
+    assert np.array_equal(fine[:15], coarse)
+    # restricting the fine coefficients synthesizes the coarse path's values
+    coarse_noise = EnsembleNoise(noise_config(coarse_spec, coarse_grid, seed=21), [4])
+    restricted = fine[None, :15] @ synth_rows(coarse_grid.n_cells, 15)
+    assert np.array_equal(restricted, coarse_noise.value_rows(8))
     with pytest.raises(ValueError):
-        restrict_modes(coarse, GRID)  # cannot go finer
+        synth_rows(coarse_grid.n_cells, 63)  # cannot carry more modes than nodes
 
 
 def test_synth_matches_direct_sum():
     rng = np.random.default_rng(0)
     w = rng.standard_normal(15)
     grid = Grid1D(16)
-    vals = synth_values(w, grid)
+    vals = w @ synth_rows(grid.n_cells, 15)
     direct = sum(
         w[k - 1] * np.sqrt(2.0) * np.sin(k * np.pi * grid.nodes) for k in range(1, 16)
     )
     assert np.allclose(vals, direct, atol=1e-12)
     with pytest.raises(ValueError):
-        synth_values(np.zeros(20), grid)
+        synth_rows(grid.n_cells, 20)
+
+
+def test_ensemble_synthesis_is_a_view_of_the_cached_matrix():
+    for n_cells, k in ((64, 63), (64, 20), (512, 511)):
+        grid = Grid1D(n_cells)
+        spec = QWienerSpec(3.0, 1.0, k)
+        noise = EnsembleNoise(noise_config(spec, grid, seed=3), range(5))
+        full = _synth_matrix(n_cells)
+        assert np.array_equal(full, full.T)  # symmetric bit for bit
+        assert np.shares_memory(noise._synth_t, full)
+        assert noise._synth_t.flags.c_contiguous
+        # the same product as with a transposed copy of the first k columns
+        transposed = np.ascontiguousarray(full[:, :k].T)
+        assert np.array_equal(noise.value_rows(2), noise.coeff_rows(2) @ transposed)
 
 
 def test_c_q_constant():

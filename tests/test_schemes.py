@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from tamedspde.coefficients import CoefficientSpec, allen_cahn
+from tamedspde.coefficients import CoefficientSpec, allen_cahn, eval_g
+from tamedspde.engine import BatchChains, EnsembleNoise, step_rows
 from tamedspde.fem import dispersion_eigenvalue
-from tamedspde.grid import Grid1D, GridFunction, l2_norm, sine_mode, zeros
-from tamedspde.noise import NoiseIncrement, QWienerSpec, sample_increment
-from tamedspde.schemes import (
-    ChainState,
-    InitialCondition,
-    SchemeConfig,
-    initial_state,
-    lyapunov_V,
-    simulate,
-    step,
+from tamedspde.grid import (
+    Grid1D,
+    l2_norm,
+    rows_l2_sq,
+    rows_lyapunov,
+    sine_mode,
+    zeros,
 )
+from tamedspde.noise import QWienerSpec
+from tamedspde.schemes import InitialCondition, SchemeConfig
 
 ZERO_DRIFT = CoefficientSpec(drift=(0.0,), diffusion=(0.0,), q=0, variant="drift_only")
 
@@ -30,11 +30,17 @@ def heat_config(n_cells=64, tau=0.05, horizon=1.0):
     )
 
 
-def zero_increment(grid, tau):
-    return NoiseIncrement(
-        grid=grid, tau=tau, coeffs=np.zeros(grid.n_interior),
-        values=np.zeros(grid.n_interior), stream=("zero",),
-    )
+def run_path(config, x0, path_id, record_stride=1):
+    """One path as a 1-row ensemble: (recorded steps, recorded states, chains)."""
+    chains = BatchChains(config, x0.values)
+    steps, states = [], []
+
+    def record(step, rows):
+        steps.append(step)
+        states.append(rows[0].copy())
+
+    chains.run(EnsembleNoise(config, [path_id]), config.n_steps, record_stride, record)
+    return np.asarray(steps), np.stack(states), chains
 
 
 def test_config_validation():
@@ -56,20 +62,20 @@ def test_config_validation():
 def test_heat_decay_matches_resolvent_powers():
     cfg = heat_config()
     x0 = sine_mode(cfg.grid, 1)
-    traj = simulate(cfg, x0, path_id=0)
+    steps, states, _ = run_path(cfg, x0, path_id=0)
     lam = dispersion_eigenvalue(cfg.grid)
-    expected = (1.0 + cfg.tau * lam) ** (-traj.steps) * l2_norm(x0)
-    assert np.max(np.abs(np.sqrt(traj.observables["l2_sq"]) - expected)) <= 1e-8
+    expected = (1.0 + cfg.tau * lam) ** (-steps) * l2_norm(x0)
+    got = np.sqrt(rows_l2_sq(states, cfg.grid.h))
+    assert np.max(np.abs(got - expected)) <= 1e-8
 
 
 def test_zero_is_fixed_point_on_zero_noise_path():
     cfg = SchemeConfig(tau=0.1, grid=Grid1D(32), horizon=1.0, scheme="gtem",
                        coefficients=allen_cahn(1.0), noise=QWienerSpec(3.0, 1.0, 31))
-    state = initial_state(zeros(cfg.grid))
-    inc = zero_increment(cfg.grid, cfg.tau)
+    chains = BatchChains(cfg, zeros(cfg.grid).values)
     for _ in range(10):
-        state = step(state, cfg, inc)
-        assert np.all(state.state.values == 0.0)  # f(0) = 0, g dampened by zero noise
+        chains.advance(np.zeros((1, cfg.grid.n_interior)))
+        assert np.all(chains.states == 0.0)  # f(0) = 0, g dampened by zero noise
 
 
 def test_simulate_deterministic():
@@ -77,12 +83,11 @@ def test_simulate_deterministic():
                        coefficients=allen_cahn(1.0), noise=QWienerSpec(3.0, 1.0, 31),
                        seed=99)
     x0 = InitialCondition("sine", amplitude=2.0).build(cfg.grid)
-    t1 = simulate(cfg, x0, path_id=4)
-    t2 = simulate(cfg, x0, path_id=4)
-    for name in t1.observables:
-        assert np.array_equal(t1.observables[name], t2.observables[name])
-    t3 = simulate(cfg, x0, path_id=5)
-    assert not np.array_equal(t1.observables["l2_sq"], t3.observables["l2_sq"])
+    _, s1, _ = run_path(cfg, x0, path_id=4)
+    _, s2, _ = run_path(cfg, x0, path_id=4)
+    assert np.array_equal(s1, s2)
+    _, s3, _ = run_path(cfg, x0, path_id=5)
+    assert not np.array_equal(rows_l2_sq(s1, cfg.grid.h), rows_l2_sq(s3, cfg.grid.h))
 
 
 def test_step_depends_only_on_state_and_increment():
@@ -90,15 +95,17 @@ def test_step_depends_only_on_state_and_increment():
                        coefficients=allen_cahn(1.0), noise=QWienerSpec(3.0, 1.0, 31),
                        seed=7)
     x0 = InitialCondition("sine", amplitude=1.0).build(cfg.grid)
-    state = initial_state(x0)
+    noise = EnsembleNoise(cfg, [0])
+    chains = BatchChains(cfg, x0.values)
     for n in range(3):
-        state = step(state, cfg, sample_increment(cfg.noise, cfg.tau, 7, 0, n, cfg.grid))
-    # a freshly built state with the same values must step identically
-    clone = ChainState(state.step_index, GridFunction(cfg.grid, state.state.values.copy()))
-    inc = sample_increment(cfg.noise, cfg.tau, 7, 0, 3, cfg.grid)
-    out_a = step(state, cfg, inc)
-    out_b = step(clone, cfg, inc)
-    assert np.array_equal(out_a.state.values, out_b.state.values)
+        chains.advance(noise.value_rows(n))
+    # a fresh copy of the same values must step identically
+    clone = chains.states.copy()
+    inc = noise.value_rows(3)
+    out_a, blown_a = step_rows(cfg, chains.states, inc)
+    out_b, blown_b = step_rows(cfg, clone, inc.copy())
+    assert np.array_equal(out_a, out_b)
+    assert not blown_a[0] and not blown_b[0]
 
 
 def test_untamed_blows_up_tamed_does_not():
@@ -111,11 +118,11 @@ def test_untamed_blows_up_tamed_does_not():
                               coefficients=allen_cahn(0.5), noise=noise, seed=3)
         cfg_tamed = SchemeConfig(tau=0.5, grid=grid, horizon=50.0, scheme="gtem",
                                  coefficients=allen_cahn(0.5), noise=noise, seed=3)
-        t_em = simulate(cfg_em, x0, pid, record_stride=100)
-        t_gt = simulate(cfg_tamed, x0, pid, record_stride=100)
-        blew_untamed += t_em.blowup_step is not None
-        assert t_gt.blowup_step is None
-        assert np.all(np.isfinite(t_gt.observables["l2_sq"]))
+        _, _, em = run_path(cfg_em, x0, pid, record_stride=100)
+        _, s_gt, gt = run_path(cfg_tamed, x0, pid, record_stride=100)
+        blew_untamed += bool(em.blown[0])
+        assert not gt.blown[0]
+        assert np.all(np.isfinite(rows_l2_sq(s_gt, grid.h)))
     assert blew_untamed >= 3
 
 
@@ -123,29 +130,31 @@ def test_blowup_flag_is_sticky_and_state_frozen():
     grid = Grid1D(8)
     cfg = SchemeConfig(tau=0.5, grid=grid, horizon=5.0, scheme="untamed_em",
                        coefficients=allen_cahn(0.3), noise=QWienerSpec(3.0, 1e-30, 7))
-    state = initial_state(InitialCondition("sine", amplitude=30.0).build(grid))
-    inc = zero_increment(grid, cfg.tau)
-    while not state.blown_up:
-        state = step(state, cfg, inc)
-        assert state.step_index <= 50
-    frozen = state.state.values.copy()
-    first_failure = state.blowup_step
+    chains = BatchChains(cfg, InitialCondition("sine", amplitude=30.0).build(grid).values)
+    zero = np.zeros((1, grid.n_interior))
+    while not chains.blown[0]:
+        chains.advance(zero)
+        assert chains.step_index <= 50
+    frozen = chains.states.copy()
+    first_failure = chains.blowup_step[0]
+    assert first_failure == chains.step_index
     for _ in range(3):
-        state = step(state, cfg, inc)
-        assert state.blown_up and state.blowup_step == first_failure
-        assert np.array_equal(state.state.values, frozen)
+        chains.advance(zero)
+        assert chains.blown[0] and chains.blowup_step[0] == first_failure
+        assert np.array_equal(chains.states, frozen)
         assert np.all(np.isfinite(frozen))
 
 
 def test_lyapunov_functional():
     g = Grid1D(256)
-    assert lyapunov_V(zeros(g), 0.1) == 0.0
-    u = sine_mode(g, 1)
-    assert abs(lyapunov_V(u, 0.1) - (1.0 + 0.2 * np.pi**2)) <= 0.02
+    assert rows_lyapunov(zeros(g).values, g.h, 0.1) == 0.0
+    u = sine_mode(g, 1).values
+    assert abs(rows_lyapunov(u, g.h, 0.1) - (1.0 + 0.2 * np.pi**2)) <= 0.02
     rng = np.random.default_rng(8)
-    v = GridFunction(g, rng.standard_normal(255))
+    v = rng.standard_normal((3, 255))
     c = 3.7
-    assert np.isclose(lyapunov_V(c * v, 0.1), c**2 * lyapunov_V(v, 0.1), rtol=1e-12)
+    assert np.allclose(rows_lyapunov(c * v, g.h, 0.1),
+                       c**2 * rows_lyapunov(v, g.h, 0.1), rtol=1e-12)
 
 
 def test_single_step_tau_continuity():
@@ -153,18 +162,16 @@ def test_single_step_tau_continuity():
     grid = Grid1D(32)
     noise = QWienerSpec(3.0, 1.0, 31)
     x0 = InitialCondition("sine", amplitude=1.0).build(grid)
-    inc_values = sample_increment(noise, 0.01, 5, 0, 0, grid).values
-    from tamedspde.coefficients import eval_g
-
-    limit = x0.values + eval_g(allen_cahn(1.0), x0.values) * inc_values
+    base = SchemeConfig(tau=0.01, grid=grid, horizon=0.01, scheme="drift_gtem",
+                        coefficients=allen_cahn(1.0), noise=noise, seed=5)
+    inc_values = EnsembleNoise(base, [0]).value_rows(0)
+    limit = x0.values + eval_g(allen_cahn(1.0), x0.values) * inc_values[0]
     errs = []
     for tau in (0.02, 0.01, 0.005, 0.0025):
         cfg = SchemeConfig(tau=tau, grid=grid, horizon=tau, scheme="drift_gtem",
                            coefficients=allen_cahn(1.0), noise=noise)
-        inc = NoiseIncrement(grid=grid, tau=tau, coeffs=np.zeros(31),
-                             values=inc_values, stream=("fixed",))
-        out = step(initial_state(x0), cfg, inc)
-        errs.append(np.linalg.norm(out.state.values - limit))
+        out, _ = step_rows(cfg, x0.values[None, :], inc_values)
+        errs.append(np.linalg.norm(out[0] - limit))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     for r in ratios:
         assert 1.6 <= r <= 2.4
@@ -176,24 +183,25 @@ def test_drift_gtem_equals_gtem_for_drift_only_constant_g():
                            variant="drift_only")
     noise = QWienerSpec(3.0, 1.0, 31)
     x0 = InitialCondition("sine", amplitude=2.0).build(grid)
-    a = simulate(SchemeConfig(tau=0.05, grid=grid, horizon=1.0, scheme="gtem",
-                              coefficients=spec, noise=noise, seed=2), x0, 0)
-    b = simulate(SchemeConfig(tau=0.05, grid=grid, horizon=1.0, scheme="drift_gtem",
-                              coefficients=spec, noise=noise, seed=2), x0, 0)
-    assert np.array_equal(a.final.state.values, b.final.state.values)
-    for name in a.observables:
-        assert np.array_equal(a.observables[name], b.observables[name])
+    _, a, _ = run_path(SchemeConfig(tau=0.05, grid=grid, horizon=1.0, scheme="gtem",
+                                    coefficients=spec, noise=noise, seed=2), x0, 0)
+    _, b, _ = run_path(SchemeConfig(tau=0.05, grid=grid, horizon=1.0,
+                                    scheme="drift_gtem", coefficients=spec,
+                                    noise=noise, seed=2), x0, 0)
+    assert np.array_equal(a, b)
 
 
 def test_record_stride_and_initial_conditions():
     cfg = heat_config(n_cells=16, tau=0.1, horizon=2.0)
     x0 = InitialCondition("bump", amplitude=1.0, center=0.4, width=0.05).build(cfg.grid)
-    traj = simulate(cfg, x0, 0, record_stride=7)
-    assert traj.steps[0] == 0 and traj.steps[-1] == cfg.n_steps
-    assert all(s % 7 == 0 for s in traj.steps[1:-1])
+    steps, _, _ = run_path(cfg, x0, 0, record_stride=7)
+    assert steps[0] == 0 and steps[-1] == cfg.n_steps
+    assert all(s % 7 == 0 for s in steps[1:-1])
     const = InitialCondition("const", amplitude=2.5).build(cfg.grid)
     assert np.all(const.values == 2.5)
     with pytest.raises(ValueError):
         InitialCondition("wavelet").build(cfg.grid)
     with pytest.raises(ValueError):
-        simulate(cfg, x0, 0, record_stride=0)
+        run_path(cfg, x0, 0, record_stride=0)
+    with pytest.raises(ValueError):
+        BatchChains(cfg, np.zeros((2, cfg.grid.n_interior + 1)))
