@@ -2,10 +2,13 @@
 
 No closed-form solution exists for the nonlinear equation, so the strong
 error of a coarse discretization is measured against the same scheme run at
-a much finer resolution on the *same* Brownian path: fine noise increments
-are generated once per path, summed over coarse steps (exact aggregation of
-the Wiener path), truncated to the coarse grid's own modes, and the fine
-reference is restricted to coarse nodes (exact for nested meshes).  The
+a much finer resolution on the *same* Brownian path.  A chunk of paths
+advances the reference and every ladder member in lockstep, one row per path,
+streaming the fine noise in blocks of lcm(ratios) reference steps: each
+block's fine increments are drawn once, summed over coarse steps (exact
+aggregation of the Wiener path), truncated to the coarse grid's own modes,
+and the fine reference is restricted to coarse nodes (exact for nested
+meshes).  Memory is O(chunk x block x modes), whatever the horizon.  The
 reported error per ladder point is
 
     RMS over paths of  max over the coarse time grid of  ||Z_coarse - R Z_ref||_{L2},
@@ -21,7 +24,7 @@ first-order temporal accuracy of the resolvent stepping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,7 +32,7 @@ import numpy as np
 from . import fem
 from .engine import BatchChains
 from .grid import Grid1D, GridFunction, rows_l2_sq
-from .noise import PathSampler, pairwise_tree_sum_axis, synth_rows
+from .noise import PathSampler, pairwise_tree_sum_axis, synthesize
 from .parallel import parallel_map, path_chunks
 from .schemes import InitialCondition, SchemeConfig
 
@@ -119,29 +122,121 @@ def _restriction_indices(fine: Grid1D, coarse: Grid1D) -> np.ndarray:
     return np.arange(1, coarse.n_cells) * m - 1
 
 
-def _member_config(reference: SchemeConfig, tau: float, grid: Grid1D) -> SchemeConfig:
-    return SchemeConfig(
-        tau=tau,
-        grid=grid,
-        horizon=reference.horizon,
-        scheme=reference.scheme,
-        coefficients=reference.coefficients,
-        noise=reference.noise.for_grid(grid),
-        seed=reference.seed,
-    )
+@dataclass(frozen=True, eq=False)
+class _Member:
+    ratio: int  # reference steps per member step
+    config: SchemeConfig
+    restrict: np.ndarray  # reference node indices of the member's nodes
 
 
-def _run_member(
-    config: SchemeConfig, x0_vals: np.ndarray, noise_values: np.ndarray, record_every: int
+def _ladder_members(
+    reference: SchemeConfig,
+    coarse_taus: Optional[Sequence[float]],
+    coarse_n_cells: Optional[Sequence[int]],
 ):
-    """March one chain; return (recorded states at multiples of record_every, blown)."""
-    chains = BatchChains(config, x0_vals[None, :])
-    recorded = [x0_vals.copy()]
-    for n in range(1, noise_values.shape[0] + 1):
-        chains.advance(noise_values[n - 1][None, :])
-        if n % record_every == 0:
-            recorded.append(chains.states[0].copy())
-    return np.stack(recorded), bool(chains.blown[0])
+    """(axis, members) of a ladder, every member checked against the reference."""
+    if (coarse_taus is None) == (coarse_n_cells is None):
+        raise ValueError("specify exactly one of coarse_taus / coarse_n_cells")
+    if coarse_taus is not None:
+        axis = "tau"
+        rungs = []
+        for t in coarse_taus:
+            ratio = t / reference.tau
+            if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+                raise ValueError(
+                    f"coarse tau {t} is not an integer multiple of the "
+                    f"reference tau {reference.tau}"
+                )
+            rungs.append((int(round(ratio)), reference.grid))
+    else:
+        axis = "h"
+        rungs = [(1, Grid1D(nc)) for nc in coarse_n_cells]
+    if not rungs:
+        raise ValueError("the ladder needs at least one coarse member")
+    n_ref = reference.n_steps
+    members = []
+    for ratio, grid in rungs:
+        if n_ref % ratio:
+            raise ValueError(
+                f"coarse tau {ratio * reference.tau} does not divide the horizon: "
+                f"{n_ref} reference steps are not a multiple of {ratio}"
+            )
+        members.append(
+            _Member(
+                ratio,
+                replace(
+                    reference,
+                    tau=ratio * reference.tau,
+                    grid=grid,
+                    noise=reference.noise.for_grid(grid),
+                ),
+                _restriction_indices(reference.grid, grid),
+            )
+        )
+    return axis, members
+
+
+def _start_rows(config: SchemeConfig, x0: InitialCondition, n_rows: int) -> BatchChains:
+    values = x0.build(config.grid).values
+    return BatchChains(config, np.broadcast_to(values, (n_rows, len(values))))
+
+
+def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_ids):
+    """(squared sup errors (paths, members), blown (paths,)) of one path chunk.
+
+    The reference and every member advance the chunk's paths as rows of one
+    ``BatchChains`` each, a block of lcm(ratios) reference steps at a time.
+    Each block's fine coefficients are drawn once, step-major; a member
+    aggregates its steps from them with the pairwise tree and keeps its mode
+    prefix.  The reference keeps its states only at multiples of
+    gcd(ratios), the points where some member compares against it.
+    """
+    tau, n_cells = reference.tau, reference.grid.n_cells
+    block = math.lcm(*(m.ratio for m in members))
+    stride = math.gcd(*(m.ratio for m in members))
+    samplers = [PathSampler(reference.noise, reference.seed, p) for p in path_ids]
+    n, k_ref = len(samplers), reference.noise.truncation
+    ref = _start_rows(reference, x0, n)
+    runs = [_start_rows(m.config, x0, n) for m in members]
+    worst = np.stack(
+        [
+            rows_l2_sq(run.states - ref.states[:, m.restrict], m.config.grid.h)
+            for m, run in zip(members, runs)
+        ],
+        axis=1,
+    )
+    fine = np.empty((block, n, k_ref))
+    kept = np.empty((block // stride, n, reference.grid.n_interior))
+    for start in range(0, reference.n_steps, block):
+        for p, sampler in enumerate(samplers):
+            for i in range(block):
+                fine[i, p] = sampler.coeffs(start + i, tau)
+        values = synthesize(fine.reshape(block * n, k_ref), n_cells)
+        values = values.reshape(block, n, -1)
+        for i in range(block):
+            ref.advance(values[i])
+            if (i + 1) % stride == 0:
+                kept[(i + 1) // stride - 1] = ref.states
+        for j, (m, run) in enumerate(zip(members, runs)):
+            grid = m.config.grid
+            coeffs = fine[..., : m.config.noise.truncation]  # the mode prefix
+            k_c = coeffs.shape[-1]
+            if m.ratio > 1:
+                coeffs = pairwise_tree_sum_axis(
+                    coeffs.reshape(block // m.ratio, m.ratio, n, k_c)
+                )
+            member_values = synthesize(coeffs.reshape(-1, k_c), grid.n_cells)
+            member_values = member_values.reshape(block // m.ratio, n, -1)
+            for s in range(block // m.ratio):
+                run.advance(member_values[s])
+                at = kept[(s + 1) * m.ratio // stride - 1][:, m.restrict]
+                np.maximum(
+                    worst[:, j], rows_l2_sq(run.states - at, grid.h), out=worst[:, j]
+                )
+    blown = ref.blown.copy()
+    for run in runs:
+        blown |= run.blown
+    return worst, blown
 
 
 def strong_error_ladder(
@@ -156,67 +251,20 @@ def strong_error_ladder(
     Exactly one ladder may vary: ``coarse_taus`` (temporal; the mesh stays at
     the reference mesh) or ``coarse_n_cells`` (spatial; tau stays at the
     reference tau).  Every coarse step must be an integer multiple of the
-    reference step and every coarse mesh must be refined by the reference
-    mesh.  All members of one path ride the same fine Brownian increments.
+    reference step that divides the horizon, and every coarse mesh must be
+    refined by the reference mesh; both are checked before any stepping.
+    All members of one path ride the same fine Brownian increments.
     """
-    if (coarse_taus is None) == (coarse_n_cells is None):
-        raise ValueError("specify exactly one of coarse_taus / coarse_n_cells")
-    n_ref = reference.n_steps
-    if coarse_taus is not None:
-        axis = "tau"
-        members = []
-        for t in coarse_taus:
-            ratio = t / reference.tau
-            if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-                raise ValueError(
-                    f"coarse tau {t} is not an integer multiple of the "
-                    f"reference tau {reference.tau}"
-                )
-            members.append((int(round(ratio)), reference.grid))
-    else:
-        axis = "h"
-        members = [(1, Grid1D(nc)) for nc in coarse_n_cells]
-        for _, g in members:
-            _restriction_indices(reference.grid, g)  # validates nesting
-    ratios = [r for r, _ in members]
-    record_every = int(np.gcd.reduce(ratios))
-    k_ref = reference.noise.truncation
-    synth_ref = synth_rows(reference.grid.n_cells, k_ref)
-
-    def one_path(path_id: int):
-        sampler = PathSampler(reference.noise, reference.seed, path_id)
-        fine = np.stack([sampler.coeffs(i, reference.tau) for i in range(n_ref)])
-        ref_x0 = x0.build(reference.grid).values
-        ref_states, ref_blown = _run_member(
-            reference, ref_x0, fine @ synth_ref, record_every
-        )
-        errors = np.empty(len(members))
-        blown = ref_blown
-        for j, (ratio, grid) in enumerate(members):
-            cfg = _member_config(reference, ratio * reference.tau, grid)
-            k_c = cfg.noise.truncation
-            agg = (
-                fine
-                if ratio == 1
-                else pairwise_tree_sum_axis(fine.reshape(n_ref // ratio, ratio, k_ref))
-            )
-            vals = np.ascontiguousarray(agg[:, :k_c]) @ synth_rows(grid.n_cells, k_c)
-            states, member_blown = _run_member(cfg, x0.build(grid).values, vals, 1)
-            blown = blown or member_blown
-            idx = _restriction_indices(reference.grid, grid)
-            ref_at = ref_states[:: ratio // record_every][:, idx]
-            diff = states - ref_at
-            errors[j] = math.sqrt(max(rows_l2_sq(diff, grid.h).max(), 0.0))
-        return errors, blown
+    axis, members = _ladder_members(reference, coarse_taus, coarse_n_cells)
 
     def one_chunk(rng):
-        return [one_path(p) for p in range(rng[0], rng[1])]
+        return _ladder_chunk(reference, x0, members, range(rng[0], rng[1]))
 
-    results = [r for part in parallel_map(one_chunk, path_chunks(n_paths)) for r in part]
-    err_matrix = np.stack([e for e, _ in results])
-    blown_mask = np.asarray([b for _, b in results])
+    parts = parallel_map(one_chunk, path_chunks(n_paths))
+    err_matrix = np.sqrt(np.maximum(np.concatenate([w for w, _ in parts]), 0.0))
+    blown_mask = np.concatenate([b for _, b in parts])
     rows = []
-    for j, (ratio, grid) in enumerate(members):
+    for j, m in enumerate(members):
         errs = err_matrix[~blown_mask, j]
         n_used = len(errs)
         if n_used == 0:
@@ -230,8 +278,8 @@ def strong_error_ladder(
             se = 0.0
         rows.append(
             ErrorRow(
-                tau=ratio * reference.tau,
-                n_cells=grid.n_cells,
+                tau=m.config.tau,
+                n_cells=m.config.grid.n_cells,
                 n_paths=n_used,
                 rms_sup_error=rms,
                 std_error=se,

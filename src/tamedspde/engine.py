@@ -5,7 +5,9 @@ configuration; doing so row-by-row wastes most of the time in per-call
 overhead.  ``BatchChains`` keeps the ensemble as a (paths, nodes) matrix and
 advances every path in one set of array operations; a single path is a
 1-row ensemble.  ``EnsembleNoise`` draws each path's counter-based stream
-and synthesizes the nodal increments of all rows in one product.
+and synthesizes the nodal increments of all rows in one call of
+``noise.synthesize``: a product with the cached dense sine matrix on meshes
+of up to 256 cells, a DST-I on wider ones.
 
 Blow-up is detected, not raised: a row whose right-hand side or solution
 trips the overflow guard is frozen at its last finite state, and the
@@ -24,7 +26,7 @@ from scipy.linalg.lapack import dpbtrs as _dpbtrs
 from . import fem
 from .coefficients import eval_f, eval_f_tau, eval_g, eval_g_tau
 from .grid import Grid1D, rows_l2_sq
-from .noise import PathSampler, synth_rows
+from .noise import PathSampler, synthesize
 from .schemes import OVERFLOW_GUARD, Scheme, SchemeConfig
 
 
@@ -97,13 +99,12 @@ class EnsembleNoise:
         ]
         self.grid = config.grid
         self.tau = config.tau
-        self._synth_t = synth_rows(config.grid.n_cells, config.noise.truncation)
 
     def coeff_rows(self, step_index: int) -> np.ndarray:
         return np.stack([s.coeffs(step_index, self.tau) for s in self.samplers])
 
     def value_rows(self, step_index: int) -> np.ndarray:
-        return self.coeff_rows(step_index) @ self._synth_t
+        return synthesize(self.coeff_rows(step_index), self.grid.n_cells)
 
 
 class BatchChains:

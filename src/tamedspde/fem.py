@@ -95,7 +95,9 @@ def apply_resolvent_power(
     z = u.values.copy()
     fac = ops._cholesky(tau)
     for _ in range(k):
-        z, _info = _dpbtrs(fac, ops.mass_matvec(z))
+        z, info = _dpbtrs(fac, ops.mass_matvec(z))
+        if info != 0:
+            raise RuntimeError(f"banded triangular solve failed (info={info})")
     return GridFunction(ops.grid, z)
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from tamedspde.coefficients import CoefficientSpec, allen_cahn
@@ -8,8 +9,14 @@ from tamedspde.convergence import (
     semigroup_error_test,
     strong_error_ladder,
 )
-from tamedspde.grid import Grid1D
-from tamedspde.noise import QWienerSpec
+from tamedspde.engine import BatchChains
+from tamedspde.grid import Grid1D, rows_l2_sq
+from tamedspde.noise import (
+    PathSampler,
+    QWienerSpec,
+    pairwise_tree_sum_axis,
+    synthesize,
+)
 from tamedspde.schemes import InitialCondition, SchemeConfig
 
 ZERO = CoefficientSpec(drift=(0.0,), diffusion=(0.0,), q=0, variant="drift_only")
@@ -80,11 +87,20 @@ def test_ladder_is_bitwise_reproducible():
         assert ra.std_error == rb.std_error
 
 
-def test_ladder_validates_nesting():
+def test_ladder_validates_nesting(monkeypatch):
+    def no_stepping(self, noise_values):
+        raise AssertionError("the ladder stepped before rejecting its members")
+
+    monkeypatch.setattr(BatchChains, "advance", no_stepping)
     ref = additive_reference()
+    with pytest.raises(ValueError, match="not a multiple of 3"):
+        strong_error_ladder(ref, InitialCondition("sine"), 2,
+                            coarse_taus=[2.0**-8, 3.0 * 2.0**-10])  # 1024 % 3 != 0
     with pytest.raises(ValueError):
         strong_error_ladder(ref, InitialCondition("sine"), 2,
-                            coarse_taus=[3.0 * 2.0**-10])
+                            coarse_taus=[1.5 * 2.0**-10])
+    with pytest.raises(ValueError):
+        strong_error_ladder(ref, InitialCondition("sine"), 2, coarse_taus=[])
     with pytest.raises(ValueError):
         strong_error_ladder(ref, InitialCondition("sine"), 2,
                             coarse_n_cells=[48])  # 64 % 48 != 0
@@ -103,6 +119,79 @@ def test_ladder_spatial_smoke():
     assert errs[0] > errs[1] > errs[2] > 0
     assert table.axis == "h"
     assert {r.tau for r in table.rows} == {ref.tau}
+
+
+def march_one_path(config, x0_vals, noise_values):
+    """Every state of one path, stepped as a 1-row ensemble."""
+    chain = BatchChains(config, x0_vals[None, :])
+    states = [x0_vals]
+    for v in noise_values:
+        chain.advance(v[None, :])
+        states.append(chain.states[0].copy())
+    return np.stack(states), bool(chain.blown[0])
+
+
+def whole_path_ladder(reference, x0, n_paths, rungs):
+    """RMS sup errors from each path's whole fine path, one path at a time."""
+    n_ref, k_ref = reference.n_steps, reference.noise.truncation
+    errors = np.empty((n_paths, len(rungs)))
+    for p in range(n_paths):
+        sampler = PathSampler(reference.noise, reference.seed, p)
+        fine = np.stack([sampler.coeffs(i, reference.tau) for i in range(n_ref)])
+        ref_states, blown = march_one_path(
+            reference, x0.build(reference.grid).values,
+            synthesize(fine, reference.grid.n_cells),
+        )
+        assert not blown
+        for j, (ratio, grid) in enumerate(rungs):
+            k = min(k_ref, grid.n_interior)
+            agg = pairwise_tree_sum_axis(fine[:, :k].reshape(n_ref // ratio, ratio, k))
+            cfg = SchemeConfig(tau=ratio * reference.tau, grid=grid,
+                               horizon=reference.horizon, scheme=reference.scheme,
+                               coefficients=reference.coefficients,
+                               noise=reference.noise.for_grid(grid), seed=reference.seed)
+            states, blown = march_one_path(
+                cfg, x0.build(grid).values, synthesize(agg, grid.n_cells)
+            )
+            assert not blown
+            m = reference.grid.n_cells // grid.n_cells
+            restricted = ref_states[::ratio][:, np.arange(1, grid.n_cells) * m - 1]
+            errors[p, j] = np.sqrt(rows_l2_sq(states - restricted, grid.h).max())
+    return np.sqrt(np.mean(errors**2, axis=0))
+
+
+def test_streamed_ladder_matches_whole_path_oracle():
+    x0 = InitialCondition("sine", amplitude=2.0)
+    grid = Grid1D(512)
+    # tau ladder: ratios 2, 3 and 8 stream in blocks of 24 steps; the
+    # reference keeps 100 of the 511 modes
+    tau_ref = SchemeConfig(tau=1.0 / 48, grid=grid, horizon=1.0, scheme="drift_gtem",
+                           coefficients=allen_cahn(1.0), noise=QWienerSpec(3.0, 1.0, 100),
+                           seed=17)
+    table = strong_error_ladder(tau_ref, x0, 3, coarse_taus=[2 / 48, 3 / 48, 8 / 48])
+    oracle = whole_path_ladder(tau_ref, x0, 3, [(2, grid), (3, grid), (8, grid)])
+    got = np.array([r.rms_sup_error for r in table.rows])
+    assert np.all(np.abs(got - oracle) <= 1e-12 * oracle)
+    # h ladder on the same 512-cell reference, every mode kept
+    h_ref = additive_reference(tau=2.0**-6, n_cells=512, seed=23)
+    h_ref = SchemeConfig(tau=h_ref.tau, grid=h_ref.grid, horizon=0.25, scheme=h_ref.scheme,
+                         coefficients=h_ref.coefficients, noise=h_ref.noise, seed=23)
+    cells = [8, 32, 128]
+    table = strong_error_ladder(h_ref, x0, 3, coarse_n_cells=cells)
+    oracle = whole_path_ladder(h_ref, x0, 3, [(1, Grid1D(c)) for c in cells])
+    got = np.array([r.rms_sup_error for r in table.rows])
+    assert np.all(np.abs(got - oracle) <= 1e-12 * oracle)
+
+
+def test_ladder_tables_identical_across_worker_counts(monkeypatch):
+    ref = additive_reference(tau=2.0**-7, n_cells=32)
+    tables = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TAMEDSPDE_WORKERS", workers)
+        tables.append(strong_error_ladder(ref, InitialCondition("sine", amplitude=2.0),
+                                          30, coarse_taus=[2.0**-5, 2.0**-4]))
+    assert repr(tables[0]) == repr(tables[1])  # two chunks: 25 paths and 5
+    assert tables[0].rows[0].n_paths == 30
 
 
 def test_semigroup_error_zero_probe():

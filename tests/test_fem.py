@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tamedspde import engine
+from tamedspde import engine, fem
 from tamedspde.coefficients import CoefficientSpec
 from tamedspde.engine import mass_matvec_rows, resolvent_rows, step_rows
 from tamedspde.fem import (
@@ -96,6 +96,16 @@ def test_failed_banded_solve_raises(monkeypatch):
     cfg = linear_config(16, 0.1)
     with pytest.raises(RuntimeError, match="info=-1"):
         step_rows(cfg, np.ones((2, 15)), np.zeros((2, 15)))
+
+
+def test_failed_reference_resolvent_raises(monkeypatch):
+    def failing_dpbtrs(fac, load):
+        return np.zeros_like(load), -1
+
+    monkeypatch.setattr(fem, "_dpbtrs", failing_dpbtrs)
+    g = Grid1D(16)
+    with pytest.raises(RuntimeError, match="info=-1"):
+        apply_resolvent_power(assemble(g), 0.1, sine_mode(g, 1), 3)
 
 
 def test_resolvent_power_zero_and_nonexpansive():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from tamedspde import noise as noise_mod
+from tamedspde.cli import main
 from tamedspde.coefficients import allen_cahn
+from tamedspde.convergence import strong_error_ladder
 from tamedspde.engine import EnsembleNoise
 from tamedspde.fem import assemble
 from tamedspde.grid import Grid1D, sine_mode
@@ -10,11 +13,12 @@ from tamedspde.noise import (
     QWienerSpec,
     _stream_key,
     _synth_matrix,
+    _synth_rows,
     c_q_constant,
     pairwise_tree_sum_axis,
-    synth_rows,
+    synthesize,
 )
-from tamedspde.schemes import SchemeConfig
+from tamedspde.schemes import InitialCondition, SchemeConfig
 
 GRID = Grid1D(64)
 SPEC = QWienerSpec(decay_exponent=3.0, scale=1.0, truncation=63)
@@ -50,8 +54,10 @@ def test_determinism_and_scaling():
     # with the normals fixed, coefficients and nodal values scale as sqrt(tau)
     c = PathSampler(SPEC, 42, 3).coeffs(17, 0.0025)
     assert np.allclose(c, a / 2.0, rtol=1e-12)
-    synth = synth_rows(GRID.n_cells, SPEC.truncation)
-    assert np.allclose(c @ synth, (a @ synth) / 2.0, rtol=1e-12, atol=1e-15)
+    assert np.allclose(
+        synthesize(c, GRID.n_cells), synthesize(a, GRID.n_cells) / 2.0,
+        rtol=1e-12, atol=1e-15,
+    )
     with pytest.raises(ValueError):
         PathSampler(SPEC, 42, 3).coeffs(17, 0.0)
 
@@ -131,8 +137,9 @@ def test_aggregation_associativity_power_of_two():
     from_pairs = pairwise_tree_sum_axis(pairs.reshape(1, 4, k))
     assert np.array_equal(one_shot, nested)
     assert np.array_equal(one_shot, from_pairs)
-    synth = synth_rows(GRID.n_cells, k)
-    assert np.array_equal(one_shot @ synth, from_pairs @ synth)
+    assert np.array_equal(
+        synthesize(one_shot, GRID.n_cells), synthesize(from_pairs, GRID.n_cells)
+    )
     # an odd count carries its tail: the result is still the full sum
     odd = pairwise_tree_sum_axis(fine[:5][None])
     assert np.allclose(odd[0], fine[:5].sum(axis=0), rtol=1e-13, atol=1e-15)
@@ -148,37 +155,82 @@ def test_coarse_path_is_prefix_of_fine_path():
     assert np.array_equal(fine[:15], coarse)
     # restricting the fine coefficients synthesizes the coarse path's values
     coarse_noise = EnsembleNoise(noise_config(coarse_spec, coarse_grid, seed=21), [4])
-    restricted = fine[None, :15] @ synth_rows(coarse_grid.n_cells, 15)
+    restricted = synthesize(fine[None, :15], coarse_grid.n_cells)
     assert np.array_equal(restricted, coarse_noise.value_rows(8))
     with pytest.raises(ValueError):
-        synth_rows(coarse_grid.n_cells, 63)  # cannot carry more modes than nodes
+        synthesize(fine, coarse_grid.n_cells)  # cannot carry more modes than nodes
 
 
 def test_synth_matches_direct_sum():
     rng = np.random.default_rng(0)
     w = rng.standard_normal(15)
     grid = Grid1D(16)
-    vals = w @ synth_rows(grid.n_cells, 15)
+    vals = synthesize(w, grid.n_cells)
     direct = sum(
         w[k - 1] * np.sqrt(2.0) * np.sin(k * np.pi * grid.nodes) for k in range(1, 16)
     )
     assert np.allclose(vals, direct, atol=1e-12)
     with pytest.raises(ValueError):
-        synth_rows(grid.n_cells, 20)
+        synthesize(rng.standard_normal(20), grid.n_cells)
 
 
-def test_ensemble_synthesis_is_a_view_of_the_cached_matrix():
-    for n_cells, k in ((64, 63), (64, 20), (512, 511)):
-        grid = Grid1D(n_cells)
-        spec = QWienerSpec(3.0, 1.0, k)
-        noise = EnsembleNoise(noise_config(spec, grid, seed=3), range(5))
+@pytest.mark.parametrize("n_cells", [64, 256, 512, 4096])
+def test_synthesize_matches_dense_product(n_cells):
+    # DST-I above the dense crossover, the cached matrix below it; the oracle
+    # is the dense product, built without entering the cache
+    dense = _synth_matrix.__wrapped__(n_cells)
+    rng = np.random.default_rng(n_cells)
+    for k in (n_cells - 1, n_cells // 3, 1):
+        coeffs = rng.standard_normal((3, k))
+        oracle = coeffs @ dense[:k]
+        got = synthesize(coeffs, n_cells)
+        assert got.shape == (3, n_cells - 1)
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    with pytest.raises(ValueError, match="alias"):
+        synthesize(np.zeros((2, n_cells)), n_cells)
+
+
+def test_dst_rows_do_not_depend_on_the_row_count():
+    rng = np.random.default_rng(8)
+    for n_cells, k in ((512, 511), (4096, 1000)):
+        assert n_cells > noise_mod._DENSE_MAX_CELLS
+        coeffs = rng.standard_normal((25, k))
+        rows = synthesize(coeffs, n_cells)
+        for i in range(25):
+            assert np.array_equal(synthesize(coeffs[i : i + 1], n_cells)[0], rows[i])
+
+
+def test_dense_synthesis_shares_the_cache_and_wide_meshes_bypass_it(tmp_path):
+    # up to the crossover: a view of the cached matrix, the same product as
+    # with a transposed copy of its first k columns
+    for n_cells, k in ((64, 63), (64, 20), (256, 255)):
         full = _synth_matrix(n_cells)
         assert np.array_equal(full, full.T)  # symmetric bit for bit
-        assert np.shares_memory(noise._synth_t, full)
-        assert noise._synth_t.flags.c_contiguous
-        # the same product as with a transposed copy of the first k columns
+        view = _synth_rows(n_cells, k)
+        assert np.shares_memory(view, full) and view.flags.c_contiguous
+        grid = Grid1D(n_cells)
+        noise = EnsembleNoise(noise_config(QWienerSpec(3.0, 1.0, k), grid, seed=3), range(5))
         transposed = np.ascontiguousarray(full[:, :k].T)
         assert np.array_equal(noise.value_rows(2), noise.coeff_rows(2) @ transposed)
+    # above it: no entry for the wide mesh, whichever caller synthesizes
+    wide = Grid1D(4096)
+    _synth_matrix.cache_clear()
+    EnsembleNoise(noise_config(SPEC.for_grid(wide), wide, seed=3), range(2)).value_rows(0)
+    assert _synth_matrix.cache_info().currsize == 0
+    out = tmp_path / "sim"
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text(
+        f"[experiment]\nkind = simulate\nseed = 1\noutput_dir = {out}\n\n"
+        "[grid]\nn_cells = 4096\n\n[scheme]\nkind = gtem\ntau = 0.125\n"
+        "horizon = 1.0\n\n[coefficients]\npreset = allen-cahn\n",
+        encoding="utf-8",
+    )
+    assert main(["run", str(cfg)]) == 0
+    assert _synth_matrix.cache_info().currsize == 0
+    ref = SchemeConfig(tau=0.125, grid=wide, horizon=1.0, scheme="drift_gtem",
+                       coefficients=allen_cahn(1.0), noise=SPEC.for_grid(wide), seed=5)
+    strong_error_ladder(ref, InitialCondition("sine"), 1, coarse_n_cells=[16, 32])
+    assert _synth_matrix.cache_info().currsize == 2  # the 16- and 32-cell members
 
 
 def test_c_q_constant():
