@@ -9,7 +9,8 @@ The config file is flat INI (key = value under sections); every run
 validates the file against the schema before any computation, writes the
 resolved configuration next to its outputs, and emits CSV tables plus a
 plain-text verdict summary.  Exit codes: 0 all asserted checks pass,
-1 a scientific check failed, 2 configuration error.
+1 a scientific check failed, 2 configuration error, 3 numerical failure
+during compute (every path blew up, or a banded solve failed).
 
 The TAMEDSPDE_WORKERS environment variable sets the worker-thread count
 for Monte Carlo paths; it affects runtime only, never results.
@@ -40,6 +41,7 @@ from .schemes import InitialCondition, SchemeConfig
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
+EXIT_NUMERICAL_FAILURE = 3
 
 
 class ConfigError(Exception):
@@ -634,6 +636,9 @@ def run_experiment(config_path: Path, output_override=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except RuntimeError as exc:  # every path blew up, or a banded solve failed
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_FAILURE
     ok = write_verdicts(out_dir / "verdict.txt", checks)
     for line in (out_dir / "verdict.txt").read_text(encoding="utf-8").splitlines():
         print(line)

@@ -210,7 +210,7 @@ def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_i
     for start in range(0, reference.n_steps, block):
         for p, sampler in enumerate(samplers):
             for i in range(block):
-                fine[i, p] = sampler.coeffs(start + i, tau)
+                sampler.coeffs(start + i, tau, out=fine[i, p])
         values = synthesize(fine.reshape(block * n, k_ref), n_cells)
         values = values.reshape(block, n, -1)
         for i in range(block):

@@ -99,9 +99,13 @@ class EnsembleNoise:
         ]
         self.grid = config.grid
         self.tau = config.tau
+        self.n_modes = config.noise.truncation
 
     def coeff_rows(self, step_index: int) -> np.ndarray:
-        return np.stack([s.coeffs(step_index, self.tau) for s in self.samplers])
+        rows = np.empty((len(self.samplers), self.n_modes))
+        for sampler, row in zip(self.samplers, rows):
+            sampler.coeffs(step_index, self.tau, out=row)
+        return rows
 
     def value_rows(self, step_index: int) -> np.ndarray:
         return synthesize(self.coeff_rows(step_index), self.grid.n_cells)

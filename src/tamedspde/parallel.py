@@ -19,8 +19,10 @@ def worker_count() -> int:
     try:
         n = int(raw)
     except ValueError:
-        raise ValueError(f"TAMEDSPDE_WORKERS must be an integer, got {raw!r}")
-    return max(1, n)
+        n = 0  # rejected below, with the message a value below 1 gets
+    if n < 1:
+        raise ValueError(f"TAMEDSPDE_WORKERS must be an integer >= 1, got {raw!r}")
+    return n
 
 
 def parallel_map(fn, items, workers: int | None = None) -> list:

@@ -1,6 +1,7 @@
 import numpy as np
 
-from tamedspde.cli import main
+from tamedspde import engine
+from tamedspde.cli import EXIT_NUMERICAL_FAILURE, main
 from tamedspde.fem import dispersion_eigenvalue
 from tamedspde.grid import Grid1D
 from tamedspde.reporting import format_value
@@ -145,6 +146,36 @@ scale = 1e-30
         start = (2.0 + np.cos(np.pi / 64.0)) / 3.0
         expected = start * (1.0 + 0.0625 * lam) ** (-2 * n)
         assert abs(float(cells[i_l2]) - expected) <= 1e-8
+
+
+def test_failed_banded_solve_exits_numerical_failure(tmp_path, capsys, monkeypatch):
+    def failing_dpbtrs(fac, load):
+        return np.zeros_like(load), -1
+
+    monkeypatch.setattr(engine, "_dpbtrs", failing_dpbtrs)
+    out = tmp_path / "sim"
+    cfg = write(tmp_path / "sim.ini", f"""
+[experiment]
+kind = simulate
+seed = 1
+output_dir = {out}
+
+[grid]
+n_cells = 16
+
+[scheme]
+kind = gtem
+tau = 0.125
+horizon = 0.5
+
+[coefficients]
+preset = allen-cahn
+""")
+    assert main(["run", str(cfg)]) == EXIT_NUMERICAL_FAILURE == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "info=-1" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not (out / "verdict.txt").exists()
 
 
 def test_lyapunov_rejects_uncertified_tau_as_config_error(tmp_path, capsys):

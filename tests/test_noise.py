@@ -72,6 +72,56 @@ def test_sampler_matches_standalone_and_random_access():
     assert np.array_equal(ps.coeffs(2, 0.01), seq[2])
 
 
+def test_reseat_discards_words_buffered_by_an_odd_step():
+    spec = QWienerSpec(3.0, 1.0, 31)  # an odd K leaves Philox words buffered
+    ps = PathSampler(spec, 42, 3)
+    first = ps.coeffs(2, 0.01)
+    ps.coeffs(9, 0.01)
+    assert ps._bitgen.state["buffer_pos"] != 4
+    again = ps.coeffs(2, 0.01)
+    assert np.array_equal(again, first)
+    assert np.array_equal(again, fresh_philox_coeffs(spec, 0.01, 42, 3, 2))
+
+
+def test_step_index_range():
+    ps = PathSampler(SPEC, 42, 3)
+    last = (1 << 64) - 1
+    assert np.array_equal(ps.coeffs(last, 0.01), fresh_philox_coeffs(SPEC, 0.01, 42, 3, last))
+    for bad in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="step_index"):
+            ps.coeffs(bad, 0.01)
+
+
+def test_coeffs_fill_a_row_of_a_block_buffer():
+    # the ladder's block buffer is (steps, paths, K); one call fills one row
+    ps = PathSampler(SPEC, 42, 3)
+    fine = np.zeros((4, 3, SPEC.truncation))
+    row = fine[2, 1]
+    assert ps.coeffs(7, 0.01, out=row) is row
+    assert np.array_equal(fine[2, 1], fresh_philox_coeffs(SPEC, 0.01, 42, 3, 7))
+    fine[2, 1] = 0.0
+    assert not fine.any()  # nothing else was written
+    with pytest.raises(ValueError, match="tau"):
+        ps.coeffs(7, 0.0, out=row)
+    with pytest.raises(ValueError, match="tau"):
+        ps.coeffs(7, -0.01, out=row)
+
+
+def test_ensemble_rows_equal_per_path_oracles():
+    # the ids lyapunov_contraction_test draws for anchor a: a * n_samples + j
+    n_samples, tau = 1000, 0.01
+    ids = [a * n_samples + j for a in (0, 3) for j in (5, 6, 999)]
+    noise = EnsembleNoise(noise_config(tau=tau, seed=17), ids)
+    for step in (0, 4):
+        oracle = np.stack([fresh_philox_coeffs(SPEC, tau, 17, p, step) for p in ids])
+        assert np.array_equal(noise.coeff_rows(step), oracle)
+    # a path's row does not depend on the ensemble it is drawn in
+    one = EnsembleNoise(noise_config(tau=tau, seed=17), [7]).coeff_rows(3)
+    many = EnsembleNoise(noise_config(tau=tau, seed=17), range(25)).coeff_rows(3)
+    assert one.shape == (1, SPEC.truncation)
+    assert np.array_equal(one[0], many[7])
+
+
 def test_mode_variance_mc_oracle():
     # Var<dW, q_1> over many samples ~ lambda_1 * tau
     tau, n = 0.01, 10_000
