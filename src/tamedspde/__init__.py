@@ -22,7 +22,6 @@ from .coefficients import (
     eval_g_tau,
     linear_ou,
     lipschitz_sqrt_g,
-    nemytskii,
 )
 from .convergence import (
     ErrorRow,
@@ -58,11 +57,7 @@ from .fem import (
 from .grid import (
     Grid1D,
     GridFunction,
-    SpectralCoeffs,
-    fractional_norm,
     h1_seminorm,
-    interpolate,
-    inverse_sine_transform,
     l2_norm,
     lp_norm,
     sine_mode,

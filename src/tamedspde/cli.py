@@ -26,12 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import convergence, ergodicity
-from .coefficients import (
-    PRESETS,
-    CoefficientSpec,
-    InfeasibleAssumptions,
-    check_assumptions,
-)
+from .coefficients import PRESETS, CoefficientSpec, check_assumptions
 from .engine import BatchChains, EnsembleNoise
 from .grid import Grid1D
 from .noise import QWienerSpec
@@ -129,11 +124,7 @@ class ConfigReader:
         return [tok.strip() for tok in raw.split(",") if tok.strip()]
 
 
-class _Required:
-    pass
-
-
-_REQUIRED = _Required()
+_REQUIRED = object()  # default= sentinel: the field has no default
 
 
 def _check_range(section, key, val, minimum, maximum):
@@ -237,13 +228,16 @@ def _echo_resolved(cfg: ConfigReader, out_dir: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_check_assumptions(cfg: ConfigReader, out: Path, seed: int) -> list:
-    grid = Grid1D(cfg.get_int("grid", "n_cells", default=256, minimum=2))
-    spec = _build_coefficients(cfg)
-    noise = _build_noise(cfg, grid)
+def _assumption_report(cfg: ConfigReader, spec: CoefficientSpec, noise: QWienerSpec):
+    """``check_assumptions`` on the scan the [assumptions] section sets."""
     radius = cfg.get_float("assumptions", "scan_radius", default=20.0, minimum=10.0)
     points = cfg.get_int("assumptions", "scan_points", default=200_001, minimum=10_000)
-    report = check_assumptions(spec, noise, scan_radius=radius, scan_points=points)
+    return check_assumptions(spec, noise, scan_radius=radius, scan_points=points)
+
+
+def _run_check_assumptions(cfg: ConfigReader, out: Path, seed: int) -> list:
+    grid = Grid1D(cfg.get_int("grid", "n_cells", default=256, minimum=2))
+    report = _assumption_report(cfg, _build_coefficients(cfg), _build_noise(cfg, grid))
     rows = [
         ("feasible", report.feasible),
         ("q_flag_outside_supported_range", report.q_flag),
@@ -317,28 +311,9 @@ def _run_simulate(cfg: ConfigReader, out: Path, seed: int) -> list:
     ]
 
 
-def _certified_report(cfg: ConfigReader, config: SchemeConfig):
-    report = check_assumptions(
-        config.coefficients,
-        config.noise,
-        scan_radius=cfg.get_float("assumptions", "scan_radius", default=20.0, minimum=10.0),
-        scan_points=cfg.get_int("assumptions", "scan_points", default=200_001, minimum=10_000),
-    )
-    try:
-        report.require_feasible()
-    except InfeasibleAssumptions as exc:
-        raise ConfigError(str(exc))
-    if report.tau_max is None or config.tau > report.tau_max:
-        raise ConfigError(
-            f"[scheme] tau = {config.tau:g} exceeds the certified tau_max = "
-            f"{report.tau_max:g} for this coefficient/noise pair"
-        )
-    return report
-
-
 def _run_lyapunov(cfg: ConfigReader, out: Path, seed: int) -> list:
     config = _build_scheme_config(cfg, seed)
-    report = _certified_report(cfg, config)
+    report = _assumption_report(cfg, config.coefficients, config.noise)
     amps = cfg.get_float_list("lyapunov", "amplitudes",
                               default=[float(a) for a in range(0, 11)])
     samples = cfg.get_int("lyapunov", "samples", default=10_000, minimum=1000)
@@ -370,7 +345,7 @@ def _run_lyapunov(cfg: ConfigReader, out: Path, seed: int) -> list:
 
 def _run_longrun(cfg: ConfigReader, out: Path, seed: int) -> list:
     config = _build_scheme_config(cfg, seed)
-    report = _certified_report(cfg, config)
+    report = _assumption_report(cfg, config.coefficients, config.noise)
     x0 = _build_initial(cfg).build(config.grid)
     paths = cfg.get_int("monte_carlo", "paths", default=100, minimum=2)
     stride = cfg.get_int("monte_carlo", "record_stride", default=1000, minimum=1)
@@ -524,6 +499,21 @@ def _slope_checks(cfg: ConfigReader, section: str, fit, label: str) -> list:
     return checks
 
 
+def _rate_ladder(cfg: ConfigReader, key: str) -> list:
+    """The required [ladder] list ``taus`` or ``n_cells``, long enough for a rate fit.
+
+    Checked before any stepping: a shorter ladder could never be fitted.
+    """
+    get = cfg.get_float_list if key == "taus" else cfg.get_int_list
+    values = get("ladder", key, default=_REQUIRED)
+    if len(values) < convergence.MIN_FIT_POINTS:
+        raise ConfigError(
+            f"[ladder] {key} lists {len(values)} values; a rate fit needs "
+            f">= {convergence.MIN_FIT_POINTS}"
+        )
+    return values
+
+
 def _write_plot_data(path: Path, xs, ys, fit) -> None:
     rows = [
         (x, y, float(np.exp(fit.intercept) * x**fit.slope)) for x, y in zip(xs, ys)
@@ -537,12 +527,12 @@ def _run_strong_rate(cfg: ConfigReader, out: Path, seed: int) -> list:
     paths = cfg.get_int("monte_carlo", "paths", default=100, minimum=2)
     axis = cfg.get_str("ladder", "axis", default=_REQUIRED, choices={"tau", "h"})
     if axis == "tau":
-        taus = cfg.get_float_list("ladder", "taus", default=_REQUIRED)
+        taus = _rate_ladder(cfg, "taus")
         table = convergence.strong_error_ladder(
             reference, x0, paths, coarse_taus=taus
         )
     else:
-        cells = cfg.get_int_list("ladder", "n_cells", default=_REQUIRED)
+        cells = _rate_ladder(cfg, "n_cells")
         table = convergence.strong_error_ladder(
             reference, x0, paths, coarse_n_cells=cells
         )
@@ -576,12 +566,12 @@ def _run_semigroup_rate(cfg: ConfigReader, out: Path, seed: int) -> list:
     mode = cfg.get_int("ladder", "mode", default=1, minimum=1)
     t = cfg.get_float("ladder", "t", default=1.0, exclusive_min=0.0)
     if axis == "h":
-        cells = cfg.get_int_list("ladder", "n_cells", default=_REQUIRED)
+        cells = _rate_ladder(cfg, "n_cells")
         taus = cfg.get_float_list("ladder", "taus", default=None)
         if taus is None:
             taus = [t / nc**2 for nc in cells]
     else:
-        taus = cfg.get_float_list("ladder", "taus", default=_REQUIRED)
+        taus = _rate_ladder(cfg, "taus")
         nc = cfg.get_int("ladder", "fixed_n_cells", default=256, minimum=2)
         cells = [nc] * len(taus)
     errors, fit = convergence.semigroup_error_test(cells, taus, axis, mode=mode, t=t)

@@ -31,8 +31,6 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import GridFunction
-
 
 class TamingVariant(str, enum.Enum):
     DRIFT_ONLY = "drift_only"
@@ -62,7 +60,6 @@ class CoefficientSpec:
     q: int
     variant: TamingVariant = TamingVariant.BOTH_A
     diffusion_kind: DiffusionKind = DiffusionKind.POLYNOMIAL
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "drift", tuple(float(a) for a in self.drift))
@@ -119,7 +116,6 @@ def allen_cahn(eps: float = 1.0, g0: float = 1.0) -> CoefficientSpec:
         diffusion=(g0,),
         q=2,
         variant=TamingVariant.BOTH_A,
-        label=f"allen-cahn(eps={eps:g})",
     )
 
 
@@ -130,7 +126,6 @@ def double_well(g0: float = 0.1, g2: float = 0.05) -> CoefficientSpec:
         diffusion=(g0, 0.0, g2),
         q=2,
         variant=TamingVariant.BOTH_A,
-        label="double-well",
     )
 
 
@@ -141,7 +136,6 @@ def cubic_with_quadratic_g() -> CoefficientSpec:
         diffusion=(0.1, 0.0, 0.1),
         q=2,
         variant=TamingVariant.BOTH_A,
-        label="cubic-with-quadratic-g",
     )
 
 
@@ -152,7 +146,6 @@ def linear_ou() -> CoefficientSpec:
         diffusion=(1.0,),
         q=0,
         variant=TamingVariant.DRIFT_ONLY,
-        label="linear-ou",
     )
 
 
@@ -165,7 +158,6 @@ def lipschitz_sqrt_g(scale: float = 0.2, eps: float = 1.0) -> CoefficientSpec:
         q=2,
         variant=TamingVariant.DRIFT_ONLY,
         diffusion_kind=DiffusionKind.SQRT_QUADRATIC,
-        label=f"lipschitz-sqrt-g(scale={scale:g})",
     )
 
 
@@ -278,27 +270,6 @@ def eval_f_tau_prime(spec: CoefficientSpec, tau: float, xi):
     return numer / (1.0 + tau * p) ** 1.5
 
 
-_NEMYTSKII = {
-    "f": lambda spec, tau, x: eval_f(spec, x),
-    "g": lambda spec, tau, x: eval_g(spec, x),
-    "f_tau": eval_f_tau,
-    "g_tau": eval_g_tau,
-}
-
-
-def nemytskii(spec: CoefficientSpec, tau: float, u: GridFunction, which: str) -> GridFunction:
-    """Pointwise nodal application of f, g, f_tau, or g_tau to a grid function.
-
-    Non-finite inputs propagate to the output; the schemes' blow-up guard
-    handles them.
-    """
-    try:
-        fn = _NEMYTSKII[which]
-    except KeyError:
-        raise ValueError(f"which must be one of {sorted(_NEMYTSKII)}, got {which!r}")
-    return GridFunction(u.grid, fn(spec, tau, u.values))
-
-
 # ---------------------------------------------------------------------------
 # Assumption certification
 # ---------------------------------------------------------------------------
@@ -321,7 +292,8 @@ class AssumptionReport:
     (with 1/16 relative padding).  ``lyap_contraction``/``lyap_source`` are
     the one-step Lyapunov constants 2 beta alpha^q / sqrt(1 + alpha^{2q}) and
     2 (L1 + 2 L3^2) |domain|; ``tau_max`` is the certified step-size ceiling
-    min((L2 - beta)^2 / (8 L4^4), 1).
+    min((L2 - beta)^2 / (8 L4^4), 1), with beta = L2/2 and alpha =
+    ``default_alpha(q)``.
     """
 
     feasible: bool
@@ -343,7 +315,6 @@ class AssumptionReport:
     lyap_source: Optional[float]
     tau_max: Optional[float]
     scan_radius: float
-    scan_points: int
 
     def require_feasible(self) -> "AssumptionReport":
         if not self.feasible:
@@ -380,8 +351,6 @@ def check_assumptions(
     noise_spec,
     scan_radius: float = 20.0,
     scan_points: int = 200_001,
-    beta: Optional[float] = None,
-    alpha: Optional[float] = None,
 ) -> AssumptionReport:
     """Certify the structural inequalities on a dense symmetric scan.
 
@@ -485,28 +454,16 @@ def check_assumptions(
         cap = max(cap, float(np.max(eval_f_tau_prime(spec, float(tau), xi))))
     tamed_cap = (1.0 + _PAD) * max(cap, 1e-12)
 
-    # --- Lyapunov constants and the certified step ceiling
+    # --- Lyapunov constants and the certified step ceiling, with beta = L2/2
     q_flag = q == 0
-    if coercive_decay is not None:
-        if beta is None:
-            beta_val = coercive_decay / 2.0
-        else:
-            beta_val = float(beta)
-            if not 0.0 < beta_val < coercive_decay:
-                raise ValueError(
-                    f"beta must lie in (0, L2) = (0, {coercive_decay:g}), got {beta_val}"
-                )
-    else:
-        beta_val = float(beta) if beta is not None else float("nan")
-    alpha_val = float(alpha) if alpha is not None else default_alpha(q)
-    if alpha_val <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha_val}")
+    beta = coercive_decay / 2.0 if coercive_decay is not None else float("nan")
+    alpha = default_alpha(q)
 
     if coercive_decay is not None and growth_scale is not None:
-        factor = alpha_val**q / math.sqrt(1.0 + alpha_val ** (2 * q))
-        lyap_contraction = 2.0 * beta_val * factor
+        factor = alpha**q / math.sqrt(1.0 + alpha ** (2 * q))
+        lyap_contraction = 2.0 * beta * factor
         lyap_source = 2.0 * (coercive_offset + 2.0 * growth_offset**2)  # |domain| = 1
-        tau_max = min((coercive_decay - beta_val) ** 2 / (8.0 * growth_scale**4), 1.0)
+        tau_max = min((coercive_decay - beta) ** 2 / (8.0 * growth_scale**4), 1.0)
     else:
         lyap_contraction = lyap_source = tau_max = None
 
@@ -524,11 +481,10 @@ def check_assumptions(
         tamed_derivative_bound=tamed_cap,
         second_derivative_offset=second_offset,
         second_derivative_scale=second_scale,
-        beta=beta_val,
-        alpha=alpha_val,
+        beta=beta,
+        alpha=alpha,
         lyap_contraction=lyap_contraction,
         lyap_source=lyap_source,
         tau_max=tau_max,
         scan_radius=scan_radius,
-        scan_points=scan_points,
     )

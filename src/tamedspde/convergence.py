@@ -56,7 +56,6 @@ class ErrorTable:
     rows: tuple
     ref_tau: float
     ref_n_cells: int
-    seed: int  # coupling lineage: every row was driven by this master seed
     axis: str  # "tau" or "h"
 
 
@@ -65,9 +64,21 @@ class RateFit:
     slope: float
     intercept: float
     r_squared: float
-    residuals: np.ndarray
     n_points: int
     n_excluded: int  # zero-error rows left out of the fit
+
+
+MIN_FIT_POINTS = 4  # a rate fit needs at least this many positive errors
+
+
+def fit_line(x: np.ndarray, y: np.ndarray):
+    """(slope, intercept, R^2) of the least-squares line through (x, y)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    fit = slope * x + intercept
+    ss_res = float(np.sum((y - fit) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), float(intercept), float(r2)
 
 
 def fit_rate_xy(x: Sequence[float], y: Sequence[float]) -> RateFit:
@@ -77,33 +88,23 @@ def fit_rate_xy(x: Sequence[float], y: Sequence[float]) -> RateFit:
     keep = y > 0
     n_excluded = int((~keep).sum())
     x, y = x[keep], y[keep]
-    if len(x) < 4:
-        raise ValueError(f"need >= 4 positive points for a rate fit, got {len(x)}")
-    lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    fit = slope * lx + intercept
-    resid = ly - fit
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    if len(x) < MIN_FIT_POINTS:
+        raise ValueError(
+            f"need >= {MIN_FIT_POINTS} positive points for a rate fit, got {len(x)}"
+        )
+    slope, intercept, r2 = fit_line(np.log(x), np.log(y))
     return RateFit(
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         r_squared=r2,
-        residuals=resid,
         n_points=int(len(x)),
         n_excluded=n_excluded,
     )
 
 
-def fit_rate(table: ErrorTable, axis: Optional[str] = None) -> RateFit:
+def fit_rate(table: ErrorTable) -> RateFit:
     """Fitted log-log slope of an error table along its varying axis."""
-    axis = axis or table.axis
-    if axis == "tau":
-        xs = [r.tau for r in table.rows]
-    elif axis == "h":
-        xs = [r.h for r in table.rows]
-    else:
-        raise ValueError(f"axis must be 'tau' or 'h', got {axis!r}")
+    xs = [r.tau if table.axis == "tau" else r.h for r in table.rows]
     return fit_rate_xy(xs, [r.rms_sup_error for r in table.rows])
 
 
@@ -290,7 +291,6 @@ def strong_error_ladder(
         rows=tuple(rows),
         ref_tau=reference.tau,
         ref_n_cells=reference.grid.n_cells,
-        seed=reference.seed,
         axis=axis,
     )
 

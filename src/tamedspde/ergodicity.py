@@ -21,14 +21,23 @@ Every probe is deterministic in (config, seed) and acceptance bands are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import fem
 from .coefficients import AssumptionReport, CoefficientSpec, eval_g
+from .convergence import fit_line
 from .engine import BatchChains, EnsembleNoise
-from .grid import GridFunction, rows_h1_sq, rows_l2_sq, rows_lp, rows_lyapunov
+from .grid import (
+    GridFunction,
+    mass_weights,
+    rows_h1_sq,
+    rows_l2_sq,
+    rows_lp,
+    rows_lyapunov,
+)
 from .parallel import parallel_map, path_chunks
 from .schemes import Scheme, SchemeConfig
 
@@ -64,8 +73,7 @@ class LyapunovProbe:
     anchor_V: float
     estimate: float
     std_error: float
-    bound: float  # (1 - K1 tau) ||x||^2 + K2 tau   (the sharp form)
-    bound_V: float  # (1 - K1 tau) V(x)   + K2 tau   (weaker, since V >= ||.||^2)
+    bound: float  # (1 - K1 tau) ||x||^2 + K2 tau
     n_samples: int
 
     @property
@@ -106,15 +114,13 @@ def lyapunov_contraction_test(
         est = float(np.mean(v1))
         se = float(np.std(v1, ddof=1) / math.sqrt(n_samples))
         x_l2 = float(rows_l2_sq(anchor.values, h))
-        x_v = float(rows_lyapunov(anchor.values, h, tau))
         probes.append(
             LyapunovProbe(
                 anchor_l2_sq=x_l2,
-                anchor_V=x_v,
+                anchor_V=float(rows_lyapunov(anchor.values, h, tau)),
                 estimate=est,
                 std_error=se,
                 bound=(1.0 - k1 * tau) * x_l2 + k2 * tau,
-                bound_V=(1.0 - k1 * tau) * x_v + k2 * tau,
                 n_samples=n_samples,
             )
         )
@@ -230,7 +236,7 @@ def coupling_decay_test(
     steps = np.arange(n_steps + 1)
     pos = mean > 0
     if pos.sum() >= 2:
-        slope, intercept, r2 = _least_squares_line(steps[pos], np.log(mean[pos]))
+        slope, intercept, r2 = fit_line(steps[pos], np.log(mean[pos]))
     else:
         slope = intercept = r2 = None
     return CouplingResult(
@@ -241,15 +247,6 @@ def coupling_decay_test(
         r_squared=r2,
         n_paths=n_paths,
     )
-
-
-def _least_squares_line(x: np.ndarray, y: np.ndarray):
-    slope, intercept = np.polyfit(x, y, 1)
-    fit = slope * x + intercept
-    ss_res = float(np.sum((y - fit) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), float(r2)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +275,6 @@ OBSERVABLE_ROWS = {
 @dataclass(frozen=True, eq=False)
 class ErgodicEstimate:
     observable: str
-    burn_in_steps: int
     time_averages: np.ndarray  # one per initial condition
     ensemble_average: float
     std_errors: np.ndarray  # batch-means SE per initial condition
@@ -303,11 +299,9 @@ class PrecheckResult:
     witnesses: tuple  # points where g vanishes
 
 
-def nondegeneracy_precheck(
-    spec: CoefficientSpec, scan_radius: float = 20.0, scan_points: int = 20_001
-) -> PrecheckResult:
-    """Pointwise surrogate of noise nondegeneracy: g must not vanish on the scan."""
-    xi = np.linspace(-scan_radius, scan_radius, scan_points | 1)
+def nondegeneracy_precheck(spec: CoefficientSpec) -> PrecheckResult:
+    """Pointwise surrogate of noise nondegeneracy: g must not vanish on [-20, 20]."""
+    xi = np.linspace(-20.0, 20.0, 20_001)
     gv = np.abs(eval_g(spec, xi))
     tol = 1e-12 * max(1.0, float(gv.max()))
     bad = xi[gv <= tol]
@@ -360,7 +354,6 @@ def ergodic_limit_test(
         out.append(
             ErgodicEstimate(
                 observable=name,
-                burn_in_steps=burn_in_steps,
                 time_averages=avgs,
                 ensemble_average=ens,
                 std_errors=ses,
@@ -400,12 +393,10 @@ def linear_stationary_l2_sq(config: SchemeConfig) -> float:
     else:
         a_eff = a1
     g0 = spec.diffusion[0]
-    grid = config.grid
-    k = np.arange(1, config.noise.truncation + 1)
+    n_modes = config.noise.truncation
     lam_q = config.noise.eigenvalues()
-    c = np.cos(k * np.pi * grid.h)
-    mass_w = (2.0 + c) / 3.0
-    lam_h = 6.0 / grid.h**2 * (1.0 - c) / (2.0 + c)
+    mass_w = mass_weights(config.grid)[:n_modes]
+    lam_h = fem.dispersion_eigenvalue(config.grid, np.arange(1, n_modes + 1))
     gain = 1.0 + tau * lam_h
     drift_mult = 1.0 + tau * a_eff
     var = g0**2 * lam_q * tau / (gain**2 - drift_mult**2)
@@ -429,15 +420,11 @@ class BlowupRow:
 
 
 def em_blowup_probe(
-    config: SchemeConfig,
-    amplitudes: Sequence[float],
-    n_paths: int,
-    n_steps: Optional[int] = None,
+    config: SchemeConfig, amplitudes: Sequence[float], n_paths: int
 ) -> list:
     """Blow-up frequency of the untamed scheme vs a tamed twin on identical noise."""
-    n_steps = config.n_steps if n_steps is None else n_steps
-    untamed = _with_scheme(config, Scheme.UNTAMED_EM)
-    tamed = _with_scheme(config, Scheme.GTEM)
+    untamed = replace(config, scheme=Scheme.UNTAMED_EM)
+    tamed = replace(config, scheme=Scheme.GTEM)
     rows = []
     for amp in amplitudes:
         x0 = np.sin(np.pi * config.grid.nodes) * amp
@@ -447,7 +434,7 @@ def em_blowup_probe(
                 start, stop = rng
                 chains = BatchChains(cfg, np.tile(x0, (stop - start, 1)))
                 noise = EnsembleNoise(cfg, list(range(start, stop)))
-                chains.run(noise, n_steps)
+                chains.run(noise, cfg.n_steps)
                 return int(chains.blown.sum())
 
             return sum(parallel_map(one_chunk, path_chunks(n_paths))) / n_paths
@@ -463,14 +450,3 @@ def em_blowup_probe(
         )
     return rows
 
-
-def _with_scheme(config: SchemeConfig, scheme: Scheme) -> SchemeConfig:
-    return SchemeConfig(
-        tau=config.tau,
-        grid=config.grid,
-        horizon=config.horizon,
-        scheme=scheme,
-        coefficients=config.coefficients,
-        noise=config.noise,
-        seed=config.seed,
-    )

@@ -128,8 +128,8 @@ def eigen_smallest(ops: FemOperators, tol: float = 1e-10, max_iter: int = 200) -
     return lam_prev
 
 
-def dispersion_eigenvalue(grid: Grid1D, k: int = 1) -> float:
-    """Closed-form generalized eigenvalue of mode k on the uniform grid."""
+def dispersion_eigenvalue(grid: Grid1D, k: int | np.ndarray = 1):
+    """Closed-form generalized eigenvalue of mode k on the uniform grid; k may be an array."""
     h = grid.h
     c = np.cos(k * np.pi * h)
-    return float(6.0 / h**2 * (1.0 - c) / (2.0 + c))
+    return 6.0 / h**2 * (1.0 - c) / (2.0 + c)

@@ -11,14 +11,11 @@ are 1-row views on a ``GridFunction``):
 - ``h1_seminorm``:   exact L2 norm of the interpolant's gradient (stiffness).
 - ``lp_norm``:       L^p norm by composite trapezoid quadrature at the nodes.
 - ``rows_lyapunov``: the Lyapunov functional ||Z||^2 + 2 tau ||grad Z||^2.
-- ``fractional_norm``: Sobolev-scale norm with mode weights (k*pi)^(2*theta)
-  on the sine expansion.
 
-The spectral decomposition uses the continuum Dirichlet eigenbasis
-e_k(x) = sqrt(2) sin(k pi x) sampled at the nodes.  Coefficients carry the
-P1 mass weight sqrt((2 + cos(k pi h))/3), which makes Parseval exact:
-the sum of squared coefficients equals l2_norm(u)**2 to rounding, so
-fractional_norm(u, 0) coincides with l2_norm(u).
+The spectral decomposition (``sine_transform``) uses the continuum Dirichlet
+eigenbasis e_k(x) = sqrt(2) sin(k pi x) sampled at the nodes.  Coefficients
+carry the P1 mass weight sqrt((2 + cos(k pi h))/3), which makes Parseval
+exact: the sum of squared coefficients equals l2_norm(u)**2 to rounding.
 """
 
 from __future__ import annotations
@@ -81,50 +78,9 @@ class GridFunction:
             )
         object.__setattr__(self, "values", _readonly(vals))
 
-    @property
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        _check_same_grid(self, other)
-        return GridFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        _check_same_grid(self, other)
-        return GridFunction(self.grid, self.values - other.values)
-
-    def __rmul__(self, c: float) -> "GridFunction":
-        return GridFunction(self.grid, float(c) * self.values)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralCoeffs:
-    """Sine-basis coefficients of a grid function.
-
-    ``coeffs[k-1]`` multiplies e_k(x) = sqrt(2) sin(k pi x), k = 1..n_cells-1,
-    scaled so that sum(coeffs**2) equals the squared L2 (mass-matrix) norm of
-    the represented function.
-    """
-
-    grid: Grid1D
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _readonly(np.asarray(self.coeffs)))
-
-
-def _check_same_grid(u: GridFunction, v: GridFunction) -> None:
-    if u.grid != v.grid:
-        raise ValueError(f"grid mismatch: {u.grid} vs {v.grid}")
-
 
 def zeros(grid: Grid1D) -> GridFunction:
     return GridFunction(grid, np.zeros(grid.n_interior))
-
-
-def interpolate(grid: Grid1D, f) -> GridFunction:
-    """Nodal interpolant of a callable f(x) (vectorized over x)."""
-    return GridFunction(grid, np.asarray(f(grid.nodes), dtype=np.float64))
 
 
 def sine_mode(grid: Grid1D, k: int, amplitude: float = 1.0) -> GridFunction:
@@ -189,30 +145,14 @@ def lp_norm(u: GridFunction, p: float) -> float:
     return float(rows_lp(u.values, u.grid.h, p))
 
 
-def sine_transform(u: GridFunction) -> SpectralCoeffs:
-    """Expand u in the nodal sine basis; see SpectralCoeffs for the scaling."""
+def sine_transform(u: GridFunction) -> np.ndarray:
+    """Sine-basis coefficients of u: ``c[k-1]`` multiplies e_k(x) = sqrt(2) sin(k pi x).
+
+    The coefficients carry the mass weights, so sum(c**2) equals the
+    squared L2 (mass-matrix) norm of u, k = 1..n_cells-1.
+    """
     # DST-I: y[k] = 2 sum_i v_i sin(pi (k+1)(i+1)/n); nodal expansion
     # coefficient of sqrt(2) sin(k pi x) is dst(v)[k] / (n sqrt(2)).
     n = u.grid.n_cells
     c = scipy.fft.dst(u.values, type=1) / (n * np.sqrt(2.0))
-    return SpectralCoeffs(u.grid, c * np.sqrt(mass_weights(u.grid)))
-
-
-def inverse_sine_transform(coeffs: SpectralCoeffs) -> GridFunction:
-    """Synthesize the grid function represented by the coefficients."""
-    c = coeffs.coeffs / np.sqrt(mass_weights(coeffs.grid))
-    v = scipy.fft.dst(c, type=1) * (np.sqrt(2.0) / 2.0)
-    return GridFunction(coeffs.grid, v)
-
-
-def fractional_norm(u: GridFunction, theta: float) -> float:
-    """Sobolev-scale norm (sum_k (k pi)^(2 theta) u_hat_k^2)^(1/2).
-
-    Defined through the continuum sine eigenbasis sampled at the nodes,
-    truncated at K = n_cells - 1 modes; theta = 0 reproduces l2_norm.
-    """
-    if not -1.0 <= theta <= 2.0:
-        raise ValueError(f"theta must be in [-1, 2], got {theta}")
-    c = sine_transform(u).coeffs
-    k = np.arange(1, u.grid.n_cells)
-    return float(np.sqrt(np.sum((k * np.pi) ** (2.0 * theta) * c**2)))
+    return c * np.sqrt(mass_weights(u.grid))

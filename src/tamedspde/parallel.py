@@ -25,16 +25,16 @@ def worker_count() -> int:
     return n
 
 
-def parallel_map(fn, items, workers: int | None = None) -> list:
-    """Map fn over items, preserving order; threads only when workers > 1."""
+def parallel_map(fn, items) -> list:
+    """Map fn over items, preserving order; threads only when worker_count() > 1."""
     items = list(items)
-    w = worker_count() if workers is None else max(1, workers)
+    w = worker_count()
     if w == 1 or len(items) <= 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=w) as pool:
         return list(pool.map(fn, items))
 
 
-def path_chunks(n_paths: int, chunk: int = PATH_CHUNK) -> list:
-    """[(start, stop), ...] covering range(n_paths) in fixed-size chunks."""
-    return [(a, min(a + chunk, n_paths)) for a in range(0, n_paths, chunk)]
+def path_chunks(n_paths: int) -> list:
+    """[(start, stop), ...] covering range(n_paths) in chunks of PATH_CHUNK."""
+    return [(a, min(a + PATH_CHUNK, n_paths)) for a in range(0, n_paths, PATH_CHUNK)]

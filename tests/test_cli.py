@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from tamedspde import engine
+from tamedspde import convergence, engine
 from tamedspde.cli import EXIT_NUMERICAL_FAILURE, main
 from tamedspde.fem import dispersion_eigenvalue
 from tamedspde.grid import Grid1D
@@ -178,30 +179,96 @@ preset = allen-cahn
     assert not (out / "verdict.txt").exists()
 
 
-def test_lyapunov_rejects_uncertified_tau_as_config_error(tmp_path, capsys):
-    cfg = write(tmp_path / "lya.ini", f"""
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("computed before the config was rejected")
+
+
+def test_lyapunov_rejects_uncertified_tau_as_config_error(tmp_path, capsys, monkeypatch):
+    """Both certified probes refuse an uncertified tau or infeasible coefficients
+    with exit 2 before stepping; the check lives only in ``ergodicity``."""
+    monkeypatch.setattr(engine.BatchChains, "advance", fail_if_called)
+    refused = (
+        ("preset = allen-cahn", 0.25, "tau_max"),
+        ("drift = 0, 1, 0, 1\ndiffusion = 1\nq = 2\nvariant = drift_only", 0.015625,
+         "assumption check failed"),
+    )
+    for kind in ("lyapunov", "longrun"):
+        for i, (coefficients, tau, message) in enumerate(refused):
+            out = tmp_path / f"{kind}{i}"
+            cfg = write(tmp_path / f"{kind}{i}.ini", f"""
 [experiment]
-kind = lyapunov
+kind = {kind}
 seed = 2
-output_dir = {tmp_path / 'lya_out'}
+output_dir = {out}
 
 [grid]
 n_cells = 16
 
 [scheme]
 kind = gtem
-tau = 0.25
-horizon = 0.25
+tau = {tau}
+horizon = {tau}
 
 [coefficients]
-preset = allen-cahn
+{coefficients}
 
 [lyapunov]
 amplitudes = 0, 1
 samples = 1000
+
+[monte_carlo]
+paths = 2
+record_stride = 1
+""")
+            assert main(["run", str(cfg)]) == 2, (kind, message)
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and message in err, err
+            assert not (out / "verdict.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, axis, key, values",
+    [
+        ("strong-rate", "tau", "taus", "0.03125, 0.015625"),
+        ("strong-rate", "h", "n_cells", "8, 16, 32"),
+        ("semigroup-rate", "h", "n_cells", "8, 16, 32"),
+        ("semigroup-rate", "tau", "taus", "0.1, 0.05"),
+    ],
+)
+def test_rate_ladder_too_short_to_fit_is_rejected_before_stepping(
+    tmp_path, capsys, monkeypatch, kind, axis, key, values
+):
+    monkeypatch.setattr(engine.BatchChains, "advance", fail_if_called)
+    monkeypatch.setattr(convergence, "semigroup_error", fail_if_called)
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "short.ini", f"""
+[experiment]
+kind = {kind}
+seed = 31
+output_dir = {out}
+
+[grid]
+n_cells = 64
+
+[scheme]
+kind = drift_gtem
+tau = 0.001953125
+horizon = 0.0625
+
+[coefficients]
+preset = allen-cahn
+
+[monte_carlo]
+paths = 25
+
+[ladder]
+axis = {axis}
+{key} = {values}
 """)
     assert main(["run", str(cfg)]) == 2
-    assert "tau_max" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [ladder]") and key in err, err
+    assert not (out / "verdict.txt").exists()
 
 
 def test_strong_rate_run_and_determinism(tmp_path, monkeypatch):

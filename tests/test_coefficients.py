@@ -20,9 +20,7 @@ from tamedspde.coefficients import (
     eval_g_tau,
     linear_ou,
     lipschitz_sqrt_g,
-    nemytskii,
 )
-from tamedspde.grid import Grid1D, GridFunction, zeros
 from tamedspde.noise import QWienerSpec
 
 NOISE = QWienerSpec(3.0, 1.0, 255)
@@ -140,27 +138,6 @@ def test_f_tau_prime_capped_by_report_constant():
         assert sup <= rep.tamed_derivative_bound
 
 
-def test_nemytskii():
-    g = Grid1D(16)
-    ac = allen_cahn(1.0)
-    out = nemytskii(ac, 0.1, zeros(g), "f")
-    assert np.all(out.values == eval_f(ac, 0.0))
-    ident = CoefficientSpec(drift=(0.0, 1.0), diffusion=(1.0,), q=0, variant="drift_only")
-    rng = np.random.default_rng(12)
-    u = GridFunction(g, rng.standard_normal(15))
-    assert np.array_equal(nemytskii(ident, 0.1, u, "f").values, u.values)
-    for which in ("f", "g", "f_tau", "g_tau"):
-        got = nemytskii(ac, 0.1, u, which).values
-        for i, x in enumerate(u.values):
-            fn = {"f": eval_f, "g": eval_g}.get(which)
-            expected = fn(ac, x) if fn else (
-                eval_f_tau(ac, 0.1, x) if which == "f_tau" else eval_g_tau(ac, 0.1, x)
-            )
-            assert np.isclose(got[i], expected, rtol=1e-14)
-    with pytest.raises(ValueError):
-        nemytskii(ac, 0.1, u, "h")
-
-
 def test_check_assumptions_allen_cahn():
     rep = check_assumptions(allen_cahn(1.0), NOISE)
     assert rep.feasible and not rep.q_flag
@@ -219,8 +196,6 @@ def test_scan_parameters_validated():
         check_assumptions(allen_cahn(1.0), NOISE, scan_radius=5.0)
     with pytest.raises(ValueError):
         check_assumptions(allen_cahn(1.0), NOISE, scan_points=100)
-    with pytest.raises(ValueError):
-        check_assumptions(allen_cahn(1.0), NOISE, beta=2.0)
 
 
 def test_spec_validation():
