@@ -99,29 +99,23 @@ class ConfigReader:
         _check_range(section, key, val, minimum, maximum)
         return val
 
-    def get_float_list(self, section, key, default=None):
+    def _get_list(self, section, key, default, cast, what):
         raw = self._raw(section, key, default)
         if raw is None:
             return default
         try:
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
+            return [cast(tok.strip()) for tok in raw.split(",") if tok.strip()]
         except ValueError:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not a number list")
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not {what}")
+
+    def get_float_list(self, section, key, default=None):
+        return self._get_list(section, key, default, float, "a number list")
 
     def get_int_list(self, section, key, default=None):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        try:
-            return [int(tok) for tok in raw.split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer list")
+        return self._get_list(section, key, default, int, "an integer list")
 
     def get_str_list(self, section, key, default=None):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        return [tok.strip() for tok in raw.split(",") if tok.strip()]
+        return self._get_list(section, key, default, str, "a name list")
 
 
 _REQUIRED = object()  # default= sentinel: the field has no default
@@ -547,8 +541,7 @@ def _run_strong_rate(cfg: ConfigReader, out: Path, seed: int) -> list:
         ],
     )
     fit = convergence.fit_rate(table)
-    xs = [r.tau if axis == "tau" else r.h for r in table.rows]
-    _write_plot_data(out / "strong_error_plot.csv", xs,
+    _write_plot_data(out / "strong_error_plot.csv", table.x_values(),
                      [r.rms_sup_error for r in table.rows], fit)
     write_csv(
         out / "rate_fit.csv",

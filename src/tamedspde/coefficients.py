@@ -187,11 +187,14 @@ PRESETS = {
 
 
 def _polyval(coeffs: tuple, x):
-    """Horner evaluation of an ascending-coefficient polynomial."""
-    y = np.zeros_like(np.asarray(x, dtype=np.float64))
-    for a in reversed(coeffs):
-        y = y * x + a
-    return y
+    """In-place Horner from the leading coefficient of an ascending tuple
+    (for finite x, the same bits as a start from zero)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.full_like(x, coeffs[-1])
+    for a in coeffs[-2::-1]:
+        y *= x
+        y += a
+    return y[()]  # a numpy scalar for scalar x
 
 
 def _polyder(coeffs: tuple) -> tuple:
@@ -218,9 +221,7 @@ def eval_f_second(spec: CoefficientSpec, xi):
 
 
 def _abs_pow(x, m: int):
-    """|x|**m for a nonnegative integer m (0**0 = 1), without np.power."""
-    if m == 0:
-        return np.ones_like(np.asarray(x, dtype=np.float64))
+    """|x|**m for a nonnegative integer m (0**0 = 1), by powers of x**2."""
     x2 = np.asarray(x, dtype=np.float64) ** 2
     if m % 2 == 0:
         return x2 ** (m // 2)
@@ -232,24 +233,29 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
 
 
+def tamed_drift(spec: CoefficientSpec, tau: float, x, x2):
+    """f(x) / (1 + tau |x|^{2q})^{1/2}, given x2 = x**2; tau is not checked."""
+    return _polyval(spec.drift, x) / np.sqrt(1.0 + tau * x2**spec.q)
+
+
+def tamed_diffusion(spec: CoefficientSpec, tau: float, x, x2):
+    """g_tau of the spec's taming variant, given x2 = x**2; tau is not checked."""
+    if spec.variant is TamingVariant.DRIFT_ONLY:
+        return eval_g(spec, x)
+    m = spec.q // 2 if spec.variant is TamingVariant.BOTH_A else spec.q
+    return eval_g(spec, x) / np.sqrt(1.0 + math.sqrt(tau) * x2**m)
+
+
 def eval_f_tau(spec: CoefficientSpec, tau: float, xi):
     """Tamed drift f(x) / (1 + tau |x|^{2q})^{1/2}."""
     _check_tau(tau)
-    return eval_f(spec, xi) / np.sqrt(1.0 + tau * _abs_pow(xi, 2 * spec.q))
+    return tamed_drift(spec, tau, xi, np.asarray(xi, dtype=np.float64) ** 2)
 
 
 def eval_g_tau(spec: CoefficientSpec, tau: float, xi):
     """Tamed diffusion for the configured taming variant; DRIFT_ONLY leaves g untouched."""
     _check_tau(tau)
-    if spec.variant is TamingVariant.DRIFT_ONLY:
-        return eval_g(spec, xi)
-    if spec.variant is TamingVariant.BOTH_A:
-        denom = 1.0 + math.sqrt(tau) * _abs_pow(xi, spec.q)
-    elif spec.variant is TamingVariant.BOTH_B:
-        denom = 1.0 + math.sqrt(tau) * _abs_pow(xi, 2 * spec.q)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown variant {spec.variant}")
-    return eval_g(spec, xi) / np.sqrt(denom)
+    return tamed_diffusion(spec, tau, xi, np.asarray(xi, dtype=np.float64) ** 2)
 
 
 def eval_f_tau_prime(spec: CoefficientSpec, tau: float, xi):

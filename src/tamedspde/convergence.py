@@ -58,6 +58,10 @@ class ErrorTable:
     ref_n_cells: int
     axis: str  # "tau" or "h"
 
+    def x_values(self) -> list:
+        """The ladder's x axis: each row's tau on a tau ladder, its h on an h ladder."""
+        return [r.tau if self.axis == "tau" else r.h for r in self.rows]
+
 
 @dataclass(frozen=True, eq=False)
 class RateFit:
@@ -104,8 +108,7 @@ def fit_rate_xy(x: Sequence[float], y: Sequence[float]) -> RateFit:
 
 def fit_rate(table: ErrorTable) -> RateFit:
     """Fitted log-log slope of an error table along its varying axis."""
-    xs = [r.tau if table.axis == "tau" else r.h for r in table.rows]
-    return fit_rate_xy(xs, [r.rms_sup_error for r in table.rows])
+    return fit_rate_xy(table.x_values(), [r.rms_sup_error for r in table.rows])
 
 
 # ---------------------------------------------------------------------------

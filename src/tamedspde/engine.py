@@ -9,10 +9,12 @@ and synthesizes the nodal increments of all rows in one call of
 ``noise.synthesize``: a product with the cached dense sine matrix on meshes
 of up to 256 cells, a DST-I on wider ones.
 
-Blow-up is detected, not raised: a row whose right-hand side or solution
-trips the overflow guard is frozen at its last finite state, and the
-failing step index is recorded, which is what the untamed baseline's
-blow-up statistics measure.
+Blow-up is detected, not raised: a row whose solution trips the overflow
+guard is frozen at its last finite state, and the failing step index is
+recorded, which is what the untamed baseline's blow-up statistics measure.
+Only this post-solve guard is needed: ``dpbtrs`` solves each row's column
+on its own, so a non-finite right-hand side gives a non-finite solution in
+its own row, flagged at the same step, and leaves the other rows alone.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrs as _dpbtrs
 
 from . import fem
-from .coefficients import eval_f, eval_f_tau, eval_g, eval_g_tau
+from .coefficients import eval_f, eval_g, tamed_diffusion, tamed_drift
+from .fem import mass_matvec_rows
 from .grid import Grid1D, rows_l2_sq
 from .noise import PathSampler, synthesize
 from .schemes import OVERFLOW_GUARD, Scheme, SchemeConfig
@@ -36,20 +39,16 @@ def _operators(grid: Grid1D) -> fem.FemOperators:
 
 
 def drift_diffusion_rows(config: SchemeConfig, values: np.ndarray):
-    """Scheme-dependent (f*, g*) evaluation; shape-agnostic (rows or a vector)."""
+    """Scheme-dependent (f*, g*); both tamings share one x**2, and tau was
+    validated by ``SchemeConfig``.  Shape-agnostic (rows or a vector)."""
     spec, tau = config.coefficients, config.tau
+    if config.scheme is Scheme.UNTAMED_EM:
+        return eval_f(spec, values), eval_g(spec, values)
+    x2 = values**2
+    f = tamed_drift(spec, tau, values, x2)
     if config.scheme is Scheme.GTEM:
-        return eval_f_tau(spec, tau, values), eval_g_tau(spec, tau, values)
-    if config.scheme is Scheme.DRIFT_GTEM:
-        return eval_f_tau(spec, tau, values), eval_g(spec, values)
-    return eval_f(spec, values), eval_g(spec, values)
-
-
-def mass_matvec_rows(ops: fem.FemOperators, v: np.ndarray) -> np.ndarray:
-    y = ops.mass_diag * v
-    y[..., :-1] += ops.mass_off * v[..., 1:]
-    y[..., 1:] += ops.mass_off * v[..., :-1]
-    return y
+        return f, tamed_diffusion(spec, tau, values, x2)
+    return f, eval_g(spec, values)
 
 
 def resolvent_rows(ops: fem.FemOperators, tau: float, v: np.ndarray) -> np.ndarray:
@@ -64,29 +63,24 @@ def step_rows(config: SchemeConfig, values: np.ndarray, noise_values: np.ndarray
     """One scheme step for a (paths, nodes) matrix of states.
 
     Solves (M + tau K) Z_n = M [Z_{n-1} + tau f*(Z_{n-1}) + g*(Z_{n-1}) dW]
-    row by row.  Returns (new_values, blown): ``blown`` marks rows that
-    tripped the overflow guard during this step; such a row's output is
-    meaningless and the caller keeps the previous state instead.
+    row by row.  Returns (new_values, blown): ``blown`` marks rows whose
+    solution tripped the overflow guard during this step, a non-finite
+    right-hand side included (see the module docstring); such a row's output
+    is meaningless and the caller keeps the previous state instead.
     """
     tau = config.tau
-    f_part, g_part = drift_diffusion_rows(config, values)
-    rhs = values + tau * f_part + g_part * noise_values
-    with np.errstate(invalid="ignore"):
-        bad_rhs = ~(np.abs(rhs).max(axis=-1) < np.inf)
-    if np.any(bad_rhs):
-        rhs = np.where(bad_rhs[:, None], 0.0, rhs)  # keep LAPACK inputs finite
+    rhs, g_dw = drift_diffusion_rows(config, values)
+    # values + tau f* + g* dW, in the order of that sum, in the fresh arrays
+    rhs *= tau
+    rhs += values
+    g_dw *= noise_values
+    rhs += g_dw
     z = resolvent_rows(_operators(config.grid), tau, rhs)
-    blown = bad_rhs.copy()
-    with np.errstate(invalid="ignore"):
-        suspect = ~(np.abs(z).max(axis=-1) <= OVERFLOW_GUARD)
-    # The sup norm bounds the L2 norm on (0, 1), so only suspect rows need
-    # the mass-norm decision.
-    for i in np.nonzero(suspect & ~blown)[0]:
-        row = z[i]
-        if not np.all(np.isfinite(row)) or rows_l2_sq(row[None, :], config.grid.h)[
-            0
-        ] > OVERFLOW_GUARD**2:
-            blown[i] = True
+    blown = ~(np.abs(z).max(axis=-1) <= OVERFLOW_GUARD)  # NaN rows too
+    if blown.any():
+        # The sup norm bounds the L2 norm on (0, 1), so only these rows need
+        # the mass-norm decision; a non-finite row has a non-finite norm.
+        blown[blown] = ~(rows_l2_sq(z[blown], config.grid.h) <= OVERFLOW_GUARD**2)
     return z, blown
 
 
@@ -130,6 +124,7 @@ class BatchChains:
         self.n_paths = x0_rows.shape[0]
         self.step_index = 0
         self.blowup_step = np.full(self.n_paths, -1, dtype=np.int64)
+        self._n_blown = 0
 
     @property
     def blown(self) -> np.ndarray:
@@ -139,9 +134,12 @@ class BatchChains:
         """One step for every live row, driven by the given nodal noise."""
         self.step_index += 1
         z, blown_now = step_rows(self.config, self.states, noise_values)
-        newly = blown_now & ~self.blown
-        self.blowup_step[newly] = self.step_index
-        keep = self.blown | blown_now
+        if self._n_blown == 0 and not blown_now.any():
+            self.states = z
+            return
+        self.blowup_step[blown_now & (self.blowup_step < 0)] = self.step_index
+        keep = self.blown
+        self._n_blown = int(keep.sum())
         self.states = np.where(keep[:, None], self.states, z)
 
     def run(

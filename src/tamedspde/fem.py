@@ -4,10 +4,11 @@ Assembles the tridiagonal mass matrix M (rows h/6 * [1, 4, 1]) and stiffness
 matrix K (rows 1/h * [-1, 2, -1]) for the interior nodes of a ``Grid1D``,
 with the banded Cholesky factor of (M + tau*K) cached per step size.  The
 resolvent S = (M + tau*K)^{-1} M is nonexpansive in the mass norm, which is
-what makes the schemes unconditionally stable in the linear part; the
-stepping core applies it row-wise in ``tamedspde.engine.resolvent_rows``.
-``apply_resolvent_power`` and ``eigen_smallest`` are the reference
-operators the operator suite checks against closed forms.
+what makes the schemes unconditionally stable in the linear part.
+``mass_matvec_rows`` is the one P1 mass product: the stepping core
+(``tamedspde.engine.resolvent_rows``) applies it to rows of states, and the
+reference operators the operator suite checks against closed forms,
+``apply_resolvent_power`` and ``eigen_smallest``, to single vectors.
 """
 
 from __future__ import annotations
@@ -37,12 +38,6 @@ class FemOperators:
     stiff_off: np.ndarray = field(repr=False)
     _factors: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def mass_matvec(self, v: np.ndarray) -> np.ndarray:
-        return _tri_matvec(self.mass_diag, self.mass_off, v)
-
-    def stiff_matvec(self, v: np.ndarray) -> np.ndarray:
-        return _tri_matvec(self.stiff_diag, self.stiff_off, v)
-
     def mass_dense(self) -> np.ndarray:
         return _tri_dense(self.mass_diag, self.mass_off)
 
@@ -64,9 +59,14 @@ class FemOperators:
 
 def _tri_matvec(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
     y = diag * v
-    y[:-1] += off * v[1:]
-    y[1:] += off * v[:-1]
+    y[..., :-1] += off * v[..., 1:]
+    y[..., 1:] += off * v[..., :-1]
     return y
+
+
+def mass_matvec_rows(ops: FemOperators, v: np.ndarray) -> np.ndarray:
+    """M v for each row of v, or for the vector v."""
+    return _tri_matvec(ops.mass_diag, ops.mass_off, v)
 
 
 def _tri_dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -95,7 +95,7 @@ def apply_resolvent_power(
     z = u.values.copy()
     fac = ops._cholesky(tau)
     for _ in range(k):
-        z, info = _dpbtrs(fac, ops.mass_matvec(z))
+        z, info = _dpbtrs(fac, mass_matvec_rows(ops, z))
         if info != 0:
             raise RuntimeError(f"banded triangular solve failed (info={info})")
     return GridFunction(ops.grid, z)
@@ -110,7 +110,7 @@ def eigen_smallest(ops: FemOperators, tol: float = 1e-10, max_iter: int = 200) -
     n = ops.grid.n_interior
     # Start from the slowest sine mode to avoid an unlucky orthogonal start.
     v = np.sin(np.pi * ops.grid.nodes)
-    v /= np.sqrt(v @ ops.mass_matvec(v.copy()))
+    v /= np.sqrt(v @ mass_matvec_rows(ops, v))
     ab = np.zeros((2, n))
     ab[1] = ops.stiff_diag
     ab[0, 1:] = ops.stiff_off
@@ -118,10 +118,10 @@ def eigen_smallest(ops: FemOperators, tol: float = 1e-10, max_iter: int = 200) -
     lam_prev = np.inf
     for _ in range(max_iter):
         v = scipy.linalg.cho_solve_banded(
-            (fac, False), ops.mass_matvec(v.copy()), check_finite=False
+            (fac, False), mass_matvec_rows(ops, v), check_finite=False
         )
-        v /= np.sqrt(v @ ops.mass_matvec(v.copy()))
-        lam = float(v @ ops.stiff_matvec(v.copy()))
+        v /= np.sqrt(v @ mass_matvec_rows(ops, v))
+        lam = float(v @ _tri_matvec(ops.stiff_diag, ops.stiff_off, v))
         if abs(lam - lam_prev) <= tol * abs(lam):
             return lam
         lam_prev = lam

@@ -21,7 +21,10 @@ from tamedspde.coefficients import (
     linear_ou,
     lipschitz_sqrt_g,
 )
+from tamedspde.engine import drift_diffusion_rows
+from tamedspde.grid import Grid1D
 from tamedspde.noise import QWienerSpec
+from tamedspde.schemes import SchemeConfig
 
 NOISE = QWienerSpec(3.0, 1.0, 255)
 
@@ -210,3 +213,48 @@ def test_spec_validation():
     assert spec.diffusion_kind is DiffusionKind.SQRT_QUADRATIC
     assert np.isclose(eval_g(spec, 3.0), 0.2 * np.sqrt(10.0), rtol=1e-14)
     assert spec.diffusion_leading == 0.0
+
+
+ENGINE_SPECS = [
+    CoefficientSpec(drift=drift, diffusion=diffusion, q=q, variant=variant,
+                    diffusion_kind=kind)
+    for q, drift, poly_g in [
+        (0, (0.5, -1.0), (0.3, 0.2)),
+        (2, (0.0, 1.0, 0.0, -1.0), (0.1, 0.0, 0.05)),
+        (4, (0.1, 1.0, 0.0, -0.5, 0.0, -1.0), (0.2, 0.1, 0.0, 0.05)),
+    ]
+    for variant in ("both_a", "both_b", "drift_only")
+    for kind, diffusion in [(DiffusionKind.POLYNOMIAL, poly_g),
+                            (DiffusionKind.SQRT_QUADRATIC, (0.2,))]
+]
+
+
+@pytest.mark.parametrize(
+    "spec", ENGINE_SPECS,
+    ids=lambda s: f"q{s.q}-{s.variant.value}-{s.diffusion_kind.value}",
+)
+def test_engine_coefficient_pass_matches_public_evaluators(spec):
+    # The step's shared-x**2 pass must give the public evaluators' exact bits.
+    values = np.random.default_rng(spec.q).uniform(-30.0, 30.0, (3, 31))
+    for tau in (2.0**-12, 2.0**-6, 0.5):
+        expected = {
+            "gtem": (eval_f_tau(spec, tau, values), eval_g_tau(spec, tau, values)),
+            "drift_gtem": (eval_f_tau(spec, tau, values), eval_g(spec, values)),
+            "untamed_em": (eval_f(spec, values), eval_g(spec, values)),
+        }
+        for scheme, (f_want, g_want) in expected.items():
+            cfg = SchemeConfig(tau=tau, grid=Grid1D(32), horizon=1.0, scheme=scheme,
+                               coefficients=spec, noise=QWienerSpec(3.0, 1.0, 31))
+            f_got, g_got = drift_diffusion_rows(cfg, values)
+            assert np.array_equal(f_got, f_want), (scheme, tau)
+            assert np.array_equal(g_got, g_want), (scheme, tau)
+
+
+def test_evaluators_accept_scalars():
+    ac = allen_cahn(1.0)
+    assert eval_f(ac, 2.0) == -6.0
+    assert eval_g(ac, 2.0) == 1.0  # constant g: one coefficient
+    assert isinstance(eval_f(ac, 2.0), np.float64)
+    assert isinstance(eval_g(ac, 2.0), np.float64)
+    assert eval_f_tau(ac, 0.25, 2.0) == -6.0 / np.sqrt(1.0 + 0.25 * 16.0)
+    assert eval_g_tau(ac, 0.25, 2.0) == 1.0 / np.sqrt(1.0 + 0.5 * 4.0)

@@ -205,3 +205,30 @@ def test_record_stride_and_initial_conditions():
         run_path(cfg, x0, 0, record_stride=0)
     with pytest.raises(ValueError):
         BatchChains(cfg, np.zeros((2, cfg.grid.n_interior + 1)))
+
+
+def test_nonfinite_rhs_row_freezes_alone():
+    # An inf in one row's noise makes that row's right-hand side non-finite.
+    # The banded solve keeps it to its own column, so only that row blows up,
+    # at that step, and the other rows step exactly as they would without it.
+    cfg = SchemeConfig(tau=0.125, grid=Grid1D(16), horizon=1.0, scheme="gtem",
+                       coefficients=allen_cahn(1.0), noise=QWienerSpec(3.0, 1.0, 15),
+                       seed=2)
+    x0 = np.stack([InitialCondition("sine", amplitude=a).build(cfg.grid).values
+                   for a in (0.5, 1.0, 2.0)])
+    noise = EnsembleNoise(cfg, range(3)).value_rows  # step-n noise: noise(n - 1)
+    chains = BatchChains(cfg, x0)
+    pair = BatchChains(cfg, x0[[0, 2]])
+    for n in range(1, 7):
+        inc = noise(n - 1)
+        if n == 2:
+            inc[1, 5] = np.inf
+        chains.advance(inc)
+        pair.advance(inc[[0, 2]])
+        if n == 1:
+            step1 = chains.states[1].copy()
+        if n >= 2:
+            assert np.array_equal(chains.states[1], step1)
+        assert np.array_equal(chains.states[[0, 2]], pair.states)
+    assert chains.blowup_step.tolist() == [-1, 2, -1]
+    assert not pair.blown.any()
