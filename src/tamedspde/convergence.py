@@ -198,8 +198,8 @@ def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_i
     tau, n_cells = reference.tau, reference.grid.n_cells
     block = math.lcm(*(m.ratio for m in members))
     stride = math.gcd(*(m.ratio for m in members))
-    samplers = [PathSampler(reference.noise, reference.seed, p) for p in path_ids]
-    n, k_ref = len(samplers), reference.noise.truncation
+    sampler = PathSampler(reference.noise, reference.seed, path_ids)
+    n, k_ref = len(path_ids), reference.noise.truncation
     ref = _start_rows(reference, x0, n)
     runs = [_start_rows(m.config, x0, n) for m in members]
     worst = np.stack(
@@ -212,9 +212,8 @@ def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_i
     fine = np.empty((block, n, k_ref))
     kept = np.empty((block // stride, n, reference.grid.n_interior))
     for start in range(0, reference.n_steps, block):
-        for p, sampler in enumerate(samplers):
-            for i in range(block):
-                sampler.coeffs(start + i, tau, out=fine[i, p])
+        for i in range(block):
+            sampler.coeffs(start + i, tau, out=fine[i])
         values = synthesize(fine.reshape(block * n, k_ref), n_cells)
         values = values.reshape(block, n, -1)
         for i in range(block):

@@ -4,10 +4,12 @@ The Monte Carlo harnesses advance many independent paths of the same scheme
 configuration; doing so row-by-row wastes most of the time in per-call
 overhead.  ``BatchChains`` keeps the ensemble as a (paths, nodes) matrix and
 advances every path in one set of array operations; a single path is a
-1-row ensemble.  ``EnsembleNoise`` draws each path's counter-based stream
-and synthesizes the nodal increments of all rows in one call of
-``noise.synthesize``: a product with the cached dense sine matrix on meshes
-of up to 256 cells, a DST-I on wider ones.
+1-row ensemble, and a probe steps each slice of its paths
+(``parallel.path_slices``) as one ensemble.  ``EnsembleNoise`` draws every
+path's counter-based stream with one re-keyed generator
+(``noise.PathSampler``) and synthesizes the nodal increments: a product with
+the cached dense sine matrix on meshes of up to 256 cells, in slabs of
+``parallel.PATH_CHUNK`` rows, and one DST-I call on wider ones.
 
 Blow-up is detected, not raised: a row whose solution trips the overflow
 guard is frozen at its last finite state, and the failing step index is
@@ -29,7 +31,8 @@ from . import fem
 from .coefficients import eval_f, eval_g, tamed_diffusion, tamed_drift
 from .fem import mass_matvec_rows
 from .grid import Grid1D, rows_l2_sq
-from .noise import PathSampler, synthesize
+from .noise import _DENSE_MAX_CELLS, PathSampler, synthesize
+from .parallel import PATH_CHUNK
 from .schemes import OVERFLOW_GUARD, Scheme, SchemeConfig
 
 
@@ -53,7 +56,8 @@ def drift_diffusion_rows(config: SchemeConfig, values: np.ndarray):
 
 def resolvent_rows(ops: fem.FemOperators, tau: float, v: np.ndarray) -> np.ndarray:
     """(M + tau K)^{-1} M applied to each row of v, by banded Cholesky solves."""
-    z, info = _dpbtrs(ops._cholesky(tau), mass_matvec_rows(ops, v).T)
+    # The load is a fresh F-ordered array, so dpbtrs may solve in place.
+    z, info = _dpbtrs(ops._cholesky(tau), mass_matvec_rows(ops, v).T, overwrite_b=1)
     if info != 0:
         raise RuntimeError(f"banded triangular solve failed (info={info})")
     return np.ascontiguousarray(z.T)
@@ -85,24 +89,31 @@ def step_rows(config: SchemeConfig, values: np.ndarray, noise_values: np.ndarray
 
 
 class EnsembleNoise:
-    """Per-path counter-based streams, synthesized jointly per step."""
+    """Per-path counter-based streams, drawn by one sampler, synthesized per step.
+
+    On the dense branch of ``synthesize`` the rows are synthesized in slabs
+    of ``PATH_CHUNK``: OpenBLAS picks its kernel by row count, so a path's
+    nodal values could otherwise depend on the size of its ensemble.  DST-I
+    treats every row on its own and takes all rows in one call.
+    """
 
     def __init__(self, config: SchemeConfig, path_ids: Sequence[int]):
-        self.samplers = [
-            PathSampler(config.noise, config.seed, pid) for pid in path_ids
-        ]
-        self.grid = config.grid
+        self.sampler = PathSampler(config.noise, config.seed, path_ids)
+        self.n_cells = config.grid.n_cells
         self.tau = config.tau
-        self.n_modes = config.noise.truncation
 
     def coeff_rows(self, step_index: int) -> np.ndarray:
-        rows = np.empty((len(self.samplers), self.n_modes))
-        for sampler, row in zip(self.samplers, rows):
-            sampler.coeffs(step_index, self.tau, out=row)
-        return rows
+        return self.sampler.coeffs(step_index, self.tau)
 
     def value_rows(self, step_index: int) -> np.ndarray:
-        return synthesize(self.coeff_rows(step_index), self.grid.n_cells)
+        coeffs = self.coeff_rows(step_index)
+        if self.n_cells > _DENSE_MAX_CELLS or len(coeffs) <= PATH_CHUNK:
+            return synthesize(coeffs, self.n_cells)
+        values = np.empty((len(coeffs), self.n_cells - 1))
+        for a in range(0, len(coeffs), PATH_CHUNK):
+            slab = slice(a, a + PATH_CHUNK)
+            values[slab] = synthesize(coeffs[slab], self.n_cells)
+        return values
 
 
 class BatchChains:

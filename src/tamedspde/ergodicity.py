@@ -38,7 +38,7 @@ from .grid import (
     rows_lp,
     rows_lyapunov,
 )
-from .parallel import parallel_map, path_chunks
+from .parallel import parallel_map, path_slices
 from .schemes import Scheme, SchemeConfig
 
 
@@ -90,27 +90,28 @@ def lyapunov_contraction_test(
     """Estimate E[V(Z_1) | Z_0 = x] for each anchor and compare to the bound.
 
     Refuses to run when tau exceeds the certified tau_max.  Each anchor uses
-    its own block of path ids, so all increments are independent.
+    its own block of path ids, so all increments are independent, and steps
+    them as one ensemble per slice.
     """
     _require_certified(config, report)
     if n_samples < 1000:
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
     k1, k2 = report.lyap_contraction, report.lyap_source
     h, tau = config.grid.h, config.tau
+    slices = path_slices(n_samples, config.grid.n_interior)
     probes = []
     for a, anchor in enumerate(anchors):
         if anchor.grid != config.grid:
             raise ValueError("anchor grid does not match the scheme grid")
 
-        def one_chunk(rng, _anchor=anchor, _a=a):
+        def one_slice(rng, _anchor=anchor, _first=a * n_samples):
             start, stop = rng
-            ids = [_a * n_samples + j for j in range(start, stop)]
             chains = BatchChains(config, np.tile(_anchor.values, (stop - start, 1)))
-            noise = EnsembleNoise(config, ids)
+            noise = EnsembleNoise(config, range(_first + start, _first + stop))
             chains.advance(noise.value_rows(0))
             return rows_lyapunov(chains.states, h, tau)
 
-        v1 = np.concatenate(parallel_map(one_chunk, path_chunks(n_samples)))
+        v1 = np.concatenate(parallel_map(one_slice, slices))
         est = float(np.mean(v1))
         se = float(np.std(v1, ddof=1) / math.sqrt(n_samples))
         x_l2 = float(rows_l2_sq(anchor.values, h))
@@ -159,10 +160,10 @@ def long_run_moment_test(
     n_steps = config.n_steps
     h = config.grid.h
 
-    def one_chunk(rng):
+    def one_slice(rng):
         start, stop = rng
         chains = BatchChains(config, np.tile(x0.values, (stop - start, 1)))
-        noise = EnsembleNoise(config, list(range(start, stop)))
+        noise = EnsembleNoise(config, range(start, stop))
         recorded = []
         steps = []
         chains.run(
@@ -173,7 +174,7 @@ def long_run_moment_test(
         )
         return np.asarray(steps), np.column_stack(recorded), int(chains.blown.sum())
 
-    parts = parallel_map(one_chunk, path_chunks(n_paths))
+    parts = parallel_map(one_slice, path_slices(n_paths, config.grid.n_interior))
     steps = parts[0][0]
     all_l2 = np.vstack([p[1] for p in parts])  # (paths, n_recorded)
     n_blow = sum(p[2] for p in parts)
@@ -217,12 +218,12 @@ def coupling_decay_test(
     """
     h = config.grid.h
 
-    def one_chunk(rng):
+    def one_slice(rng):
         start, stop = rng
         m = stop - start
         a = BatchChains(config, np.tile(x0_a.values, (m, 1)))
         b = BatchChains(config, np.tile(x0_b.values, (m, 1)))
-        noise = EnsembleNoise(config, list(range(start, stop)))
+        noise = EnsembleNoise(config, range(start, stop))
         dists = [np.sqrt(np.maximum(rows_l2_sq(a.states - b.states, h), 0.0))]
         for n in range(1, n_steps + 1):
             vals = noise.value_rows(n - 1)
@@ -231,7 +232,8 @@ def coupling_decay_test(
             dists.append(np.sqrt(np.maximum(rows_l2_sq(a.states - b.states, h), 0.0)))
         return np.column_stack(dists)  # (m, n_steps + 1)
 
-    dist = np.vstack(parallel_map(one_chunk, path_chunks(n_paths)))
+    slices = path_slices(n_paths, config.grid.n_interior)
+    dist = np.vstack(parallel_map(one_slice, slices))
     mean = dist.mean(axis=0)
     steps = np.arange(n_steps + 1)
     pos = mean > 0
@@ -332,7 +334,7 @@ def ergodic_limit_test(
         raise ValueError(f"burn-in {burn_in_steps} must be < horizon {n_steps}")
     fns = {name: OBSERVABLE_ROWS[name] for name in observables}
     chains = BatchChains(config, np.stack([x.values for x in x0_list]))
-    noise = EnsembleNoise(config, list(range(len(x0_list))))
+    noise = EnsembleNoise(config, range(len(x0_list)))
     series = {name: [] for name in fns}
     rec_steps = []
 
@@ -425,19 +427,20 @@ def em_blowup_probe(
     """Blow-up frequency of the untamed scheme vs a tamed twin on identical noise."""
     untamed = replace(config, scheme=Scheme.UNTAMED_EM)
     tamed = replace(config, scheme=Scheme.GTEM)
+    slices = path_slices(n_paths, config.grid.n_interior)
     rows = []
     for amp in amplitudes:
         x0 = np.sin(np.pi * config.grid.nodes) * amp
 
         def freq(cfg):
-            def one_chunk(rng):
+            def one_slice(rng):
                 start, stop = rng
                 chains = BatchChains(cfg, np.tile(x0, (stop - start, 1)))
-                noise = EnsembleNoise(cfg, list(range(start, stop)))
+                noise = EnsembleNoise(cfg, range(start, stop))
                 chains.run(noise, cfg.n_steps)
                 return int(chains.blown.sum())
 
-            return sum(parallel_map(one_chunk, path_chunks(n_paths))) / n_paths
+            return sum(parallel_map(one_slice, slices)) / n_paths
 
         rows.append(
             BlowupRow(

@@ -9,16 +9,17 @@ general separable spaces are out of scope.  An increment over one step is
     dW(x_i) = sum_{k<=K} sqrt(lambda_k tau) zeta_k q_k(x_i),
 
 with zeta_k independent standard normals drawn from a counter-based Philox
-stream: the 128-bit key encodes (master seed, path id), the 256-bit counter
-starts at step_index * 2^128, and zeta_k is the k-th normal drawn.  Every
-zeta is therefore a pure function of (seed, path, step, mode): resampling is
-bit-identical, paths can be generated concurrently, truncating to fewer
-modes gives a prefix of the same draws, and summing increments over coarser
-steps reproduces exactly the same Brownian path — the properties the
-coupled convergence ladders rely on.  Each path keeps one generator and
-re-seats it per step by assigning a prebuilt state, never reading it (see
-``PathSampler``): on numpy 2.4.6 and a 2-vCPU x86 host, a 31-mode draw costs
-about 1.5 us, against 3.5 us when the state was read, edited and written back.
+stream: the 128-bit key has the words (master seed, path id), each taken
+mod 2^64, the 256-bit counter starts at step_index * 2^128, and zeta_k is
+the k-th normal drawn.  Every zeta is therefore a pure function of (seed,
+path, step, mode): resampling is bit-identical, paths can be generated
+concurrently, truncating to fewer modes gives a prefix of the same draws,
+and summing increments over coarser steps reproduces exactly the same
+Brownian path — the properties the coupled convergence ladders rely on.  An ensemble keeps one generator and
+re-keys it for each of its paths at each step by assigning a prebuilt state,
+never reading it (see ``PathSampler``): on numpy 2.4.6 and a 2-vCPU x86
+host, a 31-mode draw costs about 1.5 us, against 3.5 us when the state was
+read, edited and written back.
 
 ``synthesize`` turns rows of coefficients into nodal values: on meshes of up
 to 256 cells by a product with the cached dense sine matrix, on wider ones
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.fft
@@ -121,66 +123,66 @@ def synthesize(coeffs: np.ndarray, n_cells: int) -> np.ndarray:
     return scipy.fft.dst(coeffs, type=1, n=n_cells - 1, axis=-1) * (np.sqrt(2.0) / 2.0)
 
 
-def _stream_key(seed: int, path_id: int) -> int:
-    return (seed & _MASK64) | ((path_id & _MASK64) << 64)
-
-
 class PathSampler:
-    """Sampler for one path: one Philox generator, re-seated per step.
+    """Sampler for a list of paths: one Philox generator, re-keyed per row.
 
     The generator's state is assigned, never read: one state dict of plain
     ints (key words (seed, path id), counter, an empty output buffer) is
-    built here, and each step sets the counter's word 2 to the step index and
-    assigns the dict.  That is bit-identical to constructing a fresh
-    generator at counter step_index * 2^128.  Measured on numpy 2.4.6 (2-vCPU
-    x86 host), the assignment costs 0.33 us; reading the state alone costs
-    1.2 us (a fresh dict of arrays), and reading, editing and writing it back
-    2.1 us.  Drawing 31 normals costs 1.25 us.
+    built here.  For each step the counter's word 2 is set to the step index;
+    for each row the key's word 1 is set to that row's path id and the dict
+    is assigned.  That is bit-identical to constructing a fresh generator
+    with key (seed, path id) at counter step_index * 2^128, words buffered
+    by the previous row included: the assignment empties the buffer.
+    Measured on numpy 2.4.6 (2-vCPU x86 host), the assignment costs 0.33 us;
+    reading the state alone costs 1.2 us (a fresh dict of arrays), and
+    reading, editing and writing it back 2.1 us.  Drawing 31 normals costs
+    1.25 us, and building a sampler about 20 us.
     """
 
-    def __init__(self, spec: QWienerSpec, seed: int, path_id: int):
+    def __init__(self, spec: QWienerSpec, seed: int, path_ids: Sequence[int]):
         self.spec = spec
-        self.seed = seed
-        self.path_id = path_id
+        self._key_words = [pid & _MASK64 for pid in path_ids]
         self._eigs = spec.eigenvalues()
         self._scale_cache: tuple = (None, None)  # (tau, sqrt(lambda_k tau))
-        self._bitgen = np.random.Philox(key=_stream_key(seed, path_id))
+        self._bitgen = np.random.Philox(0)  # a placeholder: each row assigns its state
         self._gen = np.random.Generator(self._bitgen)
         self._counter = [0, 0, 0, 0]  # counter = step_index << 128: word 2 only
+        self._key = [seed & _MASK64, 0]  # word 1: the path id of the row drawn
         self._state = {
             "bit_generator": "Philox",
-            "state": {
-                "counter": self._counter,
-                "key": [seed & _MASK64, path_id & _MASK64],  # _stream_key's words
-            },
+            "state": {"counter": self._counter, "key": self._key},
             "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,  # empty: no words buffered from an earlier step
+            "buffer_pos": 4,  # empty: no words buffered from an earlier draw
             "has_uint32": 0,
             "uinteger": 0,
         }
 
-    def normals(self, step_index: int, out: np.ndarray | None = None) -> np.ndarray:
-        if not 0 <= step_index < 1 << 64:
-            raise ValueError(f"step_index out of range: {step_index}")
-        self._counter[2] = step_index
-        self._bitgen.state = self._state
-        return self._gen.standard_normal(self.spec.truncation, out=out)
-
     def coeffs(
         self, step_index: int, tau: float, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """sqrt(lambda_k tau) zeta_k for one step, written into ``out`` if given.
+        """sqrt(lambda_k tau) zeta_k for one step, one row per path id.
 
-        ``out`` must be a contiguous float64 array of ``truncation`` entries;
-        it is returned.
+        ``out``, if given, must be a C-contiguous float64 array of shape
+        (len(path_ids), truncation); it is filled and returned.
         """
+        if not 0 <= step_index < 1 << 64:
+            raise ValueError(f"step_index out of range: {step_index}")
         if tau <= 0:
             raise ValueError(f"tau must be positive, got {tau}")
         if self._scale_cache[0] != tau:
             self._scale_cache = (tau, np.sqrt(self._eigs * tau))
-        z = self.normals(step_index, out)
-        z *= self._scale_cache[1]
-        return z
+        n_modes = self.spec.truncation
+        if out is None:
+            out = np.empty((len(self._key_words), n_modes))
+        self._counter[2] = step_index
+        key, state, bitgen = self._key, self._state, self._bitgen
+        normal = self._gen.standard_normal
+        for word, row in zip(self._key_words, out):
+            key[1] = word
+            bitgen.state = state
+            normal(n_modes, out=row)
+        out *= self._scale_cache[1]
+        return out
 
 
 def pairwise_tree_sum_axis(a: np.ndarray, axis: int = 1) -> np.ndarray:

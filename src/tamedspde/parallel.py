@@ -1,9 +1,12 @@
-"""Deterministic worker-pool mapping for Monte Carlo path chunks.
+"""Deterministic worker-pool mapping for Monte Carlo work items.
 
 Worker count comes from the TAMEDSPDE_WORKERS environment variable (default
-1) and controls scheduling only: work items are fixed-size path chunks whose
-contents and combination order never depend on the worker count, so every
-output is byte-identical at any parallelism level.
+1) and controls scheduling only.  A work item is a slice of a probe's paths,
+stepped as one lockstep ensemble (``path_slices``), or a chunk of a strong-
+error ladder's paths (``path_chunks``).  Both depend only on the path count
+and the mesh, and results are combined in item order, so every output is
+byte-identical at any parallelism level.  ``PATH_CHUNK`` is also the number
+of rows per dense noise synthesis call, whose bits can depend on it.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-PATH_CHUNK = 25  # paths per work item; fixed so results cannot depend on workers
+PATH_CHUNK = 25  # paths per ladder chunk and rows per dense synthesis call
+MAX_SLICE_VALUES = 1 << 20  # state values per slice (8 MB), above one chunk
 
 
 def worker_count() -> int:
@@ -38,3 +42,13 @@ def parallel_map(fn, items) -> list:
 def path_chunks(n_paths: int) -> list:
     """[(start, stop), ...] covering range(n_paths) in chunks of PATH_CHUNK."""
     return [(a, min(a + PATH_CHUNK, n_paths)) for a in range(0, n_paths, PATH_CHUNK)]
+
+
+def path_slices(n_paths: int, n_nodes: int) -> list:
+    """[(start, stop), ...] covering range(n_paths) in slices of whole PATH_CHUNKs.
+
+    A slice holds at most MAX_SLICE_VALUES states of ``n_nodes`` values, or
+    one chunk where a chunk holds more.
+    """
+    rows = max(1, MAX_SLICE_VALUES // (n_nodes * PATH_CHUNK)) * PATH_CHUNK
+    return [(a, min(a + rows, n_paths)) for a in range(0, n_paths, rows)]

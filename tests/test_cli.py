@@ -150,7 +150,7 @@ scale = 1e-30
 
 
 def test_failed_banded_solve_exits_numerical_failure(tmp_path, capsys, monkeypatch):
-    def failing_dpbtrs(fac, load):
+    def failing_dpbtrs(fac, load, **kwargs):
         return np.zeros_like(load), -1
 
     monkeypatch.setattr(engine, "_dpbtrs", failing_dpbtrs)

@@ -136,8 +136,8 @@ def whole_path_ladder(reference, x0, n_paths, rungs):
     n_ref, k_ref = reference.n_steps, reference.noise.truncation
     errors = np.empty((n_paths, len(rungs)))
     for p in range(n_paths):
-        sampler = PathSampler(reference.noise, reference.seed, p)
-        fine = np.stack([sampler.coeffs(i, reference.tau) for i in range(n_ref)])
+        sampler = PathSampler(reference.noise, reference.seed, [p])
+        fine = np.stack([sampler.coeffs(i, reference.tau)[0] for i in range(n_ref)])
         ref_states, blown = march_one_path(
             reference, x0.build(reference.grid).values,
             synthesize(fine, reference.grid.n_cells),

@@ -1,6 +1,11 @@
+import functools
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from tamedspde import parallel
 from tamedspde.coefficients import (
     CoefficientSpec,
     allen_cahn,
@@ -8,6 +13,7 @@ from tamedspde.coefficients import (
     double_well,
     linear_ou,
 )
+from tamedspde.engine import BatchChains, EnsembleNoise
 from tamedspde.ergodicity import (
     OBSERVABLE_ROWS,
     StepSizeNotCertified,
@@ -20,9 +26,16 @@ from tamedspde.ergodicity import (
     nondegeneracy_precheck,
 )
 from tamedspde.fem import dispersion_eigenvalue
-from tamedspde.grid import Grid1D, GridFunction, sine_transform, zeros
+from tamedspde.grid import (
+    Grid1D,
+    GridFunction,
+    rows_l2_sq,
+    rows_lyapunov,
+    sine_transform,
+    zeros,
+)
 from tamedspde.noise import QWienerSpec
-from tamedspde.schemes import InitialCondition, SchemeConfig
+from tamedspde.schemes import InitialCondition, Scheme, SchemeConfig
 
 GRID = Grid1D(32)
 NOISE = QWienerSpec(3.0, 1.0, 31)
@@ -209,3 +222,120 @@ def test_mode1_observable_matches_sine_transform():
         got = OBSERVABLE_ROWS["mode1"](rows, cfg)
         expected = [sine_transform(GridFunction(grid, r))[0] for r in rows]
         assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Slices of one lockstep ensemble against 25-row chunks
+# ---------------------------------------------------------------------------
+
+ORACLE_CHUNK = 25  # the chunk every probe stepped and synthesized before
+
+
+def chunked(n_paths, first_id=0):
+    """The path ids of each 25-row chunk; each chunk gets its own sampler."""
+    for a in range(0, n_paths, ORACLE_CHUNK):
+        yield range(first_id + a, first_id + min(a + ORACLE_CHUNK, n_paths))
+
+
+def chunk_chains(cfg, x0_values, ids):
+    return BatchChains(cfg, np.tile(x0_values, (len(ids), 1))), EnsembleNoise(cfg, ids)
+
+
+def oracle_long_run(cfg, x0, n_paths, stride):
+    l2, n_blow = [], 0
+    for ids in chunked(n_paths):
+        chains, noise = chunk_chains(cfg, x0.values, ids)
+        rec = []
+        chains.run(noise, cfg.n_steps, stride,
+                   lambda s, v: rec.append(rows_l2_sq(v, cfg.grid.h)))
+        l2.append(np.column_stack(rec))
+        n_blow += int(chains.blown.sum())
+    l2 = np.vstack(l2)
+    return l2.mean(axis=0), l2.std(axis=0, ddof=1) / math.sqrt(n_paths), n_blow
+
+
+def oracle_coupling(cfg, x0_a, x0_b, n_steps, n_paths):
+    dist = []
+    for ids in chunked(n_paths):
+        a, noise = chunk_chains(cfg, x0_a.values, ids)
+        b, _ = chunk_chains(cfg, x0_b.values, ids)
+        d = [rows_l2_sq(a.states - b.states, cfg.grid.h)]
+        for n in range(n_steps):
+            vals = noise.value_rows(n)
+            a.advance(vals)
+            b.advance(vals)
+            d.append(rows_l2_sq(a.states - b.states, cfg.grid.h))
+        dist.append(np.sqrt(np.maximum(np.column_stack(d), 0.0)))
+    return np.vstack(dist).mean(axis=0)
+
+
+def oracle_blowups(cfg, x0_values, n_paths):
+    total = 0
+    for ids in chunked(n_paths):
+        chains, noise = chunk_chains(cfg, x0_values, ids)
+        chains.run(noise, cfg.n_steps)
+        total += int(chains.blown.sum())
+    return total / n_paths
+
+
+def oracle_lyapunov(cfg, anchor, a, n_samples):
+    v1 = []
+    for ids in chunked(n_samples, a * n_samples):
+        chains, noise = chunk_chains(cfg, anchor.values, ids)
+        chains.advance(noise.value_rows(0))
+        v1.append(rows_lyapunov(chains.states, cfg.grid.h, cfg.tau))
+    v1 = np.concatenate(v1)
+    return float(np.mean(v1)), float(np.std(v1, ddof=1) / math.sqrt(n_samples))
+
+
+@functools.lru_cache(maxsize=None)
+def certified_setup(n_cells):
+    grid = Grid1D(n_cells)
+    noise = QWienerSpec(3.0, 1.0, grid.n_interior)
+    return grid, noise, check_assumptions(AC, noise)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n_paths", [60, 100])
+@pytest.mark.parametrize("n_cells", [32, 256])
+def test_probes_match_chunked_oracle(monkeypatch, n_cells, n_paths, workers):
+    # Each probe steps a slice of its paths as one ensemble; every statistic
+    # must equal, bit for bit, the same probe stepped in 25-row chunks with
+    # a sampler per chunk.  At 256 cells the dense synthesis of 60 or 100
+    # rows in one product need not equal its 25-row slabs, so the slabs are
+    # what is checked there.  Slices of two chunks make the pool run.
+    grid, noise, report = certified_setup(n_cells)
+    monkeypatch.setenv("TAMEDSPDE_WORKERS", str(workers))
+    cfg = SchemeConfig(tau=2.0**-6, grid=grid, horizon=8 * 2.0**-6, scheme="gtem",
+                       coefficients=AC, noise=noise, seed=23)
+    x0 = InitialCondition("sine", amplitude=10.0).build(grid)
+    x0_b = InitialCondition("sine", amplitude=2.0).build(grid)
+    blow_cfg = SchemeConfig(tau=0.5, grid=grid, horizon=3.0, scheme="untamed_em",
+                            coefficients=allen_cahn(0.5), seed=8,
+                            noise=QWienerSpec(3.0, 4.0, grid.n_interior))
+    blow_x0 = np.sin(np.pi * grid.nodes) * 2.5
+    anchors = [InitialCondition("sine", amplitude=a).build(grid) for a in (0.0, 6.0)]
+    n_samples = 1000 + n_paths
+
+    mean, se, n_blow = oracle_long_run(cfg, x0, n_paths, 3)
+    dist = oracle_coupling(cfg, x0, x0_b, 6, n_paths)
+    freqs = (oracle_blowups(blow_cfg, blow_x0, n_paths),
+             oracle_blowups(replace(blow_cfg, scheme=Scheme.GTEM), blow_x0, n_paths))
+    lyap = [oracle_lyapunov(cfg, anc, a, n_samples) for a, anc in enumerate(anchors)]
+    assert 0.0 < freqs[0] < 1.0  # some untamed paths blow up, not all
+
+    two_chunks = 2 * ORACLE_CHUNK * grid.n_interior
+    for cap, n_slices in ((parallel.MAX_SLICE_VALUES, 1), (two_chunks, -(-n_paths // 50))):
+        monkeypatch.setattr(parallel, "MAX_SLICE_VALUES", cap)
+        assert len(parallel.path_slices(n_paths, grid.n_interior)) == n_slices
+        res = long_run_moment_test(cfg, x0, n_paths, report, record_stride=3)
+        assert np.array_equal(res.steps, [0, 3, 6, 8])
+        assert np.array_equal(res.mean_l2_sq, mean)
+        assert np.array_equal(res.std_error, se)
+        assert res.n_blowups == n_blow
+        coupled = coupling_decay_test(cfg, x0, x0_b, 6, n_paths)
+        assert np.array_equal(coupled.mean_distance, dist)
+        row = em_blowup_probe(blow_cfg, [2.5], n_paths)[0]
+        assert (row.untamed_frequency, row.tamed_frequency) == freqs
+        probes = lyapunov_contraction_test(cfg, anchors, n_samples, report)
+        assert [(p.estimate, p.std_error) for p in probes] == lyap

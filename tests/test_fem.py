@@ -90,7 +90,7 @@ def test_banded_vs_dense_reference():
 
 
 def test_failed_banded_solve_raises(monkeypatch):
-    def failing_dpbtrs(fac, load):
+    def failing_dpbtrs(fac, load, **kwargs):
         return np.zeros_like(load), -1
 
     monkeypatch.setattr(engine, "_dpbtrs", failing_dpbtrs)

@@ -11,7 +11,6 @@ from tamedspde.grid import Grid1D, sine_mode
 from tamedspde.noise import (
     PathSampler,
     QWienerSpec,
-    _stream_key,
     _synth_matrix,
     _synth_rows,
     c_q_constant,
@@ -22,6 +21,7 @@ from tamedspde.schemes import InitialCondition, SchemeConfig
 
 GRID = Grid1D(64)
 SPEC = QWienerSpec(decay_exponent=3.0, scale=1.0, truncation=63)
+MASK64 = (1 << 64) - 1
 
 
 def noise_config(spec=SPEC, grid=GRID, tau=0.01, seed=0):
@@ -30,10 +30,10 @@ def noise_config(spec=SPEC, grid=GRID, tau=0.01, seed=0):
 
 
 def fresh_philox_coeffs(spec, tau, seed, path_id, step_index):
-    """The stream as the noise module defines it, from a freshly built generator."""
-    gen = np.random.Generator(
-        np.random.Philox(key=_stream_key(seed, path_id), counter=step_index << 128)
-    )
+    """The stream as the noise module defines it, from a freshly built generator:
+    key words (seed, path id) mod 2^64, counter step_index * 2^128."""
+    key = (seed & MASK64) | ((path_id & MASK64) << 64)
+    gen = np.random.Generator(np.random.Philox(key=key, counter=step_index << 128))
     return np.sqrt(spec.eigenvalues() * tau) * gen.standard_normal(spec.truncation)
 
 
@@ -48,55 +48,58 @@ def test_spec_validation():
 
 
 def test_determinism_and_scaling():
-    a = PathSampler(SPEC, 42, 3).coeffs(17, 0.01)
-    b = PathSampler(SPEC, 42, 3).coeffs(17, 0.01)
+    a = PathSampler(SPEC, 42, [3]).coeffs(17, 0.01)
+    b = PathSampler(SPEC, 42, [3]).coeffs(17, 0.01)
     assert np.array_equal(a, b)
     # with the normals fixed, coefficients and nodal values scale as sqrt(tau)
-    c = PathSampler(SPEC, 42, 3).coeffs(17, 0.0025)
+    c = PathSampler(SPEC, 42, [3]).coeffs(17, 0.0025)
     assert np.allclose(c, a / 2.0, rtol=1e-12)
     assert np.allclose(
         synthesize(c, GRID.n_cells), synthesize(a, GRID.n_cells) / 2.0,
         rtol=1e-12, atol=1e-15,
     )
     with pytest.raises(ValueError):
-        PathSampler(SPEC, 42, 3).coeffs(17, 0.0)
+        PathSampler(SPEC, 42, [3]).coeffs(17, 0.0)
 
 
 def test_sampler_matches_standalone_and_random_access():
     # re-seating one generator per step equals a fresh Philox at that counter
-    ps = PathSampler(SPEC, 42, 3)
+    ps = PathSampler(SPEC, 42, [3])
     seq = [ps.coeffs(k, 0.01) for k in range(5)]
     for k, w in enumerate(seq):
-        assert np.array_equal(w, fresh_philox_coeffs(SPEC, 0.01, 42, 3, k))
+        assert np.array_equal(w[0], fresh_philox_coeffs(SPEC, 0.01, 42, 3, k))
     # revisiting an earlier step reproduces it exactly
     assert np.array_equal(ps.coeffs(2, 0.01), seq[2])
 
 
 def test_reseat_discards_words_buffered_by_an_odd_step():
     spec = QWienerSpec(3.0, 1.0, 31)  # an odd K leaves Philox words buffered
-    ps = PathSampler(spec, 42, 3)
+    ps = PathSampler(spec, 42, [3])
     first = ps.coeffs(2, 0.01)
     ps.coeffs(9, 0.01)
     assert ps._bitgen.state["buffer_pos"] != 4
     again = ps.coeffs(2, 0.01)
     assert np.array_equal(again, first)
-    assert np.array_equal(again, fresh_philox_coeffs(spec, 0.01, 42, 3, 2))
+    assert np.array_equal(again[0], fresh_philox_coeffs(spec, 0.01, 42, 3, 2))
 
 
 def test_step_index_range():
-    ps = PathSampler(SPEC, 42, 3)
+    ps = PathSampler(SPEC, 42, [3])
     last = (1 << 64) - 1
-    assert np.array_equal(ps.coeffs(last, 0.01), fresh_philox_coeffs(SPEC, 0.01, 42, 3, last))
+    assert np.array_equal(
+        ps.coeffs(last, 0.01)[0], fresh_philox_coeffs(SPEC, 0.01, 42, 3, last)
+    )
     for bad in (-1, 1 << 64):
         with pytest.raises(ValueError, match="step_index"):
             ps.coeffs(bad, 0.01)
 
 
 def test_coeffs_fill_a_row_of_a_block_buffer():
-    # the ladder's block buffer is (steps, paths, K); one call fills one row
-    ps = PathSampler(SPEC, 42, 3)
+    # the ladder's block buffer is (steps, paths, K); one call fills one step's
+    # rows, here the one row of path 3
+    ps = PathSampler(SPEC, 42, [3])
     fine = np.zeros((4, 3, SPEC.truncation))
-    row = fine[2, 1]
+    row = fine[2, 1:2]
     assert ps.coeffs(7, 0.01, out=row) is row
     assert np.array_equal(fine[2, 1], fresh_philox_coeffs(SPEC, 0.01, 42, 3, 7))
     fine[2, 1] = 0.0
@@ -105,6 +108,40 @@ def test_coeffs_fill_a_row_of_a_block_buffer():
         ps.coeffs(7, 0.0, out=row)
     with pytest.raises(ValueError, match="tau"):
         ps.coeffs(7, -0.01, out=row)
+
+
+def test_multi_path_sampler_rows_equal_fresh_generators():
+    # ids out of order, repeated, negative and >= 2^64 (keyed mod 2^64); an
+    # odd K leaves Philox words buffered after every row, so each row after
+    # the first follows a predecessor that left words behind
+    spec = QWienerSpec(3.0, 1.0, 31)
+    ids = [7, 2, 7, -1, 1 << 64, (1 << 64) + 5, 0, MASK64]
+    ps = PathSampler(spec, 42, ids)
+    for step in (0, 11, (1 << 64) - 1):
+        rows = ps.coeffs(step, 0.01)
+        assert rows.shape == (len(ids), spec.truncation)
+        for p, row in zip(ids, rows):
+            assert np.array_equal(row, fresh_philox_coeffs(spec, 0.01, 42, p, step))
+    assert ps._bitgen.state["buffer_pos"] != 4
+    rows = ps.coeffs(11, 0.01)
+    assert np.array_equal(rows[0], rows[2])  # a repeated id draws the same row
+    assert np.array_equal(rows[3], rows[7])  # -1 and 2^64 - 1 share a key
+    assert np.array_equal(rows[4], rows[6])  # 2^64 and 0 share a key
+    assert np.array_equal(rows[5], fresh_philox_coeffs(spec, 0.01, 42, 5, 11))
+    # out= is filled in place and returned
+    block = np.zeros((3, len(ids), spec.truncation))
+    view = block[1]
+    assert ps.coeffs(11, 0.01, out=view) is view
+    assert np.array_equal(block[1], rows)
+    assert not block[0].any() and not block[2].any()
+    # the range and tau checks are those of a one-path sampler
+    for bad in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="step_index out of range"):
+            ps.coeffs(bad, 0.01)
+    for bad in (0.0, -0.01):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            ps.coeffs(3, bad)
+    assert PathSampler(spec, 42, []).coeffs(3, 0.01).shape == (0, spec.truncation)
 
 
 def test_ensemble_rows_equal_per_path_oracles():
@@ -162,7 +199,7 @@ def test_independence_across_steps():
 
 
 def test_aggregation_identity_and_variance():
-    one = PathSampler(SPEC, 5, 0).coeffs(0, 0.01)
+    one = PathSampler(SPEC, 5, [0]).coeffs(0, 0.01)[0]
     assert np.array_equal(pairwise_tree_sum_axis(one[None, None, :]), one[None, :])
 
     # variance of a 4-step aggregate ~ 4 * lambda_k * tau_fine
@@ -177,8 +214,8 @@ def test_aggregation_identity_and_variance():
 
 def test_aggregation_associativity_power_of_two():
     # the ladder aggregates a fine path by reshaping to (coarse steps, ratio, K)
-    ps = PathSampler(SPEC, 9, 1)
-    fine = np.stack([ps.coeffs(k, 0.005) for k in range(8)])
+    ps = PathSampler(SPEC, 9, [1])
+    fine = np.stack([ps.coeffs(k, 0.005)[0] for k in range(8)])
     k = SPEC.truncation
     one_shot = pairwise_tree_sum_axis(fine.reshape(1, 8, k))
     halves = pairwise_tree_sum_axis(fine.reshape(2, 4, k))
@@ -200,8 +237,8 @@ def test_coarse_path_is_prefix_of_fine_path():
     fine_spec = QWienerSpec(3.0, 1.0, 63)
     coarse_grid = Grid1D(16)
     coarse_spec = fine_spec.for_grid(coarse_grid)
-    fine = PathSampler(fine_spec, 21, 4).coeffs(8, 0.01)
-    coarse = PathSampler(coarse_spec, 21, 4).coeffs(8, 0.01)
+    fine = PathSampler(fine_spec, 21, [4]).coeffs(8, 0.01)[0]
+    coarse = PathSampler(coarse_spec, 21, [4]).coeffs(8, 0.01)[0]
     assert np.array_equal(fine[:15], coarse)
     # restricting the fine coefficients synthesizes the coarse path's values
     coarse_noise = EnsembleNoise(noise_config(coarse_spec, coarse_grid, seed=21), [4])
