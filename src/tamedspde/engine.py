@@ -7,9 +7,8 @@ advances every path in one set of array operations; a single path is a
 1-row ensemble, and a probe steps each slice of its paths
 (``parallel.path_slices``) as one ensemble.  ``EnsembleNoise`` draws every
 path's counter-based stream with one re-keyed generator
-(``noise.PathSampler``) and synthesizes the nodal increments: a product with
-the cached dense sine matrix on meshes of up to 256 cells, in slabs of
-``parallel.PATH_CHUNK`` rows, and one DST-I call on wider ones.
+(``noise.PathSampler``) and synthesizes the nodal increments in slabs of
+``parallel.PATH_CHUNK`` rows.
 
 Blow-up is detected, not raised: a row whose solution trips the overflow
 guard is frozen at its last finite state, and the failing step index is
@@ -31,7 +30,7 @@ from . import fem
 from .coefficients import eval_f, eval_g, tamed_diffusion, tamed_drift
 from .fem import mass_matvec_rows
 from .grid import Grid1D, rows_l2_sq
-from .noise import _DENSE_MAX_CELLS, PathSampler, synthesize
+from .noise import PathSampler, synthesize
 from .parallel import PATH_CHUNK
 from .schemes import OVERFLOW_GUARD, Scheme, SchemeConfig
 
@@ -91,10 +90,9 @@ def step_rows(config: SchemeConfig, values: np.ndarray, noise_values: np.ndarray
 class EnsembleNoise:
     """Per-path counter-based streams, drawn by one sampler, synthesized per step.
 
-    On the dense branch of ``synthesize`` the rows are synthesized in slabs
-    of ``PATH_CHUNK``: OpenBLAS picks its kernel by row count, so a path's
-    nodal values could otherwise depend on the size of its ensemble.  DST-I
-    treats every row on its own and takes all rows in one call.
+    The rows are synthesized in slabs of ``PATH_CHUNK``: on the dense branch
+    of ``synthesize`` OpenBLAS picks its kernel by row count, so a path's
+    nodal values could otherwise depend on the size of its ensemble.
     """
 
     def __init__(self, config: SchemeConfig, path_ids: Sequence[int]):
@@ -107,13 +105,10 @@ class EnsembleNoise:
 
     def value_rows(self, step_index: int) -> np.ndarray:
         coeffs = self.coeff_rows(step_index)
-        if self.n_cells > _DENSE_MAX_CELLS or len(coeffs) <= PATH_CHUNK:
-            return synthesize(coeffs, self.n_cells)
-        values = np.empty((len(coeffs), self.n_cells - 1))
-        for a in range(0, len(coeffs), PATH_CHUNK):
-            slab = slice(a, a + PATH_CHUNK)
-            values[slab] = synthesize(coeffs[slab], self.n_cells)
-        return values
+        return np.concatenate([
+            synthesize(coeffs[a:a + PATH_CHUNK], self.n_cells)
+            for a in range(0, len(coeffs), PATH_CHUNK)
+        ])
 
 
 class BatchChains:

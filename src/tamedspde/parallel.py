@@ -6,7 +6,7 @@ stepped as one lockstep ensemble (``path_slices``), or a chunk of a strong-
 error ladder's paths (``path_chunks``).  Both depend only on the path count
 and the mesh, and results are combined in item order, so every output is
 byte-identical at any parallelism level.  ``PATH_CHUNK`` is also the number
-of rows per dense noise synthesis call, whose bits can depend on it.
+of rows per noise synthesis call, whose bits can depend on it.
 """
 
 from __future__ import annotations
@@ -14,8 +14,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-PATH_CHUNK = 25  # paths per ladder chunk and rows per dense synthesis call
-MAX_SLICE_VALUES = 1 << 20  # state values per slice (8 MB), above one chunk
+PATH_CHUNK = 25  # paths per ladder chunk and rows per synthesis call
+# State values per slice, above one chunk.  Peak RSS grows by about nine
+# state-sized arrays per slice; the coupling probe at 4096 cells x 1000 paths
+# peaked 65 MB higher at 2^20 (250-row slices) than here (25-row slices), at
+# the same speed.
+MAX_SLICE_VALUES = 1 << 17
 
 
 def worker_count() -> int:

@@ -339,3 +339,32 @@ def test_probes_match_chunked_oracle(monkeypatch, n_cells, n_paths, workers):
         assert (row.untamed_frequency, row.tamed_frequency) == freqs
         probes = lyapunov_contraction_test(cfg, anchors, n_samples, report)
         assert [(p.estimate, p.std_error) for p in probes] == lyap
+
+
+@pytest.mark.parametrize("n_cells", [32, 256])
+def test_ergodic_rows_match_chunked_oracle(monkeypatch, n_cells):
+    # The ergodic test steps all its initial conditions as one ensemble; each
+    # state must equal, bit for bit, its row stepped in 25-row chunks, so it
+    # does not depend on how many initial conditions share the run.  A spy
+    # observable sees the states: a last-bit change in a few nodes seldom
+    # reaches a time average.
+    seen = []
+    monkeypatch.setitem(OBSERVABLE_ROWS, "spy",
+                        lambda v, cfg: seen.append(v) or np.ones(len(v)))
+    grid, noise, _ = certified_setup(n_cells)
+    cfg = SchemeConfig(tau=2.0**-6, grid=grid, horizon=16 * 2.0**-6, scheme="gtem",
+                       coefficients=AC, noise=noise, seed=29)
+    x0s = np.stack([InitialCondition("sine", amplitude=a).build(grid).values
+                    for a in np.linspace(0.0, 6.0, 60)])
+    ergodic_limit_test(cfg, ("spy",), [GridFunction(grid, x) for x in x0s],
+                       burn_in_steps=4)
+    chunk_states = []
+    for ids in chunked(len(x0s)):
+        chains = BatchChains(cfg, x0s[ids.start:ids.stop])
+        states = []
+        chains.run(EnsembleNoise(cfg, ids), cfg.n_steps,
+                   record=lambda s, v: states.append(v))
+        chunk_states.append(states)
+    assert len(seen) == cfg.n_steps + 1
+    for v, step in zip(seen, zip(*chunk_states)):
+        assert np.array_equal(v, np.vstack(step))

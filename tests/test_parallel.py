@@ -1,6 +1,12 @@
 import pytest
 
-from tamedspde.parallel import MAX_SLICE_VALUES, PATH_CHUNK, path_slices, worker_count
+from tamedspde.parallel import (
+    MAX_SLICE_VALUES,
+    PATH_CHUNK,
+    path_chunks,
+    path_slices,
+    worker_count,
+)
 
 
 @pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5"])
@@ -25,13 +31,13 @@ def test_worker_count_defaults_to_one(monkeypatch):
 def test_small_meshes_take_every_path_in_one_slice(n_paths):
     for n_cells in (32, 64, 256):
         assert path_slices(n_paths, n_cells - 1) == [(0, n_paths)]
-    assert path_slices(100 * n_paths, 31) == [(0, 100 * n_paths)]  # up to 10^4 paths
+    assert path_slices(40 * n_paths, 31) == [(0, 40 * n_paths)]  # up to 4000 paths
 
 
 def test_wide_mesh_slices_are_capped_and_chunk_aligned():
-    n_nodes = 4095  # 4096 cells
-    slices = path_slices(1000, n_nodes)
-    assert slices == [(0, 250), (250, 500), (500, 750), (750, 1000)]
+    assert path_slices(300, 1023) == [(0, 125), (125, 250), (250, 300)]  # 1024 cells
+    n_nodes = 4095  # 4096 cells: a slice is one chunk
+    assert path_slices(1000, n_nodes) == path_chunks(1000)
     for start, stop in path_slices(1010, n_nodes):
         assert start % PATH_CHUNK == 0
         assert (stop - start) * n_nodes <= MAX_SLICE_VALUES
