@@ -540,7 +540,10 @@ def _run_strong_rate(cfg: ConfigReader, out: Path, seed: int) -> list:
             for r in table.rows
         ],
     )
-    fit = convergence.fit_rate(table)
+    try:
+        fit = convergence.fit_rate(table)
+    except convergence.RateFitError as exc:  # the ladder ran; its errors are the finding
+        return [CheckResult("strong-rate-fit", False, str(exc))]
     _write_plot_data(out / "strong_error_plot.csv", table.x_values(),
                      [r.rms_sup_error for r in table.rows], fit)
     write_csv(

@@ -337,12 +337,40 @@ class InfeasibleAssumptions(ValueError):
         self.report = report
 
 
-def _edge_trend_ok(margin: np.ndarray, xi: np.ndarray) -> bool:
-    """True if the certifying margin is not deteriorating at the scan edges."""
+def _edge_trend_ok(margin_of, xi: np.ndarray):
+    """(ok, left, right): ``ok`` is True if the certifying margin is not
+    deteriorating at the scan edges; ``left``/``right`` are the margins on the
+    first and last ``tail`` points of the scan."""
     tail = max(8, len(xi) // 100)
-    left = margin[:tail]
-    right = margin[-tail:]
-    return bool(left[0] >= left[-1] - 1e-12 and right[-1] >= right[0] - 1e-12)
+    left = margin_of(xi[:tail])
+    right = margin_of(xi[-tail:])
+    return bool(left[0] >= left[-1] - 1e-12 and right[-1] >= right[0] - 1e-12), left, right
+
+
+# Points per tile of the assumption scan: every array the scan builds, but
+# the scan grid itself, holds one tile, not the whole scan.
+_SCAN_TILE = 1 << 14
+
+
+class _ScanMax:
+    """np.max, and the first-occurrence np.argmax, of a scan fed tile by tile."""
+
+    def __init__(self):
+        self._maxima, self._args = [], []
+
+    def add(self, values: np.ndarray, start: int = 0) -> None:
+        """Take one tile's values; ``start`` is the scan index of its first
+        point (the argmax is a scan index only for unmasked values).  A tile
+        masked down to nothing is skipped."""
+        if values.size:
+            self._maxima.append(np.max(values))
+            self._args.append(start + int(np.argmax(values)))
+
+    def max(self) -> float:
+        return float(np.max(self._maxima))
+
+    def argmax(self) -> int:
+        return self._args[int(np.argmax(self._maxima))]
 
 
 def default_alpha(q: int) -> float:
@@ -375,89 +403,108 @@ def check_assumptions(
         scan_points += 1  # keep 0 on the grid
 
     xi = np.linspace(-scan_radius, scan_radius, scan_points)
+    tiles = [(a, xi[a:a + _SCAN_TILE]) for a in range(0, len(xi), _SCAN_TILE)]
     q = spec.q
     c_q = c_q_constant(noise_spec)
-    fv = eval_f(spec, xi)
-    gv = eval_g(spec, xi)
-    fpv = eval_f_prime(spec, xi)
+    lead_combo = spec.drift_leading + spec.diffusion_leading**2 * c_q
+    coercive_decay = (1.0 - _PAD) * abs(lead_combo) if lead_combo < 0 else None
+    tau_grid = np.concatenate([np.logspace(-4, 0, 17), [1e-6]])
     violations = []
 
+    # First pass: every maximum that needs no scan-fitted constant.
+    ratio, lhs0, phi, fp, deriv, sd_ratio = (_ScanMax() for _ in range(6))
+    tamed = [_ScanMax() for _ in tau_grid]
+    for a, x in tiles:
+        fv = eval_f(spec, x)
+        fpv = eval_f_prime(spec, x)
+        outer = np.abs(x) >= 1.0
+        ratio.add(np.abs(fv[outer]) / _abs_pow(x, q + 1)[outer])
+        lhs = x * fv + c_q * eval_g(spec, x) ** 2
+        if coercive_decay is None:
+            lhs0.add(lhs, a)
+        else:
+            phi.add(lhs + coercive_decay * _abs_pow(x, q + 2), a)
+        fp.add(fpv, a)
+        deriv.add(np.abs(fpv) / (1.0 + _abs_pow(x, q)))
+        if q >= 1:
+            sd_ratio.add(np.abs(eval_f_second(spec, x)[outer]) / _abs_pow(x, q - 1)[outer])
+        for acc, tau in zip(tamed, tau_grid):
+            acc.add(eval_f_tau_prime(spec, float(tau), x))
+
+    # Second pass: the offsets fitted after their scales.
+    growth_scale = (1.0 + _PAD) * max(ratio.max(), abs(spec.drift_leading), 1e-12)
+    second_scale = (1.0 + _PAD) * max(sd_ratio.max(), 1e-12) if q >= 1 else None
+    resid, second_resid = _ScanMax(), _ScanMax()
+    for a, x in tiles:
+        resid.add(np.abs(eval_f(spec, x)) - growth_scale * _abs_pow(x, q + 1))
+        if q >= 1:
+            second_resid.add(
+                np.abs(eval_f_second(spec, x)) - second_scale * _abs_pow(x, q - 1)
+            )
+
     # --- growth: |f| <= L3 + L4 |x|^{q+1}
-    pow_q1 = _abs_pow(xi, q + 1)
-    outer = np.abs(xi) >= 1.0
-    ratio_sup = float(np.max(np.abs(fv[outer]) / pow_q1[outer]))
-    growth_scale = (1.0 + _PAD) * max(ratio_sup, abs(spec.drift_leading), 1e-12)
-    resid = np.abs(fv) - growth_scale * pow_q1
-    growth_offset = (1.0 + _PAD) * max(float(np.max(resid)), 1e-12)
-    margin = growth_offset + growth_scale * pow_q1 - np.abs(fv)
-    if not _edge_trend_ok(margin, xi):
-        w = xi[0] if margin[0] < margin[-1] else xi[-1]
+    growth_offset = (1.0 + _PAD) * max(resid.max(), 1e-12)
+    ok, left, right = _edge_trend_ok(
+        lambda x: growth_offset + growth_scale * _abs_pow(x, q + 1) - np.abs(eval_f(spec, x)),
+        xi,
+    )
+    if not ok:
+        w = xi[0] if left[0] < right[-1] else xi[-1]
         violations.append(
             Violation("f-grow", float(w), "growth bound margin degrades at scan edge")
         )
         growth_offset = growth_scale = None
 
     # --- coercivity: x f + C_Q g^2 <= L1 - L2 |x|^{q+2}
-    lead_combo = spec.drift_leading + spec.diffusion_leading**2 * c_q
-    coercive_offset = coercive_decay = None
-    lhs0 = xi * fv + c_q * gv**2
-    if lead_combo >= 0:
-        w = xi[int(np.argmax(lhs0))]
+    coercive_offset = None
+    if coercive_decay is None:
         violations.append(
             Violation(
                 "coe",
-                float(w),
+                float(xi[lhs0.argmax()]),
                 f"leading coefficient a_{q+1} + c_{q//2+1}^2 C_Q = {lead_combo:g} >= 0",
             )
         )
     else:
-        coercive_decay = (1.0 - _PAD) * abs(lead_combo)
-        phi = lhs0 + coercive_decay * _abs_pow(xi, q + 2)
-        coercive_offset = (1.0 + _PAD) * max(float(np.max(phi)), 1e-12)
-        margin = coercive_offset - phi
-        imax = int(np.argmax(phi))
-        if abs(xi[imax]) > 0.95 * scan_radius or not _edge_trend_ok(margin, xi):
+        coercive_offset = (1.0 + _PAD) * max(phi.max(), 1e-12)
+        imax = phi.argmax()
+
+        def coercive_margin(x):
+            lhs = x * eval_f(spec, x) + c_q * eval_g(spec, x) ** 2
+            return coercive_offset - (lhs + coercive_decay * _abs_pow(x, q + 2))
+
+        if abs(xi[imax]) > 0.95 * scan_radius or not _edge_trend_ok(coercive_margin, xi)[0]:
             violations.append(
                 Violation("coe", float(xi[imax]), "coercivity margin degrades at scan edge")
             )
             coercive_offset = coercive_decay = None
 
     # --- one-sided Lipschitz: f' <= K
-    one_sided = (1.0 + _PAD) * max(float(np.max(fpv)), 1e-12)
-    imax = int(np.argmax(fpv))
-    if abs(xi[imax]) > 0.95 * scan_radius and not _edge_trend_ok(one_sided - fpv, xi):
+    one_sided = (1.0 + _PAD) * max(fp.max(), 1e-12)
+    imax = fp.argmax()
+    if abs(xi[imax]) > 0.95 * scan_radius and not _edge_trend_ok(
+        lambda x: one_sided - eval_f_prime(spec, x), xi
+    )[0]:
         violations.append(
             Violation(
                 "f-mon",
                 float(xi[imax]),
-                f"f' = {fpv[imax]:g} still increasing at the scan edge",
+                f"f' = {fp.max():g} still increasing at the scan edge",
             )
         )
         one_sided = None
 
     # --- derivative growth: |f'| <= K (1 + |x|^q); ratio is bounded for
     # polynomial data, padding covers the tail.
-    deriv_growth = (1.0 + _PAD) * max(
-        float(np.max(np.abs(fpv) / (1.0 + _abs_pow(xi, q)))), 1e-12
-    )
+    deriv_growth = (1.0 + _PAD) * max(deriv.max(), 1e-12)
 
     # --- second derivative: |f''| <= a + b |x|^{q-1} (needs q >= 1)
-    if q >= 1:
-        fsv = eval_f_second(spec, xi)
-        pow_qm1 = _abs_pow(xi, q - 1)
-        sd_ratio = float(np.max(np.abs(fsv[outer]) / pow_qm1[outer]))
-        second_scale = (1.0 + _PAD) * max(sd_ratio, 1e-12)
-        second_offset = (1.0 + _PAD) * max(
-            float(np.max(np.abs(fsv) - second_scale * pow_qm1)), 1e-12
-        )
-    else:
-        second_offset = second_scale = None
+    second_offset = (1.0 + _PAD) * max(second_resid.max(), 1e-12) if q >= 1 else None
 
     # --- tamed derivative cap: sup over tau in (0, 1], x of f_tau'
-    tau_grid = np.concatenate([np.logspace(-4, 0, 17), [1e-6]])
     cap = -np.inf
-    for tau in tau_grid:
-        cap = max(cap, float(np.max(eval_f_tau_prime(spec, float(tau), xi))))
+    for acc in tamed:
+        cap = max(cap, acc.max())
     tamed_cap = (1.0 + _PAD) * max(cap, 1e-12)
 
     # --- Lyapunov constants and the certified step ceiling, with beta = L2/2

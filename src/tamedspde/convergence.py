@@ -75,6 +75,10 @@ class RateFit:
 MIN_FIT_POINTS = 4  # a rate fit needs at least this many positive errors
 
 
+class RateFitError(ValueError):
+    """Too few positive errors for a rate fit: a finding, not a bad input."""
+
+
 def fit_line(x: np.ndarray, y: np.ndarray):
     """(slope, intercept, R^2) of the least-squares line through (x, y)."""
     slope, intercept = np.polyfit(x, y, 1)
@@ -93,7 +97,7 @@ def fit_rate_xy(x: Sequence[float], y: Sequence[float]) -> RateFit:
     n_excluded = int((~keep).sum())
     x, y = x[keep], y[keep]
     if len(x) < MIN_FIT_POINTS:
-        raise ValueError(
+        raise RateFitError(
             f"need >= {MIN_FIT_POINTS} positive points for a rate fit, got {len(x)}"
         )
     slope, intercept, r2 = fit_line(np.log(x), np.log(y))

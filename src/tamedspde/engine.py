@@ -158,12 +158,17 @@ class BatchChains:
         """Advance ``n_steps`` steps, calling ``record(step, states)`` at strides.
 
         Records step 0, every multiple of ``record_stride`` and the last step.
+        Once every row is frozen, no noise is drawn and no step is taken: the
+        frozen states are recorded as they are.
         """
         if record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {record_stride}")
         if record is not None:
             record(0, self.states)
         for n in range(1, n_steps + 1):
-            self.advance(noise.value_rows(n - 1))
+            if self._n_blown < self.n_paths:
+                self.advance(noise.value_rows(n - 1))
+            else:
+                self.step_index += 1
             if record is not None and (n % record_stride == 0 or n == n_steps):
                 record(n, self.states)

@@ -257,10 +257,14 @@ def coupling_decay_test(
 
 # Vectorized observables over (paths, nodes) state matrices.
 def _rows_mode1(v: np.ndarray, grid) -> np.ndarray:
-    """First coefficient of ``grid.sine_transform`` per row, as one dot product."""
+    """First coefficient of ``grid.sine_transform`` per row, as a row-wise sum.
+
+    Not a BLAS product: BLAS picks its kernel by row count, so a row's bits
+    would depend on the size of its ensemble.
+    """
     w = np.sqrt(2.0) * np.sin(np.pi * grid.nodes) / grid.n_cells
     scale = math.sqrt((2.0 + math.cos(math.pi * grid.h)) / 3.0)
-    return (v @ w) * scale
+    return (v * w).sum(axis=-1) * scale
 
 
 OBSERVABLE_ROWS = {

@@ -17,9 +17,10 @@ concurrently, truncating to fewer modes gives a prefix of the same draws,
 and summing increments over coarser steps reproduces exactly the same
 Brownian path — the properties the coupled convergence ladders rely on.  An ensemble keeps one generator and
 re-keys it for each of its paths at each step by assigning a prebuilt state,
-never reading it (see ``PathSampler``): on numpy 2.4.6 and a 2-vCPU x86
-host, a 31-mode draw costs about 1.5 us, against 3.5 us when the state was
-read, edited and written back.
+never reading it, and writes the ensemble's block with one concatenate
+(see ``PathSampler``): on numpy 2.4.6 and a 2-vCPU x86 host, a 100-row block
+of 31-mode draws costs about 1.2 us a row, against 1.6 us with each row
+drawn in place.
 
 ``synthesize`` turns rows of coefficients into nodal values: on meshes of up
 to 256 cells by a product with the cached dense sine matrix, on wider ones
@@ -123,6 +124,11 @@ def synthesize(coeffs: np.ndarray, n_cells: int) -> np.ndarray:
     return scipy.fft.dst(coeffs, type=1, n=n_cells - 1, axis=-1) * (np.sqrt(2.0) / 2.0)
 
 
+# Widest rows that ``PathSampler`` draws into fresh arrays and concatenates:
+# near 1024 modes the copy costs about what numpy's out= path does.
+_CONCAT_MAX_MODES = 1023
+
+
 class PathSampler:
     """Sampler for a list of paths: one Philox generator, re-keyed per row.
 
@@ -135,8 +141,17 @@ class PathSampler:
     by the previous row included: the assignment empties the buffer.
     Measured on numpy 2.4.6 (2-vCPU x86 host), the assignment costs 0.33 us;
     reading the state alone costs 1.2 us (a fresh dict of arrays), and
-    reading, editing and writing it back 2.1 us.  Drawing 31 normals costs
-    1.25 us, and building a sampler about 20 us.
+    reading, editing and writing it back 2.1 us.  Building a sampler costs
+    about 20 us.
+
+    Rows of up to ``_CONCAT_MAX_MODES`` modes are drawn into fresh arrays
+    and one ``np.concatenate`` writes the block, since numpy's ``out=`` path
+    costs more per call than the allocating one; wider rows are drawn in
+    place, where the copy costs more than the out= path.  Per ``coeffs`` call (1 BLAS
+    thread, same host), 100 rows at K = 31 took 122 us concatenated against
+    156 us in place, and 2 rows at K = 255 6.6 us either way; 2 rows at
+    K = 4095 took 81 against 79 us, and concatenating them slowed the
+    4096-cell ladder benchmark by about 2%.
     """
 
     def __init__(self, spec: QWienerSpec, seed: int, path_ids: Sequence[int]):
@@ -163,7 +178,8 @@ class PathSampler:
         """sqrt(lambda_k tau) zeta_k for one step, one row per path id.
 
         ``out``, if given, must be a C-contiguous float64 array of shape
-        (len(path_ids), truncation); it is filled and returned.
+        (len(path_ids), truncation), such as one step's rows of a larger
+        block; it is filled in place and returned.
         """
         if not 0 <= step_index < 1 << 64:
             raise ValueError(f"step_index out of range: {step_index}")
@@ -174,13 +190,25 @@ class PathSampler:
         n_modes = self.spec.truncation
         if out is None:
             out = np.empty((len(self._key_words), n_modes))
+        elif not (out.flags.c_contiguous and out.dtype == np.float64):
+            # reshape(-1) must be a view, and concatenate must not cast
+            raise ValueError("out must be a C-contiguous float64 array")
         self._counter[2] = step_index
         key, state, bitgen = self._key, self._state, self._bitgen
         normal = self._gen.standard_normal
-        for word, row in zip(self._key_words, out):
-            key[1] = word
-            bitgen.state = state
-            normal(n_modes, out=row)
+        if n_modes > _CONCAT_MAX_MODES:
+            for word, row in zip(self._key_words, out):
+                key[1] = word
+                bitgen.state = state
+                normal(n_modes, out=row)
+        else:
+            rows = []
+            for word in self._key_words:
+                key[1] = word
+                bitgen.state = state
+                rows.append(normal(n_modes))
+            if rows:
+                np.concatenate(rows, out=out.reshape(-1))
         out *= self._scale_cache[1]
         return out
 

@@ -354,6 +354,50 @@ max_slope = 4.0
     assert main(["run", str(cfg)]) == 1
 
 
+def test_strong_rate_with_no_positive_error_is_a_failed_check(tmp_path, capsys):
+    # zero diffusion from zero initial data: every path stays at 0, every error is 0
+    out = tmp_path / "zero_out"
+    cfg = write(tmp_path / "zero.ini", f"""
+[experiment]
+kind = strong-rate
+seed = 31
+output_dir = {out}
+
+[grid]
+n_cells = 16
+
+[scheme]
+kind = drift_gtem
+tau = 0.001953125
+horizon = 0.0625
+
+[initial]
+kind = sine
+amplitude = 0.0
+
+[coefficients]
+preset = allen-cahn
+g0 = 0.0
+
+[monte_carlo]
+paths = 2
+
+[ladder]
+axis = tau
+taus = 0.03125, 0.015625, 0.0078125, 0.00390625
+min_slope = 0.8
+""")
+    assert main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err == ""
+    table = (out / "strong_error_table.csv").read_text().splitlines()
+    assert len(table) == 5 and all(",0.0," in row for row in table[1:])
+    verdict = (out / "verdict.txt").read_text().splitlines()
+    assert verdict == [
+        "FAIL strong-rate-fit: need >= 4 positive points for a rate fit, got 0",
+        "overall: FAIL",
+    ]
+
+
 def test_coupling_ergodic_blowup_kinds(tmp_path):
     common = """
 [grid]

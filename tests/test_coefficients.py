@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from tamedspde import coefficients
 from tamedspde.coefficients import (
     CoefficientSpec,
     DiffusionKind,
@@ -192,6 +195,28 @@ def test_presets_all_pass_with_default_noise():
     for name, (factory, _desc, (decay, scale)) in PRESETS.items():
         rep = check_assumptions(factory(), QWienerSpec(decay, scale, 255))
         assert rep.feasible, name
+
+
+SCAN_CASES = [
+    *((name, factory(), QWienerSpec(decay, scale, 255), 200_001)
+      for name, (factory, _desc, (decay, scale)) in PRESETS.items()),
+    ("lipschitz-sqrt", lipschitz_sqrt_g(), NOISE, 200_001),
+    ("infeasible", CoefficientSpec(drift=(0.0, 0.0, 0.0, 1.0), diffusion=(1.0,), q=2,
+                                   variant="drift_only"), NOISE, 200_001),
+    ("odd-scan", allen_cahn(0.5), NOISE, 123_457),
+]
+
+
+@pytest.mark.parametrize("name, spec, noise, points", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
+def test_tiled_scan_equals_a_whole_array_scan(monkeypatch, name, spec, noise, points):
+    assert points % coefficients._SCAN_TILE != 0
+    tiled = check_assumptions(spec, noise, scan_points=points)
+    monkeypatch.setattr(coefficients, "_SCAN_TILE", points)  # one tile: the whole scan
+    whole = check_assumptions(spec, noise, scan_points=points)
+    assert tiled.feasible == (name != "infeasible")
+    for field in dataclasses.fields(tiled):
+        # repr round-trips every float, NaN included
+        assert repr(getattr(tiled, field.name)) == repr(getattr(whole, field.name)), field.name
 
 
 def test_scan_parameters_validated():

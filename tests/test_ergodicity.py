@@ -224,6 +224,24 @@ def test_mode1_observable_matches_sine_transform():
         assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
 
 
+def test_time_averages_do_not_depend_on_the_ensemble_size():
+    # the first 25 rows share one synthesis slab in both runs, so their states
+    # are bitwise equal; every observable must keep that, mode1 included (as a
+    # BLAS product over the ensemble it changed the 25th average here)
+    cfg = ac_config(horizon=16 * 2.0**-6, seed=29)
+    x0s = [InitialCondition("sine", amplitude=a / 10.0).build(GRID) for a in range(60)]
+    names = tuple(OBSERVABLE_ROWS)
+    big = ergodic_limit_test(cfg, names, x0s, burn_in_steps=0)
+    small = ergodic_limit_test(cfg, names, x0s[:25], burn_in_steps=0)
+    for b, s in zip(big, small):
+        assert b.observable == s.observable
+        assert np.array_equal(b.time_averages[:25], s.time_averages), b.observable
+    rows = np.random.default_rng(5).standard_normal((20, 60, GRID.n_interior))
+    for v in rows:
+        for fn in OBSERVABLE_ROWS.values():
+            assert np.array_equal(fn(v, cfg)[:25], fn(v[:25], cfg))
+
+
 # ---------------------------------------------------------------------------
 # Slices of one lockstep ensemble against 25-row chunks
 # ---------------------------------------------------------------------------

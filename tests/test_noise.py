@@ -110,6 +110,34 @@ def test_coeffs_fill_a_row_of_a_block_buffer():
         ps.coeffs(7, -0.01, out=row)
 
 
+@pytest.mark.parametrize("n_modes", [63, noise_mod._CONCAT_MAX_MODES, 2047])
+def test_coeffs_fill_a_step_block_of_the_ladder_buffer(n_modes):
+    # the ladder's fine[i]: one step's (paths, K) rows inside a (steps, paths, K)
+    # block, on both sides of the widest concatenated row
+    spec = QWienerSpec(3.0, 1.0, n_modes)
+    ids = [4, 9, 2]
+    ps = PathSampler(spec, 42, ids)
+    fine = np.zeros((3, len(ids), n_modes))
+    assert ps.coeffs(5, 0.01, out=fine[1]).base is fine
+    for p, row in zip(ids, fine[1]):
+        assert np.array_equal(row, fresh_philox_coeffs(spec, 0.01, 42, p, 5))
+    assert not fine[0].any() and not fine[2].any()
+    assert np.array_equal(ps.coeffs(5, 0.01), fine[1])
+
+
+@pytest.mark.parametrize("n_modes", [63, 2047])
+def test_coeffs_rejects_an_out_that_is_not_c_contiguous_float64(n_modes):
+    ps = PathSampler(QWienerSpec(3.0, 1.0, n_modes), 42, [1, 2])
+    out = np.zeros((n_modes, 2)).T  # the right shape, F-ordered
+    with pytest.raises(ValueError, match="C-contiguous"):
+        ps.coeffs(3, 0.01, out=out)
+    assert not out.any()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        ps.coeffs(3, 0.01, out=np.zeros((2, 2 * n_modes))[:, ::2])
+    with pytest.raises(ValueError, match="float64"):
+        ps.coeffs(3, 0.01, out=np.zeros((2, n_modes), dtype=np.float32))
+
+
 def test_multi_path_sampler_rows_equal_fresh_generators():
     # ids out of order, repeated, negative and >= 2^64 (keyed mod 2^64); an
     # odd K leaves Philox words buffered after every row, so each row after

@@ -145,6 +145,41 @@ def test_blowup_flag_is_sticky_and_state_frozen():
         assert np.all(np.isfinite(frozen))
 
 
+def test_run_stops_stepping_once_every_row_is_frozen(monkeypatch):
+    # criterion 6's setup: every untamed row blows up within a few steps
+    grid = Grid1D(64)
+    cfg = SchemeConfig(tau=0.5, grid=grid, horizon=50.0, scheme="untamed_em",
+                       coefficients=allen_cahn(0.5), noise=QWienerSpec(3.0, 1.0, 63),
+                       seed=20250809)
+    x0 = np.tile(np.sin(np.pi * grid.nodes) * 5.0, (100, 1))
+    oracle, noise = BatchChains(cfg, x0), EnsembleNoise(cfg, range(100))
+    for n in range(cfg.n_steps):
+        oracle.advance(noise.value_rows(n))
+    assert oracle.blown.all()
+    last = int(oracle.blowup_step.max())
+    assert last < cfg.n_steps
+
+    drawn, records = [], []
+    value_rows = EnsembleNoise.value_rows
+
+    def spy(self, step_index):
+        drawn.append(step_index)
+        return value_rows(self, step_index)
+
+    monkeypatch.setattr(EnsembleNoise, "value_rows", spy)
+    chains = BatchChains(cfg, x0)
+    chains.run(EnsembleNoise(cfg, range(100)), cfg.n_steps, 7,
+               lambda n, v: records.append((n, v.copy())))
+    assert drawn == list(range(last))  # step n draws step n - 1's noise
+    assert chains.step_index == oracle.step_index == cfg.n_steps
+    assert np.array_equal(chains.blowup_step, oracle.blowup_step)
+    assert np.array_equal(chains.states, oracle.states)
+    assert [n for n, _ in records] == list(range(0, cfg.n_steps, 7)) + [cfg.n_steps]
+    for n, v in records:
+        if n >= last:
+            assert np.array_equal(v, oracle.states)
+
+
 def test_lyapunov_functional():
     g = Grid1D(256)
     assert rows_lyapunov(zeros(g).values, g.h, 0.1) == 0.0
