@@ -66,6 +66,8 @@ class CoefficientSpec:
         object.__setattr__(self, "diffusion", tuple(float(c) for c in self.diffusion))
         object.__setattr__(self, "variant", TamingVariant(self.variant))
         object.__setattr__(self, "diffusion_kind", DiffusionKind(self.diffusion_kind))
+        if not self.drift or not self.diffusion:
+            raise ValueError("drift and diffusion each need at least one coefficient")
         if self.q < 0 or self.q % 2 != 0:
             raise ValueError(f"q must be a nonnegative even integer, got {self.q}")
         if len(self.drift) > self.q + 2:

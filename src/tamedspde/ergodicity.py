@@ -26,13 +26,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import fem
 from .coefficients import AssumptionReport, CoefficientSpec, eval_g
 from .convergence import fit_line
 from .engine import BatchChains, EnsembleNoise
 from .grid import (
     GridFunction,
-    mass_weights,
     rows_h1_sq,
     rows_l2_sq,
     rows_lp,
@@ -378,37 +376,6 @@ def _batch_means_se(mat: np.ndarray, n_blocks: int = 10) -> np.ndarray:
     cut = n - n % n_blocks
     blocks = mat[:, :cut].reshape(mat.shape[0], n_blocks, -1).mean(axis=2)
     return blocks.std(axis=1, ddof=1) / math.sqrt(n_blocks)
-
-
-def linear_stationary_l2_sq(config: SchemeConfig) -> float:
-    """Closed-form stationary E||x||^2 for a linear drift and constant g.
-
-    For f(x) = a1 x the scheme diagonalizes in the sine basis: each mode is a
-    scalar AR(1) recursion whose stationary variance follows from the
-    resolvent factor and the (possibly tamed) drift multiplier.
-    """
-    spec = config.coefficients
-    if len(spec.drift) > 2 or spec.drift[0] != 0.0:
-        raise ValueError("closed form requires f(x) = a1 * x")
-    if not spec.g_is_constant:
-        raise ValueError("closed form requires constant g")
-    a1 = spec.drift[1] if len(spec.drift) == 2 else 0.0
-    tau = config.tau
-    if config.scheme in (Scheme.GTEM, Scheme.DRIFT_GTEM):
-        a_eff = a1 / math.sqrt(1.0 + tau)  # q = 0 taming divides by sqrt(1 + tau)
-    else:
-        a_eff = a1
-    g0 = spec.diffusion[0]
-    n_modes = config.noise.truncation
-    lam_q = config.noise.eigenvalues()
-    mass_w = mass_weights(config.grid)[:n_modes]
-    lam_h = fem.dispersion_eigenvalue(config.grid, np.arange(1, n_modes + 1))
-    gain = 1.0 + tau * lam_h
-    drift_mult = 1.0 + tau * a_eff
-    var = g0**2 * lam_q * tau / (gain**2 - drift_mult**2)
-    if np.any(var <= 0):
-        raise ValueError("mode recursion is not contractive; no stationary law")
-    return float(np.sum(mass_w * var))
 
 
 # ---------------------------------------------------------------------------

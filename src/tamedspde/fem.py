@@ -5,10 +5,11 @@ matrix K (rows 1/h * [-1, 2, -1]) for the interior nodes of a ``Grid1D``,
 with the banded Cholesky factor of (M + tau*K) cached per step size.  The
 resolvent S = (M + tau*K)^{-1} M is nonexpansive in the mass norm, which is
 what makes the schemes unconditionally stable in the linear part.
-``mass_matvec_rows`` is the one P1 mass product: the stepping core
-(``tamedspde.engine.resolvent_rows``) applies it to rows of states, and the
-reference operators the operator suite checks against closed forms,
-``apply_resolvent_power`` and ``eigen_smallest``, to single vectors.
+``mass_matvec_rows`` is the one P1 mass product.  The one banded solve is
+``tamedspde.engine.resolvent_rows``, which every driver steps with and the
+semigroup ladder iterates.  ``eigen_smallest`` (inverse iteration) and
+``dispersion_eigenvalue`` (closed form) are the reference eigenvalues that
+the operator suite compares.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpbtrs as _dpbtrs
 
-from .grid import Grid1D, GridFunction
+from .grid import Grid1D
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,12 +37,6 @@ class FemOperators:
     stiff_diag: np.ndarray = field(repr=False)
     stiff_off: np.ndarray = field(repr=False)
     _factors: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def mass_dense(self) -> np.ndarray:
-        return _tri_dense(self.mass_diag, self.mass_off)
-
-    def stiff_dense(self) -> np.ndarray:
-        return _tri_dense(self.stiff_diag, self.stiff_off)
 
     def _cholesky(self, tau: float):
         """Banded Cholesky factor of (M + tau*K), cached per tau."""
@@ -69,10 +63,6 @@ def mass_matvec_rows(ops: FemOperators, v: np.ndarray) -> np.ndarray:
     return _tri_matvec(ops.mass_diag, ops.mass_off, v)
 
 
-def _tri_dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-
-
 def assemble(grid: Grid1D) -> FemOperators:
     """Assemble the exact P1 mass and stiffness matrices on a uniform grid."""
     n = grid.n_interior
@@ -84,21 +74,6 @@ def assemble(grid: Grid1D) -> FemOperators:
         stiff_diag=np.full(n, 2.0 / h),
         stiff_off=np.full(n - 1, -1.0 / h),
     )
-
-
-def apply_resolvent_power(
-    ops: FemOperators, tau: float, u: GridFunction, k: int
-) -> GridFunction:
-    """k repeated resolvent steps; nonexpansive in the mass norm."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    z = u.values.copy()
-    fac = ops._cholesky(tau)
-    for _ in range(k):
-        z, info = _dpbtrs(fac, mass_matvec_rows(ops, z))
-        if info != 0:
-            raise RuntimeError(f"banded triangular solve failed (info={info})")
-    return GridFunction(ops.grid, z)
 
 
 def eigen_smallest(ops: FemOperators, tol: float = 1e-10, max_iter: int = 200) -> float:

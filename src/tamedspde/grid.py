@@ -3,14 +3,14 @@
 The domain is the unit interval (0, 1) with homogeneous Dirichlet boundary
 conditions.  A ``GridFunction`` stores the interior nodal values of a
 continuous piecewise-linear function; boundary values are identically zero.
-Norms provided (the L2, H1 and L^p norms and the Lyapunov functional are
-defined once, as ``rows_*`` over (paths, nodes) matrices; the scalar forms
-are 1-row views on a ``GridFunction``):
+Norms provided, each defined once over the rows of a (paths, nodes) matrix:
 
-- ``l2_norm``:       L2 norm of the interpolant, via the P1 mass matrix.
-- ``h1_seminorm``:   exact L2 norm of the interpolant's gradient (stiffness).
-- ``lp_norm``:       L^p norm by composite trapezoid quadrature at the nodes.
+- ``rows_l2_sq``:    squared L2 norm of the interpolant, via the P1 mass matrix.
+- ``rows_h1_sq``:    squared L2 norm of the interpolant's gradient (stiffness).
+- ``rows_lp``:       L^p norm by composite trapezoid quadrature at the nodes.
 - ``rows_lyapunov``: the Lyapunov functional ||Z||^2 + 2 tau ||grad Z||^2.
+
+``l2_norm`` is the scalar L2 norm of one ``GridFunction``, a 1-row view.
 
 The spectral decomposition (``sine_transform``) uses the continuum Dirichlet
 eigenbasis e_k(x) = sqrt(2) sin(k pi x) sampled at the nodes.  Coefficients
@@ -79,15 +79,11 @@ class GridFunction:
         object.__setattr__(self, "values", _readonly(vals))
 
 
-def zeros(grid: Grid1D) -> GridFunction:
-    return GridFunction(grid, np.zeros(grid.n_interior))
-
-
-def sine_mode(grid: Grid1D, k: int, amplitude: float = 1.0) -> GridFunction:
-    """Interpolant of amplitude * sqrt(2) sin(k pi x)."""
+def sine_mode(grid: Grid1D, k: int) -> GridFunction:
+    """Interpolant of the eigenfunction e_k(x) = sqrt(2) sin(k pi x)."""
     if not 1 <= k <= grid.n_interior:
         raise ValueError(f"mode k must be in [1, {grid.n_interior}], got {k}")
-    return GridFunction(grid, amplitude * np.sqrt(2.0) * np.sin(k * np.pi * grid.nodes))
+    return GridFunction(grid, np.sqrt(2.0) * np.sin(k * np.pi * grid.nodes))
 
 
 def mass_weights(grid: Grid1D) -> np.ndarray:
@@ -96,7 +92,7 @@ def mass_weights(grid: Grid1D) -> np.ndarray:
     return (2.0 + np.cos(k * np.pi * grid.h)) / 3.0
 
 
-# --- norms over (paths, nodes) matrices; the scalar norms are 1-row views ---
+# --- norms over (paths, nodes) matrices; l2_norm is a 1-row view ---
 
 
 def rows_l2_sq(v: np.ndarray, h: float) -> np.ndarray:
@@ -127,22 +123,6 @@ def rows_lyapunov(v: np.ndarray, h: float, tau: float) -> np.ndarray:
 def l2_norm(u: GridFunction) -> float:
     """(u^T M u)^(1/2): the exact L2 norm of the piecewise-linear interpolant."""
     return float(np.sqrt(max(rows_l2_sq(u.values, u.grid.h), 0.0)))
-
-
-def h1_seminorm(u: GridFunction) -> float:
-    """(u^T K u)^(1/2): the exact L2 norm of the interpolant's gradient."""
-    return float(np.sqrt(max(rows_h1_sq(u.values, u.grid.h), 0.0)))
-
-
-def lp_norm(u: GridFunction, p: float) -> float:
-    """L^p norm by composite trapezoid quadrature at the nodes; p = inf gives max|.|.
-
-    Exact for p = 1 on piecewise-linear |u| away from sign changes; O(h^2)
-    quadrature error otherwise.
-    """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    return float(rows_lp(u.values, u.grid.h, p))
 
 
 def sine_transform(u: GridFunction) -> np.ndarray:

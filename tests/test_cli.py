@@ -149,18 +149,8 @@ scale = 1e-30
         assert abs(float(cells[i_l2]) - expected) <= 1e-8
 
 
-def test_failed_banded_solve_exits_numerical_failure(tmp_path, capsys, monkeypatch):
-    def failing_dpbtrs(fac, load, **kwargs):
-        return np.zeros_like(load), -1
-
-    monkeypatch.setattr(engine, "_dpbtrs", failing_dpbtrs)
-    out = tmp_path / "sim"
-    cfg = write(tmp_path / "sim.ini", f"""
-[experiment]
-kind = simulate
-seed = 1
-output_dir = {out}
-
+SOLVING_CONFIGS = {
+    "simulate": """
 [grid]
 n_cells = 16
 
@@ -171,7 +161,29 @@ horizon = 0.5
 
 [coefficients]
 preset = allen-cahn
-""")
+""",
+    "semigroup-rate": """
+[ladder]
+axis = h
+n_cells = 8, 16, 32, 64
+""",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SOLVING_CONFIGS))
+def test_failed_banded_solve_exits_numerical_failure(tmp_path, capsys, monkeypatch, kind):
+    """Every kind that solves goes through the stepping core's one banded solve."""
+    def failing_dpbtrs(fac, load, **kwargs):
+        return np.zeros_like(load), -1
+
+    monkeypatch.setattr(engine, "_dpbtrs", failing_dpbtrs)
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "solve.ini", f"""
+[experiment]
+kind = {kind}
+seed = 1
+output_dir = {out}
+""" + SOLVING_CONFIGS[kind])
     assert main(["run", str(cfg)]) == EXIT_NUMERICAL_FAILURE == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and "info=-1" in err
@@ -268,6 +280,76 @@ axis = {axis}
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: [ladder]") and key in err, err
+    assert not (out / "verdict.txt").exists()
+
+
+ALLEN_CAHN = "[coefficients]\npreset = allen-cahn"
+
+# case -> (kind, the sections holding the empty list and the coefficients)
+EMPTY_LIST_CONFIGS = {
+    "lyapunov-amplitudes": ("lyapunov", f"[lyapunov]\namplitudes =\n{ALLEN_CAHN}"),
+    "blowup-amplitudes": ("blowup", f"[blowup]\namplitudes =\n{ALLEN_CAHN}"),
+    "ergodic-observables": ("ergodic", f"[ergodic]\nobservables =\n{ALLEN_CAHN}"),
+    "coefficients-drift": ("simulate", "[coefficients]\ndrift =\ndiffusion = 1\nq = 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_LIST_CONFIGS))
+def test_empty_list_field_is_a_config_error(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(engine.BatchChains, "advance", fail_if_called)
+    kind, sections = EMPTY_LIST_CONFIGS[case]
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "empty.ini", f"""
+[experiment]
+kind = {kind}
+seed = 3
+output_dir = {out}
+
+[grid]
+n_cells = 16
+
+[scheme]
+kind = gtem
+tau = 0.015625
+horizon = 0.0625
+
+[monte_carlo]
+paths = 2
+
+{sections}
+""")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "is empty" in err, err
+    assert not (out / "verdict.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "cells, mode, message",
+    [
+        ("8, 16, 32, 64", 8, "[ladder] mode = 8 must be <= 7"),  # aliases on 8 cells
+        ("1, 16, 32, 64", 1, "[ladder] n_cells = 1 must be >= 2"),
+    ],
+)
+def test_semigroup_ladder_the_coarsest_mesh_cannot_carry_is_rejected(
+    tmp_path, capsys, monkeypatch, cells, mode, message
+):
+    monkeypatch.setattr(convergence, "semigroup_error", fail_if_called)
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "mode.ini", f"""
+[experiment]
+kind = semigroup-rate
+seed = 1
+output_dir = {out}
+
+[ladder]
+axis = h
+n_cells = {cells}
+mode = {mode}
+""")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}"), err
     assert not (out / "verdict.txt").exists()
 
 

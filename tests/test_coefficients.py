@@ -234,6 +234,9 @@ def test_spec_validation():
         CoefficientSpec(drift=(0.0, 0.0, 0.0, 1.0), diffusion=(0.0, 0.0, 0.1), q=2)
     with pytest.raises(ValueError):
         CoefficientSpec(drift=(0.0, 1.0, 0.0, -1.0, 0.0, 1.0), diffusion=(1.0,), q=2)
+    for drift, diffusion in (((), (1.0,)), ((0.0, 1.0), ())):
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            CoefficientSpec(drift=drift, diffusion=diffusion, q=0, variant="drift_only")
     spec = lipschitz_sqrt_g(0.2)
     assert spec.diffusion_kind is DiffusionKind.SQRT_QUADRATIC
     assert np.isclose(eval_g(spec, 3.0), 0.2 * np.sqrt(10.0), rtol=1e-14)

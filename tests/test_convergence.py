@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from tamedspde.convergence import (
     strong_error_ladder,
 )
 from tamedspde.engine import BatchChains
+from tamedspde.fem import dispersion_eigenvalue
 from tamedspde.grid import Grid1D, rows_l2_sq
 from tamedspde.noise import (
     PathSampler,
@@ -194,18 +197,26 @@ def test_ladder_tables_identical_across_worker_counts(monkeypatch):
     assert tables[0].rows[0].n_paths == 30
 
 
-def test_semigroup_error_zero_probe():
-    assert semigroup_error(16, 0.25, amplitude=0.0) == 0.0
+def test_semigroup_error_matches_mode_decay():
+    # e_1 is a discrete eigenvector, so k resolvent steps scale its interpolant
+    # by (1 + tau lam_h)^-k; the rest of the error is interpolation, O(h^2)
+    lam = dispersion_eigenvalue(Grid1D(16))
+    decay_gap = abs((1.0 + 0.25 * lam) ** -4 - math.exp(-math.pi**2))
+    assert abs(semigroup_error(16, 0.25) / decay_gap - 1.0) <= 0.01
     with pytest.raises(ValueError):
         semigroup_error(16, 0.3, t=1.0)  # t not a multiple of tau
+    with pytest.raises(ValueError):
+        semigroup_error(16, 0.25, mode=16)  # no such mode on 15 interior nodes
 
 
 def test_semigroup_rates():
     cells = [8, 16, 32, 64, 128]
-    _, fit_h = semigroup_error_test(cells, [1.0 / nc**2 for nc in cells], axis="h")
+    xs, _, fit_h = semigroup_error_test(cells, [1.0 / nc**2 for nc in cells], axis="h")
+    assert xs == [1.0 / nc for nc in cells]
     assert abs(fit_h.slope - 2.0) <= 0.1
     taus = [2.0**-k for k in range(8, 13)]
-    _, fit_t = semigroup_error_test([256] * 5, taus, axis="tau")
+    xs, _, fit_t = semigroup_error_test([256] * 5, taus, axis="tau")
+    assert xs == taus
     assert abs(fit_t.slope - 1.0) <= 0.1
     with pytest.raises(ValueError):
         semigroup_error_test([8, 16], [0.1], axis="h")

@@ -20,7 +20,6 @@ from tamedspde.ergodicity import (
     coupling_decay_test,
     em_blowup_probe,
     ergodic_limit_test,
-    linear_stationary_l2_sq,
     long_run_moment_test,
     lyapunov_contraction_test,
     nondegeneracy_precheck,
@@ -29,10 +28,10 @@ from tamedspde.fem import dispersion_eigenvalue
 from tamedspde.grid import (
     Grid1D,
     GridFunction,
+    mass_weights,
     rows_l2_sq,
     rows_lyapunov,
     sine_transform,
-    zeros,
 )
 from tamedspde.noise import QWienerSpec
 from tamedspde.schemes import InitialCondition, Scheme, SchemeConfig
@@ -41,6 +40,40 @@ GRID = Grid1D(32)
 NOISE = QWienerSpec(3.0, 1.0, 31)
 AC = allen_cahn(1.0)
 AC_REPORT = check_assumptions(AC, NOISE)
+
+
+ZERO = InitialCondition("zero").build(GRID)
+
+
+def linear_stationary_l2_sq(config: SchemeConfig) -> float:
+    """Closed-form stationary E||x||^2 for a linear drift and constant g.
+
+    For f(x) = a1 x the scheme diagonalizes in the sine basis: each mode is a
+    scalar AR(1) recursion whose stationary variance follows from the
+    resolvent factor and the (possibly tamed) drift multiplier.
+    """
+    spec = config.coefficients
+    if len(spec.drift) > 2 or spec.drift[0] != 0.0:
+        raise ValueError("closed form requires f(x) = a1 * x")
+    if not spec.g_is_constant:
+        raise ValueError("closed form requires constant g")
+    a1 = spec.drift[1] if len(spec.drift) == 2 else 0.0
+    tau = config.tau
+    if config.scheme in (Scheme.GTEM, Scheme.DRIFT_GTEM):
+        a_eff = a1 / math.sqrt(1.0 + tau)  # q = 0 taming divides by sqrt(1 + tau)
+    else:
+        a_eff = a1
+    g0 = spec.diffusion[0]
+    n_modes = config.noise.truncation
+    lam_q = config.noise.eigenvalues()
+    mass_w = mass_weights(config.grid)[:n_modes]
+    lam_h = dispersion_eigenvalue(config.grid, np.arange(1, n_modes + 1))
+    gain = 1.0 + tau * lam_h
+    drift_mult = 1.0 + tau * a_eff
+    var = g0**2 * lam_q * tau / (gain**2 - drift_mult**2)
+    if np.any(var <= 0):
+        raise ValueError("mode recursion is not contractive; no stationary law")
+    return float(np.sum(mass_w * var))
 
 
 def ac_config(tau=2.0**-6, horizon=1.0, scheme="gtem", seed=17):
@@ -64,7 +97,7 @@ def test_lyapunov_zero_anchor_and_ladder():
 
 def test_lyapunov_refuses_uncertified_tau():
     cfg = ac_config(tau=0.125, horizon=1.0)  # tau_max ~ 0.0216
-    anchors = [zeros(GRID)]
+    anchors = [ZERO]
     with pytest.raises(StepSizeNotCertified) as err:
         lyapunov_contraction_test(cfg, anchors, 2000, AC_REPORT)
     assert err.value.report.tau_max is not None
@@ -79,7 +112,7 @@ def test_long_run_moment_envelope():
     # the chain forgets amplitude-10 data: final mean well below the start
     assert res.mean_l2_sq[-1] < res.mean_l2_sq[0] / 2.0
     # zero start stays below the stationary part of the envelope
-    res0 = long_run_moment_test(cfg, zeros(GRID), n_paths=20, report=report,
+    res0 = long_run_moment_test(cfg, ZERO, n_paths=20, report=report,
                                 record_stride=64)
     k1, k2 = report.lyap_contraction, report.lyap_source
     assert np.all(res0.mean_l2_sq <= k2 / k1 + 3.0 * res0.std_error)
@@ -120,7 +153,7 @@ def test_coupling_linear_case_exact_slope():
 def test_coupling_allen_cahn_contracts():
     cfg = SchemeConfig(tau=2.0**-6, grid=GRID, horizon=1.0, scheme="drift_gtem",
                        coefficients=AC, noise=NOISE, seed=6)
-    x0a = zeros(GRID)
+    x0a = ZERO
     x0b = InitialCondition("sine", amplitude=5.0).build(GRID)
     res = coupling_decay_test(cfg, x0a, x0b, n_steps=150, n_paths=20)
     assert res.slope is not None and res.slope < 0
@@ -141,7 +174,7 @@ def test_ergodic_limit_linear_oracle():
     tau = 2.0**-6
     cfg = SchemeConfig(tau=tau, grid=GRID, horizon=tau * 2**17, scheme="drift_gtem",
                        coefficients=linear_ou(), noise=NOISE, seed=23)
-    x0s = [zeros(GRID), InitialCondition("sine", amplitude=3.0).build(GRID)]
+    x0s = [ZERO, InitialCondition("sine", amplitude=3.0).build(GRID)]
     ests = ergodic_limit_test(cfg, ("l2_sq", "one"), x0s,
                               burn_in_steps=2**14, record_stride=4)
     by_name = {e.observable: e for e in ests}
@@ -155,7 +188,7 @@ def test_ergodic_limit_linear_oracle():
 
 def test_ergodic_limit_invariant_to_seed_and_burn_in():
     tau = 2.0**-6
-    x0s = [zeros(GRID), InitialCondition("sine", amplitude=2.0).build(GRID)]
+    x0s = [ZERO, InitialCondition("sine", amplitude=2.0).build(GRID)]
 
     def run(seed, burn):
         cfg = SchemeConfig(tau=tau, grid=GRID, horizon=tau * 2**16,
@@ -176,10 +209,10 @@ def test_ergodic_limit_invariant_to_seed_and_burn_in():
 def test_ergodic_limit_short_horizon_widens_ci():
     cfg = SchemeConfig(tau=2.0**-6, grid=GRID, horizon=2.0, scheme="drift_gtem",
                        coefficients=linear_ou(), noise=NOISE, seed=24)
-    ests = ergodic_limit_test(cfg, ("l2_sq",), [zeros(GRID)], burn_in_steps=16)
+    ests = ergodic_limit_test(cfg, ("l2_sq",), [ZERO], burn_in_steps=16)
     assert ests[0].widened_ci  # horizon far too short for the 5% tolerance
     with pytest.raises(ValueError):
-        ergodic_limit_test(cfg, ("l2_sq",), [zeros(GRID)],
+        ergodic_limit_test(cfg, ("l2_sq",), [ZERO],
                            burn_in_steps=cfg.n_steps + 1)
 
 
@@ -189,7 +222,7 @@ def test_ergodic_limit_rejects_degenerate_g():
     cfg = SchemeConfig(tau=0.125, grid=GRID, horizon=8.0, scheme="drift_gtem",
                        coefficients=vanishing, noise=NOISE)
     with pytest.raises(ValueError, match="nondegeneracy"):
-        ergodic_limit_test(cfg, ("l2_sq",), [zeros(GRID)], burn_in_steps=4)
+        ergodic_limit_test(cfg, ("l2_sq",), [ZERO], burn_in_steps=4)
 
 
 def test_blowup_probe_contrast():

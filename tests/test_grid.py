@@ -4,15 +4,20 @@ import pytest
 from tamedspde.grid import (
     Grid1D,
     GridFunction,
-    h1_seminorm,
     l2_norm,
-    lp_norm,
     mass_weights,
+    rows_h1_sq,
+    rows_lp,
     sine_mode,
     sine_transform,
-    zeros,
 )
 from tamedspde.noise import synthesize
+from tamedspde.schemes import InitialCondition
+
+
+def h1_seminorm(u):
+    """The exact L2 norm of the interpolant's gradient, from ``rows_h1_sq``."""
+    return float(np.sqrt(rows_h1_sq(u.values, u.grid.h)))
 
 
 def random_function(grid, rng, scale=1.0):
@@ -31,7 +36,7 @@ def test_grid_validation():
 
 def test_l2_norm_zero_and_homogeneity():
     g = Grid1D(32)
-    assert l2_norm(zeros(g)) == 0.0
+    assert l2_norm(InitialCondition("zero").build(g)) == 0.0
     rng = np.random.default_rng(1)
     u = random_function(g, rng)
     assert np.isclose(l2_norm(GridFunction(g, -3.0 * u.values)), 3.0 * l2_norm(u), rtol=1e-13)
@@ -53,23 +58,20 @@ def test_h1_seminorm_sine_and_hat():
     hat = GridFunction(g, np.array([0.0, 1.0, 0.0]))
     # piecewise-linear gradient integral: two elements of slope +-1/h
     assert np.isclose(h1_seminorm(hat), np.sqrt(2.0 / g.h), rtol=1e-14)
-    assert h1_seminorm(zeros(g)) == 0.0
+    assert h1_seminorm(InitialCondition("zero").build(g)) == 0.0
 
 
 def test_lp_norms():
     g = Grid1D(256)
-    assert lp_norm(zeros(g), 3.0) == 0.0
-    ones = GridFunction(g, np.ones(g.n_interior))
-    assert lp_norm(ones, np.inf) == 1.0
-    u = GridFunction(g, np.sin(np.pi * g.nodes))
-    assert abs(lp_norm(u, 4.0) - (3.0 / 8.0) ** 0.25) <= 1e-3  # integral(sin^4) = 3/8
-    with pytest.raises(ValueError):
-        lp_norm(u, 0.5)
+    assert rows_lp(InitialCondition("zero").build(g).values, g.h, 3.0) == 0.0
+    assert rows_lp(np.ones(g.n_interior), g.h, np.inf) == 1.0
+    u = np.sin(np.pi * g.nodes)
+    assert abs(rows_lp(u, g.h, 4.0) - (3.0 / 8.0) ** 0.25) <= 1e-3  # integral(sin^4) = 3/8
 
 
 def test_sine_transform_orthogonality_and_roundtrip():
     g = Grid1D(128)
-    assert np.all(sine_transform(zeros(g)) == 0.0)
+    assert np.all(sine_transform(InitialCondition("zero").build(g)) == 0.0)
     c = sine_transform(sine_mode(g, 3))
     others = np.delete(np.abs(c), 2)
     assert np.all(others <= 1e-8 * abs(c[2]))
@@ -92,7 +94,13 @@ def test_parseval():
 
 
 @pytest.mark.parametrize(
-    "norm", [l2_norm, h1_seminorm, lambda u: lp_norm(u, 3.0), lambda u: lp_norm(u, np.inf)]
+    "norm",
+    [
+        l2_norm,
+        h1_seminorm,
+        lambda u: rows_lp(u.values, u.grid.h, 3.0),
+        lambda u: rows_lp(u.values, u.grid.h, np.inf),
+    ],
 )
 def test_norm_homogeneity_and_triangle(norm):
     rng = np.random.default_rng(5)

@@ -10,7 +10,6 @@ from tamedspde.grid import (
     rows_l2_sq,
     rows_lyapunov,
     sine_mode,
-    zeros,
 )
 from tamedspde.noise import QWienerSpec
 from tamedspde.schemes import InitialCondition, SchemeConfig
@@ -72,7 +71,7 @@ def test_heat_decay_matches_resolvent_powers():
 def test_zero_is_fixed_point_on_zero_noise_path():
     cfg = SchemeConfig(tau=0.1, grid=Grid1D(32), horizon=1.0, scheme="gtem",
                        coefficients=allen_cahn(1.0), noise=QWienerSpec(3.0, 1.0, 31))
-    chains = BatchChains(cfg, zeros(cfg.grid).values)
+    chains = BatchChains(cfg, InitialCondition("zero").build(cfg.grid).values)
     for _ in range(10):
         chains.advance(np.zeros((1, cfg.grid.n_interior)))
         assert np.all(chains.states == 0.0)  # f(0) = 0, g dampened by zero noise
@@ -182,7 +181,7 @@ def test_run_stops_stepping_once_every_row_is_frozen(monkeypatch):
 
 def test_lyapunov_functional():
     g = Grid1D(256)
-    assert rows_lyapunov(zeros(g).values, g.h, 0.1) == 0.0
+    assert rows_lyapunov(InitialCondition("zero").build(g).values, g.h, 0.1) == 0.0
     u = sine_mode(g, 1).values
     assert abs(rows_lyapunov(u, g.h, 0.1) - (1.0 + 0.2 * np.pi**2)) <= 0.02
     rng = np.random.default_rng(8)
