@@ -192,8 +192,11 @@ def _polyval(coeffs: tuple, x):
     """In-place Horner from the leading coefficient of an ascending tuple
     (for finite x, the same bits as a start from zero)."""
     x = np.asarray(x, dtype=np.float64)
-    y = np.full_like(x, coeffs[-1])
-    for a in coeffs[-2::-1]:
+    if len(coeffs) == 1:
+        return np.full_like(x, coeffs[0])[()]
+    y = x * coeffs[-1]  # the first Horner product, in a fresh array
+    y += coeffs[-2]
+    for a in coeffs[-3::-1]:
         y *= x
         y += a
     return y[()]  # a numpy scalar for scalar x

@@ -5,11 +5,12 @@ error of a coarse discretization is measured against the same scheme run at
 a much finer resolution on the *same* Brownian path.  A chunk of paths
 advances the reference and every ladder member in lockstep, one row per path,
 streaming the fine noise in blocks of lcm(ratios) reference steps: each
-block's fine increments are drawn once, summed over coarse steps (exact
-aggregation of the Wiener path), truncated to the coarse grid's own modes,
-and the fine reference is restricted to coarse nodes (exact for nested
-meshes).  Memory is O(chunk x block x modes), whatever the horizon.  The
-reported error per ladder point is
+block's fine increments are drawn once, summed over coarse steps level by
+level (exact aggregation of the Wiener path), truncated to the coarse grid's
+own modes, and the fine reference is restricted to coarse nodes (exact for
+nested meshes); each member takes one error reduction per block.  Memory is
+O(chunk x block x modes), whatever the horizon, and a block past
+``MAX_BLOCK_VALUES`` is rejected.  The reported error per ladder point is
 
     RMS over paths of  max over the coarse time grid of  ||Z_coarse - R Z_ref||_{L2},
 
@@ -33,7 +34,7 @@ from . import fem
 from .engine import BatchChains, resolvent_rows
 from .grid import Grid1D, rows_l2_sq, sine_mode
 from .noise import PathSampler, pairwise_tree_sum_axis, synthesize
-from .parallel import parallel_map, path_chunks
+from .parallel import PATH_CHUNK, parallel_map, path_chunks
 from .schemes import InitialCondition, SchemeConfig
 
 
@@ -73,6 +74,8 @@ class RateFit:
 
 
 MIN_FIT_POINTS = 4  # a rate fit needs at least this many positive errors
+SEMIGROUP_MIN_AMPLITUDE = 1e-8  # a smaller exact amplitude leaves only rounding error
+MAX_BLOCK_VALUES = 2**26  # float64 values one chunk's ladder block may hold (512 MB)
 
 
 class RateFitError(ValueError):
@@ -194,10 +197,10 @@ def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_i
 
     The reference and every member advance the chunk's paths as rows of one
     ``BatchChains`` each, a block of lcm(ratios) reference steps at a time.
-    Each block's fine coefficients are drawn once, step-major; a member
-    aggregates its steps from them with the pairwise tree and keeps its mode
-    prefix.  The reference keeps its states only at multiples of
-    gcd(ratios), the points where some member compares against it.
+    A member sums its steps with the pairwise tree from the sums of the
+    coarsest power-of-two ratio dividing its own, else from the fine draws
+    (the tree composes over power-of-two groups bit for bit).  The reference
+    keeps its states at multiples of gcd(ratios), where members compare.
     """
     tau, n_cells = reference.tau, reference.grid.n_cells
     block = math.lcm(*(m.ratio for m in members))
@@ -224,26 +227,47 @@ def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_i
             ref.advance(values[i])
             if (i + 1) % stride == 0:
                 kept[(i + 1) // stride - 1] = ref.states
-        for j, (m, run) in enumerate(zip(members, runs)):
-            grid = m.config.grid
-            coeffs = fine[..., : m.config.noise.truncation]  # the mode prefix
+        sums = {1: fine}  # this block's increments summed at power-of-two ratios
+        for j in sorted(range(len(members)), key=lambda j: members[j].ratio):
+            m, run, grid = members[j], runs[j], members[j].config.grid
+            base = max(r for r in sums if m.ratio % r == 0)
+            coeffs = sums[base][..., : m.config.noise.truncation]  # the mode prefix
             k_c = coeffs.shape[-1]
-            if m.ratio > 1:
+            if m.ratio > base:
                 coeffs = pairwise_tree_sum_axis(
-                    coeffs.reshape(block // m.ratio, m.ratio, n, k_c)
+                    coeffs.reshape(block // m.ratio, m.ratio // base, n, k_c)
                 )
+                if m.ratio & (m.ratio - 1) == 0:
+                    sums[m.ratio] = coeffs
             member_values = synthesize(coeffs.reshape(-1, k_c), grid.n_cells)
-            member_values = member_values.reshape(block // m.ratio, n, -1)
-            for s in range(block // m.ratio):
-                run.advance(member_values[s])
-                at = kept[(s + 1) * m.ratio // stride - 1][:, m.restrict]
-                np.maximum(
-                    worst[:, j], rows_l2_sq(run.states - at, grid.h), out=worst[:, j]
-                )
+            trail = []  # advance replaces ``states``: each step's array is kept as is
+            for step_values in member_values.reshape(block // m.ratio, n, -1):
+                run.advance(step_values)
+                trail.append(run.states)
+            states = np.stack(trail) if len(trail) > 1 else trail[0][None]
+            at = kept[m.ratio // stride - 1 :: m.ratio // stride][..., m.restrict]
+            err = rows_l2_sq(states - at, grid.h).max(axis=0)
+            np.maximum(worst[:, j], err, out=worst[:, j])
     blown = ref.blown.copy()
     for run in runs:
         blown |= run.blown
     return worst, blown
+
+
+def _check_block_memory(reference: SchemeConfig, members, n_rows: int) -> None:
+    """Reject a ladder whose block buffers (fine draws, their synthesis, kept
+    reference states, member sums, values and states) pass the cap."""
+    ratios = [m.ratio for m in members]
+    block, stride = math.lcm(*ratios), math.gcd(*ratios)
+    k_ref, n_ref = reference.noise.truncation, reference.grid.n_interior
+    per_row = block * (k_ref + n_ref) + block // stride * n_ref + sum(
+        block // m.ratio * (k_ref + 2 * m.config.grid.n_interior) for m in members
+    )
+    if per_row * n_rows > MAX_BLOCK_VALUES:
+        raise ValueError(
+            f"a ladder block of {block} reference steps needs {per_row * n_rows} "
+            f"float64 values per path chunk, over the cap of {MAX_BLOCK_VALUES}"
+        )
 
 
 def strong_error_ladder(
@@ -263,6 +287,7 @@ def strong_error_ladder(
     All members of one path ride the same fine Brownian increments.
     """
     axis, members = _ladder_members(reference, coarse_taus, coarse_n_cells)
+    _check_block_memory(reference, members, min(n_paths, PATH_CHUNK))
 
     def one_chunk(rng):
         return _ladder_chunk(reference, x0, members, range(rng[0], rng[1]))
@@ -341,9 +366,16 @@ def semigroup_error_test(
     """(x axis, errors, log-log fit) along a (grid, tau) ladder.
 
     The x axis is each point's h on an "h" ladder and its tau on a "tau" one.
+    An exact amplitude below ``SEMIGROUP_MIN_AMPLITUDE`` is rejected first.
     """
     if len(n_cells_list) != len(taus):
         raise ValueError("n_cells_list and taus must have equal length")
+    amplitude = math.sqrt(2.0) * math.exp(-((mode * math.pi) ** 2) * t)
+    if amplitude < SEMIGROUP_MIN_AMPLITUDE:
+        raise ValueError(
+            f"exact amplitude {amplitude:.3g} at mode {mode}, t = {t} is below "
+            f"{SEMIGROUP_MIN_AMPLITUDE:g}: the errors would be rounding error"
+        )
     if axis == "h":
         xs = [1.0 / nc for nc in n_cells_list]
     elif axis == "tau":

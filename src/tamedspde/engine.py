@@ -15,7 +15,9 @@ guard is frozen at its last finite state, and the failing step index is
 recorded, which is what the untamed baseline's blow-up statistics measure.
 Only this post-solve guard is needed: ``dpbtrs`` solves each row's column
 on its own, so a non-finite right-hand side gives a non-finite solution in
-its own row, flagged at the same step, and leaves the other rows alone.
+its own row, flagged at the same step, and leaves the other rows alone.  The
+guard tests the whole block's max and min first; only a block that fails
+that test takes the per-row sup and mass-norm rule.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrs as _dpbtrs
 
 from . import fem
-from .coefficients import eval_f, eval_g, tamed_diffusion, tamed_drift
+from .coefficients import DiffusionKind, eval_f, eval_g, tamed_diffusion, tamed_drift
 from .fem import mass_matvec_rows
 from .grid import Grid1D, rows_l2_sq
 from .noise import PathSampler, synthesize
@@ -42,15 +44,17 @@ def _operators(grid: Grid1D) -> fem.FemOperators:
 
 def drift_diffusion_rows(config: SchemeConfig, values: np.ndarray):
     """Scheme-dependent (f*, g*); both tamings share one x**2, and tau was
-    validated by ``SchemeConfig``.  Shape-agnostic (rows or a vector)."""
+    validated by ``SchemeConfig``.  Shape-agnostic (rows or a vector); an
+    untamed one-coefficient g comes back as the float c0, which broadcasts."""
     spec, tau = config.coefficients, config.tau
-    if config.scheme is Scheme.UNTAMED_EM:
-        return eval_f(spec, values), eval_g(spec, values)
-    x2 = values**2
-    f = tamed_drift(spec, tau, values, x2)
     if config.scheme is Scheme.GTEM:
-        return f, tamed_diffusion(spec, tau, values, x2)
-    return f, eval_g(spec, values)
+        x2 = values**2
+        return tamed_drift(spec, tau, values, x2), tamed_diffusion(spec, tau, values, x2)
+    constant = spec.diffusion_kind is DiffusionKind.POLYNOMIAL and len(spec.diffusion) == 1
+    g = spec.diffusion[0] if constant else eval_g(spec, values)
+    if config.scheme is Scheme.UNTAMED_EM:
+        return eval_f(spec, values), g
+    return tamed_drift(spec, tau, values, values**2), g
 
 
 def resolvent_rows(ops: fem.FemOperators, tau: float, v: np.ndarray) -> np.ndarray:
@@ -72,18 +76,19 @@ def step_rows(config: SchemeConfig, values: np.ndarray, noise_values: np.ndarray
     is meaningless and the caller keeps the previous state instead.
     """
     tau = config.tau
-    rhs, g_dw = drift_diffusion_rows(config, values)
-    # values + tau f* + g* dW, in the order of that sum, in the fresh arrays
+    rhs, g = drift_diffusion_rows(config, values)
+    # values + tau f* + g* dW, in the order of that sum, in the fresh f* array
     rhs *= tau
     rhs += values
-    g_dw *= noise_values
-    rhs += g_dw
+    rhs += g * noise_values
     z = resolvent_rows(_operators(config.grid), tau, rhs)
+    # One test of the whole block first; a NaN fails both comparisons.
+    if z.size == 0 or (z.max() <= OVERFLOW_GUARD and z.min() >= -OVERFLOW_GUARD):
+        return z, np.zeros(len(z), dtype=bool)
     blown = ~(np.abs(z).max(axis=-1) <= OVERFLOW_GUARD)  # NaN rows too
-    if blown.any():
-        # The sup norm bounds the L2 norm on (0, 1), so only these rows need
-        # the mass-norm decision; a non-finite row has a non-finite norm.
-        blown[blown] = ~(rows_l2_sq(z[blown], config.grid.h) <= OVERFLOW_GUARD**2)
+    # The sup norm bounds the L2 norm on (0, 1), so only these rows need the
+    # mass-norm decision; a non-finite row has a non-finite norm.
+    blown[blown] = ~(rows_l2_sq(z[blown], config.grid.h) <= OVERFLOW_GUARD**2)
     return z, blown
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tamedspde import convergence, engine
+from tamedspde import convergence, engine, noise
 from tamedspde.cli import EXIT_NUMERICAL_FAILURE, main
 from tamedspde.fem import dispersion_eigenvalue
 from tamedspde.grid import Grid1D
@@ -329,6 +329,10 @@ paths = 2
     [
         ("8, 16, 32, 64", 8, "[ladder] mode = 8 must be <= 7"),  # aliases on 8 cells
         ("1, 16, 32, 64", 1, "[ladder] n_cells = 1 must be >= 2"),
+        pytest.param(  # sqrt(2) exp(-4 pi^2) at t = 1: the errors would be rounding
+            "8, 16, 32, 64", 2, "exact amplitude 1.01e-17 at mode 2, t = 1.0 is below 1e-08",
+            id="mode-2-decayed-to-rounding",
+        ),
     ],
 )
 def test_semigroup_ladder_the_coarsest_mesh_cannot_carry_is_rejected(
@@ -350,6 +354,46 @@ mode = {mode}
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}"), err
+    assert not (out / "verdict.txt").exists()
+
+
+def test_ladder_block_past_the_memory_cap_is_rejected_before_any_draw(
+    tmp_path, capsys, monkeypatch
+):
+    # Coarse steps of 7, 9, 11 and 13 reference steps stream in blocks of
+    # lcm = 9009 steps: about 460 MB per block array at 256 cells.
+    monkeypatch.setattr(noise.PathSampler, "coeffs", fail_if_called)
+    monkeypatch.setattr(engine.BatchChains, "advance", fail_if_called)
+    out = tmp_path / "out"
+    taus = ", ".join(repr(r / 9009) for r in (7, 9, 11, 13))
+    cfg = write(tmp_path / "block.ini", f"""
+[experiment]
+kind = strong-rate
+seed = 5
+output_dir = {out}
+
+[grid]
+n_cells = 256
+
+[scheme]
+kind = drift_gtem
+tau = {1 / 9009!r}
+horizon = 1.0
+
+[coefficients]
+preset = allen-cahn
+
+[monte_carlo]
+paths = 25
+
+[ladder]
+axis = tau
+taus = {taus}
+""")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: a ladder block of 9009 reference steps"), err
+    assert f"over the cap of {convergence.MAX_BLOCK_VALUES}" in err, err
     assert not (out / "verdict.txt").exists()
 
 

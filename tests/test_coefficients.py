@@ -254,12 +254,13 @@ ENGINE_SPECS = [
     for variant in ("both_a", "both_b", "drift_only")
     for kind, diffusion in [(DiffusionKind.POLYNOMIAL, poly_g),
                             (DiffusionKind.SQRT_QUADRATIC, (0.2,))]
-]
+] + [allen_cahn(1.0, 0.3)]  # constant g: an untamed g comes back as a float
 
 
 @pytest.mark.parametrize(
     "spec", ENGINE_SPECS,
-    ids=lambda s: f"q{s.q}-{s.variant.value}-{s.diffusion_kind.value}",
+    ids=lambda s: f"q{s.q}-{s.variant.value}-{s.diffusion_kind.value}"
+    + ("-constant-g" if s.g_is_constant else ""),
 )
 def test_engine_coefficient_pass_matches_public_evaluators(spec):
     # The step's shared-x**2 pass must give the public evaluators' exact bits.
@@ -275,7 +276,30 @@ def test_engine_coefficient_pass_matches_public_evaluators(spec):
                                coefficients=spec, noise=QWienerSpec(3.0, 1.0, 31))
             f_got, g_got = drift_diffusion_rows(cfg, values)
             assert np.array_equal(f_got, f_want), (scheme, tau)
-            assert np.array_equal(g_got, g_want), (scheme, tau)
+            assert np.array_equal(np.broadcast_to(g_got, values.shape), g_want), (scheme, tau)
+
+
+def full_like_horner(coeffs, x):
+    """Horner from ``full_like(x, a_n)``; ``_polyval`` starts from x * a_n."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.full_like(x, coeffs[-1])
+    for a in coeffs[-2::-1]:
+        y *= x
+        y += a
+    return y[()]
+
+
+@pytest.mark.parametrize("coeffs", [(0.7,), (0.5, -1.0), (0.0, 1.0, 0.0, -1.0),
+                                    (0.1, 1.0, 0.0, -0.5, 0.0, -1.0), (-0.0, 0.0, 2.0)])
+def test_polyval_matches_a_full_like_horner_start(coeffs):
+    x = np.concatenate([np.random.default_rng(4).uniform(-40.0, 40.0, 64),
+                        [0.0, -0.0, np.inf, -np.inf, np.nan]])
+    # tobytes compares signed zeros and NaN bits too
+    assert coefficients._polyval(coeffs, x).tobytes() == full_like_horner(coeffs, x).tobytes()
+    for scalar in (2.5, -0.0, np.inf):
+        got = coefficients._polyval(coeffs, scalar)
+        assert type(got) is np.float64
+        assert got.tobytes() == full_like_horner(coeffs, scalar).tobytes()
 
 
 def test_evaluators_accept_scalars():

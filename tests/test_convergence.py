@@ -5,6 +5,8 @@ import pytest
 
 from tamedspde.coefficients import CoefficientSpec, allen_cahn
 from tamedspde.convergence import (
+    _ladder_chunk,
+    _ladder_members,
     fit_rate,
     fit_rate_xy,
     semigroup_error,
@@ -184,6 +186,75 @@ def test_streamed_ladder_matches_whole_path_oracle():
     oracle = whole_path_ladder(h_ref, x0, 3, [(1, Grid1D(c)) for c in cells])
     got = np.array([r.rms_sup_error for r in table.rows])
     assert np.all(np.abs(got - oracle) <= 1e-12 * oracle)
+
+
+def per_step_ladder_chunk(reference, x0, members, path_ids):
+    """The per-step bookkeeping: every member sums its increments from the
+    fine draws, and compares against the reference after each of its steps."""
+    tau, n_cells = reference.tau, reference.grid.n_cells
+    block = math.lcm(*(m.ratio for m in members))
+    sampler = PathSampler(reference.noise, reference.seed, path_ids)
+    n, k_ref = len(path_ids), reference.noise.truncation
+    start_values = x0.build(reference.grid).values
+    ref = BatchChains(reference, np.broadcast_to(start_values, (n, len(start_values))))
+    runs = [BatchChains(m.config, ref.states[:, m.restrict]) for m in members]
+    worst = np.stack([rows_l2_sq(run.states - ref.states[:, m.restrict], m.config.grid.h)
+                      for m, run in zip(members, runs)], axis=1)
+    fine = np.empty((block, n, k_ref))
+    kept = np.empty((block, n, reference.grid.n_interior))
+    for start in range(0, reference.n_steps, block):
+        for i in range(block):
+            sampler.coeffs(start + i, tau, out=fine[i])
+        values = synthesize(fine.reshape(block * n, k_ref), n_cells).reshape(block, n, -1)
+        for i in range(block):
+            ref.advance(values[i])
+            kept[i] = ref.states
+        for j, (m, run) in enumerate(zip(members, runs)):
+            coeffs = fine[..., : m.config.noise.truncation]  # the mode prefix
+            k_c = coeffs.shape[-1]
+            if m.ratio > 1:
+                coeffs = pairwise_tree_sum_axis(
+                    coeffs.reshape(block // m.ratio, m.ratio, n, k_c))
+            member_values = synthesize(coeffs.reshape(-1, k_c), m.config.grid.n_cells)
+            for s, step_values in enumerate(member_values.reshape(block // m.ratio, n, -1)):
+                run.advance(step_values)
+                at = kept[(s + 1) * m.ratio - 1][:, m.restrict]
+                np.maximum(worst[:, j], rows_l2_sq(run.states - at, m.config.grid.h),
+                           out=worst[:, j])
+    blown = ref.blown.copy()
+    for run in runs:
+        blown |= run.blown
+    return worst, blown
+
+
+@pytest.mark.parametrize(
+    "n_cells, ratios, blocks",
+    [
+        (256, (8, 16, 32, 64), 2),  # each member sums from the one before it
+        (32, (4, 12), 2),  # 12 sums from the sums at ratio 4
+        (32, (2, 3, 8), 2),  # 3 sums from the fine draws, 8 from those at 2
+    ],
+    ids=["8-16-32-64", "4-12", "2-3-8"],
+)
+def test_ladder_block_bookkeeping_matches_the_per_step_loop(n_cells, ratios, blocks):
+    tau_ref = 2.0**-10
+    reference = SchemeConfig(tau=tau_ref, grid=Grid1D(n_cells),
+                             horizon=blocks * math.lcm(*ratios) * tau_ref,
+                             scheme="drift_gtem", coefficients=allen_cahn(1.0),
+                             noise=QWienerSpec(3.0, 1.0, n_cells - 1), seed=13)
+    _, members = _ladder_members(reference, [r * tau_ref for r in ratios], None)
+    x0 = InitialCondition("sine", amplitude=2.0)
+    worst, blown = _ladder_chunk(reference, x0, members, range(5, 8))
+    want_worst, want_blown = per_step_ladder_chunk(reference, x0, members, range(5, 8))
+    assert np.array_equal(worst, want_worst) and np.array_equal(blown, want_blown)
+    assert np.all(worst > 0) and not blown.any()
+
+
+def test_rows_l2_sq_of_a_step_block_equals_each_step():
+    v = np.random.default_rng(8).standard_normal((32, 3, 255))
+    block = rows_l2_sq(v, 1.0 / 256)
+    for s in range(len(v)):
+        assert np.array_equal(block[s], rows_l2_sq(v[s], 1.0 / 256))
 
 
 def test_ladder_tables_identical_across_worker_counts(monkeypatch):

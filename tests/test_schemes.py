@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tamedspde import engine
 from tamedspde.coefficients import CoefficientSpec, allen_cahn, eval_g
 from tamedspde.engine import BatchChains, EnsembleNoise, step_rows
 from tamedspde.fem import dispersion_eigenvalue
@@ -12,7 +13,7 @@ from tamedspde.grid import (
     sine_mode,
 )
 from tamedspde.noise import QWienerSpec
-from tamedspde.schemes import InitialCondition, SchemeConfig
+from tamedspde.schemes import OVERFLOW_GUARD, InitialCondition, SchemeConfig
 
 ZERO_DRIFT = CoefficientSpec(drift=(0.0,), diffusion=(0.0,), q=0, variant="drift_only")
 
@@ -266,3 +267,28 @@ def test_nonfinite_rhs_row_freezes_alone():
         assert np.array_equal(chains.states[[0, 2]], pair.states)
     assert chains.blowup_step.tolist() == [-1, 2, -1]
     assert not pair.blown.any()
+
+
+def per_row_guard(z, h):
+    """The per-row rule: the sup norm over the guard, then the mass norm."""
+    blown = ~(np.abs(z).max(axis=-1) <= OVERFLOW_GUARD)
+    blown[blown] = ~(rows_l2_sq(z[blown], h) <= OVERFLOW_GUARD**2)
+    return blown
+
+
+def test_block_guard_flags_what_the_per_row_rule_flags(monkeypatch):
+    cfg = heat_config(n_cells=16)
+    above = np.nextafter(OVERFLOW_GUARD, np.inf)
+    rows = np.tile(np.linspace(-1.0, 1.0, 15), (9, 1))
+    rows[1:8, 7] = [np.nan, np.inf, -np.inf, OVERFLOW_GUARD, -OVERFLOW_GUARD, above, -above]
+    rows[8] = 2.0 * OVERFLOW_GUARD  # over the guard in the mass norm too
+    with np.errstate(invalid="ignore"):  # an inf row's cross terms sum to NaN
+        flagged = per_row_guard(rows, cfg.grid.h)
+        assert flagged.tolist() == [False, True, True, True, False, False, False, False, True]
+        picks = [[], [0], list(range(9))]
+        picks += [[0, i] for i in range(1, 9)] + [[i] for i in range(1, 9)]
+        for pick in picks:
+            z = rows[pick]
+            monkeypatch.setattr(engine, "resolvent_rows", lambda ops, tau, v, z=z: z.copy())
+            _, blown = step_rows(cfg, np.zeros_like(z), np.zeros_like(z))
+            assert blown.dtype == bool and np.array_equal(blown, flagged[pick]), pick
