@@ -4,12 +4,15 @@ No closed-form solution exists for the nonlinear equation, so the strong
 error of a coarse discretization is measured against the same scheme run at
 a much finer resolution on the *same* Brownian path.  A chunk of paths
 advances the reference and every ladder member in lockstep, one row per path,
-streaming the fine noise in blocks of lcm(ratios) reference steps: each
-block's fine increments are drawn once, summed over coarse steps level by
-level (exact aggregation of the Wiener path), truncated to the coarse grid's
-own modes, and the fine reference is restricted to coarse nodes (exact for
-nested meshes); each member takes one error reduction per block.  Memory is
-O(chunk x block x modes), whatever the horizon, and a block past
+streaming the fine noise in blocks of the smallest multiple of lcm(ratios)
+that covers ``MIN_BLOCK_STEPS`` reference steps (the last block may be
+shorter, still a multiple of lcm): each block's fine increments are drawn
+once, summed over coarse steps level by level (exact aggregation of the
+Wiener path), truncated to the coarse grid's own modes, and the fine
+reference is restricted to coarse nodes (exact for nested meshes); each
+member takes one error reduction per block.  Synthesis runs one lcm-slab of
+the block at a time, since the dense product's bits depend on its row count.
+Memory is O(chunk x block x modes), whatever the horizon, and a block past
 ``MAX_BLOCK_VALUES`` is rejected.  The reported error per ladder point is
 
     RMS over paths of  max over the coarse time grid of  ||Z_coarse - R Z_ref||_{L2},
@@ -76,6 +79,7 @@ class RateFit:
 MIN_FIT_POINTS = 4  # a rate fit needs at least this many positive errors
 SEMIGROUP_MIN_AMPLITUDE = 1e-8  # a smaller exact amplitude leaves only rounding error
 MAX_BLOCK_VALUES = 2**26  # float64 values one chunk's ladder block may hold (512 MB)
+MIN_BLOCK_STEPS = 8  # reference steps a ladder block covers at least, tail aside
 
 
 class RateFitError(ValueError):
@@ -192,19 +196,27 @@ def _start_rows(config: SchemeConfig, x0: InitialCondition, n_rows: int) -> Batc
     return BatchChains(config, np.broadcast_to(values, (n_rows, len(values))))
 
 
+def _block_shape(members):
+    """(slab, block, stride): lcm(ratios), its smallest multiple covering
+    ``MIN_BLOCK_STEPS`` reference steps, and gcd(ratios)."""
+    ratios = [m.ratio for m in members]
+    slab = math.lcm(*ratios)
+    return slab, slab * -(-MIN_BLOCK_STEPS // slab), math.gcd(*ratios)
+
+
 def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_ids):
     """(squared sup errors (paths, members), blown (paths,)) of one path chunk.
 
     The reference and every member advance the chunk's paths as rows of one
-    ``BatchChains`` each, a block of lcm(ratios) reference steps at a time.
-    A member sums its steps with the pairwise tree from the sums of the
-    coarsest power-of-two ratio dividing its own, else from the fine draws
-    (the tree composes over power-of-two groups bit for bit).  The reference
-    keeps its states at multiples of gcd(ratios), where members compare.
+    ``BatchChains`` each, a block of ``_block_shape`` reference steps at a
+    time, synthesizing one slab of lcm(ratios) steps per call.  A member
+    sums its steps with the pairwise tree from the sums of the coarsest
+    power-of-two ratio dividing its own, else from the fine draws (the tree
+    composes over power-of-two groups bit for bit).  The reference keeps its
+    states at multiples of gcd(ratios), where members compare.
     """
     tau, n_cells = reference.tau, reference.grid.n_cells
-    block = math.lcm(*(m.ratio for m in members))
-    stride = math.gcd(*(m.ratio for m in members))
+    slab, block, stride = _block_shape(members)
     sampler = PathSampler(reference.noise, reference.seed, path_ids)
     n, k_ref = len(path_ids), reference.noise.truncation
     ref = _start_rows(reference, x0, n)
@@ -216,34 +228,41 @@ def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_i
         ],
         axis=1,
     )
-    fine = np.empty((block, n, k_ref))
-    kept = np.empty((block // stride, n, reference.grid.n_interior))
+    order = sorted(range(len(members)), key=lambda j: members[j].ratio)
+    fine_block = np.empty((block, n, k_ref))
+    kept_block = np.empty((block // stride, n, reference.grid.n_interior))
     for start in range(0, reference.n_steps, block):
-        for i in range(block):
+        size = min(block, reference.n_steps - start)  # a multiple of slab
+        fine, kept = fine_block[:size], kept_block[: size // stride]
+        for i in range(size):
             sampler.coeffs(start + i, tau, out=fine[i])
-        values = synthesize(fine.reshape(block * n, k_ref), n_cells)
-        values = values.reshape(block, n, -1)
-        for i in range(block):
-            ref.advance(values[i])
-            if (i + 1) % stride == 0:
-                kept[(i + 1) // stride - 1] = ref.states
+        for s in range(0, size, slab):
+            values = synthesize(fine[s : s + slab].reshape(slab * n, k_ref), n_cells)
+            for i, step_values in enumerate(values.reshape(slab, n, -1), s + 1):
+                ref.advance(step_values)
+                if i % stride == 0:
+                    kept[i // stride - 1] = ref.states
         sums = {1: fine}  # this block's increments summed at power-of-two ratios
-        for j in sorted(range(len(members)), key=lambda j: members[j].ratio):
+        for j in order:
             m, run, grid = members[j], runs[j], members[j].config.grid
             base = max(r for r in sums if m.ratio % r == 0)
             coeffs = sums[base][..., : m.config.noise.truncation]  # the mode prefix
             k_c = coeffs.shape[-1]
             if m.ratio > base:
                 coeffs = pairwise_tree_sum_axis(
-                    coeffs.reshape(block // m.ratio, m.ratio // base, n, k_c)
+                    coeffs.reshape(size // m.ratio, m.ratio // base, n, k_c)
                 )
                 if m.ratio & (m.ratio - 1) == 0:
                     sums[m.ratio] = coeffs
-            member_values = synthesize(coeffs.reshape(-1, k_c), grid.n_cells)
+            per_slab = slab // m.ratio
             trail = []  # advance replaces ``states``: each step's array is kept as is
-            for step_values in member_values.reshape(block // m.ratio, n, -1):
-                run.advance(step_values)
-                trail.append(run.states)
+            for s in range(0, size // m.ratio, per_slab):
+                member_values = synthesize(
+                    coeffs[s : s + per_slab].reshape(-1, k_c), grid.n_cells
+                )
+                for step_values in member_values.reshape(per_slab, n, -1):
+                    run.advance(step_values)
+                    trail.append(run.states)
             states = np.stack(trail) if len(trail) > 1 else trail[0][None]
             at = kept[m.ratio // stride - 1 :: m.ratio // stride][..., m.restrict]
             err = rows_l2_sq(states - at, grid.h).max(axis=0)
@@ -255,13 +274,14 @@ def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_i
 
 
 def _check_block_memory(reference: SchemeConfig, members, n_rows: int) -> None:
-    """Reject a ladder whose block buffers (fine draws, their synthesis, kept
-    reference states, member sums, values and states) pass the cap."""
-    ratios = [m.ratio for m in members]
-    block, stride = math.lcm(*ratios), math.gcd(*ratios)
+    """Reject a ladder whose block buffers (fine draws, one slab's synthesis,
+    kept reference states, member sums, slab values and states) pass the cap."""
+    slab, block, stride = _block_shape(members)
     k_ref, n_ref = reference.noise.truncation, reference.grid.n_interior
-    per_row = block * (k_ref + n_ref) + block // stride * n_ref + sum(
-        block // m.ratio * (k_ref + 2 * m.config.grid.n_interior) for m in members
+    per_row = block * k_ref + slab * n_ref + block // stride * n_ref + sum(
+        block // m.ratio * (k_ref + m.config.grid.n_interior)
+        + slab // m.ratio * m.config.grid.n_interior
+        for m in members
     )
     if per_row * n_rows > MAX_BLOCK_VALUES:
         raise ValueError(

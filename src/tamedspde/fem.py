@@ -52,9 +52,13 @@ class FemOperators:
 
 
 def _tri_matvec(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
-    y = diag * v
-    y[..., :-1] += off * v[..., 1:]
-    y[..., 1:] += off * v[..., :-1]
+    """diag v + off v[i+1] + off v[i-1] per row, in that order; the P1 diagonals
+    are constant (``assemble``), so one product off * v serves both neighbours."""
+    y = diag[0] * v
+    if len(off):
+        w = off[0] * v
+        y[..., :-1] += w[..., 1:]
+        y[..., 1:] += w[..., :-1]
     return y
 
 

@@ -1,10 +1,14 @@
+import collections
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tamedspde import convergence
 from tamedspde.coefficients import CoefficientSpec, allen_cahn
 from tamedspde.convergence import (
+    _check_block_memory,
     _ladder_chunk,
     _ladder_members,
     fit_rate,
@@ -228,26 +232,84 @@ def per_step_ladder_chunk(reference, x0, members, path_ids):
 
 
 @pytest.mark.parametrize(
-    "n_cells, ratios, blocks",
+    "n_cells, ratios, steps, cells",
     [
-        (256, (8, 16, 32, 64), 2),  # each member sums from the one before it
-        (32, (4, 12), 2),  # 12 sums from the sums at ratio 4
-        (32, (2, 3, 8), 2),  # 3 sums from the fine draws, 8 from those at 2
+        (256, (8, 16, 32, 64), 128, None),  # each member sums from the one before it
+        (32, (4, 12), 24, None),  # 12 sums from the sums at ratio 4
+        (32, (2, 3, 8), 48, None),  # 3 sums from the fine draws, 8 from those at 2
+        (32, (3,), 30, None),  # lcm 3: blocks of 9 steps and a tail of 3
+        (256, None, 24, (4, 8, 16, 32, 64)),  # h ladders: blocks of 8 steps
+        (1024, None, 16, (8, 16, 32, 64, 128)),
+        (128, None, 21, (4, 16, 64)),  # two blocks of 8 and a tail of 5
     ],
-    ids=["8-16-32-64", "4-12", "2-3-8"],
+    ids=["8-16-32-64", "4-12", "2-3-8", "3-tail", "h-256", "h-1024", "h-tail"],
 )
-def test_ladder_block_bookkeeping_matches_the_per_step_loop(n_cells, ratios, blocks):
+def test_ladder_block_bookkeeping_matches_the_per_step_loop(n_cells, ratios, steps, cells):
     tau_ref = 2.0**-10
-    reference = SchemeConfig(tau=tau_ref, grid=Grid1D(n_cells),
-                             horizon=blocks * math.lcm(*ratios) * tau_ref,
+    reference = SchemeConfig(tau=tau_ref, grid=Grid1D(n_cells), horizon=steps * tau_ref,
                              scheme="drift_gtem", coefficients=allen_cahn(1.0),
                              noise=QWienerSpec(3.0, 1.0, n_cells - 1), seed=13)
-    _, members = _ladder_members(reference, [r * tau_ref for r in ratios], None)
+    assert reference.n_steps == steps
+    taus = None if ratios is None else [r * tau_ref for r in ratios]
+    _, members = _ladder_members(reference, taus, cells)
     x0 = InitialCondition("sine", amplitude=2.0)
     worst, blown = _ladder_chunk(reference, x0, members, range(5, 8))
     want_worst, want_blown = per_step_ladder_chunk(reference, x0, members, range(5, 8))
     assert np.array_equal(worst, want_worst) and np.array_equal(blown, want_blown)
     assert np.all(worst > 0) and not blown.any()
+
+
+def test_h_ladder_reduces_each_member_once_per_block_of_eight(monkeypatch):
+    # 20 reference steps: blocks of 8, 8 and 4, after the step-0 comparison
+    calls = collections.Counter()
+
+    def counting(v, h):
+        calls[v.shape[-1]] += 1
+        return rows_l2_sq(v, h)
+
+    monkeypatch.setattr(convergence, "rows_l2_sq", counting)
+    reference = replace(additive_reference(tau=2.0**-6, n_cells=256), horizon=20 * 2.0**-6)
+    cells = [8, 16, 32, 64]
+    strong_error_ladder(reference, InitialCondition("sine", amplitude=2.0), 3,
+                        coarse_n_cells=cells)
+    assert calls == {c - 1: 1 + math.ceil(20 / 8) for c in cells}
+
+
+def block_memory_message(reference, taus=None, cells=None, n_rows=25):
+    """The error ``_check_block_memory`` raises, or None."""
+    _, members = _ladder_members(reference, taus, cells)
+    try:
+        _check_block_memory(reference, members, n_rows)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_block_memory_counts_the_blocks_that_are_streamed(monkeypatch):
+    tau_ref = 2.0**-10
+    reference = SchemeConfig(tau=tau_ref, grid=Grid1D(64), horizon=36 * tau_ref,
+                             scheme="drift_gtem", coefficients=allen_cahn(1.0),
+                             noise=QWienerSpec(3.0, 1.0, 63), seed=1)
+    # h ladder {8, 32} cells: a block of 8 steps synthesized one step at a
+    # time; fine draws 8 * 63, one step's values 63, kept states 8 * 63, and
+    # per member 8 sums of 63 modes and 8 states, plus one step's values
+    h_per_row = 8 * 63 + 63 + 8 * 63 + (8 * (63 + 7) + 7) + (8 * (63 + 31) + 31)
+    # tau ladder {3}: a block of 9 steps, slabs of 3, kept states every 3 steps
+    tau_per_row = 9 * 63 + 3 * 63 + 3 * 63 + (3 * (63 + 63) + 63)
+    for per_row, taus, cells, block in ((h_per_row, None, [8, 32], 8),
+                                        (tau_per_row, [3 * tau_ref], None, 9)):
+        monkeypatch.setattr(convergence, "MAX_BLOCK_VALUES", per_row * 25)
+        assert block_memory_message(reference, taus, cells) is None
+        monkeypatch.setattr(convergence, "MAX_BLOCK_VALUES", per_row * 25 - 1)
+        message = block_memory_message(reference, taus, cells)
+        assert message.startswith(f"a ladder block of {block} reference steps needs "
+                                  f"{per_row * 25} float64 values"), message
+    monkeypatch.undo()
+    # the ladder-h-fine shape stays far under the cap at a full 25-path chunk
+    wide = SchemeConfig(tau=tau_ref, grid=Grid1D(4096), horizon=1.0, scheme="drift_gtem",
+                        coefficients=allen_cahn(1.0), noise=QWienerSpec(3.0, 1.0, 4095),
+                        seed=1)
+    assert block_memory_message(wide, cells=[8, 16, 32, 64, 128]) is None
 
 
 def test_rows_l2_sq_of_a_step_block_equals_each_step():

@@ -14,7 +14,9 @@ from tamedspde.coefficients import (
     linear_ou,
 )
 from tamedspde.engine import BatchChains, EnsembleNoise
+from tamedspde.convergence import fit_line
 from tamedspde.ergodicity import (
+    COUPLING_FIT_FLOOR,
     OBSERVABLE_ROWS,
     StepSizeNotCertified,
     coupling_decay_test,
@@ -158,6 +160,24 @@ def test_coupling_allen_cahn_contracts():
     res = coupling_decay_test(cfg, x0a, x0b, n_steps=150, n_paths=20)
     assert res.slope is not None and res.slope < 0
     assert res.r_squared > 0.9
+
+
+def test_coupling_fit_leaves_out_distances_at_rounding_level():
+    # gtem at tau = 1/8 contracts the coupled distance by about e^-0.7 a
+    # step: under 1e-12 of the start from step 39 on, exactly 0 from step 58
+    cfg = SchemeConfig(tau=0.125, grid=GRID, horizon=25.0, scheme="gtem",
+                       coefficients=AC, noise=NOISE, seed=1)
+    x0b = InitialCondition("sine", amplitude=5.0).build(GRID)
+    res = coupling_decay_test(cfg, ZERO, x0b, n_steps=200, n_paths=4)
+    mean = res.mean_distance
+    kept = mean > COUPLING_FIT_FLOOR * mean[0]
+    rounding = (mean > 0) & ~kept
+    assert kept.sum() >= 10 and rounding.sum() >= 10
+    slope, intercept, r2 = fit_line(res.steps[kept], np.log(mean[kept]))
+    assert (res.slope, res.intercept, res.r_squared) == (slope, intercept, r2)
+    assert res.r_squared > 0.999
+    positive = mean > 0
+    assert fit_line(res.steps[positive], np.log(mean[positive]))[0] != res.slope
 
 
 def test_nondegeneracy_precheck():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tamedspde import engine
+from tamedspde import engine, fem
 from tamedspde.coefficients import CoefficientSpec
 from tamedspde.engine import resolvent_rows, step_rows
 from tamedspde.fem import (
@@ -51,6 +51,33 @@ def test_assemble_structure():
     h = 1.0 / 16.0
     assert np.allclose(np.diag(M), 4.0 * h / 6.0)
     assert np.allclose(np.diag(K), 2.0 / h)
+
+
+def five_call_tri_matvec(diag, off, v):
+    """The product as written before the off-diagonal product was shared."""
+    y = diag * v
+    y[..., :-1] += off * v[..., 1:]
+    y[..., 1:] += off * v[..., :-1]
+    return y
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 32, 4096])
+def test_tri_matvec_matches_the_five_call_form_bit_for_bit(n_cells):
+    ops = assemble(Grid1D(n_cells))
+    n = ops.grid.n_interior
+    rng = np.random.default_rng(n_cells)
+    rows = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-300, 300, (6, n))
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -5e-324])
+    rows[1:] = np.where(rng.random((5, n)) < 0.3, rng.choice(specials, (5, n)), rows[1:])
+    rows[2] = specials[np.arange(n) % len(specials)]
+    with np.errstate(all="ignore"):  # inf - inf and overflow are part of the test
+        for v in (rows, rows[0], rows[:, ::-1]):
+            for diag, off in ((ops.mass_diag, ops.mass_off),
+                              (ops.stiff_diag, ops.stiff_off)):
+                want = five_call_tri_matvec(diag, off, v)
+                assert fem._tri_matvec(diag, off, v).tobytes() == want.tobytes()
+            want = five_call_tri_matvec(ops.mass_diag, ops.mass_off, v)
+            assert mass_matvec_rows(ops, v).tobytes() == want.tobytes()
 
 
 def test_solve_semi_implicit_scalar_case():
