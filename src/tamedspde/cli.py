@@ -31,7 +31,7 @@ from .engine import BatchChains, EnsembleNoise
 from .grid import Grid1D
 from .noise import QWienerSpec
 from .reporting import CheckResult, write_csv, write_verdicts
-from .schemes import InitialCondition, SchemeConfig
+from .schemes import InitialCondition, Scheme, SchemeConfig
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -137,6 +137,11 @@ def _check_range(section, key, val, minimum, maximum):
 
 
 def _build_coefficients(cfg: ConfigReader) -> CoefficientSpec:
+    variant = cfg.get_str("coefficients", "variant")
+    if variant is not None:  # rejected, not mapped: the scheme says what is tamed
+        kind = {"both_a": "gtem", "both_b": "gtem_b", "drift_only": "drift_gtem"}.get(
+            variant, "gtem, gtem_b or drift_gtem")
+        raise ConfigError(f"[coefficients] variant was removed; set [scheme] kind = {kind}")
     preset = cfg.get_str("coefficients", "preset", default="")
     if preset:
         if preset not in PRESETS:
@@ -152,10 +157,6 @@ def _build_coefficients(cfg: ConfigReader) -> CoefficientSpec:
     drift = cfg.get_float_list("coefficients", "drift", default=_REQUIRED)
     diffusion = cfg.get_float_list("coefficients", "diffusion", default=_REQUIRED)
     q = cfg.get_int("coefficients", "q", default=_REQUIRED, minimum=0)
-    variant = cfg.get_str(
-        "coefficients", "variant", default="both_a",
-        choices={"both_a", "both_b", "drift_only"},
-    )
     kind = cfg.get_str(
         "coefficients", "diffusion_kind", default="polynomial",
         choices={"polynomial", "sqrt_quadratic"},
@@ -163,7 +164,7 @@ def _build_coefficients(cfg: ConfigReader) -> CoefficientSpec:
     try:
         return CoefficientSpec(
             drift=tuple(drift), diffusion=tuple(diffusion), q=q,
-            variant=variant, diffusion_kind=kind,
+            diffusion_kind=kind,
         )
     except ValueError as exc:
         raise ConfigError(f"[coefficients] {exc}")
@@ -188,7 +189,7 @@ def _build_scheme_config(cfg: ConfigReader, seed: int) -> SchemeConfig:
                         maximum=1.0)
     horizon = cfg.get_float("scheme", "horizon", default=_REQUIRED, exclusive_min=0.0)
     kind = cfg.get_str("scheme", "kind", default="gtem",
-                       choices={"gtem", "drift_gtem", "untamed_em"})
+                       choices={s.value for s in Scheme})
     coefficients = _build_coefficients(cfg)
     noise = _build_noise(cfg, grid)
     try:
@@ -643,7 +644,7 @@ def list_presets() -> str:
         lines.append(
             f"  {name}: {desc}\n"
             f"      drift = {spec.drift}, diffusion = {spec.diffusion}, "
-            f"q = {spec.q}, variant = {spec.variant.value}\n"
+            f"q = {spec.q}\n"
             f"      default noise: eigenvalue decay k^-{decay:g}, scale {scale:g}, "
             f"truncation tied to the mesh"
         )

@@ -6,14 +6,16 @@ The drift f and diffusion g are polynomials
     g(x) = c_0 + c_1 x + ... + c_{k+1} x^{k+1},
 
 with degree parameter q = 2k.  Explicit schemes for such super-linear
-coefficients blow up; the taming transforms divide f (and optionally g) by a
+coefficients blow up; a tamed scheme divides f, and possibly g, by a
 step-size-dependent factor so that one explicit evaluation per step stays
-stable:
+stable.  Which coefficients are tamed is a property of the scheme
+(``schemes.Scheme``), not of the coefficients:
 
-    f_tau(x) = f(x) / (1 + tau |x|^{2q})^{1/2}
-    g_tau(x) = g(x) / (1 + sqrt(tau) |x|^{q})^{1/2}     (variant BOTH_A)
-             = g(x) / (1 + sqrt(tau) |x|^{2q})^{1/2}    (variant BOTH_B)
-             = g(x)                                     (variant DRIFT_ONLY)
+    scheme       f*(x)                            g*(x)
+    gtem         f(x) / (1 + tau |x|^{2q})^{1/2}  g(x) / (1 + sqrt(tau) |x|^{q})^{1/2}
+    gtem_b       f(x) / (1 + tau |x|^{2q})^{1/2}  g(x) / (1 + sqrt(tau) |x|^{2q})^{1/2}
+    drift_gtem   f(x) / (1 + tau |x|^{2q})^{1/2}  g(x)
+    untamed_em   f(x)                             g(x)
 
 ``check_assumptions`` certifies, on a dense scan, the structural inequalities
 the stability theory needs (coercivity, polynomial growth, one-sided
@@ -32,12 +34,6 @@ from typing import Optional
 import numpy as np
 
 
-class TamingVariant(str, enum.Enum):
-    DRIFT_ONLY = "drift_only"
-    BOTH_A = "both_a"
-    BOTH_B = "both_b"
-
-
 class DiffusionKind(str, enum.Enum):
     POLYNOMIAL = "polynomial"
     SQRT_QUADRATIC = "sqrt_quadratic"  # g(x) = c0 * sqrt(1 + x^2): Lipschitz, nonvanishing
@@ -45,7 +41,7 @@ class DiffusionKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class CoefficientSpec:
-    """Drift/diffusion pair with a taming variant.
+    """A drift/diffusion pair; the scheme decides which of the two is tamed.
 
     The drift f is a polynomial with ascending coefficient tuple ``drift``;
     ``q`` is the (even) degree parameter, deg f <= q + 1.  The diffusion is
@@ -58,13 +54,11 @@ class CoefficientSpec:
     drift: tuple
     diffusion: tuple
     q: int
-    variant: TamingVariant = TamingVariant.BOTH_A
     diffusion_kind: DiffusionKind = DiffusionKind.POLYNOMIAL
 
     def __post_init__(self):
         object.__setattr__(self, "drift", tuple(float(a) for a in self.drift))
         object.__setattr__(self, "diffusion", tuple(float(c) for c in self.diffusion))
-        object.__setattr__(self, "variant", TamingVariant(self.variant))
         object.__setattr__(self, "diffusion_kind", DiffusionKind(self.diffusion_kind))
         if not self.drift or not self.diffusion:
             raise ValueError("drift and diffusion each need at least one coefficient")
@@ -81,13 +75,6 @@ class CoefficientSpec:
             raise ValueError(
                 f"diffusion degree {len(self.diffusion) - 1} exceeds q/2 + 1 = {self.q // 2 + 1}"
             )
-        if self.variant is not TamingVariant.DRIFT_ONLY and not self.g_is_constant:
-            lead = self.drift[self.q + 1] if len(self.drift) == self.q + 2 else 0.0
-            if lead >= 0:
-                raise ValueError(
-                    "taming g requires a negative leading drift coefficient "
-                    f"(got a_{self.q + 1} = {lead})"
-                )
 
     @property
     def g_is_constant(self) -> bool:
@@ -117,7 +104,6 @@ def allen_cahn(eps: float = 1.0, g0: float = 1.0) -> CoefficientSpec:
         drift=(0.0, s, 0.0, -s),
         diffusion=(g0,),
         q=2,
-        variant=TamingVariant.BOTH_A,
     )
 
 
@@ -127,7 +113,6 @@ def double_well(g0: float = 0.1, g2: float = 0.05) -> CoefficientSpec:
         drift=(0.0, 1.0, 0.0, -1.0),
         diffusion=(g0, 0.0, g2),
         q=2,
-        variant=TamingVariant.BOTH_A,
     )
 
 
@@ -137,17 +122,15 @@ def cubic_with_quadratic_g() -> CoefficientSpec:
         drift=(0.0, 1.0, 0.5, -2.0),
         diffusion=(0.1, 0.0, 0.1),
         q=2,
-        variant=TamingVariant.BOTH_A,
     )
 
 
 def linear_ou() -> CoefficientSpec:
-    """f(x) = -x with constant g: the linear baseline (q = 0, drift-only taming)."""
+    """f(x) = -x with constant g: the linear baseline (q = 0)."""
     return CoefficientSpec(
         drift=(0.0, -1.0),
         diffusion=(1.0,),
         q=0,
-        variant=TamingVariant.DRIFT_ONLY,
     )
 
 
@@ -158,7 +141,6 @@ def lipschitz_sqrt_g(scale: float = 0.2, eps: float = 1.0) -> CoefficientSpec:
         drift=(0.0, s, 0.0, -s),
         diffusion=(scale,),
         q=2,
-        variant=TamingVariant.DRIFT_ONLY,
         diffusion_kind=DiffusionKind.SQRT_QUADRATIC,
     )
 
@@ -243,12 +225,9 @@ def tamed_drift(spec: CoefficientSpec, tau: float, x, x2):
     return _polyval(spec.drift, x) / np.sqrt(1.0 + tau * x2**spec.q)
 
 
-def tamed_diffusion(spec: CoefficientSpec, tau: float, x, x2):
-    """g_tau of the spec's taming variant, given x2 = x**2; tau is not checked."""
-    if spec.variant is TamingVariant.DRIFT_ONLY:
-        return eval_g(spec, x)
-    m = spec.q // 2 if spec.variant is TamingVariant.BOTH_A else spec.q
-    return eval_g(spec, x) / np.sqrt(1.0 + math.sqrt(tau) * x2**m)
+def tamed_diffusion(spec: CoefficientSpec, tau: float, x, x2, power: int):
+    """g(x) / (1 + sqrt(tau) x2^power)^{1/2}, given x2 = x**2; tau is not checked."""
+    return eval_g(spec, x) / np.sqrt(1.0 + math.sqrt(tau) * x2**power)
 
 
 def eval_f_tau(spec: CoefficientSpec, tau: float, xi):
@@ -257,10 +236,10 @@ def eval_f_tau(spec: CoefficientSpec, tau: float, xi):
     return tamed_drift(spec, tau, xi, np.asarray(xi, dtype=np.float64) ** 2)
 
 
-def eval_g_tau(spec: CoefficientSpec, tau: float, xi):
-    """Tamed diffusion for the configured taming variant; DRIFT_ONLY leaves g untouched."""
+def eval_g_tau(spec: CoefficientSpec, tau: float, xi, power: int):
+    """g(x) / (1 + sqrt(tau) |x|^{2 power})^{1/2}: power q/2 for gtem, q for gtem_b."""
     _check_tau(tau)
-    return tamed_diffusion(spec, tau, xi, np.asarray(xi, dtype=np.float64) ** 2)
+    return tamed_diffusion(spec, tau, xi, np.asarray(xi, dtype=np.float64) ** 2, power)
 
 
 def eval_f_tau_prime(spec: CoefficientSpec, tau: float, xi):

@@ -46,15 +46,16 @@ def drift_diffusion_rows(config: SchemeConfig, values: np.ndarray):
     """Scheme-dependent (f*, g*); both tamings share one x**2, and tau was
     validated by ``SchemeConfig``.  Shape-agnostic (rows or a vector); an
     untamed one-coefficient g comes back as the float c0, which broadcasts."""
-    spec, tau = config.coefficients, config.tau
-    if config.scheme is Scheme.GTEM:
-        x2 = values**2
-        return tamed_drift(spec, tau, values, x2), tamed_diffusion(spec, tau, values, x2)
-    constant = spec.diffusion_kind is DiffusionKind.POLYNOMIAL and len(spec.diffusion) == 1
-    g = spec.diffusion[0] if constant else eval_g(spec, values)
-    if config.scheme is Scheme.UNTAMED_EM:
-        return eval_f(spec, values), g
-    return tamed_drift(spec, tau, values, values**2), g
+    spec, tau, scheme = config.coefficients, config.tau, config.scheme
+    if scheme is Scheme.DRIFT_GTEM or scheme is Scheme.UNTAMED_EM:
+        constant = spec.diffusion_kind is DiffusionKind.POLYNOMIAL and len(spec.diffusion) == 1
+        g = spec.diffusion[0] if constant else eval_g(spec, values)
+        if scheme is Scheme.UNTAMED_EM:
+            return eval_f(spec, values), g
+        return tamed_drift(spec, tau, values, values**2), g
+    x2 = values**2
+    power = spec.q // 2 if scheme is Scheme.GTEM else spec.q  # GTEM_B
+    return tamed_drift(spec, tau, values, x2), tamed_diffusion(spec, tau, values, x2, power)
 
 
 def resolvent_rows(ops: fem.FemOperators, tau: float, v: np.ndarray) -> np.ndarray:

@@ -400,7 +400,8 @@ class BlowupRow:
 def em_blowup_probe(
     config: SchemeConfig, amplitudes: Sequence[float], n_paths: int
 ) -> list:
-    """Blow-up frequency of the untamed scheme vs a tamed twin on identical noise."""
+    """Blow-up frequency of the untamed scheme vs a tamed twin on identical noise;
+    the twin is ``Scheme.GTEM`` (f and g tamed) whatever ``config.scheme`` is."""
     untamed = replace(config, scheme=Scheme.UNTAMED_EM)
     tamed = replace(config, scheme=Scheme.GTEM)
     slices = path_slices(n_paths, config.grid.n_interior)

@@ -5,9 +5,11 @@ One step from Z_{n-1} to Z_n solves the linear system
     (M + tau K) Z_n = M [ Z_{n-1} + tau f*(Z_{n-1}) + g*(Z_{n-1}) . dW ]
 
 where '.' is the pointwise nodal product with the noise increment and the
-(f*, g*) pair depends on the scheme:
+scheme alone decides which coefficients are tamed (f_tau as in
+``tamedspde.coefficients``):
 
-    GTEM:        f* = f_tau,  g* = g_tau (per the coefficient spec's variant)
+    GTEM:        f* = f_tau,  g* = g / (1 + sqrt(tau) |x|^q)^{1/2}
+    GTEM_B:      f* = f_tau,  g* = g / (1 + sqrt(tau) |x|^{2q})^{1/2}
     DRIFT_GTEM:  f* = f_tau,  g* = g     (for linear-growth or additive g)
     UNTAMED_EM:  f* = f,      g* = g     (baseline; blows up for cubic f)
 
@@ -34,6 +36,7 @@ OVERFLOW_GUARD = 1e12
 
 class Scheme(str, enum.Enum):
     GTEM = "gtem"
+    GTEM_B = "gtem_b"
     DRIFT_GTEM = "drift_gtem"
     UNTAMED_EM = "untamed_em"
 
@@ -94,6 +97,13 @@ class SchemeConfig:
             raise ValueError(
                 f"noise truncation {self.noise.truncation} exceeds the "
                 f"{self.grid.n_interior} interior nodes; use QWienerSpec.for_grid"
+            )
+        spec = self.coefficients
+        tames_g = self.scheme in (Scheme.GTEM, Scheme.GTEM_B)
+        if tames_g and not spec.g_is_constant and spec.drift_leading >= 0:
+            raise ValueError(
+                f"scheme {self.scheme.value} tames g, which requires a negative "
+                f"leading drift coefficient (got a_{spec.q + 1} = {spec.drift_leading})"
             )
 
     @property

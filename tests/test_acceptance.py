@@ -207,8 +207,7 @@ def test_criterion_07_geometric_ergodicity_proxies():
     # (c) zero drift, constant g: exact resolvent contraction on mode 1
     lin = SchemeConfig(
         tau=tau, grid=grid, horizon=1.0, scheme="drift_gtem",
-        coefficients=CoefficientSpec(drift=(0.0,), diffusion=(1.0,), q=0,
-                                     variant="drift_only"),
+        coefficients=CoefficientSpec(drift=(0.0,), diffusion=(1.0,), q=0),
         noise=noise, seed=SEED,
     )
     lin_coup = coupling_decay_test(
@@ -299,8 +298,10 @@ def test_criterion_09_taming_function_suite():
             b2 = np.sqrt(2.0) / 2.0 * np.sqrt(tau) * np.abs(xi) ** spec.q * np.abs(f)
             if not np.all(np.abs(f - ft) <= np.minimum(b1, b2) + 1e-12):
                 failures.append(f"{name}: |f - f_tau| min-bound at tau={tau:g}")
-            if not np.all(np.abs(eval_g_tau(spec, tau, xi)) <= np.abs(eval_g(spec, xi)) + 1e-15):
-                failures.append(f"{name}: |g_tau| > |g| at tau={tau:g}")
+            for power in (spec.q // 2, spec.q):  # gtem, gtem_b
+                g_tau = eval_g_tau(spec, tau, xi, power)
+                if not np.all(np.abs(g_tau) <= np.abs(eval_g(spec, xi)) + 1e-15):
+                    failures.append(f"{name}: |g_tau| > |g| at tau={tau:g}, power {power}")
         # derivative vs centered finite differences on random (xi, tau)
         for _ in range(200):
             x = float(rng.uniform(-5.0, 5.0))

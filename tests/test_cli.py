@@ -31,6 +31,7 @@ def test_list_presets(capsys):
     out = capsys.readouterr().out
     assert "allen-cahn" in out
     assert out.count("\n      drift") >= 4
+    assert "variant" not in out  # the scheme, not the preset, says what is tamed
 
 
 def test_malformed_config_names_field(tmp_path, capsys):
@@ -97,11 +98,29 @@ output_dir = {out}
 drift = 0, 0, 0, 1
 diffusion = 1
 q = 2
-variant = drift_only
 """)
     assert main(["run", str(cfg)]) == 1
     verdict = (out / "verdict.txt").read_text()
     assert "FAIL" in verdict and "witness" not in verdict.lower() or "xi=" in verdict
+
+
+def test_check_assumptions_on_a_spec_only_g_taming_schemes_refuse(tmp_path, capsys):
+    # No [scheme]: the scan runs and fails on coercivity (exit 1), where a
+    # positive leading drift with non-constant g once exited 2 unscanned.
+    out = tmp_path / "rep3"
+    cfg = write(tmp_path / "pos.ini", f"""
+[experiment]
+kind = check-assumptions
+seed = 1
+output_dir = {out}
+
+[coefficients]
+drift = 0, 1, 0, 1
+diffusion = 0, 0, 1
+q = 2
+""")
+    assert main(["run", str(cfg)]) == 1
+    assert "FAIL assumptions-feasible: coe violated" in (out / "verdict.txt").read_text()
 
 
 def test_simulate_smoke_matches_spectral_oracle(tmp_path):
@@ -128,7 +147,6 @@ amplitude = 1.4142135623730951
 drift = 0
 diffusion = 0
 q = 0
-variant = drift_only
 
 [noise]
 decay = 3.0
@@ -195,13 +213,48 @@ def fail_if_called(*args, **kwargs):
     raise AssertionError("computed before the config was rejected")
 
 
+@pytest.mark.parametrize("variant, kind", [("both_a", "gtem"), ("both_b", "gtem_b"),
+                                           ("drift_only", "drift_gtem")])
+def test_removed_variant_key_names_the_scheme_kind(tmp_path, capsys, monkeypatch,
+                                                   variant, kind):
+    """Rejected, not ignored: dropping it silently would change what an old
+    config computes."""
+    monkeypatch.setattr(engine.BatchChains, "advance", fail_if_called)
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "old.ini", f"""
+[experiment]
+kind = simulate
+seed = 1
+output_dir = {out}
+
+[grid]
+n_cells = 16
+
+[scheme]
+kind = gtem
+tau = 0.125
+horizon = 0.5
+
+[coefficients]
+drift = 0, 1, 0, -1
+diffusion = 1
+q = 2
+variant = {variant}
+""")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [coefficients] variant")
+    assert err.rstrip().endswith(f"[scheme] kind = {kind}"), err
+    assert not (out / "verdict.txt").exists()
+
+
 def test_lyapunov_rejects_uncertified_tau_as_config_error(tmp_path, capsys, monkeypatch):
     """Both certified probes refuse an uncertified tau or infeasible coefficients
     with exit 2 before stepping; the check lives only in ``ergodicity``."""
     monkeypatch.setattr(engine.BatchChains, "advance", fail_if_called)
     refused = (
         ("preset = allen-cahn", 0.25, "tau_max"),
-        ("drift = 0, 1, 0, 1\ndiffusion = 1\nq = 2\nvariant = drift_only", 0.015625,
+        ("drift = 0, 1, 0, 1\ndiffusion = 1\nq = 2", 0.015625,
          "assumption check failed"),
     )
     for kind in ("lyapunov", "longrun"):

@@ -77,17 +77,17 @@ def test_f_tau_pointwise_limit_bound():
 
 
 def test_g_tau_variants():
+    # power q/2 is gtem's g taming, power q is gtem_b's
     spec = CoefficientSpec(drift=(0.0, 1.0, 0.0, -1.0), diffusion=(0.0, 0.0, 0.1), q=2)
-    assert eval_g_tau(spec, 0.5, 0.0) == eval_g(spec, 0.0)
-    got = eval_g_tau(spec, 0.04, 3.0)  # g(3) = 0.9, denom sqrt(1 + 0.2*9)
+    for power in (1, 2):
+        assert eval_g_tau(spec, 0.5, 0.0, power) == eval_g(spec, 0.0)
+    got = eval_g_tau(spec, 0.04, 3.0, 1)  # g(3) = 0.9, denom sqrt(1 + 0.2*9)
     assert np.isclose(got, 0.9 / np.sqrt(2.8), rtol=1e-14)
-    spec_b = CoefficientSpec(
-        drift=(0.0, 1.0, 0.0, -1.0), diffusion=(0.0, 0.0, 0.1), q=2, variant="both_b"
-    )
-    got_b = eval_g_tau(spec_b, 0.04, 3.0)
+    got_b = eval_g_tau(spec, 0.04, 3.0, 2)  # denom sqrt(1 + 0.2*81)
     assert np.isclose(got_b, 0.9 / np.sqrt(1.0 + 0.2 * 81.0), rtol=1e-14)
-    drift_only = linear_ou()
-    assert np.array_equal(eval_g_tau(drift_only, 0.3, SCAN), eval_g(drift_only, SCAN))
+    # at q = 0 both forms divide g by sqrt(1 + sqrt(tau)) at every x
+    assert np.array_equal(eval_g_tau(linear_ou(), 0.25, SCAN, 0),
+                          np.full_like(SCAN, 1.0 / np.sqrt(1.5)))
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_TAMING))
@@ -97,9 +97,11 @@ def test_taming_never_amplifies(name):
         assert np.all(
             np.abs(eval_f_tau(spec, float(tau), SCAN)) <= np.abs(eval_f(spec, SCAN)) + 1e-15
         )
-        assert np.all(
-            np.abs(eval_g_tau(spec, float(tau), SCAN)) <= np.abs(eval_g(spec, SCAN)) + 1e-15
-        )
+        for power in (spec.q // 2, spec.q):  # gtem, gtem_b
+            assert np.all(
+                np.abs(eval_g_tau(spec, float(tau), SCAN, power))
+                <= np.abs(eval_g(spec, SCAN)) + 1e-15
+            )
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_TAMING))
@@ -172,8 +174,7 @@ def test_check_assumptions_allen_cahn():
 
 
 def test_check_assumptions_rejects_positive_leading_cubic():
-    bad = CoefficientSpec(drift=(0.0, 0.0, 0.0, 1.0), diffusion=(1.0,), q=2,
-                          variant="drift_only")
+    bad = CoefficientSpec(drift=(0.0, 0.0, 0.0, 1.0), diffusion=(1.0,), q=2)
     rep = check_assumptions(bad, NOISE)
     assert not rep.feasible
     names = {v.inequality for v in rep.violations}
@@ -201,8 +202,7 @@ SCAN_CASES = [
     *((name, factory(), QWienerSpec(decay, scale, 255), 200_001)
       for name, (factory, _desc, (decay, scale)) in PRESETS.items()),
     ("lipschitz-sqrt", lipschitz_sqrt_g(), NOISE, 200_001),
-    ("infeasible", CoefficientSpec(drift=(0.0, 0.0, 0.0, 1.0), diffusion=(1.0,), q=2,
-                                   variant="drift_only"), NOISE, 200_001),
+    ("infeasible", CoefficientSpec(drift=(0.0, 0.0, 0.0, 1.0), diffusion=(1.0,), q=2), NOISE, 200_001),
     ("odd-scan", allen_cahn(0.5), NOISE, 123_457),
 ]
 
@@ -229,14 +229,14 @@ def test_scan_parameters_validated():
 def test_spec_validation():
     with pytest.raises(ValueError):
         CoefficientSpec(drift=(0.0, 1.0, 1.0), diffusion=(1.0,), q=1)  # odd q
-    with pytest.raises(ValueError):
-        # positive leading drift with tamed, nonconstant g
-        CoefficientSpec(drift=(0.0, 0.0, 0.0, 1.0), diffusion=(0.0, 0.0, 0.1), q=2)
+    # a positive leading drift with non-constant g is a valid spec: only the
+    # schemes that tame g refuse it (test_schemes)
+    CoefficientSpec(drift=(0.0, 0.0, 0.0, 1.0), diffusion=(0.0, 0.0, 0.1), q=2)
     with pytest.raises(ValueError):
         CoefficientSpec(drift=(0.0, 1.0, 0.0, -1.0, 0.0, 1.0), diffusion=(1.0,), q=2)
     for drift, diffusion in (((), (1.0,)), ((0.0, 1.0), ())):
         with pytest.raises(ValueError, match="at least one coefficient"):
-            CoefficientSpec(drift=drift, diffusion=diffusion, q=0, variant="drift_only")
+            CoefficientSpec(drift=drift, diffusion=diffusion, q=0)
     spec = lipschitz_sqrt_g(0.2)
     assert spec.diffusion_kind is DiffusionKind.SQRT_QUADRATIC
     assert np.isclose(eval_g(spec, 3.0), 0.2 * np.sqrt(10.0), rtol=1e-14)
@@ -244,14 +244,12 @@ def test_spec_validation():
 
 
 ENGINE_SPECS = [
-    CoefficientSpec(drift=drift, diffusion=diffusion, q=q, variant=variant,
-                    diffusion_kind=kind)
+    CoefficientSpec(drift=drift, diffusion=diffusion, q=q, diffusion_kind=kind)
     for q, drift, poly_g in [
         (0, (0.5, -1.0), (0.3, 0.2)),
         (2, (0.0, 1.0, 0.0, -1.0), (0.1, 0.0, 0.05)),
         (4, (0.1, 1.0, 0.0, -0.5, 0.0, -1.0), (0.2, 0.1, 0.0, 0.05)),
     ]
-    for variant in ("both_a", "both_b", "drift_only")
     for kind, diffusion in [(DiffusionKind.POLYNOMIAL, poly_g),
                             (DiffusionKind.SQRT_QUADRATIC, (0.2,))]
 ] + [allen_cahn(1.0, 0.3)]  # constant g: an untamed g comes back as a float
@@ -259,7 +257,7 @@ ENGINE_SPECS = [
 
 @pytest.mark.parametrize(
     "spec", ENGINE_SPECS,
-    ids=lambda s: f"q{s.q}-{s.variant.value}-{s.diffusion_kind.value}"
+    ids=lambda s: f"q{s.q}-{s.diffusion_kind.value}"
     + ("-constant-g" if s.g_is_constant else ""),
 )
 def test_engine_coefficient_pass_matches_public_evaluators(spec):
@@ -267,7 +265,8 @@ def test_engine_coefficient_pass_matches_public_evaluators(spec):
     values = np.random.default_rng(spec.q).uniform(-30.0, 30.0, (3, 31))
     for tau in (2.0**-12, 2.0**-6, 0.5):
         expected = {
-            "gtem": (eval_f_tau(spec, tau, values), eval_g_tau(spec, tau, values)),
+            "gtem": (eval_f_tau(spec, tau, values), eval_g_tau(spec, tau, values, spec.q // 2)),
+            "gtem_b": (eval_f_tau(spec, tau, values), eval_g_tau(spec, tau, values, spec.q)),
             "drift_gtem": (eval_f_tau(spec, tau, values), eval_g(spec, values)),
             "untamed_em": (eval_f(spec, values), eval_g(spec, values)),
         }
@@ -309,4 +308,4 @@ def test_evaluators_accept_scalars():
     assert isinstance(eval_f(ac, 2.0), np.float64)
     assert isinstance(eval_g(ac, 2.0), np.float64)
     assert eval_f_tau(ac, 0.25, 2.0) == -6.0 / np.sqrt(1.0 + 0.25 * 16.0)
-    assert eval_g_tau(ac, 0.25, 2.0) == 1.0 / np.sqrt(1.0 + 0.5 * 4.0)
+    assert eval_g_tau(ac, 0.25, 2.0, 1) == 1.0 / np.sqrt(1.0 + 0.5 * 4.0)

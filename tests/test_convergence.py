@@ -28,7 +28,7 @@ from tamedspde.noise import (
 )
 from tamedspde.schemes import InitialCondition, SchemeConfig
 
-ZERO = CoefficientSpec(drift=(0.0,), diffusion=(0.0,), q=0, variant="drift_only")
+ZERO = CoefficientSpec(drift=(0.0,), diffusion=(0.0,), q=0)
 
 
 def heat_reference(n_cells=32, tau=2.0**-12, horizon=1.0, seed=3):

@@ -13,7 +13,7 @@ from tamedspde.coefficients import (
     double_well,
     linear_ou,
 )
-from tamedspde.engine import BatchChains, EnsembleNoise
+from tamedspde.engine import BatchChains, EnsembleNoise, drift_diffusion_rows
 from tamedspde.convergence import fit_line
 from tamedspde.ergodicity import (
     COUPLING_FIT_FLOOR,
@@ -48,31 +48,34 @@ ZERO = InitialCondition("zero").build(GRID)
 
 
 def linear_stationary_l2_sq(config: SchemeConfig) -> float:
-    """Closed-form stationary E||x||^2 for a linear drift and constant g.
+    """Closed-form stationary E||x||^2 for a linear drift and constant g at q = 0.
 
     For f(x) = a1 x the scheme diagonalizes in the sine basis: each mode is a
     scalar AR(1) recursion whose stationary variance follows from the
-    resolvent factor and the (possibly tamed) drift multiplier.
+    resolvent factor, the (possibly tamed) drift multiplier and the (possibly
+    tamed) g^2.
     """
     spec = config.coefficients
-    if len(spec.drift) > 2 or spec.drift[0] != 0.0:
-        raise ValueError("closed form requires f(x) = a1 * x")
+    if len(spec.drift) > 2 or spec.drift[0] != 0.0 or spec.q != 0:
+        raise ValueError("closed form requires f(x) = a1 * x and q = 0")
     if not spec.g_is_constant:
         raise ValueError("closed form requires constant g")
     a1 = spec.drift[1] if len(spec.drift) == 2 else 0.0
     tau = config.tau
-    if config.scheme in (Scheme.GTEM, Scheme.DRIFT_GTEM):
-        a_eff = a1 / math.sqrt(1.0 + tau)  # q = 0 taming divides by sqrt(1 + tau)
-    else:
+    g0_sq = spec.diffusion[0] ** 2
+    if config.scheme is Scheme.UNTAMED_EM:
         a_eff = a1
-    g0 = spec.diffusion[0]
+    else:
+        a_eff = a1 / math.sqrt(1.0 + tau)  # q = 0 taming divides by sqrt(1 + tau)
+    if config.scheme in (Scheme.GTEM, Scheme.GTEM_B):
+        g0_sq /= 1.0 + math.sqrt(tau)  # both g tamings divide g by sqrt(1 + sqrt(tau))
     n_modes = config.noise.truncation
     lam_q = config.noise.eigenvalues()
     mass_w = mass_weights(config.grid)[:n_modes]
     lam_h = dispersion_eigenvalue(config.grid, np.arange(1, n_modes + 1))
     gain = 1.0 + tau * lam_h
     drift_mult = 1.0 + tau * a_eff
-    var = g0**2 * lam_q * tau / (gain**2 - drift_mult**2)
+    var = g0_sq * lam_q * tau / (gain**2 - drift_mult**2)
     if np.any(var <= 0):
         raise ValueError("mode recursion is not contractive; no stationary law")
     return float(np.sum(mass_w * var))
@@ -139,7 +142,7 @@ def test_coupling_identical_initial_data():
 
 def test_coupling_linear_case_exact_slope():
     # f = 0, constant g: the distance contracts exactly by the resolvent
-    spec = CoefficientSpec(drift=(0.0,), diffusion=(1.0,), q=0, variant="drift_only")
+    spec = CoefficientSpec(drift=(0.0,), diffusion=(1.0,), q=0)
     tau = 2.0**-6
     cfg = SchemeConfig(tau=tau, grid=GRID, horizon=1.0, scheme="drift_gtem",
                        coefficients=spec, noise=NOISE, seed=5)
@@ -182,8 +185,7 @@ def test_coupling_fit_leaves_out_distances_at_rounding_level():
 
 def test_nondegeneracy_precheck():
     assert nondegeneracy_precheck(linear_ou()).passed  # g = 1
-    vanishing = CoefficientSpec(drift=(0.0, -1.0), diffusion=(0.0, 1.0), q=0,
-                                variant="drift_only")
+    vanishing = CoefficientSpec(drift=(0.0, -1.0), diffusion=(0.0, 1.0), q=0)
     res = nondegeneracy_precheck(vanishing)  # g(x) = x vanishes at 0
     assert not res.passed
     assert any(abs(w) < 1e-9 for w in res.witnesses)
@@ -237,8 +239,7 @@ def test_ergodic_limit_short_horizon_widens_ci():
 
 
 def test_ergodic_limit_rejects_degenerate_g():
-    vanishing = CoefficientSpec(drift=(0.0, -1.0), diffusion=(0.0, 1.0), q=0,
-                                variant="drift_only")
+    vanishing = CoefficientSpec(drift=(0.0, -1.0), diffusion=(0.0, 1.0), q=0)
     cfg = SchemeConfig(tau=0.125, grid=GRID, horizon=8.0, scheme="drift_gtem",
                        coefficients=vanishing, noise=NOISE)
     with pytest.raises(ValueError, match="nondegeneracy"):
@@ -263,6 +264,23 @@ def test_blowup_probe_linear_never_blows():
 def test_linear_stationary_oracle_requires_linear_spec():
     with pytest.raises(ValueError):
         linear_stationary_l2_sq(ac_config())
+
+
+@pytest.mark.parametrize("scheme", ["gtem", "gtem_b"])
+def test_linear_stationary_oracle_tames_g_like_the_step(scheme):
+    # At q = 0 the step's g* is g0 / sqrt(1 + sqrt(tau)) at every state, so
+    # the oracle equals drift_gtem's with g0 so scaled.
+    tau = 2.0**-6
+    cfg = SchemeConfig(tau=tau, grid=GRID, horizon=1.0, scheme=scheme,
+                       coefficients=linear_ou(), noise=NOISE)
+    g_star = 1.0 / math.sqrt(1.0 + math.sqrt(tau))
+    _, g = drift_diffusion_rows(cfg, np.linspace(-5.0, 5.0, 2 * GRID.n_interior).reshape(2, -1))
+    assert np.allclose(g, g_star, rtol=1e-15, atol=0.0)
+    scaled = replace(cfg, scheme=Scheme.DRIFT_GTEM,
+                     coefficients=CoefficientSpec(drift=(0.0, -1.0), diffusion=(g_star,), q=0))
+    assert math.isclose(linear_stationary_l2_sq(cfg), linear_stationary_l2_sq(scaled),
+                        rel_tol=1e-14)
+    assert linear_stationary_l2_sq(cfg) < linear_stationary_l2_sq(replace(cfg, scheme="drift_gtem"))
 
 
 def test_mode1_observable_matches_sine_transform():

@@ -14,7 +14,7 @@ from tamedspde.grid import Grid1D, GridFunction, l2_norm, rows_l2_sq, sine_mode
 from tamedspde.noise import QWienerSpec
 from tamedspde.schemes import SchemeConfig
 
-ZERO_COEFFS = CoefficientSpec(drift=(0.0,), diffusion=(0.0,), q=0, variant="drift_only")
+ZERO_COEFFS = CoefficientSpec(drift=(0.0,), diffusion=(0.0,), q=0)
 
 
 def mass_and_stiffness(ops):

@@ -13,9 +13,9 @@ from tamedspde.grid import (
     sine_mode,
 )
 from tamedspde.noise import QWienerSpec
-from tamedspde.schemes import OVERFLOW_GUARD, InitialCondition, SchemeConfig
+from tamedspde.schemes import OVERFLOW_GUARD, InitialCondition, Scheme, SchemeConfig
 
-ZERO_DRIFT = CoefficientSpec(drift=(0.0,), diffusion=(0.0,), q=0, variant="drift_only")
+ZERO_DRIFT = CoefficientSpec(drift=(0.0,), diffusion=(0.0,), q=0)
 
 
 def heat_config(n_cells=64, tau=0.05, horizon=1.0):
@@ -212,18 +212,30 @@ def test_single_step_tau_continuity():
         assert 1.6 <= r <= 2.4
 
 
-def test_drift_gtem_equals_gtem_for_drift_only_constant_g():
-    grid = Grid1D(32)
-    spec = CoefficientSpec(drift=(0.0, 1.0, 0.0, -1.0), diffusion=(0.7,), q=2,
-                           variant="drift_only")
-    noise = QWienerSpec(3.0, 1.0, 31)
-    x0 = InitialCondition("sine", amplitude=2.0).build(grid)
-    _, a, _ = run_path(SchemeConfig(tau=0.05, grid=grid, horizon=1.0, scheme="gtem",
-                                    coefficients=spec, noise=noise, seed=2), x0, 0)
-    _, b, _ = run_path(SchemeConfig(tau=0.05, grid=grid, horizon=1.0,
-                                    scheme="drift_gtem", coefficients=spec,
-                                    noise=noise, seed=2), x0, 0)
-    assert np.array_equal(a, b)
+# Only the schemes that tame g need a negative leading drift, and only for a
+# non-constant g; the constant-g spec keeps the positive leading drift.
+G_TAMING_SPECS = {
+    "positive-leading-drift": dict(drift=(0.0, 1.0, 0.0, 1.0), diffusion=(0.0, 0.0, 1.0)),
+    "negative-leading-drift": dict(drift=(0.0, 1.0, 0.0, -1.0), diffusion=(0.0, 0.0, 1.0)),
+    "constant-g": dict(drift=(0.0, 1.0, 0.0, 1.0), diffusion=(0.7,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(G_TAMING_SPECS))
+@pytest.mark.parametrize("scheme", [s.value for s in Scheme])
+def test_only_the_g_taming_schemes_refuse_a_positive_leading_drift(scheme, name):
+    spec = CoefficientSpec(q=2, **G_TAMING_SPECS[name])
+
+    def config():
+        return SchemeConfig(tau=0.125, grid=Grid1D(16), horizon=1.0, scheme=scheme,
+                            coefficients=spec, noise=QWienerSpec(3.0, 1.0, 15))
+
+    if scheme in ("gtem", "gtem_b") and name == "positive-leading-drift":
+        with pytest.raises(ValueError, match=f"scheme {scheme} tames g, which requires "
+                                             "a negative leading drift"):
+            config()
+    else:
+        assert config().coefficients is spec
 
 
 def test_record_stride_and_initial_conditions():
