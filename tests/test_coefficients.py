@@ -255,12 +255,18 @@ ENGINE_SPECS = [
 ] + [allen_cahn(1.0, 0.3)]  # constant g: an untamed g comes back as a float
 
 
+# Each case names its taming by the scheme's old variant name: both_a is gtem
+# (g tamed with exponent q/2), both_b is gtem_b (exponent q), drift_only is
+# drift_gtem (g untamed). untamed_em is checked in every case.
+TAMED_SCHEMES = {"both_a": "gtem", "both_b": "gtem_b", "drift_only": "drift_gtem"}
+
+
 @pytest.mark.parametrize(
-    "spec", ENGINE_SPECS,
-    ids=lambda s: f"q{s.q}-{s.diffusion_kind.value}"
-    + ("-constant-g" if s.g_is_constant else ""),
+    "taming, spec", [(t, s) for s in ENGINE_SPECS for t in TAMED_SCHEMES],
+    ids=[f"q{s.q}-{t}-{s.diffusion_kind.value}" + ("-constant-g" if s.g_is_constant else "")
+         for s in ENGINE_SPECS for t in TAMED_SCHEMES],
 )
-def test_engine_coefficient_pass_matches_public_evaluators(spec):
+def test_engine_coefficient_pass_matches_public_evaluators(taming, spec):
     # The step's shared-x**2 pass must give the public evaluators' exact bits.
     values = np.random.default_rng(spec.q).uniform(-30.0, 30.0, (3, 31))
     for tau in (2.0**-12, 2.0**-6, 0.5):
@@ -270,7 +276,8 @@ def test_engine_coefficient_pass_matches_public_evaluators(spec):
             "drift_gtem": (eval_f_tau(spec, tau, values), eval_g(spec, values)),
             "untamed_em": (eval_f(spec, values), eval_g(spec, values)),
         }
-        for scheme, (f_want, g_want) in expected.items():
+        for scheme in (TAMED_SCHEMES[taming], "untamed_em"):
+            f_want, g_want = expected[scheme]
             cfg = SchemeConfig(tau=tau, grid=Grid1D(32), horizon=1.0, scheme=scheme,
                                coefficients=spec, noise=QWienerSpec(3.0, 1.0, 31))
             f_got, g_got = drift_diffusion_rows(cfg, values)
