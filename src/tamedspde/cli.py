@@ -10,7 +10,8 @@ validates the file against the schema before any computation, writes the
 resolved configuration next to its outputs, and emits CSV tables plus a
 plain-text verdict summary.  Exit codes: 0 all asserted checks pass,
 1 a scientific check failed, 2 configuration error, 3 numerical failure
-during compute (every path blew up, or a banded solve failed).
+during compute (every path blew up, or a tridiagonal LDL^T factorization
+or solve failed).
 
 The TAMEDSPDE_WORKERS environment variable sets the worker-thread count
 for Monte Carlo paths; it affects runtime only, never results.
@@ -628,7 +629,7 @@ def run_experiment(config_path: Path, output_override=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except RuntimeError as exc:  # every path blew up, or a banded solve failed
+    except RuntimeError as exc:  # every path blew up, or an LDL^T factor or solve failed
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
     ok = write_verdicts(out_dir / "verdict.txt", checks)

@@ -11,7 +11,8 @@ once, summed over coarse steps level by level (exact aggregation of the
 Wiener path), truncated to the coarse grid's own modes, and the fine
 reference is restricted to coarse nodes (exact for nested meshes); each
 member takes one error reduction per block.  Synthesis runs one lcm-slab of
-the block at a time, since the dense product's bits depend on its row count.
+the block at a time, since up to 64 cells the dense product's bits depend on
+its row count.
 Memory is O(chunk x block x modes), whatever the horizon, and a block past
 ``MAX_BLOCK_VALUES`` is rejected.  The reported error per ladder point is
 

@@ -2,14 +2,15 @@
 
 Assembles the tridiagonal mass matrix M (rows h/6 * [1, 4, 1]) and stiffness
 matrix K (rows 1/h * [-1, 2, -1]) for the interior nodes of a ``Grid1D``,
-with the banded Cholesky factor of (M + tau*K) cached per step size.  The
-resolvent S = (M + tau*K)^{-1} M is nonexpansive in the mass norm, which is
-what makes the schemes unconditionally stable in the linear part.
-``mass_matvec_rows`` is the one P1 mass product.  The one banded solve is
-``tamedspde.engine.resolvent_rows``, which every driver steps with and the
-semigroup ladder iterates.  ``eigen_smallest`` (inverse iteration) and
-``dispersion_eigenvalue`` (closed form) are the reference eigenvalues that
-the operator suite compares.
+with the tridiagonal LDL^T factor of (M + tau*K) (LAPACK ``dpttrf``) cached
+per step size.  The resolvent S = (M + tau*K)^{-1} M is nonexpansive in the
+mass norm, which is what makes the schemes unconditionally stable in the
+linear part.  ``mass_matvec_rows`` is the one P1 mass product.  The one
+tridiagonal solve is ``tamedspde.engine.resolvent_rows``, which every driver
+steps with and the semigroup ladder iterates.  ``eigen_smallest`` (inverse
+iteration, with its own banded Cholesky factor of K, so it shares no code
+with the solve it checks) and ``dispersion_eigenvalue`` (closed form) are
+the reference eigenvalues that the operator suite compares.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpttrf
 
 from .grid import Grid1D
 
@@ -38,16 +40,17 @@ class FemOperators:
     stiff_off: np.ndarray = field(repr=False)
     _factors: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def _cholesky(self, tau: float):
-        """Banded Cholesky factor of (M + tau*K), cached per tau."""
+    def _ldlt(self, tau: float):
+        """(d, e) of the LDL^T factor of (M + tau*K), cached per tau.  scipy's
+        ``dpttrf``/``dpttrs`` reject an empty e, so one interior node gets [0.0]."""
         fac = self._factors.get(tau)
         if fac is None:
-            n = self.grid.n_interior
-            ab = np.zeros((2, n))
-            ab[1] = self.mass_diag + tau * self.stiff_diag
-            ab[0, 1:] = self.mass_off + tau * self.stiff_off
-            fac = scipy.linalg.cholesky_banded(ab, check_finite=False)
-            self._factors[tau] = fac
+            off = self.mass_off + tau * self.stiff_off
+            d, e, info = dpttrf(self.mass_diag + tau * self.stiff_diag,
+                                off if len(off) else np.zeros(1))
+            if info != 0:
+                raise RuntimeError(f"tridiagonal LDL^T factorization failed (info={info})")
+            fac = self._factors[tau] = (d, e)
         return fac
 
 

@@ -23,8 +23,9 @@ of 31-mode draws costs about 1.2 us a row, against 1.6 us with each row
 drawn in place.
 
 ``synthesize`` turns rows of coefficients into nodal values: on meshes of up
-to 256 cells by a product with the cached dense sine matrix, on wider ones
-by a DST-I, which needs no O(n^2) matrix.
+to 64 cells by a product with the cached dense sine matrix, on wider ones
+by a DST-I, which needs no O(n^2) matrix and whose rows do not depend on the
+BLAS thread count or on how many rows share the call.
 """
 
 from __future__ import annotations
@@ -82,10 +83,12 @@ def c_q_constant(spec: QWienerSpec) -> float:
 
 
 # Widest mesh synthesized by the cached dense matrix.  Wider meshes use DST-I,
-# which costs O(n log n) per row and caches nothing of size n^2; measured
-# with one BLAS thread, the dense product is the faster of the two for one
-# row up to 256 cells, DST-I for one row at 512 cells and beyond.
-_DENSE_MAX_CELLS = 256
+# which costs O(n log n) per row, caches nothing of size n^2 and gives each
+# row the same bits at any BLAS thread count and row count.  The dense
+# product's bits were seen to change with the BLAS thread count from 128
+# cells up; at 32-64 cells DST-I's fixed cost of about 10 us a call would
+# dominate the narrow probes.
+_DENSE_MAX_CELLS = 64
 
 
 @functools.lru_cache(maxsize=32)

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from tamedspde import convergence, engine, noise
+from tamedspde import convergence, engine, fem, noise
 from tamedspde.cli import EXIT_NUMERICAL_FAILURE, main
 from tamedspde.fem import dispersion_eigenvalue
 from tamedspde.grid import Grid1D
@@ -205,6 +210,28 @@ output_dir = {out}
     assert main(["run", str(cfg)]) == EXIT_NUMERICAL_FAILURE == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and "info=-1" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not (out / "verdict.txt").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(SOLVING_CONFIGS))
+def test_failed_factorization_exits_numerical_failure(tmp_path, capsys, monkeypatch, kind):
+    """A step size whose LDL^T factorization fails is a numerical failure too."""
+    def failing_dpttrf(d, e, **kwargs):
+        return d, e, 2
+
+    engine._operators.cache_clear()  # no factor cached by an earlier test
+    monkeypatch.setattr(fem, "dpttrf", failing_dpttrf)
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "solve.ini", f"""
+[experiment]
+kind = {kind}
+seed = 1
+output_dir = {out}
+""" + SOLVING_CONFIGS[kind])
+    assert main(["run", str(cfg)]) == EXIT_NUMERICAL_FAILURE == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "info=2" in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not (out / "verdict.txt").exists()
 
@@ -497,6 +524,56 @@ taus = 0.03125, 0.015625, 0.0078125, 0.00390625
         assert a[name] == b[name], f"rerun changed {name}"
         assert a[name] == c[name], f"worker count changed {name}"
     assert "strong_error_table.csv" in a and "rate_fit.csv" in a
+
+
+def test_strong_rate_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 256 cells: nodal synthesis by DST-I, whose rows, like the tridiagonal
+    # solve's, do not depend on how many BLAS threads OpenBLAS runs.
+    # Subprocesses, because OpenBLAS reads its thread count at import.
+    cfg = write(tmp_path / "ladder.ini", """
+[experiment]
+kind = strong-rate
+seed = 20250809
+output_dir = unused
+
+[grid]
+n_cells = 256
+
+[scheme]
+kind = drift_gtem
+tau = 0.0009765625
+horizon = 0.03125
+
+[initial]
+kind = sine
+amplitude = 2.0
+
+[coefficients]
+preset = allen-cahn
+
+[monte_carlo]
+paths = 25
+
+[ladder]
+axis = tau
+taus = 0.015625, 0.0078125, 0.00390625, 0.001953125
+""")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, TAMEDSPDE_WORKERS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tamedspde.cli", "run", str(cfg), "--output", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(read_outputs(out))
+    one, two = outputs
+    assert "strong_error_table.csv" in one and set(one) == set(two)
+    for name in one:
+        assert one[name] == two[name], f"OPENBLAS_NUM_THREADS changed {name}"
 
 
 def test_strong_rate_slope_band_failure_exits_one(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tamedspde import engine, fem
 from tamedspde.coefficients import CoefficientSpec
@@ -133,6 +134,52 @@ def test_failed_banded_solve_raises(monkeypatch):
     cfg = linear_config(16, 0.1)
     with pytest.raises(RuntimeError, match="info=-1"):
         step_rows(cfg, np.ones((2, 15)), np.zeros((2, 15)))
+
+
+def dense_operator(ops, tau):
+    """M + tau K as one dense array (M at tau = 0), built without the solve's
+    factor; a 4095-node mesh needs one 134 MB array at a time."""
+    n = ops.grid.n_interior
+    a = np.zeros((n, n))
+    i = np.arange(n)
+    a[i, i] = ops.mass_diag + tau * ops.stiff_diag
+    a[i[:-1], i[1:]] = a[i[1:], i[:-1]] = ops.mass_off + tau * ops.stiff_off
+    return a
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 32, 256, 4096])
+def test_resolvent_rows_matches_a_dense_solve(n_cells):
+    ops = assemble(Grid1D(n_cells))
+    v = np.random.default_rng(n_cells).standard_normal((3, n_cells - 1))
+    load = v @ dense_operator(ops, 0.0)
+    for tau in (2.0**-13, 0.25, 1.0):
+        # a dense Cholesky solve; the symmetric array's transpose is its
+        # F-ordered view, so LAPACK factors it in place without a copy
+        reference = scipy.linalg.solve(dense_operator(ops, tau).T, load.T, assume_a="pos",
+                                       overwrite_a=True, check_finite=False).T
+        z = resolvent_rows(ops, tau, v)
+        assert np.max(np.abs(z - reference)) <= 1e-10 * np.max(np.abs(reference))
+
+
+def test_resolvent_rows_do_not_depend_on_the_row_count():
+    rng = np.random.default_rng(5)
+    for n_cells in (2, 32, 256, 4096):
+        ops = assemble(Grid1D(n_cells))
+        v = rng.standard_normal((25, n_cells - 1))
+        rows = resolvent_rows(ops, 0.25, v)
+        for p in range(25):
+            assert resolvent_rows(ops, 0.25, v[p : p + 1])[0].tobytes() == rows[p].tobytes()
+
+
+def test_failed_factorization_raises_and_is_not_cached(monkeypatch):
+    def failing_dpttrf(d, e, **kwargs):
+        return d, e, 2
+
+    ops = assemble(Grid1D(16))
+    monkeypatch.setattr(fem, "dpttrf", failing_dpttrf)
+    with pytest.raises(RuntimeError, match="factorization failed.*info=2"):
+        resolvent_rows(ops, 0.1, np.ones((2, 15)))
+    assert ops._factors == {}
 
 
 def resolvent_power(ops, tau, v, k):

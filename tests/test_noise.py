@@ -316,9 +316,9 @@ def test_dst_rows_do_not_depend_on_the_row_count():
 
 
 def test_dense_synthesis_shares_the_cache_and_wide_meshes_bypass_it(tmp_path):
-    # up to the crossover: a view of the cached matrix, the same product as
-    # with a transposed copy of its first k columns
-    for n_cells, k in ((64, 63), (64, 20), (256, 255)):
+    # up to the crossover (64 cells): a view of the cached matrix, the same
+    # product as with a transposed copy of its first k columns
+    for n_cells, k in ((32, 31), (64, 63), (64, 20)):
         full = _synth_matrix(n_cells)
         assert np.array_equal(full, full.T)  # symmetric bit for bit
         view = _synth_rows(n_cells, k)
@@ -327,10 +327,11 @@ def test_dense_synthesis_shares_the_cache_and_wide_meshes_bypass_it(tmp_path):
         noise = EnsembleNoise(noise_config(QWienerSpec(3.0, 1.0, k), grid, seed=3), range(5))
         transposed = np.ascontiguousarray(full[:, :k].T)
         assert np.array_equal(noise.value_rows(2), noise.coeff_rows(2) @ transposed)
-    # above it: no entry for the wide mesh, whichever caller synthesizes
+    # above it: no entry for a wider mesh, whichever caller synthesizes
     wide = Grid1D(4096)
     _synth_matrix.cache_clear()
-    EnsembleNoise(noise_config(SPEC.for_grid(wide), wide, seed=3), range(2)).value_rows(0)
+    for grid in (Grid1D(128), Grid1D(256), wide):
+        EnsembleNoise(noise_config(SPEC.for_grid(grid), grid, seed=3), range(2)).value_rows(0)
     assert _synth_matrix.cache_info().currsize == 0
     out = tmp_path / "sim"
     cfg = tmp_path / "sim.ini"
