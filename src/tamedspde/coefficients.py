@@ -220,26 +220,18 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
 
 
-def tamed_drift(spec: CoefficientSpec, tau: float, x, x2):
-    """f(x) / (1 + tau |x|^{2q})^{1/2}, given x2 = x**2; tau is not checked."""
-    return _polyval(spec.drift, x) / np.sqrt(1.0 + tau * x2**spec.q)
-
-
-def tamed_diffusion(spec: CoefficientSpec, tau: float, x, x2, power: int):
-    """g(x) / (1 + sqrt(tau) x2^power)^{1/2}, given x2 = x**2; tau is not checked."""
-    return eval_g(spec, x) / np.sqrt(1.0 + math.sqrt(tau) * x2**power)
-
-
 def eval_f_tau(spec: CoefficientSpec, tau: float, xi):
     """Tamed drift f(x) / (1 + tau |x|^{2q})^{1/2}."""
     _check_tau(tau)
-    return tamed_drift(spec, tau, xi, np.asarray(xi, dtype=np.float64) ** 2)
+    x2 = np.asarray(xi, dtype=np.float64) ** 2
+    return eval_f(spec, xi) / np.sqrt(1.0 + tau * x2**spec.q)
 
 
 def eval_g_tau(spec: CoefficientSpec, tau: float, xi, power: int):
     """g(x) / (1 + sqrt(tau) |x|^{2 power})^{1/2}: power q/2 for gtem, q for gtem_b."""
     _check_tau(tau)
-    return tamed_diffusion(spec, tau, xi, np.asarray(xi, dtype=np.float64) ** 2, power)
+    x2 = np.asarray(xi, dtype=np.float64) ** 2
+    return eval_g(spec, xi) / np.sqrt(1.0 + math.sqrt(tau) * x2**power)
 
 
 def eval_f_tau_prime(spec: CoefficientSpec, tau: float, xi):

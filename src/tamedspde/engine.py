@@ -10,6 +10,13 @@ path's counter-based stream with one re-keyed generator
 (``noise.PathSampler``) and synthesizes the nodal increments in slabs of
 ``parallel.PATH_CHUNK`` rows.
 
+Everything a step needs that does not change from step to step is resolved
+once per ensemble into a ``StepPlan`` (``step_plan``): the FEM operators,
+the LDL^T factor of M + tau K, which of f and g the scheme tames, and a
+one-coefficient g.  ``step_rows`` then does only the step's arithmetic,
+through this module's ``drift_diffusion_rows``, ``mass_matvec_rows`` and
+``_dpbtrs``.
+
 Blow-up is detected, not raised: a row whose solution trips the overflow
 guard is frozen at its last finite state, and the failing step index is
 recorded, which is what the untamed baseline's blow-up statistics measure.
@@ -23,13 +30,15 @@ that test takes the per-row sup and mass-norm rule.
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+import math
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpttrs
 
 from . import fem
-from .coefficients import DiffusionKind, eval_f, eval_g, tamed_diffusion, tamed_drift
+from .coefficients import DiffusionKind, eval_f, eval_g
 from .fem import mass_matvec_rows
 from .grid import Grid1D, rows_l2_sq
 from .noise import PathSampler, synthesize
@@ -42,20 +51,68 @@ def _operators(grid: Grid1D) -> fem.FemOperators:
     return fem.assemble(grid)
 
 
-def drift_diffusion_rows(config: SchemeConfig, values: np.ndarray):
-    """Scheme-dependent (f*, g*); both tamings share one x**2, and tau was
-    validated by ``SchemeConfig``.  Shape-agnostic (rows or a vector); an
-    untamed one-coefficient g comes back as the float c0, which broadcasts."""
-    spec, tau, scheme = config.coefficients, config.tau, config.scheme
-    if scheme is Scheme.DRIFT_GTEM or scheme is Scheme.UNTAMED_EM:
-        constant = spec.diffusion_kind is DiffusionKind.POLYNOMIAL and len(spec.diffusion) == 1
-        g = spec.diffusion[0] if constant else eval_g(spec, values)
-        if scheme is Scheme.UNTAMED_EM:
-            return eval_f(spec, values), g
-        return tamed_drift(spec, tau, values, values**2), g
+@dataclass(frozen=True, eq=False)
+class StepPlan:
+    """What every step of one configuration needs, resolved once.
+
+    ``tame_f``: f* = f_tau, else f.  ``g_power``: g* = g / (1 + sqrt(tau)
+    x^(2 g_power))^{1/2}, or None for an untamed g.  ``g0``: c0 when g is the
+    one-coefficient polynomial, else None.  ``unit_g``: g* is exactly 1.0.
+    """
+
+    config: SchemeConfig
+    ops: fem.FemOperators
+    factor: tuple  # (d, e) of the LDL^T factor of M + tau K
+    tame_f: bool
+    g_power: Optional[int]
+    sqrt_tau: float
+    g0: Optional[float]
+    unit_g: bool
+
+
+def step_plan(config: SchemeConfig) -> StepPlan:
+    """Resolve the scheme, operators and factor of ``config`` for its steps."""
+    spec, scheme = config.coefficients, config.scheme
+    ops = _operators(config.grid)
+    g_power = {Scheme.GTEM: spec.q // 2, Scheme.GTEM_B: spec.q}.get(scheme)
+    one = spec.diffusion_kind is DiffusionKind.POLYNOMIAL and len(spec.diffusion) == 1
+    g0 = spec.diffusion[0] if one else None
+    return StepPlan(
+        config=config,
+        ops=ops,
+        factor=ops._ldlt(config.tau),
+        tame_f=scheme is not Scheme.UNTAMED_EM,
+        g_power=g_power,
+        sqrt_tau=math.sqrt(config.tau),
+        g0=g0,
+        unit_g=g_power is None and g0 == 1.0,
+    )
+
+
+def _taming_divisor(x2: np.ndarray, power: int, scale: float) -> np.ndarray:
+    """(1 + scale x2^power)^{1/2} in one fresh array, in that order."""
+    d = x2**power
+    d *= scale
+    d += 1.0
+    return np.sqrt(d, out=d)
+
+
+def drift_diffusion_rows(plan: StepPlan, values: np.ndarray):
+    """(f*, g*) of the plan's scheme, with the bits of the public evaluators
+    (``coefficients.eval_f_tau`` and ``eval_g_tau``); both tamings share one
+    x**2.  Rows or a vector; f* is a fresh array, and an untamed
+    one-coefficient g comes back as the float c0, which broadcasts."""
+    spec = plan.config.coefficients
+    f = eval_f(spec, values)
+    g = eval_g(spec, values) if plan.g0 is None else plan.g0
+    if not plan.tame_f:
+        return f, g
     x2 = values**2
-    power = spec.q // 2 if scheme is Scheme.GTEM else spec.q  # GTEM_B
-    return tamed_drift(spec, tau, values, x2), tamed_diffusion(spec, tau, values, x2, power)
+    f /= _taming_divisor(x2, spec.q, plan.config.tau)
+    if plan.g_power is None:
+        return f, g
+    d = _taming_divisor(x2, plan.g_power, plan.sqrt_tau)
+    return f, np.divide(g, d, out=d)
 
 
 # perfbench's tracer (span ``fem.dpbtrs``) and the failing-solve tests patch
@@ -64,49 +121,58 @@ def _dpbtrs(factor, load, overwrite_b=0):
     return dpttrs(*factor, load, overwrite_b=overwrite_b)
 
 
-def resolvent_rows(ops: fem.FemOperators, tau: float, v: np.ndarray) -> np.ndarray:
-    """(M + tau K)^{-1} M applied to each row of v, by the tridiagonal LDL^T
-    solve with the factor cached per tau."""
+def _solve_rows(ops: fem.FemOperators, factor, v: np.ndarray) -> np.ndarray:
+    """(M + tau K)^{-1} M applied to each row of v, given the LDL^T factor."""
     # The load is a fresh F-ordered array, so dpttrs may solve in place.
-    z, info = _dpbtrs(ops._ldlt(tau), mass_matvec_rows(ops, v).T, overwrite_b=1)
+    z, info = _dpbtrs(factor, mass_matvec_rows(ops, v).T, overwrite_b=1)
     if info != 0:
         raise RuntimeError(f"tridiagonal LDL^T solve failed (info={info})")
     return np.ascontiguousarray(z.T)
 
 
-def step_rows(config: SchemeConfig, values: np.ndarray, noise_values: np.ndarray):
+def resolvent_rows(ops: fem.FemOperators, tau: float, v: np.ndarray) -> np.ndarray:
+    """(M + tau K)^{-1} M applied to each row of v, by the tridiagonal LDL^T
+    solve with the factor cached per tau."""
+    return _solve_rows(ops, ops._ldlt(tau), v)
+
+
+def step_rows(plan: StepPlan, values: np.ndarray, noise_values: np.ndarray):
     """One scheme step for a (paths, nodes) matrix of states.
 
     Solves (M + tau K) Z_n = M [Z_{n-1} + tau f*(Z_{n-1}) + g*(Z_{n-1}) dW]
-    row by row.  Returns (new_values, blown): ``blown`` marks rows whose
-    solution tripped the overflow guard during this step, a non-finite
-    right-hand side included (see the module docstring); such a row's output
-    is meaningless and the caller keeps the previous state instead.
+    row by row.  Returns (new_values, blown): ``blown`` is None when the
+    whole block passes the overflow guard, else it marks the rows whose
+    solution tripped it during this step, a non-finite right-hand side
+    included (see the module docstring); such a row's output is meaningless
+    and the caller keeps the previous state instead.
     """
-    tau = config.tau
-    rhs, g = drift_diffusion_rows(config, values)
+    rhs, g = drift_diffusion_rows(plan, values)
     # values + tau f* + g* dW, in the order of that sum, in the fresh f* array
-    rhs *= tau
+    rhs *= plan.config.tau
     rhs += values
-    rhs += g * noise_values
-    z = resolvent_rows(_operators(config.grid), tau, rhs)
+    rhs += noise_values if plan.unit_g else g * noise_values  # 1.0 * x is x
+    z = _solve_rows(plan.ops, plan.factor, rhs)
     # One test of the whole block first; a NaN fails both comparisons.
     if z.size == 0 or (z.max() <= OVERFLOW_GUARD and z.min() >= -OVERFLOW_GUARD):
-        return z, np.zeros(len(z), dtype=bool)
+        return z, None
     blown = ~(np.abs(z).max(axis=-1) <= OVERFLOW_GUARD)  # NaN rows too
     # The sup norm bounds the L2 norm on (0, 1), so only these rows need the
     # mass-norm decision; a non-finite row has a non-finite norm.
-    blown[blown] = ~(rows_l2_sq(z[blown], config.grid.h) <= OVERFLOW_GUARD**2)
+    blown[blown] = ~(rows_l2_sq(z[blown], plan.config.grid.h) <= OVERFLOW_GUARD**2)
     return z, blown
 
 
 class EnsembleNoise:
     """Per-path counter-based streams, drawn by one sampler, synthesized per step.
 
-    The rows are synthesized in slabs of ``PATH_CHUNK``: on the dense branch
-    of ``synthesize`` (up to 64 cells) OpenBLAS picks its kernel by row count,
-    so a path's nodal values could otherwise depend on the size of its
-    ensemble.
+    The rows are synthesized in slabs of ``PATH_CHUNK``, so a path's nodal
+    values are fixed by the seed, its path id, the step and its ensemble's
+    path count (which fixes the slabs).  They are not independent of the
+    ensemble's size: on the dense branch of ``synthesize`` (up to 64 cells)
+    OpenBLAS picks its kernel by row count, and a 1-row tail slab (26, 51,
+    ... paths) takes the gemv kernel, whose bits differ from the same row
+    in a wider slab.  Slabs of 2 to 200 rows gave the bits of one 400-row
+    call at 8 to 64 cells.
     """
 
     def __init__(self, config: SchemeConfig, path_ids: Sequence[int]):
@@ -119,6 +185,8 @@ class EnsembleNoise:
 
     def value_rows(self, step_index: int) -> np.ndarray:
         coeffs = self.coeff_rows(step_index)
+        if len(coeffs) <= PATH_CHUNK:
+            return synthesize(coeffs, self.n_cells)
         return np.concatenate([
             synthesize(coeffs[a:a + PATH_CHUNK], self.n_cells)
             for a in range(0, len(coeffs), PATH_CHUNK)
@@ -139,7 +207,7 @@ class BatchChains:
                 f"x0 rows have {x0_rows.shape[1]} columns, grid has "
                 f"{config.grid.n_interior} interior nodes"
             )
-        self.config = config
+        self.plan = step_plan(config)
         self.states = x0_rows.copy()
         self.n_paths = x0_rows.shape[0]
         self.step_index = 0
@@ -153,14 +221,14 @@ class BatchChains:
     def advance(self, noise_values: np.ndarray) -> None:
         """One step for every live row, driven by the given nodal noise."""
         self.step_index += 1
-        z, blown_now = step_rows(self.config, self.states, noise_values)
-        if self._n_blown == 0 and not blown_now.any():
+        z, blown_now = step_rows(self.plan, self.states, noise_values)
+        if blown_now is not None:
+            self.blowup_step[blown_now & (self.blowup_step < 0)] = self.step_index
+            self._n_blown = int(self.blown.sum())
+        if self._n_blown == 0:
             self.states = z
-            return
-        self.blowup_step[blown_now & (self.blowup_step < 0)] = self.step_index
-        keep = self.blown
-        self._n_blown = int(keep.sum())
-        self.states = np.where(keep[:, None], self.states, z)
+        else:
+            self.states = np.where(self.blown[:, None], self.states, z)
 
     def run(
         self,

@@ -6,11 +6,12 @@ with the tridiagonal LDL^T factor of (M + tau*K) (LAPACK ``dpttrf``) cached
 per step size.  The resolvent S = (M + tau*K)^{-1} M is nonexpansive in the
 mass norm, which is what makes the schemes unconditionally stable in the
 linear part.  ``mass_matvec_rows`` is the one P1 mass product.  The one
-tridiagonal solve is ``tamedspde.engine.resolvent_rows``, which every driver
-steps with and the semigroup ladder iterates.  ``eigen_smallest`` (inverse
-iteration, with its own banded Cholesky factor of K, so it shares no code
-with the solve it checks) and ``dispersion_eigenvalue`` (closed form) are
-the reference eigenvalues that the operator suite compares.
+tridiagonal solve is in ``tamedspde.engine``: every driver steps with it,
+and the semigroup ladder iterates it as ``resolvent_rows``.
+``eigen_smallest`` (inverse iteration, with its own banded Cholesky factor
+of K, so it shares no code with the solve it checks) and
+``dispersion_eigenvalue`` (closed form) are the reference eigenvalues that
+the operator suite compares.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from tamedspde.coefficients import (
     linear_ou,
     lipschitz_sqrt_g,
 )
-from tamedspde.engine import drift_diffusion_rows
+from tamedspde.engine import drift_diffusion_rows, step_plan
 from tamedspde.grid import Grid1D
 from tamedspde.noise import QWienerSpec
 from tamedspde.schemes import SchemeConfig
@@ -280,7 +280,7 @@ def test_engine_coefficient_pass_matches_public_evaluators(taming, spec):
             f_want, g_want = expected[scheme]
             cfg = SchemeConfig(tau=tau, grid=Grid1D(32), horizon=1.0, scheme=scheme,
                                coefficients=spec, noise=QWienerSpec(3.0, 1.0, 31))
-            f_got, g_got = drift_diffusion_rows(cfg, values)
+            f_got, g_got = drift_diffusion_rows(step_plan(cfg), values)
             assert np.array_equal(f_got, f_want), (scheme, tau)
             assert np.array_equal(np.broadcast_to(g_got, values.shape), g_want), (scheme, tau)
 

@@ -1,0 +1,164 @@
+"""The stepping core against a copy of the plan-free step it replaced.
+
+``step_rows`` takes a ``StepPlan`` resolved once per ensemble.  The oracle
+below is the step as it was before the plan: the scheme dispatched, the
+operators assembled and the factor looked up on every call, g evaluated as
+an array product, and an all-False ``blown`` array on a clean step.  The
+plan must give the same bits, state by state.
+"""
+
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+from scipy.linalg.lapack import dpttrs
+
+from tamedspde import engine, fem
+from tamedspde.coefficients import CoefficientSpec, DiffusionKind, eval_f, eval_g
+from tamedspde.engine import BatchChains, EnsembleNoise, step_rows
+from tamedspde.fem import mass_matvec_rows
+from tamedspde.grid import Grid1D, rows_l2_sq
+from tamedspde.noise import QWienerSpec
+from tamedspde.schemes import OVERFLOW_GUARD, Scheme, SchemeConfig
+
+CUBIC = (0.0, 1.0, 0.0, -1.0)
+SPECS = {
+    "constant-g-1": CoefficientSpec(CUBIC, (1.0,), q=2),
+    "constant-g-0.7": CoefficientSpec(CUBIC, (0.7,), q=2),
+    "constant-g-with-a-zero-tail": CoefficientSpec(CUBIC, (0.5, 0.0), q=2),
+    "polynomial-g": CoefficientSpec(CUBIC, (0.1, 0.0, 0.05), q=2),
+    "sqrt-quadratic-g": CoefficientSpec(CUBIC, (0.2,), q=2,
+                                        diffusion_kind=DiffusionKind.SQRT_QUADRATIC),
+    "q4-polynomial-g": CoefficientSpec((0.1, 1.0, 0.0, -0.5, 0.0, -1.0), (0.2, 0.1, 0.0, 0.05),
+                                       q=4),
+    "q0-constant-g": CoefficientSpec((0.0, -1.0), (1.0,), q=0),
+}
+
+
+def parent_drift_diffusion_rows(config, values):
+    spec, tau, scheme = config.coefficients, config.tau, config.scheme
+    if scheme is Scheme.DRIFT_GTEM or scheme is Scheme.UNTAMED_EM:
+        constant = spec.diffusion_kind is DiffusionKind.POLYNOMIAL and len(spec.diffusion) == 1
+        g = spec.diffusion[0] if constant else eval_g(spec, values)
+        if scheme is Scheme.UNTAMED_EM:
+            return eval_f(spec, values), g
+        return eval_f(spec, values) / np.sqrt(1.0 + tau * (values**2) ** spec.q), g
+    x2 = values**2
+    power = spec.q // 2 if scheme is Scheme.GTEM else spec.q
+    return (eval_f(spec, values) / np.sqrt(1.0 + tau * x2**spec.q),
+            eval_g(spec, values) / np.sqrt(1.0 + math.sqrt(tau) * x2**power))
+
+
+def parent_step_rows(config, values, noise_values):
+    tau = config.tau
+    rhs, g = parent_drift_diffusion_rows(config, values)
+    rhs *= tau
+    rhs += values
+    rhs += g * noise_values
+    ops = fem.assemble(config.grid)
+    z, info = dpttrs(*ops._ldlt(tau), mass_matvec_rows(ops, rhs).T, overwrite_b=1)
+    assert info == 0
+    z = np.ascontiguousarray(z.T)
+    if z.size == 0 or (z.max() <= OVERFLOW_GUARD and z.min() >= -OVERFLOW_GUARD):
+        return z, np.zeros(len(z), dtype=bool)
+    blown = ~(np.abs(z).max(axis=-1) <= OVERFLOW_GUARD)
+    blown[blown] = ~(rows_l2_sq(z[blown], config.grid.h) <= OVERFLOW_GUARD**2)
+    return z, blown
+
+
+def start_and_noise(case, n_interior, n_steps):
+    """(x0, noise per step) of a case.  "bad-states": moderate rows, a row
+    the untamed step blows up later, a row over the guard and a NaN row.
+    "bad-noise": moderate rows, one tripped by a noise spike at step 1 and
+    one by NaN noise at step 2, so later blocks pass the guard while rows
+    are frozen.  "no-rows": a 0-row block."""
+    rng = np.random.default_rng(3)
+    x0 = rng.uniform(-1.0, 1.0, (6, n_interior))
+    noise = 0.3 * rng.standard_normal((n_steps, 6, n_interior))
+    if case == "bad-states":
+        x0[3] *= 60.0
+        x0[4] = 1e14
+        x0[5] = np.nan
+    elif case == "bad-noise":
+        noise[0, 4] = 1e16
+        noise[1, 5] = np.nan
+    else:
+        x0, noise = x0[:0], noise[:, :0]
+    return x0, noise
+
+
+@pytest.mark.parametrize("scheme", [s.value for s in Scheme])
+@pytest.mark.parametrize("spec_name", sorted(SPECS))
+@pytest.mark.parametrize("case", ["bad-states", "bad-noise", "no-rows"])
+def test_plan_steps_give_the_bits_of_the_plan_free_step(scheme, spec_name, case):
+    spec = SPECS[spec_name]
+    cfg = SchemeConfig(tau=0.05, grid=Grid1D(16), horizon=1.0, scheme=scheme,
+                       coefficients=spec, noise=QWienerSpec(3.0, 1.0, 15))
+    x0, noises = start_and_noise(case, 15, 6)
+    chains = BatchChains(cfg, x0)
+    assert chains.plan.unit_g == (spec.diffusion == (1.0,) and scheme in ("drift_gtem",
+                                                                        "untamed_em"))
+    states, blowup = x0.copy(), np.full(len(x0), -1)
+    clean_while_frozen = 0  # steps whose block passed the guard with rows frozen
+    with np.errstate(all="ignore"):
+        for n, noise in enumerate(noises, 1):
+            z_want, blown_want = parent_step_rows(cfg, states, noise)
+            z_got, blown_got = step_rows(chains.plan, states, noise)
+            assert z_got.tobytes() == z_want.tobytes()
+            if blown_got is None:
+                assert not blown_want.any()
+                clean_while_frozen += bool((blowup >= 0).any())
+            else:
+                assert np.array_equal(blown_got, blown_want)
+            # the driver's freeze rule, as it was
+            blowup[blown_want & (blowup < 0)] = n
+            if (blowup >= 0).any():
+                states = np.where((blowup >= 0)[:, None], states, z_want)
+            else:
+                states = z_want
+            chains.advance(noise)
+            assert chains.states.tobytes() == states.tobytes()
+            assert np.array_equal(chains.blowup_step, blowup)
+    if case == "bad-states":
+        assert blowup[4] == 1 and blowup[5] == 1 and (blowup[:3] == -1).all()
+    elif case == "bad-noise":
+        assert blowup.tolist() == [-1, -1, -1, -1, 1, 2] and clean_while_frozen == 4
+
+
+def test_the_plan_is_resolved_once(monkeypatch):
+    calls = Counter()
+    ldlt, operators = fem.FemOperators._ldlt, engine._operators
+
+    def counting_ldlt(self, tau):
+        calls["_ldlt"] += 1
+        return ldlt(self, tau)
+
+    def counting_operators(grid):
+        calls["_operators"] += 1
+        return operators(grid)
+
+    monkeypatch.setattr(fem.FemOperators, "_ldlt", counting_ldlt)
+    monkeypatch.setattr(engine, "_operators", counting_operators)
+    cfg = SchemeConfig(tau=2.0**-6, grid=Grid1D(32), horizon=1.0, scheme="gtem",
+                       coefficients=SPECS["polynomial-g"], noise=QWienerSpec(3.0, 1.0, 31))
+    chains = BatchChains(cfg, np.ones((2, 31)))
+    assert calls == {"_ldlt": 1, "_operators": 1}
+    calls.clear()
+    noise = EnsembleNoise(cfg, [0, 1])
+    for n in range(50):
+        chains.advance(noise.value_rows(n))
+    assert chains.step_index == 50 and not calls
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "EnsembleNoise synthesizes in 25-row slabs, and a 1-row tail slab takes BLAS "
+    "gemv, whose bits differ from a wider slab's (ROADMAP item 12)"))
+@pytest.mark.parametrize("n_cells", [32, 64])
+def test_a_path_gets_the_same_noise_bits_in_ensembles_of_26_and_50_paths(n_cells):
+    cfg = SchemeConfig(tau=2.0**-6, grid=Grid1D(n_cells), horizon=1.0, scheme="gtem",
+                       coefficients=SPECS["constant-g-1"],
+                       noise=QWienerSpec(3.0, 1.0, n_cells - 1), seed=20250809)
+    small, large = EnsembleNoise(cfg, range(26)), EnsembleNoise(cfg, range(50))
+    for n in range(8):
+        assert small.value_rows(n)[25].tobytes() == large.value_rows(n)[25].tobytes()

@@ -13,7 +13,7 @@ from tamedspde.coefficients import (
     double_well,
     linear_ou,
 )
-from tamedspde.engine import BatchChains, EnsembleNoise, drift_diffusion_rows
+from tamedspde.engine import BatchChains, EnsembleNoise, drift_diffusion_rows, step_plan
 from tamedspde.convergence import fit_line
 from tamedspde.ergodicity import (
     COUPLING_FIT_FLOOR,
@@ -274,7 +274,8 @@ def test_linear_stationary_oracle_tames_g_like_the_step(scheme):
     cfg = SchemeConfig(tau=tau, grid=GRID, horizon=1.0, scheme=scheme,
                        coefficients=linear_ou(), noise=NOISE)
     g_star = 1.0 / math.sqrt(1.0 + math.sqrt(tau))
-    _, g = drift_diffusion_rows(cfg, np.linspace(-5.0, 5.0, 2 * GRID.n_interior).reshape(2, -1))
+    values = np.linspace(-5.0, 5.0, 2 * GRID.n_interior).reshape(2, -1)
+    _, g = drift_diffusion_rows(step_plan(cfg), values)
     assert np.allclose(g, g_star, rtol=1e-15, atol=0.0)
     scaled = replace(cfg, scheme=Scheme.DRIFT_GTEM,
                      coefficients=CoefficientSpec(drift=(0.0, -1.0), diffusion=(g_star,), q=0))

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from tamedspde import engine, fem
 from tamedspde.coefficients import CoefficientSpec
-from tamedspde.engine import resolvent_rows, step_rows
+from tamedspde.engine import resolvent_rows, step_plan, step_rows
 from tamedspde.fem import (
     assemble,
     dispersion_eigenvalue,
@@ -83,9 +83,9 @@ def test_tri_matvec_matches_the_five_call_form_bit_for_bit(n_cells):
 
 def test_solve_semi_implicit_scalar_case():
     # one interior node: (1/3 + 0.1 * 4) z = 1/3
-    z, blown = step_rows(linear_config(2, 0.1), np.array([[1.0]]), np.zeros((1, 1)))
+    z, blown = step_rows(step_plan(linear_config(2, 0.1)), np.array([[1.0]]), np.zeros((1, 1)))
     assert np.isclose(z[0, 0], 5.0 / 11.0, rtol=1e-14)
-    assert not blown[0]
+    assert blown is None  # the block passed the guard
 
 
 def test_solve_tau_zero_identity():
@@ -119,11 +119,11 @@ def test_banded_vs_dense_reference():
         cfg = linear_config(n_cells, tau)
         ops = assemble(cfg.grid)
         u = rng.standard_normal((3, n_cells - 1))
-        z, blown = step_rows(cfg, u, np.zeros_like(u))
+        z, blown = step_rows(step_plan(cfg), u, np.zeros_like(u))
         M, K = mass_and_stiffness(ops)
         reference = np.linalg.solve(M + tau * K, M @ u.T).T
         assert np.max(np.abs(z - reference)) <= 1e-12
-        assert not blown.any()
+        assert blown is None
 
 
 def test_failed_banded_solve_raises(monkeypatch):
@@ -131,9 +131,9 @@ def test_failed_banded_solve_raises(monkeypatch):
         return np.zeros_like(load), -1
 
     monkeypatch.setattr(engine, "_dpbtrs", failing_dpbtrs)
-    cfg = linear_config(16, 0.1)
+    plan = step_plan(linear_config(16, 0.1))
     with pytest.raises(RuntimeError, match="info=-1"):
-        step_rows(cfg, np.ones((2, 15)), np.zeros((2, 15)))
+        step_rows(plan, np.ones((2, 15)), np.zeros((2, 15)))
 
 
 def dense_operator(ops, tau):

@@ -3,7 +3,7 @@ import pytest
 
 from tamedspde import engine
 from tamedspde.coefficients import CoefficientSpec, allen_cahn, eval_g
-from tamedspde.engine import BatchChains, EnsembleNoise, step_rows
+from tamedspde.engine import BatchChains, EnsembleNoise, step_plan, step_rows
 from tamedspde.fem import dispersion_eigenvalue
 from tamedspde.grid import (
     Grid1D,
@@ -102,10 +102,10 @@ def test_step_depends_only_on_state_and_increment():
     # a fresh copy of the same values must step identically
     clone = chains.states.copy()
     inc = noise.value_rows(3)
-    out_a, blown_a = step_rows(cfg, chains.states, inc)
-    out_b, blown_b = step_rows(cfg, clone, inc.copy())
+    out_a, blown_a = step_rows(step_plan(cfg), chains.states, inc)
+    out_b, blown_b = step_rows(step_plan(cfg), clone, inc.copy())
     assert np.array_equal(out_a, out_b)
-    assert not blown_a[0] and not blown_b[0]
+    assert blown_a is None and blown_b is None
 
 
 def test_untamed_blows_up_tamed_does_not():
@@ -205,7 +205,7 @@ def test_single_step_tau_continuity():
     for tau in (0.02, 0.01, 0.005, 0.0025):
         cfg = SchemeConfig(tau=tau, grid=grid, horizon=tau, scheme="drift_gtem",
                            coefficients=allen_cahn(1.0), noise=noise)
-        out, _ = step_rows(cfg, x0.values[None, :], inc_values)
+        out, _ = step_rows(step_plan(cfg), x0.values[None, :], inc_values)
         errs.append(np.linalg.norm(out[0] - limit))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     for r in ratios:
@@ -301,6 +301,10 @@ def test_block_guard_flags_what_the_per_row_rule_flags(monkeypatch):
         picks += [[0, i] for i in range(1, 9)] + [[i] for i in range(1, 9)]
         for pick in picks:
             z = rows[pick]
-            monkeypatch.setattr(engine, "resolvent_rows", lambda ops, tau, v, z=z: z.copy())
-            _, blown = step_rows(cfg, np.zeros_like(z), np.zeros_like(z))
+            monkeypatch.setattr(engine, "_solve_rows", lambda ops, factor, v, z=z: z.copy())
+            _, blown = step_rows(step_plan(cfg), np.zeros_like(z), np.zeros_like(z))
+            # None means the whole block passed its max and min test
+            passes = len(z) == 0 or (z.max() <= OVERFLOW_GUARD and z.min() >= -OVERFLOW_GUARD)
+            assert (blown is None) == passes, pick
+            blown = np.zeros(len(z), dtype=bool) if blown is None else blown
             assert blown.dtype == bool and np.array_equal(blown, flagged[pick]), pick

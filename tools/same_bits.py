@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Check that a change computes the same bits as its parent.
+
+    python3 tools/same_bits.py PARENT CHANGE
+
+PARENT and CHANGE are the roots of two checkouts; each runs with its own
+``src/`` on the path.  Two comparisons:
+
+- Every ``configs/*.ini`` that both checkouts have is run by each with
+  ``tamedspde run CONFIG --output DIR``.  The exit codes, the stdout and
+  every output file must be byte-identical, once the output directory's path
+  is replaced by one placeholder (``resolved_config.ini`` and stdout may
+  name it).
+- Rounds 0 and 1 of every benchmark workload, at the benchmark's default
+  seed, are run by each through its own ``perfbench/workloads.py`` (imported,
+  not edited).  The SHA-256 of each round's payload, as sorted JSON, must
+  be equal.
+
+Both run at one BLAS thread and one worker.  Everything is written to a
+temporary directory, which is removed at the end.  Exit 0 when every
+comparison matched, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PLACEHOLDER = b"<OUTPUT>"
+
+# Runs inside a checkout; prints one "workload round digest" line per round.
+PAYLOAD_DIGESTS = """
+import hashlib, json
+import settings, workloads
+for name in sorted(settings.WORKLOADS):
+    work = workloads.build(name, settings.DEFAULT_SEED)
+    for i in (0, 1):
+        payload = work.run_round(i).payload
+        blob = json.dumps(payload, sort_keys=True).encode()
+        print(name, i, hashlib.sha256(blob).hexdigest(), flush=True)
+"""
+
+
+def child_env(root: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave both checkouts as they are
+    env["TAMEDSPDE_WORKERS"] = "1"
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def run_config(root: Path, config: Path, out: Path):
+    """(exit code, stdout with the output path replaced) of one CLI run."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamedspde.cli", "run", str(config), "--output", str(out)],
+        cwd=out.parent, env=child_env(root), capture_output=True,
+    )
+    return proc.returncode, proc.stdout.replace(str(out).encode(), PLACEHOLDER)
+
+
+def output_files(out: Path) -> dict:
+    """{relative path: bytes with the output path replaced} under ``out``."""
+    if not out.is_dir():
+        return {}
+    return {
+        str(p.relative_to(out)): p.read_bytes().replace(str(out).encode(), PLACEHOLDER)
+        for p in sorted(out.rglob("*")) if p.is_file()
+    }
+
+
+def compare_configs(parent: Path, change: Path, tmp: Path) -> int:
+    mismatches = 0
+    names = sorted(p.name for p in (change / "configs").glob("*.ini")
+                   if (parent / "configs" / p.name).is_file())
+    for name in names:
+        runs = {}
+        for side, root in (("parent", parent), ("change", change)):
+            out = tmp / side / Path(name).stem
+            out.parent.mkdir(parents=True, exist_ok=True)
+            code, stdout = run_config(root, root / "configs" / name, out)
+            runs[side] = (code, stdout, output_files(out))
+        (code_a, out_a, files_a), (code_b, out_b, files_b) = runs["parent"], runs["change"]
+        if code_a != code_b:
+            print(f"DIFF  {name}: exit {code_a} != {code_b}")
+            mismatches += 1
+        if out_a != out_b:
+            print(f"DIFF  {name}: stdout")
+            mismatches += 1
+        for rel in sorted(set(files_a) | set(files_b)):
+            same = files_a.get(rel) == files_b.get(rel)
+            print(f"{'same' if same else 'DIFF'}  {name}: {rel}")
+            mismatches += not same
+    return mismatches
+
+
+def payload_digests(root: Path, tmp: Path) -> list:
+    proc = subprocess.run(
+        [sys.executable, "-c", PAYLOAD_DIGESTS], cwd=tmp, env=child_env(root),
+        capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"payload run in {root} failed:\n{proc.stderr[-2000:]}")
+    return proc.stdout.split("\n")[:-1]
+
+
+def compare_payloads(parent: Path, change: Path, tmp: Path) -> int:
+    a, b = payload_digests(parent, tmp), payload_digests(change, tmp)
+    mismatches = 0
+    for line_a, line_b in zip(a, b):
+        name, i, digest = line_b.split()
+        same = line_a == line_b
+        print(f"{'same' if same else 'DIFF'}  payload {name} round {i}: {digest[:16]}")
+        mismatches += not same
+    return mismatches + (len(a) != len(b))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    args = parser.parse_args(argv)
+    parent, change = args.parent.resolve(), args.change.resolve()
+    with tempfile.TemporaryDirectory(prefix="same_bits_") as tmp:
+        tmp = Path(tmp)
+        mismatches = compare_configs(parent, change, tmp)
+        mismatches += compare_payloads(parent, change, tmp)
+    print("same bits" if mismatches == 0 else f"{mismatches} mismatches")
+    return 0 if mismatches == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
