@@ -5,10 +5,11 @@ Usage:
     tamedspde run <config.ini> [--output DIR]
     tamedspde list-presets
 
-The config file is flat INI (key = value under sections); every run
-validates the file against the schema before any computation, writes the
-resolved configuration next to its outputs, and emits CSV tables plus a
-plain-text verdict summary.  Exit codes: 0 all asserted checks pass,
+The config file is flat INI (key = value under sections); every run reads
+and checks each key its kind uses, check thresholds included, before any
+computation (a key it does not use is ignored), copies the configuration
+next to its outputs, and emits CSV tables plus a plain-text verdict
+summary.  Exit codes: 0 all asserted checks pass,
 1 a scientific check failed, 2 configuration error, 3 numerical failure
 during compute (every path blew up, or a tridiagonal LDL^T factorization
 or solve failed).
@@ -374,6 +375,7 @@ def _run_coupling(cfg: ConfigReader, out: Path, seed: int) -> list:
     amp_b = cfg.get_float("coupling", "amplitude_b", default=5.0)
     steps = cfg.get_int("coupling", "steps", default=200, minimum=10)
     paths = cfg.get_int("monte_carlo", "paths", default=100, minimum=1)
+    min_r2 = cfg.get_float("coupling", "min_r_squared", default=0.9)
     x0a = InitialCondition("sine", amplitude=amp_a).build(config.grid)
     x0b = InitialCondition("sine", amplitude=amp_b).build(config.grid)
     res = ergodicity.coupling_decay_test(config, x0a, x0b, steps, paths)
@@ -383,7 +385,6 @@ def _run_coupling(cfg: ConfigReader, out: Path, seed: int) -> list:
         [("coupling", int(s), float(s * config.tau), d)
          for s, d in zip(res.steps, res.mean_distance)],
     )
-    min_r2 = cfg.get_float("coupling", "min_r_squared", default=0.9)
     ok = res.slope is not None and res.slope < 0 and res.r_squared >= min_r2
     detail = (
         "distance identically zero (identical initial data)"
@@ -447,6 +448,7 @@ def _run_blowup(cfg: ConfigReader, out: Path, seed: int) -> list:
     config = _build_scheme_config(cfg, seed)
     amps = cfg.get_float_list("blowup", "amplitudes", default=[1.0, 3.0, 5.0])
     paths = cfg.get_int("monte_carlo", "paths", default=100, minimum=1)
+    min_freq = cfg.get_float("blowup", "min_untamed_frequency", default=None)
     rows = ergodicity.em_blowup_probe(config, amps, paths)
     write_csv(
         out / "blowup_frequencies.csv",
@@ -455,7 +457,6 @@ def _run_blowup(cfg: ConfigReader, out: Path, seed: int) -> list:
         [("blowup", r.amplitude, r.tau, r.untamed_frequency, r.tamed_frequency,
           r.n_paths) for r in rows],
     )
-    min_freq = cfg.get_float("blowup", "min_untamed_frequency", default=None)
     checks = [
         CheckResult(
             "tamed-never-blows-up",
@@ -475,11 +476,16 @@ def _run_blowup(cfg: ConfigReader, out: Path, seed: int) -> list:
     return checks
 
 
-def _slope_checks(cfg: ConfigReader, section: str, fit, label: str) -> list:
+def _slope_band(cfg: ConfigReader) -> tuple:
+    """[ladder] (min_slope, max_slope, min_r_squared), each None when unset;
+    read before the ladder runs, so a malformed threshold costs no compute."""
+    return tuple(cfg.get_float("ladder", key, default=None)
+                 for key in ("min_slope", "max_slope", "min_r_squared"))
+
+
+def _slope_checks(band: tuple, fit, label: str) -> list:
     checks = []
-    lo = cfg.get_float(section, "min_slope", default=None)
-    hi = cfg.get_float(section, "max_slope", default=None)
-    min_r2 = cfg.get_float(section, "min_r_squared", default=None)
+    lo, hi, min_r2 = band
     if lo is not None or hi is not None:
         ok = (lo is None or fit.slope >= lo) and (hi is None or fit.slope <= hi)
         checks.append(
@@ -527,6 +533,7 @@ def _run_strong_rate(cfg: ConfigReader, out: Path, seed: int) -> list:
     x0 = _build_initial(cfg)
     paths = cfg.get_int("monte_carlo", "paths", default=100, minimum=2)
     axis = cfg.get_str("ladder", "axis", default=_REQUIRED, choices={"tau", "h"})
+    band = _slope_band(cfg)
     if axis == "tau":
         taus = _rate_ladder(cfg, "taus")
         table = convergence.strong_error_ladder(
@@ -558,7 +565,7 @@ def _run_strong_rate(cfg: ConfigReader, out: Path, seed: int) -> list:
         ["axis", "slope", "intercept", "r_squared", "n_points", "excluded_zero_rows"],
         [(axis, fit.slope, fit.intercept, fit.r_squared, fit.n_points, fit.n_excluded)],
     )
-    return _slope_checks(cfg, "ladder", fit, "strong-rate") or [
+    return _slope_checks(band, fit, "strong-rate") or [
         CheckResult("strong-rate-computed", True,
                     f"slope {fit.slope:.4f}, R^2 {fit.r_squared:.4f}")
     ]
@@ -578,6 +585,7 @@ def _run_semigroup_rate(cfg: ConfigReader, out: Path, seed: int) -> list:
         cells = [nc] * len(taus)
     # A higher mode aliases on the coarsest mesh.
     mode = cfg.get_int("ladder", "mode", default=1, minimum=1, maximum=min(cells) - 1)
+    band = _slope_band(cfg)
     xs, errors, fit = convergence.semigroup_error_test(cells, taus, axis, mode=mode, t=t)
     write_csv(
         out / "semigroup_error_table.csv",
@@ -585,7 +593,7 @@ def _run_semigroup_rate(cfg: ConfigReader, out: Path, seed: int) -> list:
         [(c, 1.0 / c, tau, e, t) for c, tau, e in zip(cells, taus, errors)],
     )
     _write_plot_data(out / "semigroup_error_plot.csv", xs, errors, fit)
-    return _slope_checks(cfg, "ladder", fit, "semigroup-rate") or [
+    return _slope_checks(band, fit, "semigroup-rate") or [
         CheckResult("semigroup-rate-computed", True,
                     f"slope {fit.slope:.4f}, R^2 {fit.r_squared:.4f}")
     ]

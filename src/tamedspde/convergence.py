@@ -10,9 +10,8 @@ shorter, still a multiple of lcm): each block's fine increments are drawn
 once, summed over coarse steps level by level (exact aggregation of the
 Wiener path), truncated to the coarse grid's own modes, and the fine
 reference is restricted to coarse nodes (exact for nested meshes); each
-member takes one error reduction per block.  Synthesis runs one lcm-slab of
-the block at a time, since up to 64 cells the dense product's bits depend on
-its row count.
+member takes one error reduction per block, and the reference and each
+member synthesize a block's increments in one call.
 Memory is O(chunk x block x modes), whatever the horizon, and a block past
 ``MAX_BLOCK_VALUES`` is rejected.  The reported error per ladder point is
 
@@ -198,11 +197,11 @@ def _start_rows(config: SchemeConfig, x0: InitialCondition, n_rows: int) -> Batc
 
 
 def _block_shape(members):
-    """(slab, block, stride): lcm(ratios), its smallest multiple covering
+    """(block, stride): the smallest multiple of lcm(ratios) covering
     ``MIN_BLOCK_STEPS`` reference steps, and gcd(ratios)."""
     ratios = [m.ratio for m in members]
-    slab = math.lcm(*ratios)
-    return slab, slab * -(-MIN_BLOCK_STEPS // slab), math.gcd(*ratios)
+    lcm = math.lcm(*ratios)
+    return lcm * -(-MIN_BLOCK_STEPS // lcm), math.gcd(*ratios)
 
 
 def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_ids):
@@ -210,14 +209,14 @@ def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_i
 
     The reference and every member advance the chunk's paths as rows of one
     ``BatchChains`` each, a block of ``_block_shape`` reference steps at a
-    time, synthesizing one slab of lcm(ratios) steps per call.  A member
+    time, synthesizing the block in one call per chain.  A member
     sums its steps with the pairwise tree from the sums of the coarsest
     power-of-two ratio dividing its own, else from the fine draws (the tree
     composes over power-of-two groups bit for bit).  The reference keeps its
     states at multiples of gcd(ratios), where members compare.
     """
     tau, n_cells = reference.tau, reference.grid.n_cells
-    slab, block, stride = _block_shape(members)
+    block, stride = _block_shape(members)
     sampler = PathSampler(reference.noise, reference.seed, path_ids)
     n, k_ref = len(path_ids), reference.noise.truncation
     ref = _start_rows(reference, x0, n)
@@ -233,16 +232,14 @@ def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_i
     fine_block = np.empty((block, n, k_ref))
     kept_block = np.empty((block // stride, n, reference.grid.n_interior))
     for start in range(0, reference.n_steps, block):
-        size = min(block, reference.n_steps - start)  # a multiple of slab
+        size = min(block, reference.n_steps - start)  # a multiple of lcm(ratios)
         fine, kept = fine_block[:size], kept_block[: size // stride]
         for i in range(size):
             sampler.coeffs(start + i, tau, out=fine[i])
-        for s in range(0, size, slab):
-            values = synthesize(fine[s : s + slab].reshape(slab * n, k_ref), n_cells)
-            for i, step_values in enumerate(values.reshape(slab, n, -1), s + 1):
-                ref.advance(step_values)
-                if i % stride == 0:
-                    kept[i // stride - 1] = ref.states
+        for i, step_values in enumerate(synthesize(fine, n_cells), 1):
+            ref.advance(step_values)
+            if i % stride == 0:
+                kept[i // stride - 1] = ref.states
         sums = {1: fine}  # this block's increments summed at power-of-two ratios
         for j in order:
             m, run, grid = members[j], runs[j], members[j].config.grid
@@ -255,15 +252,10 @@ def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_i
                 )
                 if m.ratio & (m.ratio - 1) == 0:
                     sums[m.ratio] = coeffs
-            per_slab = slab // m.ratio
             trail = []  # advance replaces ``states``: each step's array is kept as is
-            for s in range(0, size // m.ratio, per_slab):
-                member_values = synthesize(
-                    coeffs[s : s + per_slab].reshape(-1, k_c), grid.n_cells
-                )
-                for step_values in member_values.reshape(per_slab, n, -1):
-                    run.advance(step_values)
-                    trail.append(run.states)
+            for step_values in synthesize(coeffs, grid.n_cells):
+                run.advance(step_values)
+                trail.append(run.states)
             states = np.stack(trail) if len(trail) > 1 else trail[0][None]
             at = kept[m.ratio // stride - 1 :: m.ratio // stride][..., m.restrict]
             err = rows_l2_sq(states - at, grid.h).max(axis=0)
@@ -275,14 +267,12 @@ def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_i
 
 
 def _check_block_memory(reference: SchemeConfig, members, n_rows: int) -> None:
-    """Reject a ladder whose block buffers (fine draws, one slab's synthesis,
-    kept reference states, member sums, slab values and states) pass the cap."""
-    slab, block, stride = _block_shape(members)
+    """Reject a ladder whose block buffers (fine draws, reference values,
+    kept reference states, member sums, values and states) pass the cap."""
+    block, stride = _block_shape(members)
     k_ref, n_ref = reference.noise.truncation, reference.grid.n_interior
-    per_row = block * k_ref + slab * n_ref + block // stride * n_ref + sum(
-        block // m.ratio * (k_ref + m.config.grid.n_interior)
-        + slab // m.ratio * m.config.grid.n_interior
-        for m in members
+    per_row = block * k_ref + block * n_ref + block // stride * n_ref + sum(
+        block // m.ratio * (k_ref + 2 * m.config.grid.n_interior) for m in members
     )
     if per_row * n_rows > MAX_BLOCK_VALUES:
         raise ValueError(

@@ -7,8 +7,7 @@ advances every path in one set of array operations; a single path is a
 1-row ensemble, and a probe steps each slice of its paths
 (``parallel.path_slices``) as one ensemble.  ``EnsembleNoise`` draws every
 path's counter-based stream with one re-keyed generator
-(``noise.PathSampler``) and synthesizes the nodal increments in slabs of
-``parallel.PATH_CHUNK`` rows.
+(``noise.PathSampler``) and synthesizes the nodal increments in one call.
 
 Everything a step needs that does not change from step to step is resolved
 once per ensemble into a ``StepPlan`` (``step_plan``): the FEM operators,
@@ -42,7 +41,6 @@ from .coefficients import DiffusionKind, eval_f, eval_g
 from .fem import mass_matvec_rows
 from .grid import Grid1D, rows_l2_sq
 from .noise import PathSampler, synthesize
-from .parallel import PATH_CHUNK
 from .schemes import OVERFLOW_GUARD, Scheme, SchemeConfig
 
 
@@ -165,14 +163,8 @@ def step_rows(plan: StepPlan, values: np.ndarray, noise_values: np.ndarray):
 class EnsembleNoise:
     """Per-path counter-based streams, drawn by one sampler, synthesized per step.
 
-    The rows are synthesized in slabs of ``PATH_CHUNK``, so a path's nodal
-    values are fixed by the seed, its path id, the step and its ensemble's
-    path count (which fixes the slabs).  They are not independent of the
-    ensemble's size: on the dense branch of ``synthesize`` (up to 64 cells)
-    OpenBLAS picks its kernel by row count, and a 1-row tail slab (26, 51,
-    ... paths) takes the gemv kernel, whose bits differ from the same row
-    in a wider slab.  Slabs of 2 to 200 rows gave the bits of one 400-row
-    call at 8 to 64 cells.
+    A path's nodal values are fixed by the seed, its path id and the step,
+    whatever ensemble it rides in (``synthesize`` treats each row on its own).
     """
 
     def __init__(self, config: SchemeConfig, path_ids: Sequence[int]):
@@ -184,13 +176,7 @@ class EnsembleNoise:
         return self.sampler.coeffs(step_index, self.tau)
 
     def value_rows(self, step_index: int) -> np.ndarray:
-        coeffs = self.coeff_rows(step_index)
-        if len(coeffs) <= PATH_CHUNK:
-            return synthesize(coeffs, self.n_cells)
-        return np.concatenate([
-            synthesize(coeffs[a:a + PATH_CHUNK], self.n_cells)
-            for a in range(0, len(coeffs), PATH_CHUNK)
-        ])
+        return synthesize(self.coeff_rows(step_index), self.n_cells)
 
 
 class BatchChains:

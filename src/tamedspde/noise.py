@@ -23,9 +23,10 @@ of 31-mode draws costs about 1.2 us a row, against 1.6 us with each row
 drawn in place.
 
 ``synthesize`` turns rows of coefficients into nodal values: on meshes of up
-to 64 cells by a product with the cached dense sine matrix, on wider ones
-by a DST-I, which needs no O(n^2) matrix and whose rows do not depend on the
-BLAS thread count or on how many rows share the call.
+to 64 cells by one 1-row product per row with the cached dense sine matrix,
+on wider ones by a DST-I, which needs no O(n^2) matrix.  At every mesh a
+row's values depend on neither how many rows share the call nor the BLAS
+thread count, so a path's noise is the same in any ensemble.
 """
 
 from __future__ import annotations
@@ -83,8 +84,7 @@ def c_q_constant(spec: QWienerSpec) -> float:
 
 
 # Widest mesh synthesized by the cached dense matrix.  Wider meshes use DST-I,
-# which costs O(n log n) per row, caches nothing of size n^2 and gives each
-# row the same bits at any BLAS thread count and row count.  The dense
+# which costs O(n log n) per row and caches nothing of size n^2.  The dense
 # product's bits were seen to change with the BLAS thread count from 128
 # cells up; at 32-64 cells DST-I's fixed cost of about 10 us a call would
 # dominate the narrow probes.
@@ -112,9 +112,10 @@ def synthesize(coeffs: np.ndarray, n_cells: int) -> np.ndarray:
     """Nodal values sum_k coeffs[..., k-1] sqrt(2) sin(k pi x_i) at the interior nodes.
 
     ``coeffs`` holds K <= n_cells - 1 sine coefficients per row.  Meshes of
-    up to ``_DENSE_MAX_CELLS`` cells use the cached dense matrix; wider ones
-    zero-pad the rows to n_cells - 1 modes and apply DST-I, which treats
-    every row on its own.
+    up to ``_DENSE_MAX_CELLS`` cells take one 1-row product per row with the
+    cached dense matrix: a product of several rows lets BLAS pick its kernel,
+    and so a row's bits, by the row count.  Wider meshes zero-pad the rows to
+    n_cells - 1 modes and apply DST-I, which treats every row on its own.
     """
     n_modes = coeffs.shape[-1]
     if n_modes > n_cells - 1:
@@ -122,7 +123,7 @@ def synthesize(coeffs: np.ndarray, n_cells: int) -> np.ndarray:
             f"{n_modes} modes alias on a grid with {n_cells - 1} interior nodes"
         )
     if n_cells <= _DENSE_MAX_CELLS:
-        return coeffs @ _synth_rows(n_cells, n_modes)
+        return np.matmul(coeffs[..., None, :], _synth_rows(n_cells, n_modes))[..., 0, :]
     # DST-I: y[i] = 2 sum_k c[k] sin(pi (i+1)(k+1) / n_cells)
     return scipy.fft.dst(coeffs, type=1, n=n_cells - 1, axis=-1) * (np.sqrt(2.0) / 2.0)
 

@@ -5,8 +5,7 @@ Worker count comes from the TAMEDSPDE_WORKERS environment variable (default
 stepped as one lockstep ensemble (``path_slices``), or a chunk of a strong-
 error ladder's paths (``path_chunks``).  Both depend only on the path count
 and the mesh, and results are combined in item order, so every output is
-byte-identical at any parallelism level.  ``PATH_CHUNK`` is also the number
-of rows per noise synthesis call, whose bits can depend on it.
+byte-identical at any parallelism level.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-PATH_CHUNK = 25  # paths per ladder chunk and rows per synthesis call
+PATH_CHUNK = 25  # paths per ladder chunk, and the unit of a probe's slices
 # State values per slice, above one chunk.  Peak RSS grows by about nine
 # state-sized arrays per slice; the coupling probe at 4096 cells x 1000 paths
 # peaked 65 MB higher at 2^20 (250-row slices) than here (25-row slices), at

@@ -240,6 +240,52 @@ def fail_if_called(*args, **kwargs):
     raise AssertionError("computed before the config was rejected")
 
 
+MODEL = """
+[grid]
+n_cells = 16
+
+[scheme]
+kind = {scheme}
+tau = 0.015625
+horizon = 1.0
+
+[coefficients]
+preset = allen-cahn
+
+[monte_carlo]
+paths = 10
+"""
+THRESHOLD_RUNS = {
+    "coupling": MODEL.format(scheme="drift_gtem") + "\n[coupling]\nsteps = 80\n",
+    "blowup": MODEL.format(scheme="untamed_em") + "\n[blowup]\namplitudes = 5\n",
+    "strong-rate": MODEL.format(scheme="drift_gtem")
+    + "\n[ladder]\naxis = tau\ntaus = 0.03125, 0.0625, 0.125, 0.25\n",
+    "semigroup-rate": "\n[ladder]\naxis = h\nn_cells = 8, 16, 32, 64\n",
+}
+
+
+@pytest.mark.parametrize("kind, section, key", [
+    ("coupling", "coupling", "min_r_squared"),
+    ("blowup", "blowup", "min_untamed_frequency"),
+    *[(kind, "ladder", key) for key in ("min_slope", "max_slope", "min_r_squared")
+      for kind in ("strong-rate", "semigroup-rate")],
+])
+def test_a_malformed_check_threshold_is_rejected_before_compute(
+    tmp_path, capsys, monkeypatch, kind, section, key
+):
+    monkeypatch.setattr(engine.BatchChains, "advance", fail_if_called)
+    monkeypatch.setattr(convergence, "semigroup_error", fail_if_called)
+    out = tmp_path / "out"
+    # each run's text ends in the threshold's section
+    cfg = write(tmp_path / "threshold.ini",
+                f"[experiment]\nkind = {kind}\nseed = 5\noutput_dir = {out}\n"
+                f"{THRESHOLD_RUNS[kind]}{key} = abc\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [{section}] {key} = 'abc' is not a number"), err
+    assert not list(out.glob("*.csv")) and not (out / "verdict.txt").exists()
+
+
 @pytest.mark.parametrize("variant, kind", [("both_a", "gtem"), ("both_b", "gtem_b"),
                                            ("drift_only", "drift_gtem")])
 def test_removed_variant_key_names_the_scheme_kind(tmp_path, capsys, monkeypatch,

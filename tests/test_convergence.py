@@ -259,6 +259,26 @@ def test_ladder_block_bookkeeping_matches_the_per_step_loop(n_cells, ratios, ste
     assert np.all(worst > 0) and not blown.any()
 
 
+def test_a_ladder_chunk_row_does_not_depend_on_the_chunk():
+    x0 = InitialCondition("sine", amplitude=2.0)
+    tau_ref = 2.0**-8
+    ladders = (
+        (128, 16, None, [8, 16, 32, 64]),  # h ladder: two blocks of 8 steps
+        (32, 48, [2 * tau_ref, 3 * tau_ref, 8 * tau_ref], None),  # blocks of 24
+    )
+    for n_cells, steps, taus, cells in ladders:
+        reference = SchemeConfig(tau=tau_ref, grid=Grid1D(n_cells), horizon=steps * tau_ref,
+                                 scheme="drift_gtem", coefficients=allen_cahn(1.0),
+                                 noise=QWienerSpec(3.0, 1.0, n_cells - 1), seed=31)
+        _, members = _ladder_members(reference, taus, cells)
+        worst, blown = _ladder_chunk(reference, x0, members, range(25))
+        assert np.all(worst > 0) and not blown.any()
+        for p in (0, 12, 24):
+            alone, alone_blown = _ladder_chunk(reference, x0, members, range(p, p + 1))
+            assert alone.tobytes() == worst[p : p + 1].tobytes(), (n_cells, p)
+            assert alone_blown.tolist() == [False]
+
+
 def test_h_ladder_reduces_each_member_once_per_block_of_eight(monkeypatch):
     # 20 reference steps: blocks of 8, 8 and 4, after the step-0 comparison
     calls = collections.Counter()
@@ -290,12 +310,12 @@ def test_block_memory_counts_the_blocks_that_are_streamed(monkeypatch):
     reference = SchemeConfig(tau=tau_ref, grid=Grid1D(64), horizon=36 * tau_ref,
                              scheme="drift_gtem", coefficients=allen_cahn(1.0),
                              noise=QWienerSpec(3.0, 1.0, 63), seed=1)
-    # h ladder {8, 32} cells: a block of 8 steps synthesized one step at a
-    # time; fine draws 8 * 63, one step's values 63, kept states 8 * 63, and
-    # per member 8 sums of 63 modes and 8 states, plus one step's values
-    h_per_row = 8 * 63 + 63 + 8 * 63 + (8 * (63 + 7) + 7) + (8 * (63 + 31) + 31)
-    # tau ladder {3}: a block of 9 steps, slabs of 3, kept states every 3 steps
-    tau_per_row = 9 * 63 + 3 * 63 + 3 * 63 + (3 * (63 + 63) + 63)
+    # h ladder {8, 32} cells: a block of 8 steps synthesized in one call;
+    # fine draws 8 * 63, their values 8 * 63, kept states 8 * 63, and per
+    # member 8 sums of 63 modes, 8 steps' values and 8 states
+    h_per_row = 8 * 63 + 8 * 63 + 8 * 63 + 8 * (63 + 2 * 7) + 8 * (63 + 2 * 31)
+    # tau ladder {3}: a block of 9 steps, kept states every 3 steps
+    tau_per_row = 9 * 63 + 9 * 63 + 3 * 63 + 3 * (63 + 2 * 63)
     for per_row, taus, cells, block in ((h_per_row, None, [8, 32], 8),
                                         (tau_per_row, [3 * tau_ref], None, 9)):
         monkeypatch.setattr(convergence, "MAX_BLOCK_VALUES", per_row * 25)

@@ -151,9 +151,6 @@ def test_the_plan_is_resolved_once(monkeypatch):
     assert chains.step_index == 50 and not calls
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "EnsembleNoise synthesizes in 25-row slabs, and a 1-row tail slab takes BLAS "
-    "gemv, whose bits differ from a wider slab's (ROADMAP item 12)"))
 @pytest.mark.parametrize("n_cells", [32, 64])
 def test_a_path_gets_the_same_noise_bits_in_ensembles_of_26_and_50_paths(n_cells):
     cfg = SchemeConfig(tau=2.0**-6, grid=Grid1D(n_cells), horizon=1.0, scheme="gtem",
@@ -162,3 +159,22 @@ def test_a_path_gets_the_same_noise_bits_in_ensembles_of_26_and_50_paths(n_cells
     small, large = EnsembleNoise(cfg, range(26)), EnsembleNoise(cfg, range(50))
     for n in range(8):
         assert small.value_rows(n)[25].tobytes() == large.value_rows(n)[25].tobytes()
+
+
+@pytest.mark.parametrize("n_cells", [32, 64])
+def test_a_path_steps_to_the_states_of_its_one_row_run_in_any_ensemble(n_cells):
+    cfg = SchemeConfig(tau=2.0**-6, grid=Grid1D(n_cells), horizon=1.0, scheme="gtem",
+                       coefficients=SPECS["polynomial-g"],
+                       noise=QWienerSpec(3.0, 1.0, n_cells - 1), seed=20250809)
+    x0 = 2.0 * np.sin(np.pi * cfg.grid.nodes)
+
+    def states_after_16_steps(path_ids):
+        chains = BatchChains(cfg, np.broadcast_to(x0, (len(path_ids), len(x0))))
+        chains.run(EnsembleNoise(cfg, path_ids), 16)
+        return chains.states
+
+    for n_paths in (2, 25, 26, 50):
+        ensemble = states_after_16_steps(range(n_paths))
+        for p in (0, n_paths - 1):
+            alone = states_after_16_steps([p])[0]
+            assert ensemble[p].tobytes() == alone.tobytes(), (n_paths, p)

@@ -315,9 +315,21 @@ def test_dst_rows_do_not_depend_on_the_row_count():
             assert np.array_equal(synthesize(coeffs[i : i + 1], n_cells)[0], rows[i])
 
 
+def test_dense_rows_do_not_depend_on_the_row_count():
+    rng = np.random.default_rng(9)
+    for n_cells, k in ((8, 7), (32, 31), (64, 63), (64, 20)):
+        assert n_cells <= noise_mod._DENSE_MAX_CELLS
+        coeffs = rng.standard_normal((400, k))
+        for n_rows in (1, 2, 26, 100, 400):
+            rows = synthesize(coeffs[:n_rows], n_cells)
+            for i in range(n_rows):
+                alone = synthesize(coeffs[i : i + 1], n_cells)[0]
+                assert alone.tobytes() == rows[i].tobytes(), (n_cells, k, n_rows, i)
+
+
 def test_dense_synthesis_shares_the_cache_and_wide_meshes_bypass_it(tmp_path):
     # up to the crossover (64 cells): a view of the cached matrix, the same
-    # product as with a transposed copy of its first k columns
+    # per-row products as with a transposed copy of its first k columns
     for n_cells, k in ((32, 31), (64, 63), (64, 20)):
         full = _synth_matrix(n_cells)
         assert np.array_equal(full, full.T)  # symmetric bit for bit
@@ -326,7 +338,8 @@ def test_dense_synthesis_shares_the_cache_and_wide_meshes_bypass_it(tmp_path):
         grid = Grid1D(n_cells)
         noise = EnsembleNoise(noise_config(QWienerSpec(3.0, 1.0, k), grid, seed=3), range(5))
         transposed = np.ascontiguousarray(full[:, :k].T)
-        assert np.array_equal(noise.value_rows(2), noise.coeff_rows(2) @ transposed)
+        per_row = np.matmul(noise.coeff_rows(2)[:, None, :], transposed)[:, 0, :]
+        assert np.array_equal(noise.value_rows(2), per_row)
     # above it: no entry for a wider mesh, whichever caller synthesizes
     wide = Grid1D(4096)
     _synth_matrix.cache_clear()

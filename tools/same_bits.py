@@ -10,7 +10,9 @@ PARENT and CHANGE are the roots of two checkouts; each runs with its own
   ``tamedspde run CONFIG --output DIR``.  The exit codes, the stdout and
   every output file must be byte-identical, once the output directory's path
   is replaced by one placeholder (``resolved_config.ini`` and stdout may
-  name it).
+  name it).  A CSV that differs is reported with the largest relative
+  difference over its numeric fields, or with its row or column counts
+  when those differ.
 - Rounds 0 and 1 of every benchmark workload, at the benchmark's default
   seed, are run by each through its own ``perfbench/workloads.py`` (imported,
   not edited).  The SHA-256 of each round's payload, as sorted JSON, must
@@ -24,6 +26,9 @@ comparison matched, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import math
 import os
 import subprocess
 import sys
@@ -74,6 +79,37 @@ def output_files(out: Path) -> dict:
     }
 
 
+def relative_difference(a: float, b: float) -> float:
+    if a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def csv_shift(a: bytes, b: bytes) -> str:
+    """How two CSV files differ: their row or column counts, else the largest
+    relative difference over the numeric fields (and a count of the other
+    fields that differ)."""
+    rows_a = list(csv.reader(io.StringIO(a.decode())))
+    rows_b = list(csv.reader(io.StringIO(b.decode())))
+    if len(rows_a) != len(rows_b):
+        return f"row count {len(rows_a)} != {len(rows_b)}"
+    worst, other = 0.0, 0
+    for i, (row_a, row_b) in enumerate(zip(rows_a, rows_b)):
+        if len(row_a) != len(row_b):
+            return f"column count {len(row_a)} != {len(row_b)} in row {i}"
+        for x, y in zip(row_a, row_b):
+            if x == y:
+                continue
+            try:
+                worst = max(worst, relative_difference(float(x), float(y)))
+            except ValueError:
+                other += 1
+    return f"max relative difference {worst:.3g}" + (
+        f", {other} non-numeric fields differ" if other else "")
+
+
 def compare_configs(parent: Path, change: Path, tmp: Path) -> int:
     mismatches = 0
     names = sorted(p.name for p in (change / "configs").glob("*.ini")
@@ -93,9 +129,13 @@ def compare_configs(parent: Path, change: Path, tmp: Path) -> int:
             print(f"DIFF  {name}: stdout")
             mismatches += 1
         for rel in sorted(set(files_a) | set(files_b)):
-            same = files_a.get(rel) == files_b.get(rel)
-            print(f"{'same' if same else 'DIFF'}  {name}: {rel}")
-            mismatches += not same
+            a, b = files_a.get(rel), files_b.get(rel)
+            if a == b:
+                print(f"same  {name}: {rel}")
+                continue
+            detail = f" ({csv_shift(a, b)})" if rel.endswith(".csv") and a and b else ""
+            print(f"DIFF  {name}: {rel}{detail}")
+            mismatches += 1
     return mismatches
 
 
