@@ -5,11 +5,14 @@ Usage:
     tamedspde run <config.ini> [--output DIR]
     tamedspde list-presets
 
-The config file is flat INI (key = value under sections); every run reads
-and checks each key its kind uses, check thresholds included, before any
-computation (a key it does not use is ignored), copies the configuration
-next to its outputs, and emits CSV tables plus a plain-text verdict
-summary.  Exit codes: 0 all asserted checks pass,
+The config file is flat INI (key = value under sections).  A section or key
+that no experiment kind reads (``CONFIG_KEYS``) is a configuration error,
+reported before anything is written; a key that only another kind reads is
+accepted.  Every run reads and checks each key its kind uses, check
+thresholds included, before any computation, copies the configuration next
+to its outputs, and emits CSV tables plus a plain-text verdict summary.
+An output directory that cannot be made or written is a configuration
+error.  Exit codes: 0 all asserted checks pass,
 1 a scientific check failed, 2 configuration error, 3 numerical failure
 during compute (every path blew up, or a tridiagonal LDL^T factorization
 or solve failed).
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import difflib
 import sys
 from pathlib import Path
 
@@ -45,6 +49,27 @@ class ConfigError(Exception):
     pass
 
 
+# Every (section, key) that some experiment kind reads.  Anything else is
+# rejected: a misspelled key would otherwise run its default unnoticed.
+CONFIG_KEYS = {
+    "experiment": ("kind", "seed", "output_dir"),
+    "grid": ("n_cells",),
+    "scheme": ("kind", "tau", "horizon"),
+    "coefficients": ("preset", "epsilon", "g0", "drift", "diffusion", "q",
+                     "diffusion_kind", "variant"),  # variant: read to name its replacement
+    "noise": ("decay", "scale", "truncation"),
+    "initial": ("kind", "amplitude", "mode", "center", "width"),
+    "monte_carlo": ("paths", "record_stride", "path_id"),
+    "assumptions": ("scan_radius", "scan_points"),
+    "lyapunov": ("amplitudes", "samples"),
+    "coupling": ("amplitude_a", "amplitude_b", "steps", "min_r_squared"),
+    "ergodic": ("amplitudes", "observables", "tolerance", "burn_in_fraction"),
+    "blowup": ("amplitudes", "min_untamed_frequency"),
+    "ladder": ("axis", "taus", "n_cells", "min_slope", "max_slope", "min_r_squared",
+               "t", "fixed_n_cells", "mode"),
+}
+
+
 class ConfigReader:
     """Typed access to an INI file with field-qualified error messages."""
 
@@ -57,6 +82,15 @@ class ConfigReader:
             raise ConfigError(f"cannot read config file {path}: {exc}")
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path}: {exc}")
+        if self.parser.defaults():  # its keys would land in every section
+            raise ConfigError("unknown section [DEFAULT]")
+        for section in self.parser.sections():
+            if section not in CONFIG_KEYS:
+                raise ConfigError(f"unknown section [{section}]{_nearest(section, CONFIG_KEYS)}")
+            for key in self.parser.options(section):
+                if key not in CONFIG_KEYS[section]:
+                    raise ConfigError(
+                        f"unknown key [{section}] {key}{_nearest(key, CONFIG_KEYS[section])}")
 
     def _raw(self, section: str, key: str, default):
         if not self.parser.has_option(section, key):
@@ -124,6 +158,11 @@ class ConfigReader:
 
 
 _REQUIRED = object()  # default= sentinel: the field has no default
+
+
+def _nearest(name: str, known) -> str:
+    close = difflib.get_close_matches(name, known, n=1)
+    return f"; did you mean {close[0]!r}?" if close else ""
 
 
 def _check_range(section, key, val, minimum, maximum):
@@ -628,8 +667,11 @@ def run_experiment(config_path: Path, output_override=None) -> int:
             output_override
             or cfg.get_str("experiment", "output_dir", default=_REQUIRED)
         )
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _echo_resolved(cfg, out_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            _echo_resolved(cfg, out_dir)
+        except OSError as exc:
+            raise ConfigError(f"output directory {out_dir} is not usable: {exc}")
         checks = RUNNERS[kind](cfg, out_dir, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

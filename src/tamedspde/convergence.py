@@ -217,7 +217,7 @@ def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_i
     """
     tau, n_cells = reference.tau, reference.grid.n_cells
     block, stride = _block_shape(members)
-    sampler = PathSampler(reference.noise, reference.seed, path_ids)
+    sampler = PathSampler(reference.noise, reference.seed, path_ids, tau)
     n, k_ref = len(path_ids), reference.noise.truncation
     ref = _start_rows(reference, x0, n)
     runs = [_start_rows(m.config, x0, n) for m in members]
@@ -235,7 +235,7 @@ def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_i
         size = min(block, reference.n_steps - start)  # a multiple of lcm(ratios)
         fine, kept = fine_block[:size], kept_block[: size // stride]
         for i in range(size):
-            sampler.coeffs(start + i, tau, out=fine[i])
+            sampler.coeffs(start + i, out=fine[i])
         for i, step_values in enumerate(synthesize(fine, n_cells), 1):
             ref.advance(step_values)
             if i % stride == 0:
@@ -354,10 +354,7 @@ def semigroup_error(n_cells: int, tau: float, mode: int = 1, t: float = 1.0) -> 
     k = round(t / tau)
     if k < 1 or abs(k * tau - t) > 1e-9 * t:
         raise ValueError(f"t = {t} must be an integer multiple of tau = {tau}")
-    ops = fem.assemble(grid)
-    u_num = sine_mode(grid, mode).values
-    for _ in range(k):
-        u_num = resolvent_rows(ops, tau, u_num)
+    u_num = resolvent_rows(fem.assemble(grid), tau, sine_mode(grid, mode).values, steps=k)
     quad_n = 8192
     xs = np.linspace(0.0, 1.0, quad_n + 1)
     exact = math.exp(-((mode * math.pi) ** 2) * t) * np.sqrt(2.0) * np.sin(mode * np.pi * xs)

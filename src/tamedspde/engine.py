@@ -28,7 +28,6 @@ that test takes the per-row sup and mass-norm rule.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -39,14 +38,9 @@ from scipy.linalg.lapack import dpttrs
 from . import fem
 from .coefficients import DiffusionKind, eval_f, eval_g
 from .fem import mass_matvec_rows
-from .grid import Grid1D, rows_l2_sq
+from .grid import rows_l2_sq
 from .noise import PathSampler, synthesize
 from .schemes import OVERFLOW_GUARD, Scheme, SchemeConfig
-
-
-@functools.lru_cache(maxsize=32)
-def _operators(grid: Grid1D) -> fem.FemOperators:
-    return fem.assemble(grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,14 +65,14 @@ class StepPlan:
 def step_plan(config: SchemeConfig) -> StepPlan:
     """Resolve the scheme, operators and factor of ``config`` for its steps."""
     spec, scheme = config.coefficients, config.scheme
-    ops = _operators(config.grid)
+    ops = fem.assemble(config.grid)
     g_power = {Scheme.GTEM: spec.q // 2, Scheme.GTEM_B: spec.q}.get(scheme)
     one = spec.diffusion_kind is DiffusionKind.POLYNOMIAL and len(spec.diffusion) == 1
     g0 = spec.diffusion[0] if one else None
     return StepPlan(
         config=config,
         ops=ops,
-        factor=ops._ldlt(config.tau),
+        factor=fem.ldlt(ops, config.tau),
         tame_f=scheme is not Scheme.UNTAMED_EM,
         g_power=g_power,
         sqrt_tau=math.sqrt(config.tau),
@@ -128,10 +122,12 @@ def _solve_rows(ops: fem.FemOperators, factor, v: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z.T)
 
 
-def resolvent_rows(ops: fem.FemOperators, tau: float, v: np.ndarray) -> np.ndarray:
-    """(M + tau K)^{-1} M applied to each row of v, by the tridiagonal LDL^T
-    solve with the factor cached per tau."""
-    return _solve_rows(ops, ops._ldlt(tau), v)
+def resolvent_rows(ops: fem.FemOperators, tau: float, v: np.ndarray, steps: int = 1):
+    """((M + tau K)^{-1} M)^steps applied to each row of v, from one LDL^T factor."""
+    factor = fem.ldlt(ops, tau)
+    for _ in range(steps):
+        v = _solve_rows(ops, factor, v)
+    return v
 
 
 def step_rows(plan: StepPlan, values: np.ndarray, noise_values: np.ndarray):
@@ -163,17 +159,17 @@ def step_rows(plan: StepPlan, values: np.ndarray, noise_values: np.ndarray):
 class EnsembleNoise:
     """Per-path counter-based streams, drawn by one sampler, synthesized per step.
 
-    A path's nodal values are fixed by the seed, its path id and the step,
-    whatever ensemble it rides in (``synthesize`` treats each row on its own).
+    The sampler's noise scale is fixed by the config's tau.  A path's nodal
+    values are fixed by the seed, its path id and the step, whatever ensemble
+    it rides in (``synthesize`` treats each row on its own).
     """
 
     def __init__(self, config: SchemeConfig, path_ids: Sequence[int]):
-        self.sampler = PathSampler(config.noise, config.seed, path_ids)
+        self.sampler = PathSampler(config.noise, config.seed, path_ids, config.tau)
         self.n_cells = config.grid.n_cells
-        self.tau = config.tau
 
     def coeff_rows(self, step_index: int) -> np.ndarray:
-        return self.sampler.coeffs(step_index, self.tau)
+        return self.sampler.coeffs(step_index)
 
     def value_rows(self, step_index: int) -> np.ndarray:
         return synthesize(self.coeff_rows(step_index), self.n_cells)

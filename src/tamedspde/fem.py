@@ -1,13 +1,14 @@
 """P1 finite-element operators on the unit interval.
 
 Assembles the tridiagonal mass matrix M (rows h/6 * [1, 4, 1]) and stiffness
-matrix K (rows 1/h * [-1, 2, -1]) for the interior nodes of a ``Grid1D``,
-with the tridiagonal LDL^T factor of (M + tau*K) (LAPACK ``dpttrf``) cached
-per step size.  The resolvent S = (M + tau*K)^{-1} M is nonexpansive in the
-mass norm, which is what makes the schemes unconditionally stable in the
-linear part.  ``mass_matvec_rows`` is the one P1 mass product.  The one
-tridiagonal solve is in ``tamedspde.engine``: every driver steps with it,
-and the semigroup ladder iterates it as ``resolvent_rows``.
+matrix K (rows 1/h * [-1, 2, -1]) for the interior nodes of a ``Grid1D``;
+``ldlt`` factors (M + tau*K) as tridiagonal LDL^T (LAPACK ``dpttrf``), and
+its caller keeps the factor for as long as it steps with that tau.  The
+resolvent S = (M + tau*K)^{-1} M is nonexpansive in the mass norm, which is
+what makes the schemes unconditionally stable in the linear part.
+``mass_matvec_rows`` is the one P1 mass product.  The one tridiagonal solve
+is in ``tamedspde.engine``: every driver steps with it, and the semigroup
+ladder iterates it as ``resolvent_rows``.
 ``eigen_smallest`` (inverse iteration, with its own banded Cholesky factor
 of K, so it shares no code with the solve it checks) and
 ``dispersion_eigenvalue`` (closed form) are the reference eigenvalues that
@@ -30,8 +31,7 @@ class FemOperators:
     """Tridiagonal P1 mass and stiffness matrices for a grid.
 
     ``mass_diag``/``mass_off`` and ``stiff_diag``/``stiff_off`` hold the main
-    and first off-diagonal entries (both symmetric).  Factorizations of
-    (M + tau*K) are cached per step size.
+    and first off-diagonal entries (both symmetric).
     """
 
     grid: Grid1D
@@ -39,20 +39,16 @@ class FemOperators:
     mass_off: np.ndarray = field(repr=False)
     stiff_diag: np.ndarray = field(repr=False)
     stiff_off: np.ndarray = field(repr=False)
-    _factors: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def _ldlt(self, tau: float):
-        """(d, e) of the LDL^T factor of (M + tau*K), cached per tau.  scipy's
-        ``dpttrf``/``dpttrs`` reject an empty e, so one interior node gets [0.0]."""
-        fac = self._factors.get(tau)
-        if fac is None:
-            off = self.mass_off + tau * self.stiff_off
-            d, e, info = dpttrf(self.mass_diag + tau * self.stiff_diag,
-                                off if len(off) else np.zeros(1))
-            if info != 0:
-                raise RuntimeError(f"tridiagonal LDL^T factorization failed (info={info})")
-            fac = self._factors[tau] = (d, e)
-        return fac
+
+def ldlt(ops: FemOperators, tau: float) -> tuple:
+    """(d, e) of the LDL^T factor of (M + tau*K).  scipy's ``dpttrf``/``dpttrs``
+    reject an empty e, so one interior node gets [0.0]."""
+    off = ops.mass_off + tau * ops.stiff_off
+    d, e, info = dpttrf(ops.mass_diag + tau * ops.stiff_diag, off if len(off) else np.zeros(1))
+    if info != 0:
+        raise RuntimeError(f"tridiagonal LDL^T factorization failed (info={info})")
+    return d, e
 
 
 def _tri_matvec(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -136,6 +136,7 @@ _CONCAT_MAX_MODES = 1023
 class PathSampler:
     """Sampler for a list of paths: one Philox generator, re-keyed per row.
 
+    Built for one step size tau > 0, whose scale sqrt(lambda_k tau) it keeps.
     The generator's state is assigned, never read: one state dict of plain
     ints (key words (seed, path id), counter, an empty output buffer) is
     built here.  For each step the counter's word 2 is set to the step index;
@@ -158,11 +159,12 @@ class PathSampler:
     4096-cell ladder benchmark by about 2%.
     """
 
-    def __init__(self, spec: QWienerSpec, seed: int, path_ids: Sequence[int]):
+    def __init__(self, spec: QWienerSpec, seed: int, path_ids: Sequence[int], tau: float):
+        if not tau > 0:  # NaN included
+            raise ValueError(f"tau must be positive, got {tau}")
         self.spec = spec
         self._key_words = [pid & _MASK64 for pid in path_ids]
-        self._eigs = spec.eigenvalues()
-        self._scale_cache: tuple = (None, None)  # (tau, sqrt(lambda_k tau))
+        self._scale = np.sqrt(spec.eigenvalues() * tau)
         self._bitgen = np.random.Philox(0)  # a placeholder: each row assigns its state
         self._gen = np.random.Generator(self._bitgen)
         self._counter = [0, 0, 0, 0]  # counter = step_index << 128: word 2 only
@@ -176,9 +178,7 @@ class PathSampler:
             "uinteger": 0,
         }
 
-    def coeffs(
-        self, step_index: int, tau: float, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def coeffs(self, step_index: int, out: np.ndarray | None = None) -> np.ndarray:
         """sqrt(lambda_k tau) zeta_k for one step, one row per path id.
 
         ``out``, if given, must be a C-contiguous float64 array of shape
@@ -187,10 +187,6 @@ class PathSampler:
         """
         if not 0 <= step_index < 1 << 64:
             raise ValueError(f"step_index out of range: {step_index}")
-        if tau <= 0:
-            raise ValueError(f"tau must be positive, got {tau}")
-        if self._scale_cache[0] != tau:
-            self._scale_cache = (tau, np.sqrt(self._eigs * tau))
         n_modes = self.spec.truncation
         if out is None:
             out = np.empty((len(self._key_words), n_modes))
@@ -213,7 +209,7 @@ class PathSampler:
                 rows.append(normal(n_modes))
             if rows:
                 np.concatenate(rows, out=out.reshape(-1))
-        out *= self._scale_cache[1]
+        out *= self._scale
         return out
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tamedspde import convergence, engine, fem, noise
-from tamedspde.cli import EXIT_NUMERICAL_FAILURE, main
+from tamedspde.cli import _REQUIRED, EXIT_NUMERICAL_FAILURE, KINDS, ConfigReader, main
 from tamedspde.fem import dispersion_eigenvalue
 from tamedspde.grid import Grid1D
 from tamedspde.reporting import format_value
@@ -220,7 +220,6 @@ def test_failed_factorization_exits_numerical_failure(tmp_path, capsys, monkeypa
     def failing_dpttrf(d, e, **kwargs):
         return d, e, 2
 
-    engine._operators.cache_clear()  # no factor cached by an earlier test
     monkeypatch.setattr(fem, "dpttrf", failing_dpttrf)
     out = tmp_path / "out"
     cfg = write(tmp_path / "solve.ini", f"""
@@ -319,6 +318,66 @@ variant = {variant}
     assert err.startswith("config error: [coefficients] variant")
     assert err.rstrip().endswith(f"[scheme] kind = {kind}"), err
     assert not (out / "verdict.txt").exists()
+
+
+SIMULATE_16 = """
+[experiment]
+kind = simulate
+seed = 1
+output_dir = {out}
+
+[grid]
+n_cells = 16
+
+[{scheme_section}]
+{scheme_kind} = untamed_em
+tau = 0.125
+horizon = 0.5
+
+[coefficients]
+preset = allen-cahn
+"""
+
+
+@pytest.mark.parametrize("scheme_section, scheme_kind, message", [
+    ("scheme", "knd", "config error: unknown key [scheme] knd; did you mean 'kind'?"),
+    ("sheme", "kind", "config error: unknown section [sheme]; did you mean 'scheme'?"),
+    ("DEFAULT", "kind", "config error: unknown section [DEFAULT]"),
+])
+def test_an_unknown_key_or_section_is_rejected_before_anything_is_written(
+    tmp_path, capsys, monkeypatch, scheme_section, scheme_kind, message
+):
+    """Ignored, a misspelled key would run its default: here gtem for untamed_em."""
+    monkeypatch.setattr(engine.BatchChains, "advance", fail_if_called)
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "typo.ini", SIMULATE_16.format(
+        out=out, scheme_section=scheme_section, scheme_kind=scheme_kind))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [message]
+    assert not out.exists()
+
+
+def test_an_output_directory_below_a_regular_file_is_a_config_error(tmp_path, capsys,
+                                                                    monkeypatch):
+    monkeypatch.setattr(engine.BatchChains, "advance", fail_if_called)
+    blocker = write(tmp_path / "a_file", "")
+    cfg = write(tmp_path / "sim.ini", SIMULATE_16.format(
+        out=blocker / "out", scheme_section="scheme", scheme_kind="kind"))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output directory") and "Not a directory" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_every_shipped_config_parses_and_every_kind_has_one():
+    """Parsing only: the key table, the experiment kind and the seed."""
+    kinds = set()
+    for path in sorted((Path(__file__).parents[1] / "configs").glob("*.ini")):
+        cfg = ConfigReader(path)
+        kinds.add(cfg.get_str("experiment", "kind", default=_REQUIRED, choices=set(KINDS)))
+        cfg.get_int("experiment", "seed", default=_REQUIRED)
+    assert kinds == set(KINDS)
 
 
 def test_lyapunov_rejects_uncertified_tau_as_config_error(tmp_path, capsys, monkeypatch):

@@ -145,8 +145,8 @@ def whole_path_ladder(reference, x0, n_paths, rungs):
     n_ref, k_ref = reference.n_steps, reference.noise.truncation
     errors = np.empty((n_paths, len(rungs)))
     for p in range(n_paths):
-        sampler = PathSampler(reference.noise, reference.seed, [p])
-        fine = np.stack([sampler.coeffs(i, reference.tau)[0] for i in range(n_ref)])
+        sampler = PathSampler(reference.noise, reference.seed, [p], reference.tau)
+        fine = np.stack([sampler.coeffs(i)[0] for i in range(n_ref)])
         ref_states, blown = march_one_path(
             reference, x0.build(reference.grid).values,
             synthesize(fine, reference.grid.n_cells),
@@ -197,7 +197,7 @@ def per_step_ladder_chunk(reference, x0, members, path_ids):
     fine draws, and compares against the reference after each of its steps."""
     tau, n_cells = reference.tau, reference.grid.n_cells
     block = math.lcm(*(m.ratio for m in members))
-    sampler = PathSampler(reference.noise, reference.seed, path_ids)
+    sampler = PathSampler(reference.noise, reference.seed, path_ids, tau)
     n, k_ref = len(path_ids), reference.noise.truncation
     start_values = x0.build(reference.grid).values
     ref = BatchChains(reference, np.broadcast_to(start_values, (n, len(start_values))))
@@ -208,7 +208,7 @@ def per_step_ladder_chunk(reference, x0, members, path_ids):
     kept = np.empty((block, n, reference.grid.n_interior))
     for start in range(0, reference.n_steps, block):
         for i in range(block):
-            sampler.coeffs(start + i, tau, out=fine[i])
+            sampler.coeffs(start + i, out=fine[i])
         values = synthesize(fine.reshape(block * n, k_ref), n_cells).reshape(block, n, -1)
         for i in range(block):
             ref.advance(values[i])

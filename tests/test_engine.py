@@ -2,7 +2,7 @@
 
 ``step_rows`` takes a ``StepPlan`` resolved once per ensemble.  The oracle
 below is the step as it was before the plan: the scheme dispatched, the
-operators assembled and the factor looked up on every call, g evaluated as
+operators assembled and factored on every call, g evaluated as
 an array product, and an all-False ``blown`` array on a clean step.  The
 plan must give the same bits, state by state.
 """
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpttrs
 
-from tamedspde import engine, fem
+from tamedspde import fem
 from tamedspde.coefficients import CoefficientSpec, DiffusionKind, eval_f, eval_g
 from tamedspde.engine import BatchChains, EnsembleNoise, step_rows
 from tamedspde.fem import mass_matvec_rows
@@ -57,7 +57,7 @@ def parent_step_rows(config, values, noise_values):
     rhs += values
     rhs += g * noise_values
     ops = fem.assemble(config.grid)
-    z, info = dpttrs(*ops._ldlt(tau), mass_matvec_rows(ops, rhs).T, overwrite_b=1)
+    z, info = dpttrs(*fem.ldlt(ops, tau), mass_matvec_rows(ops, rhs).T, overwrite_b=1)
     assert info == 0
     z = np.ascontiguousarray(z.T)
     if z.size == 0 or (z.max() <= OVERFLOW_GUARD and z.min() >= -OVERFLOW_GUARD):
@@ -127,23 +127,27 @@ def test_plan_steps_give_the_bits_of_the_plan_free_step(scheme, spec_name, case)
 
 
 def test_the_plan_is_resolved_once(monkeypatch):
+    """Each ensemble assembles and factors once, when it is built; nothing is
+    kept between ensembles, and no step assembles or factors."""
     calls = Counter()
-    ldlt, operators = fem.FemOperators._ldlt, engine._operators
+    assemble, ldlt = fem.assemble, fem.ldlt
 
-    def counting_ldlt(self, tau):
-        calls["_ldlt"] += 1
-        return ldlt(self, tau)
+    def counting_assemble(grid):
+        calls["assemble"] += 1
+        return assemble(grid)
 
-    def counting_operators(grid):
-        calls["_operators"] += 1
-        return operators(grid)
+    def counting_ldlt(ops, tau):
+        calls["ldlt"] += 1
+        return ldlt(ops, tau)
 
-    monkeypatch.setattr(fem.FemOperators, "_ldlt", counting_ldlt)
-    monkeypatch.setattr(engine, "_operators", counting_operators)
+    monkeypatch.setattr(fem, "assemble", counting_assemble)
+    monkeypatch.setattr(fem, "ldlt", counting_ldlt)
     cfg = SchemeConfig(tau=2.0**-6, grid=Grid1D(32), horizon=1.0, scheme="gtem",
                        coefficients=SPECS["polynomial-g"], noise=QWienerSpec(3.0, 1.0, 31))
+    BatchChains(cfg, np.ones((2, 31)))
+    assert calls == {"assemble": 1, "ldlt": 1}
     chains = BatchChains(cfg, np.ones((2, 31)))
-    assert calls == {"_ldlt": 1, "_operators": 1}
+    assert calls == {"assemble": 2, "ldlt": 2}
     calls.clear()
     noise = EnsembleNoise(cfg, [0, 1])
     for n in range(50):

@@ -179,13 +179,24 @@ def test_failed_factorization_raises_and_is_not_cached(monkeypatch):
     monkeypatch.setattr(fem, "dpttrf", failing_dpttrf)
     with pytest.raises(RuntimeError, match="factorization failed.*info=2"):
         resolvent_rows(ops, 0.1, np.ones((2, 15)))
-    assert ops._factors == {}
+    monkeypatch.undo()  # the same operators factor with the real dpttrf
+    assert np.isfinite(resolvent_rows(ops, 0.1, np.ones((2, 15)))).all()
+
+
+@pytest.mark.parametrize("n_cells", [16, 256])
+@pytest.mark.parametrize("n_rows", [1, 3])
+@pytest.mark.parametrize("steps", [1, 7])
+def test_resolvent_steps_equal_as_many_one_step_calls(n_cells, n_rows, steps):
+    ops = assemble(Grid1D(n_cells))
+    v = np.random.default_rng(n_cells + n_rows).standard_normal((n_rows, n_cells - 1))
+    one_by_one = v
+    for _ in range(steps):
+        one_by_one = resolvent_rows(ops, 2.0**-6, one_by_one)
+    assert resolvent_rows(ops, 2.0**-6, v, steps=steps).tobytes() == one_by_one.tobytes()
 
 
 def resolvent_power(ops, tau, v, k):
-    for _ in range(k):
-        v = resolvent_rows(ops, tau, v)
-    return v
+    return resolvent_rows(ops, tau, v, steps=k)
 
 
 def test_resolvent_power_zero_and_nonexpansive():

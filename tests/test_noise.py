@@ -48,66 +48,66 @@ def test_spec_validation():
 
 
 def test_determinism_and_scaling():
-    a = PathSampler(SPEC, 42, [3]).coeffs(17, 0.01)
-    b = PathSampler(SPEC, 42, [3]).coeffs(17, 0.01)
+    a = PathSampler(SPEC, 42, [3], 0.01).coeffs(17)
+    b = PathSampler(SPEC, 42, [3], 0.01).coeffs(17)
     assert np.array_equal(a, b)
     # with the normals fixed, coefficients and nodal values scale as sqrt(tau)
-    c = PathSampler(SPEC, 42, [3]).coeffs(17, 0.0025)
+    c = PathSampler(SPEC, 42, [3], 0.0025).coeffs(17)
     assert np.allclose(c, a / 2.0, rtol=1e-12)
     assert np.allclose(
         synthesize(c, GRID.n_cells), synthesize(a, GRID.n_cells) / 2.0,
         rtol=1e-12, atol=1e-15,
     )
-    with pytest.raises(ValueError):
-        PathSampler(SPEC, 42, [3]).coeffs(17, 0.0)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.01, float("nan")])
+def test_sampler_rejects_a_step_size_that_is_not_positive(tau):
+    with pytest.raises(ValueError, match="tau must be positive"):
+        PathSampler(SPEC, 42, [3], tau)
 
 
 def test_sampler_matches_standalone_and_random_access():
     # re-seating one generator per step equals a fresh Philox at that counter
-    ps = PathSampler(SPEC, 42, [3])
-    seq = [ps.coeffs(k, 0.01) for k in range(5)]
+    ps = PathSampler(SPEC, 42, [3], 0.01)
+    seq = [ps.coeffs(k) for k in range(5)]
     for k, w in enumerate(seq):
         assert np.array_equal(w[0], fresh_philox_coeffs(SPEC, 0.01, 42, 3, k))
     # revisiting an earlier step reproduces it exactly
-    assert np.array_equal(ps.coeffs(2, 0.01), seq[2])
+    assert np.array_equal(ps.coeffs(2), seq[2])
 
 
 def test_reseat_discards_words_buffered_by_an_odd_step():
     spec = QWienerSpec(3.0, 1.0, 31)  # an odd K leaves Philox words buffered
-    ps = PathSampler(spec, 42, [3])
-    first = ps.coeffs(2, 0.01)
-    ps.coeffs(9, 0.01)
+    ps = PathSampler(spec, 42, [3], 0.01)
+    first = ps.coeffs(2)
+    ps.coeffs(9)
     assert ps._bitgen.state["buffer_pos"] != 4
-    again = ps.coeffs(2, 0.01)
+    again = ps.coeffs(2)
     assert np.array_equal(again, first)
     assert np.array_equal(again[0], fresh_philox_coeffs(spec, 0.01, 42, 3, 2))
 
 
 def test_step_index_range():
-    ps = PathSampler(SPEC, 42, [3])
+    ps = PathSampler(SPEC, 42, [3], 0.01)
     last = (1 << 64) - 1
     assert np.array_equal(
-        ps.coeffs(last, 0.01)[0], fresh_philox_coeffs(SPEC, 0.01, 42, 3, last)
+        ps.coeffs(last)[0], fresh_philox_coeffs(SPEC, 0.01, 42, 3, last)
     )
     for bad in (-1, 1 << 64):
         with pytest.raises(ValueError, match="step_index"):
-            ps.coeffs(bad, 0.01)
+            ps.coeffs(bad)
 
 
 def test_coeffs_fill_a_row_of_a_block_buffer():
     # the ladder's block buffer is (steps, paths, K); one call fills one step's
     # rows, here the one row of path 3
-    ps = PathSampler(SPEC, 42, [3])
+    ps = PathSampler(SPEC, 42, [3], 0.01)
     fine = np.zeros((4, 3, SPEC.truncation))
     row = fine[2, 1:2]
-    assert ps.coeffs(7, 0.01, out=row) is row
+    assert ps.coeffs(7, out=row) is row
     assert np.array_equal(fine[2, 1], fresh_philox_coeffs(SPEC, 0.01, 42, 3, 7))
     fine[2, 1] = 0.0
     assert not fine.any()  # nothing else was written
-    with pytest.raises(ValueError, match="tau"):
-        ps.coeffs(7, 0.0, out=row)
-    with pytest.raises(ValueError, match="tau"):
-        ps.coeffs(7, -0.01, out=row)
 
 
 @pytest.mark.parametrize("n_modes", [63, noise_mod._CONCAT_MAX_MODES, 2047])
@@ -116,26 +116,26 @@ def test_coeffs_fill_a_step_block_of_the_ladder_buffer(n_modes):
     # block, on both sides of the widest concatenated row
     spec = QWienerSpec(3.0, 1.0, n_modes)
     ids = [4, 9, 2]
-    ps = PathSampler(spec, 42, ids)
+    ps = PathSampler(spec, 42, ids, 0.01)
     fine = np.zeros((3, len(ids), n_modes))
-    assert ps.coeffs(5, 0.01, out=fine[1]).base is fine
+    assert ps.coeffs(5, out=fine[1]).base is fine
     for p, row in zip(ids, fine[1]):
         assert np.array_equal(row, fresh_philox_coeffs(spec, 0.01, 42, p, 5))
     assert not fine[0].any() and not fine[2].any()
-    assert np.array_equal(ps.coeffs(5, 0.01), fine[1])
+    assert np.array_equal(ps.coeffs(5), fine[1])
 
 
 @pytest.mark.parametrize("n_modes", [63, 2047])
 def test_coeffs_rejects_an_out_that_is_not_c_contiguous_float64(n_modes):
-    ps = PathSampler(QWienerSpec(3.0, 1.0, n_modes), 42, [1, 2])
+    ps = PathSampler(QWienerSpec(3.0, 1.0, n_modes), 42, [1, 2], 0.01)
     out = np.zeros((n_modes, 2)).T  # the right shape, F-ordered
     with pytest.raises(ValueError, match="C-contiguous"):
-        ps.coeffs(3, 0.01, out=out)
+        ps.coeffs(3, out=out)
     assert not out.any()
     with pytest.raises(ValueError, match="C-contiguous"):
-        ps.coeffs(3, 0.01, out=np.zeros((2, 2 * n_modes))[:, ::2])
+        ps.coeffs(3, out=np.zeros((2, 2 * n_modes))[:, ::2])
     with pytest.raises(ValueError, match="float64"):
-        ps.coeffs(3, 0.01, out=np.zeros((2, n_modes), dtype=np.float32))
+        ps.coeffs(3, out=np.zeros((2, n_modes), dtype=np.float32))
 
 
 def test_multi_path_sampler_rows_equal_fresh_generators():
@@ -144,14 +144,14 @@ def test_multi_path_sampler_rows_equal_fresh_generators():
     # the first follows a predecessor that left words behind
     spec = QWienerSpec(3.0, 1.0, 31)
     ids = [7, 2, 7, -1, 1 << 64, (1 << 64) + 5, 0, MASK64]
-    ps = PathSampler(spec, 42, ids)
+    ps = PathSampler(spec, 42, ids, 0.01)
     for step in (0, 11, (1 << 64) - 1):
-        rows = ps.coeffs(step, 0.01)
+        rows = ps.coeffs(step)
         assert rows.shape == (len(ids), spec.truncation)
         for p, row in zip(ids, rows):
             assert np.array_equal(row, fresh_philox_coeffs(spec, 0.01, 42, p, step))
     assert ps._bitgen.state["buffer_pos"] != 4
-    rows = ps.coeffs(11, 0.01)
+    rows = ps.coeffs(11)
     assert np.array_equal(rows[0], rows[2])  # a repeated id draws the same row
     assert np.array_equal(rows[3], rows[7])  # -1 and 2^64 - 1 share a key
     assert np.array_equal(rows[4], rows[6])  # 2^64 and 0 share a key
@@ -159,17 +159,14 @@ def test_multi_path_sampler_rows_equal_fresh_generators():
     # out= is filled in place and returned
     block = np.zeros((3, len(ids), spec.truncation))
     view = block[1]
-    assert ps.coeffs(11, 0.01, out=view) is view
+    assert ps.coeffs(11, out=view) is view
     assert np.array_equal(block[1], rows)
     assert not block[0].any() and not block[2].any()
-    # the range and tau checks are those of a one-path sampler
+    # the range check is that of a one-path sampler
     for bad in (-1, 1 << 64):
         with pytest.raises(ValueError, match="step_index out of range"):
-            ps.coeffs(bad, 0.01)
-    for bad in (0.0, -0.01):
-        with pytest.raises(ValueError, match="tau must be positive"):
-            ps.coeffs(3, bad)
-    assert PathSampler(spec, 42, []).coeffs(3, 0.01).shape == (0, spec.truncation)
+            ps.coeffs(bad)
+    assert PathSampler(spec, 42, [], 0.01).coeffs(3).shape == (0, spec.truncation)
 
 
 def test_ensemble_rows_equal_per_path_oracles():
@@ -227,7 +224,7 @@ def test_independence_across_steps():
 
 
 def test_aggregation_identity_and_variance():
-    one = PathSampler(SPEC, 5, [0]).coeffs(0, 0.01)[0]
+    one = PathSampler(SPEC, 5, [0], 0.01).coeffs(0)[0]
     assert np.array_equal(pairwise_tree_sum_axis(one[None, None, :]), one[None, :])
 
     # variance of a 4-step aggregate ~ 4 * lambda_k * tau_fine
@@ -242,8 +239,8 @@ def test_aggregation_identity_and_variance():
 
 def test_aggregation_associativity_power_of_two():
     # the ladder aggregates a fine path by reshaping to (coarse steps, ratio, K)
-    ps = PathSampler(SPEC, 9, [1])
-    fine = np.stack([ps.coeffs(k, 0.005)[0] for k in range(8)])
+    ps = PathSampler(SPEC, 9, [1], 0.005)
+    fine = np.stack([ps.coeffs(k)[0] for k in range(8)])
     k = SPEC.truncation
     one_shot = pairwise_tree_sum_axis(fine.reshape(1, 8, k))
     halves = pairwise_tree_sum_axis(fine.reshape(2, 4, k))
@@ -265,8 +262,8 @@ def test_coarse_path_is_prefix_of_fine_path():
     fine_spec = QWienerSpec(3.0, 1.0, 63)
     coarse_grid = Grid1D(16)
     coarse_spec = fine_spec.for_grid(coarse_grid)
-    fine = PathSampler(fine_spec, 21, [4]).coeffs(8, 0.01)[0]
-    coarse = PathSampler(coarse_spec, 21, [4]).coeffs(8, 0.01)[0]
+    fine = PathSampler(fine_spec, 21, [4], 0.01).coeffs(8)[0]
+    coarse = PathSampler(coarse_spec, 21, [4], 0.01).coeffs(8)[0]
     assert np.array_equal(fine[:15], coarse)
     # restricting the fine coefficients synthesizes the coarse path's values
     coarse_noise = EnsembleNoise(noise_config(coarse_spec, coarse_grid, seed=21), [4])
