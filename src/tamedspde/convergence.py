@@ -10,8 +10,12 @@ shorter, still a multiple of lcm): each block's fine increments are drawn
 once, summed over coarse steps level by level (exact aggregation of the
 Wiener path), truncated to the coarse grid's own modes, and the fine
 reference is restricted to coarse nodes (exact for nested meshes); each
-member takes one error reduction per block, and the reference and each
-member synthesize a block's increments in one call.
+member takes one error reduction per block.  The reference and the members
+step in ratio groups (reference steps per member step): the chains of one
+ratio advance as one ``BatchChains`` whose node axis holds their grids back
+to back, each chain's noise synthesized on its own grid into its slice.  An
+h ladder is then one group, one step call per reference step; a tau ladder
+with distinct ratios has one chain per group.
 Memory is O(chunk x block x modes), whatever the horizon, and a block past
 ``MAX_BLOCK_VALUES`` is rejected.  The reported error per ladder point is
 
@@ -191,11 +195,6 @@ def _ladder_members(
     return axis, members
 
 
-def _start_rows(config: SchemeConfig, x0: InitialCondition, n_rows: int) -> BatchChains:
-    values = x0.build(config.grid).values
-    return BatchChains(config, np.broadcast_to(values, (n_rows, len(values))))
-
-
 def _block_shape(members):
     """(block, stride): the smallest multiple of lcm(ratios) covering
     ``MIN_BLOCK_STEPS`` reference steps, and gcd(ratios)."""
@@ -204,76 +203,126 @@ def _block_shape(members):
     return lcm * -(-MIN_BLOCK_STEPS // lcm), math.gcd(*ratios)
 
 
+def _chain_groups(reference: SchemeConfig, members):
+    """[(ratio, chain indices)] of the chains stepped as one stacked chain, by
+    ascending ratio; index -1 is the reference, which leads the first group.
+    A grid with one interior node steps alone: LAPACK solves a 1-node system
+    with a reciprocal product, but that node with a division in a stack."""
+    chains = [(1, reference.grid, -1)] + [(m.ratio, m.config.grid, j)
+                                          for j, m in enumerate(members)]
+    groups = {}
+    for ratio, grid, j in chains:
+        slot = j if grid.n_interior == 1 else -2  # -2: the ratio's stack
+        groups.setdefault((ratio, slot), []).append(j)
+    return [(ratio, js) for (ratio, _), js in sorted(groups.items())]
+
+
+class _GroupRun:
+    """The chains of one ratio group (the reference first in ratio 1) as one
+    ``BatchChains`` over their stacked grids, with its block buffers: the
+    nodal noise of each of its steps, and its states at multiples of
+    max(ratio, stride) reference steps."""
+
+    def __init__(self, ratio, configs, x0, n_rows, block, stride):
+        grids = [c.grid for c in configs]
+        start = np.concatenate([x0.build(g).values for g in grids])
+        self.chain = BatchChains(configs[0], np.broadcast_to(start, (n_rows, len(start))), grids)
+        self.ratio, self.configs = ratio, configs
+        self.cuts = [cut for cut, _ in self.chain.plan.segments]
+        self.every = max(ratio, stride) // ratio  # own steps between kept states
+        self.values = np.empty((block // ratio, n_rows, len(start)))
+        self.kept = np.empty((block // (ratio * self.every), n_rows, len(start)))
+
+    def step_block(self, coeffs: np.ndarray) -> np.ndarray:
+        """Synthesize each chain's noise on its own grid into its slice, take
+        the block's steps, and return the states kept."""
+        values = self.values[: len(coeffs)]
+        for config, cut in zip(self.configs, self.cuts):
+            # each chain's mode prefix
+            synthesize(coeffs[..., : config.noise.truncation], config.grid.n_cells,
+                       out=values[..., cut])
+        kept = self.kept[: len(coeffs) // self.every]
+        for i, step_values in enumerate(values, 1):
+            self.chain.advance(step_values)
+            if i % self.every == 0:
+                kept[i // self.every - 1] = self.chain.states
+        return kept
+
+
 def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_ids):
     """(squared sup errors (paths, members), blown (paths,)) of one path chunk.
 
-    The reference and every member advance the chunk's paths as rows of one
-    ``BatchChains`` each, a block of ``_block_shape`` reference steps at a
-    time, synthesizing the block in one call per chain.  A member
-    sums its steps with the pairwise tree from the sums of the coarsest
-    power-of-two ratio dividing its own, else from the fine draws (the tree
-    composes over power-of-two groups bit for bit).  The reference keeps its
-    states at multiples of gcd(ratios), where members compare.
+    The reference and the members are grouped by ratio (``_chain_groups``),
+    and each group advances the chunk's paths as rows of one stacked
+    ``BatchChains``, a block of ``_block_shape`` reference steps at a time:
+    one step call per group step, so an h ladder takes one per reference
+    step.  A group sums its steps with the pairwise tree from the sums of
+    the coarsest power-of-two ratio dividing its own, else from the fine
+    draws (the tree composes over power-of-two groups bit for bit).  Each
+    member compares its slice of its group's kept states with the
+    reference's slice at multiples of its ratio.  A row blown in any chain
+    freezes its whole group and is reported blown.
     """
-    tau, n_cells = reference.tau, reference.grid.n_cells
     block, stride = _block_shape(members)
-    sampler = PathSampler(reference.noise, reference.seed, path_ids, tau)
+    sampler = PathSampler(reference.noise, reference.seed, path_ids, reference.tau)
     n, k_ref = len(path_ids), reference.noise.truncation
-    ref = _start_rows(reference, x0, n)
-    runs = [_start_rows(m.config, x0, n) for m in members]
-    worst = np.stack(
-        [
-            rows_l2_sq(run.states - ref.states[:, m.restrict], m.config.grid.h)
-            for m, run in zip(members, runs)
-        ],
-        axis=1,
-    )
-    order = sorted(range(len(members)), key=lambda j: members[j].ratio)
+    groups = _chain_groups(reference, members)
+    runs = [
+        _GroupRun(ratio, [members[j].config if j >= 0 else reference for j in js],
+                  x0, n, block, stride)
+        for ratio, js in groups
+    ]
+    # (member index, its slice) of each group
+    chains = [[(j, cut) for j, cut in zip(js, run.cuts) if j >= 0]
+              for (_, js), run in zip(groups, runs)]
+    worst = np.empty((n, len(members)))
+    for run, pairs in zip(runs, chains):
+        for j, cut in pairs:
+            m = members[j]
+            worst[:, j] = rows_l2_sq(run.chain.states[:, cut]
+                                     - runs[0].chain.states[:, m.restrict], m.config.grid.h)
     fine_block = np.empty((block, n, k_ref))
-    kept_block = np.empty((block // stride, n, reference.grid.n_interior))
     for start in range(0, reference.n_steps, block):
         size = min(block, reference.n_steps - start)  # a multiple of lcm(ratios)
-        fine, kept = fine_block[:size], kept_block[: size // stride]
+        fine = fine_block[:size]
         for i in range(size):
             sampler.coeffs(start + i, out=fine[i])
-        for i, step_values in enumerate(synthesize(fine, n_cells), 1):
-            ref.advance(step_values)
-            if i % stride == 0:
-                kept[i // stride - 1] = ref.states
         sums = {1: fine}  # this block's increments summed at power-of-two ratios
-        for j in order:
-            m, run, grid = members[j], runs[j], members[j].config.grid
-            base = max(r for r in sums if m.ratio % r == 0)
-            coeffs = sums[base][..., : m.config.noise.truncation]  # the mode prefix
-            k_c = coeffs.shape[-1]
-            if m.ratio > base:
+        kept = []
+        for run in runs:
+            r = run.ratio
+            base = max(b for b in sums if r % b == 0)
+            coeffs = sums[base]
+            if r > base:
                 coeffs = pairwise_tree_sum_axis(
-                    coeffs.reshape(size // m.ratio, m.ratio // base, n, k_c)
+                    coeffs.reshape(size // r, r // base, n, coeffs.shape[-1])
                 )
-                if m.ratio & (m.ratio - 1) == 0:
-                    sums[m.ratio] = coeffs
-            trail = []  # advance replaces ``states``: each step's array is kept as is
-            for step_values in synthesize(coeffs, grid.n_cells):
-                run.advance(step_values)
-                trail.append(run.states)
-            states = np.stack(trail) if len(trail) > 1 else trail[0][None]
-            at = kept[m.ratio // stride - 1 :: m.ratio // stride][..., m.restrict]
-            err = rows_l2_sq(states - at, grid.h).max(axis=0)
-            np.maximum(worst[:, j], err, out=worst[:, j])
-    blown = ref.blown.copy()
-    for run in runs:
-        blown |= run.blown
+                if r & (r - 1) == 0:
+                    sums[r] = coeffs
+            kept.append(run.step_block(coeffs))
+        for states, pairs in zip(kept, chains):
+            for j, cut in pairs:
+                m = members[j]
+                at = kept[0][m.ratio // stride - 1 :: m.ratio // stride][..., m.restrict]
+                err = rows_l2_sq(states[..., cut] - at, m.config.grid.h).max(axis=0)
+                np.maximum(worst[:, j], err, out=worst[:, j])
+    blown = runs[0].chain.blown.copy()
+    for run in runs[1:]:
+        blown |= run.chain.blown
     return worst, blown
 
 
 def _check_block_memory(reference: SchemeConfig, members, n_rows: int) -> None:
-    """Reject a ladder whose block buffers (fine draws, reference values,
-    kept reference states, member sums, values and states) pass the cap."""
+    """Reject a ladder whose block buffers pass the cap: the fine draws, and
+    per ratio group its summed draws (ratio > 1), stacked noise values and
+    kept states."""
     block, stride = _block_shape(members)
-    k_ref, n_ref = reference.noise.truncation, reference.grid.n_interior
-    per_row = block * k_ref + block * n_ref + block // stride * n_ref + sum(
-        block // m.ratio * (k_ref + 2 * m.config.grid.n_interior) for m in members
-    )
+    k_ref = reference.noise.truncation
+    per_row = block * k_ref
+    for ratio, js in _chain_groups(reference, members):
+        nodes = sum((members[j].config if j >= 0 else reference).grid.n_interior for j in js)
+        sums = k_ref if ratio > 1 else 0
+        per_row += block // ratio * (sums + nodes) + block // max(ratio, stride) * nodes
     if per_row * n_rows > MAX_BLOCK_VALUES:
         raise ValueError(
             f"a ladder block of {block} reference steps needs {per_row * n_rows} "

@@ -14,7 +14,13 @@ once per ensemble into a ``StepPlan`` (``step_plan``): the FEM operators,
 the LDL^T factor of M + tau K, which of f and g the scheme tames, and a
 one-coefficient g.  ``step_rows`` then does only the step's arithmetic,
 through this module's ``drift_diffusion_rows``, ``mass_matvec_rows`` and
-``_dpbtrs``.
+``_dpbtrs``.  A plan may also step a stack of grids whose nodes lie back to
+back on the node axis, all with one scheme, coefficients and tau: the
+drift, taming and noise terms act node by node, and the stacked operators
+are block-diagonal (``fem.assemble``), so each grid's slice of a row that
+is not blown steps with the bits of its own one-grid plan (a grid with one
+interior node aside, see ``fem``).  The strong-error ladder steps the
+reference and its same-ratio members this way, one call per step.
 
 Blow-up is detected, not raised: a row whose solution trips the overflow
 guard is frozen at its last finite state, and the failing step index is
@@ -23,13 +29,15 @@ Only this post-solve guard is needed: ``dpttrs`` solves each row's column
 on its own, so a non-finite right-hand side gives a non-finite solution in
 its own row, flagged at the same step, and leaves the other rows alone.  The
 guard tests the whole block's max and min first; only a block that fails
-that test takes the per-row sup and mass-norm rule.
+that test takes the per-row sup and mass-norm rule, on each grid of a stack
+with that grid's h, and a row is blown when any of its grids is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,7 +46,7 @@ from scipy.linalg.lapack import dpttrs
 from . import fem
 from .coefficients import DiffusionKind, eval_f, eval_g
 from .fem import mass_matvec_rows
-from .grid import rows_l2_sq
+from .grid import Grid1D, rows_l2_sq
 from .noise import PathSampler, synthesize
 from .schemes import OVERFLOW_GUARD, Scheme, SchemeConfig
 
@@ -50,10 +58,12 @@ class StepPlan:
     ``tame_f``: f* = f_tau, else f.  ``g_power``: g* = g / (1 + sqrt(tau)
     x^(2 g_power))^{1/2}, or None for an untamed g.  ``g0``: c0 when g is the
     one-coefficient polynomial, else None.  ``unit_g``: g* is exactly 1.0.
+    ``segments``: (slice of the node axis, h) of each grid of the stack.
     """
 
     config: SchemeConfig
     ops: fem.FemOperators
+    segments: tuple
     factor: tuple  # (d, e) of the LDL^T factor of M + tau K
     tame_f: bool
     g_power: Optional[int]
@@ -62,16 +72,21 @@ class StepPlan:
     unit_g: bool
 
 
-def step_plan(config: SchemeConfig) -> StepPlan:
-    """Resolve the scheme, operators and factor of ``config`` for its steps."""
+def step_plan(config: SchemeConfig, grids: Sequence[Grid1D] = ()) -> StepPlan:
+    """Resolve the scheme, operators and factor of ``config`` for its steps on
+    its grid, or on a stack of ``grids`` with the config's scheme,
+    coefficients and tau."""
     spec, scheme = config.coefficients, config.scheme
-    ops = fem.assemble(config.grid)
+    grids = tuple(grids) or (config.grid,)
+    ops = fem.assemble(*grids)
+    stops = list(accumulate(g.n_interior for g in grids))
     g_power = {Scheme.GTEM: spec.q // 2, Scheme.GTEM_B: spec.q}.get(scheme)
     one = spec.diffusion_kind is DiffusionKind.POLYNOMIAL and len(spec.diffusion) == 1
     g0 = spec.diffusion[0] if one else None
     return StepPlan(
         config=config,
         ops=ops,
+        segments=tuple((slice(stop - g.n_interior, stop), g.h) for g, stop in zip(grids, stops)),
         factor=fem.ldlt(ops, config.tau),
         tame_f=scheme is not Scheme.UNTAMED_EM,
         g_power=g_power,
@@ -150,9 +165,13 @@ def step_rows(plan: StepPlan, values: np.ndarray, noise_values: np.ndarray):
     if z.size == 0 or (z.max() <= OVERFLOW_GUARD and z.min() >= -OVERFLOW_GUARD):
         return z, None
     blown = ~(np.abs(z).max(axis=-1) <= OVERFLOW_GUARD)  # NaN rows too
-    # The sup norm bounds the L2 norm on (0, 1), so only these rows need the
-    # mass-norm decision; a non-finite row has a non-finite norm.
-    blown[blown] = ~(rows_l2_sq(z[blown], plan.config.grid.h) <= OVERFLOW_GUARD**2)
+    # The sup norm bounds the L2 norm on (0, 1), on each grid of a stack, so
+    # only these rows need the mass-norm decision, grid by grid; a
+    # non-finite row has a non-finite norm.
+    rows, over = z[blown], np.zeros(int(blown.sum()), dtype=bool)
+    for cut, h in plan.segments:
+        over |= ~(rows_l2_sq(rows[:, cut], h) <= OVERFLOW_GUARD**2)
+    blown[blown] = over
     return z, blown
 
 
@@ -180,16 +199,19 @@ class BatchChains:
 
     ``states`` holds one row per path; rows freeze at their last finite
     state once the blow-up guard trips (``blowup_step[i]`` records when).
+    A row spans the config's grid, or the stack of ``grids`` (``step_plan``).
     """
 
-    def __init__(self, config: SchemeConfig, x0_rows: np.ndarray):
+    def __init__(self, config: SchemeConfig, x0_rows: np.ndarray,
+                 grids: Sequence[Grid1D] = ()):
         x0_rows = np.atleast_2d(np.asarray(x0_rows, dtype=np.float64))
-        if x0_rows.shape[1] != config.grid.n_interior:
+        n_nodes = sum(g.n_interior for g in grids or (config.grid,))
+        if x0_rows.shape[1] != n_nodes:
             raise ValueError(
                 f"x0 rows have {x0_rows.shape[1]} columns, grid has "
-                f"{config.grid.n_interior} interior nodes"
+                f"{n_nodes} interior nodes"
             )
-        self.plan = step_plan(config)
+        self.plan = step_plan(config, grids)
         self.states = x0_rows.copy()
         self.n_paths = x0_rows.shape[0]
         self.step_index = 0

@@ -1,11 +1,17 @@
 """P1 finite-element operators on the unit interval.
 
 Assembles the tridiagonal mass matrix M (rows h/6 * [1, 4, 1]) and stiffness
-matrix K (rows 1/h * [-1, 2, -1]) for the interior nodes of a ``Grid1D``;
+matrix K (rows 1/h * [-1, 2, -1]) for the interior nodes of a ``Grid1D``, or
+block-diagonally for a stack of grids whose nodes lie back to back.
 ``ldlt`` factors (M + tau*K) as tridiagonal LDL^T (LAPACK ``dpttrf``), and
 its caller keeps the factor for as long as it steps with that tau.  The
-resolvent S = (M + tau*K)^{-1} M is nonexpansive in the mass norm, which is
-what makes the schemes unconditionally stable in the linear part.
+off-diagonal is 0.0 at each joint of a stack, so ``dpttrf`` and ``dpttrs``
+compute d - 0*0 and b - b'*0 there, and every block factors and solves with
+the bits of its own grid's operators; only a grid with one interior node
+differs, which LAPACK solves alone with a reciprocal product, in a stack
+with a division.  The resolvent S = (M + tau*K)^{-1} M is nonexpansive in
+the mass norm, which is what makes the schemes unconditionally stable in
+the linear part.
 ``mass_matvec_rows`` is the one P1 mass product.  The one tridiagonal solve
 is in ``tamedspde.engine``: every driver steps with it, and the semigroup
 ladder iterates it as ``resolvent_rows``.
@@ -28,17 +34,24 @@ from .grid import Grid1D
 
 @dataclass(frozen=True, eq=False)
 class FemOperators:
-    """Tridiagonal P1 mass and stiffness matrices for a grid.
+    """Tridiagonal P1 mass and stiffness matrices for a grid or a stack of grids.
 
     ``mass_diag``/``mass_off`` and ``stiff_diag``/``stiff_off`` hold the main
-    and first off-diagonal entries (both symmetric).
+    and first off-diagonal entries (both symmetric).  ``grids`` holds one
+    grid, or the grids of a stack in the order of their nodes.
     """
 
-    grid: Grid1D
+    grids: tuple
     mass_diag: np.ndarray = field(repr=False)
     mass_off: np.ndarray = field(repr=False)
     stiff_diag: np.ndarray = field(repr=False)
     stiff_off: np.ndarray = field(repr=False)
+
+    @property
+    def grid(self) -> Grid1D:
+        """The one grid of unstacked operators."""
+        (grid,) = self.grids
+        return grid
 
 
 def ldlt(ops: FemOperators, tau: float) -> tuple:
@@ -53,7 +66,8 @@ def ldlt(ops: FemOperators, tau: float) -> tuple:
 
 def _tri_matvec(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
     """diag v + off v[i+1] + off v[i-1] per row, in that order; the P1 diagonals
-    are constant (``assemble``), so one product off * v serves both neighbours."""
+    of one grid are constant (``assemble``), so one product off * v serves
+    both neighbours."""
     y = diag[0] * v
     if len(off):
         w = off[0] * v
@@ -62,21 +76,38 @@ def _tri_matvec(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
     return y
 
 
+def _edge_matvec(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``_tri_matvec`` with the diagonals as arrays, for a stack: a product
+    with each neighbour, so the 0.0 at a joint keeps the blocks apart."""
+    y = diag * v
+    y[..., :-1] += off * v[..., 1:]
+    y[..., 1:] += off * v[..., :-1]
+    return y
+
+
 def mass_matvec_rows(ops: FemOperators, v: np.ndarray) -> np.ndarray:
     """M v for each row of v, or for the vector v."""
-    return _tri_matvec(ops.mass_diag, ops.mass_off, v)
+    matvec = _tri_matvec if len(ops.grids) == 1 else _edge_matvec
+    return matvec(ops.mass_diag, ops.mass_off, v)
 
 
-def assemble(grid: Grid1D) -> FemOperators:
-    """Assemble the exact P1 mass and stiffness matrices on a uniform grid."""
-    n = grid.n_interior
-    h = grid.h
+def assemble(*grids: Grid1D) -> FemOperators:
+    """Assemble the exact P1 mass and stiffness matrices on a uniform grid, or
+    block-diagonally on a stack of grids, one block per grid in the given order."""
+
+    def diagonal(entry):
+        return np.concatenate([np.full(g.n_interior, entry(g.h)) for g in grids])
+
+    def off_diagonal(entry):  # 0.0 at each joint between two grids
+        parts = [np.full(g.n_interior - 1, entry(g.h)) for g in grids]
+        return np.concatenate([x for part in parts for x in (np.zeros(1), part)][1:])
+
     return FemOperators(
-        grid=grid,
-        mass_diag=np.full(n, 4.0 * h / 6.0),
-        mass_off=np.full(n - 1, h / 6.0),
-        stiff_diag=np.full(n, 2.0 / h),
-        stiff_off=np.full(n - 1, -1.0 / h),
+        grids=tuple(grids),
+        mass_diag=diagonal(lambda h: 4.0 * h / 6.0),
+        mass_off=off_diagonal(lambda h: h / 6.0),
+        stiff_diag=diagonal(lambda h: 2.0 / h),
+        stiff_off=off_diagonal(lambda h: -1.0 / h),
     )
 
 

@@ -108,7 +108,7 @@ def _synth_rows(n_cells: int, n_modes: int) -> np.ndarray:
     return _synth_matrix(n_cells)[:n_modes]
 
 
-def synthesize(coeffs: np.ndarray, n_cells: int) -> np.ndarray:
+def synthesize(coeffs: np.ndarray, n_cells: int, out: np.ndarray | None = None) -> np.ndarray:
     """Nodal values sum_k coeffs[..., k-1] sqrt(2) sin(k pi x_i) at the interior nodes.
 
     ``coeffs`` holds K <= n_cells - 1 sine coefficients per row.  Meshes of
@@ -116,6 +116,8 @@ def synthesize(coeffs: np.ndarray, n_cells: int) -> np.ndarray:
     cached dense matrix: a product of several rows lets BLAS pick its kernel,
     and so a row's bits, by the row count.  Wider meshes zero-pad the rows to
     n_cells - 1 modes and apply DST-I, which treats every row on its own.
+    ``out``, if given, receives the values (it may be a strided view, such
+    as one grid's slice of a stacked block) and is returned.
     """
     n_modes = coeffs.shape[-1]
     if n_modes > n_cells - 1:
@@ -123,9 +125,16 @@ def synthesize(coeffs: np.ndarray, n_cells: int) -> np.ndarray:
             f"{n_modes} modes alias on a grid with {n_cells - 1} interior nodes"
         )
     if n_cells <= _DENSE_MAX_CELLS:
-        return np.matmul(coeffs[..., None, :], _synth_rows(n_cells, n_modes))[..., 0, :]
+        # a strided ``out`` would take numpy's non-BLAS product: copy instead
+        values = np.matmul(coeffs[..., None, :], _synth_rows(n_cells, n_modes))[..., 0, :]
+        if out is None:
+            return values
+        out[...] = values
+        return out
     # DST-I: y[i] = 2 sum_k c[k] sin(pi (i+1)(k+1) / n_cells)
-    return scipy.fft.dst(coeffs, type=1, n=n_cells - 1, axis=-1) * (np.sqrt(2.0) / 2.0)
+    return np.multiply(
+        scipy.fft.dst(coeffs, type=1, n=n_cells - 1, axis=-1), np.sqrt(2.0) / 2.0, out=out
+    )
 
 
 # Widest rows that ``PathSampler`` draws into fresh arrays and concatenates:

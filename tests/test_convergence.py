@@ -241,8 +241,9 @@ def per_step_ladder_chunk(reference, x0, members, path_ids):
         (256, None, 24, (4, 8, 16, 32, 64)),  # h ladders: blocks of 8 steps
         (1024, None, 16, (8, 16, 32, 64, 128)),
         (128, None, 21, (4, 16, 64)),  # two blocks of 8 and a tail of 5
+        (64, None, 16, (2, 4, 2, 16)),  # 1-node grids step alone, not stacked
     ],
-    ids=["8-16-32-64", "4-12", "2-3-8", "3-tail", "h-256", "h-1024", "h-tail"],
+    ids=["8-16-32-64", "4-12", "2-3-8", "3-tail", "h-256", "h-1024", "h-tail", "h-2"],
 )
 def test_ladder_block_bookkeeping_matches_the_per_step_loop(n_cells, ratios, steps, cells):
     tau_ref = 2.0**-10
@@ -257,6 +258,23 @@ def test_ladder_block_bookkeeping_matches_the_per_step_loop(n_cells, ratios, ste
     want_worst, want_blown = per_step_ladder_chunk(reference, x0, members, range(5, 8))
     assert np.array_equal(worst, want_worst) and np.array_equal(blown, want_blown)
     assert np.all(worst > 0) and not blown.any()
+
+
+def test_a_blown_row_leaves_the_other_rows_of_an_h_ladder_as_they_were():
+    # untamed EM from a large start: half the rows blow up, two of them in
+    # the reference but never on the 4-cell mesh; the stacked chain freezes
+    # a blown row on every grid, the per-step oracle only in the chain it blew
+    tau_ref = 2.0**-3
+    reference = SchemeConfig(tau=tau_ref, grid=Grid1D(32), horizon=16 * tau_ref,
+                             scheme="untamed_em", coefficients=allen_cahn(1.0),
+                             noise=QWienerSpec(3.0, 30.0, 31), seed=3)
+    _, members = _ladder_members(reference, None, [4, 8, 16])
+    x0 = InitialCondition("sine", amplitude=6.0)
+    with np.errstate(all="ignore"):
+        worst, blown = _ladder_chunk(reference, x0, members, range(12))
+        want_worst, want_blown = per_step_ladder_chunk(reference, x0, members, range(12))
+    assert np.array_equal(blown, want_blown) and 0 < blown.sum() < len(blown)
+    assert worst[~blown].tobytes() == want_worst[~blown].tobytes()
 
 
 def test_a_ladder_chunk_row_does_not_depend_on_the_chunk():
@@ -310,11 +328,13 @@ def test_block_memory_counts_the_blocks_that_are_streamed(monkeypatch):
     reference = SchemeConfig(tau=tau_ref, grid=Grid1D(64), horizon=36 * tau_ref,
                              scheme="drift_gtem", coefficients=allen_cahn(1.0),
                              noise=QWienerSpec(3.0, 1.0, 63), seed=1)
-    # h ladder {8, 32} cells: a block of 8 steps synthesized in one call;
-    # fine draws 8 * 63, their values 8 * 63, kept states 8 * 63, and per
-    # member 8 sums of 63 modes, 8 steps' values and 8 states
-    h_per_row = 8 * 63 + 8 * 63 + 8 * 63 + 8 * (63 + 2 * 7) + 8 * (63 + 2 * 31)
-    # tau ladder {3}: a block of 9 steps, kept states every 3 steps
+    # h ladder {8, 32} cells: a block of 8 steps, one ratio group stacking
+    # 63 + 7 + 31 nodes; fine draws 8 * 63, and the group's 8 steps' values
+    # and 8 kept states
+    h_per_row = 8 * 63 + 8 * (63 + 7 + 31) + 8 * (63 + 7 + 31)
+    # tau ladder {3}: a block of 9 steps; the reference's group keeps states
+    # every 3 steps, and the ratio-3 group holds 3 sums of 63 modes, 3 steps'
+    # values and 3 states
     tau_per_row = 9 * 63 + 9 * 63 + 3 * 63 + 3 * (63 + 2 * 63)
     for per_row, taus, cells, block in ((h_per_row, None, [8, 32], 8),
                                         (tau_per_row, [3 * tau_ref], None, 9)):
@@ -341,13 +361,14 @@ def test_rows_l2_sq_of_a_step_block_equals_each_step():
 
 def test_ladder_tables_identical_across_worker_counts(monkeypatch):
     ref = additive_reference(tau=2.0**-7, n_cells=32)
-    tables = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("TAMEDSPDE_WORKERS", workers)
-        tables.append(strong_error_ladder(ref, InitialCondition("sine", amplitude=2.0),
-                                          30, coarse_taus=[2.0**-5, 2.0**-4]))
-    assert repr(tables[0]) == repr(tables[1])  # two chunks: 25 paths and 5
-    assert tables[0].rows[0].n_paths == 30
+    for ladder in (dict(coarse_taus=[2.0**-5, 2.0**-4]), dict(coarse_n_cells=[4, 8, 16])):
+        tables = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("TAMEDSPDE_WORKERS", workers)
+            tables.append(strong_error_ladder(ref, InitialCondition("sine", amplitude=2.0),
+                                              30, **ladder))
+        assert repr(tables[0]) == repr(tables[1])  # two chunks: 25 paths and 5
+        assert tables[0].rows[0].n_paths == 30
 
 
 def test_semigroup_error_matches_mode_decay():

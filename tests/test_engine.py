@@ -9,6 +9,7 @@ plan must give the same bits, state by state.
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,3 +183,37 @@ def test_a_path_steps_to_the_states_of_its_one_row_run_in_any_ensemble(n_cells):
         for p in (0, n_paths - 1):
             alone = states_after_16_steps([p])[0]
             assert ensemble[p].tobytes() == alone.tobytes(), (n_paths, p)
+
+
+def test_a_stacked_plan_guards_each_grid_with_its_own_h():
+    """On a 1024-cell grid stacked with a 4-cell one, a row is blown when
+    either grid's slice is: over the sup guard and over that grid's own
+    mass-norm bound, or not finite.  Each slice of a row that is not blown
+    steps to the bits of its own grid's plan, and the row's verdict is the
+    OR of the two verdicts."""
+    tau, g = 1e-12, OVERFLOW_GUARD
+    fine, coarse = Grid1D(1024), Grid1D(4)
+    cfg = SchemeConfig(tau=tau, grid=fine, horizon=tau, scheme="drift_gtem",
+                       coefficients=CoefficientSpec((0.0,), (0.0,), q=0),
+                       noise=QWienerSpec(3.0, 1.0, 3))
+    rng = np.random.default_rng(9)
+    rows = rng.uniform(-1.0, 1.0, (7, 1023 + 3))
+    rows[1, 500] = 3.0 * g  # over the sup guard, under the fine mass-norm bound
+    rows[2, 1023 + 1] = 1.5 * g  # the same on the coarse grid
+    rows[3, 1023:] = 2.0 * g  # over the coarse grid's mass-norm bound
+    rows[4, 1023] = np.nan
+    rows[5, 7] = np.nan
+    rows[6, 100:] = 2.0 * g  # over the bound on both grids
+    noise = np.zeros_like(rows)
+    with np.errstate(all="ignore"):
+        z, blown = step_rows(BatchChains(cfg, rows, (fine, coarse)).plan, rows, noise)
+        verdicts = []
+        for grid, cut in ((fine, slice(0, 1023)), (coarse, slice(1023, None))):
+            one = BatchChains(replace(cfg, grid=grid), rows[:, cut]).plan
+            z_one, blown_one = step_rows(one, rows[:, cut], noise[:, cut])
+            # a NaN crosses a joint (0.0 * NaN), but only within a blown row
+            assert z[:3, cut].tobytes() == z_one[:3].tobytes()
+            verdicts.append(np.zeros(len(rows), bool) if blown_one is None else blown_one)
+    assert blown.tolist() == [False, False, False, True, True, True, True]
+    assert np.array_equal(blown, verdicts[0] | verdicts[1])
+    assert abs(z[1, 500]) > g and abs(z[2, 1023 + 1]) > g  # the sup guard was passed

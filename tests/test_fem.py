@@ -54,16 +54,10 @@ def test_assemble_structure():
     assert np.allclose(np.diag(K), 2.0 / h)
 
 
-def five_call_tri_matvec(diag, off, v):
-    """The product as written before the off-diagonal product was shared."""
-    y = diag * v
-    y[..., :-1] += off * v[..., 1:]
-    y[..., 1:] += off * v[..., :-1]
-    return y
-
-
 @pytest.mark.parametrize("n_cells", [2, 3, 32, 4096])
 def test_tri_matvec_matches_the_five_call_form_bit_for_bit(n_cells):
+    # the five-call form is the stacks' edge-array product, off * v[1:] and
+    # off * v[:-1]; on one grid it must give the one-product form's bits
     ops = assemble(Grid1D(n_cells))
     n = ops.grid.n_interior
     rng = np.random.default_rng(n_cells)
@@ -75,10 +69,46 @@ def test_tri_matvec_matches_the_five_call_form_bit_for_bit(n_cells):
         for v in (rows, rows[0], rows[:, ::-1]):
             for diag, off in ((ops.mass_diag, ops.mass_off),
                               (ops.stiff_diag, ops.stiff_off)):
-                want = five_call_tri_matvec(diag, off, v)
+                want = fem._edge_matvec(diag, off, v.copy())
                 assert fem._tri_matvec(diag, off, v).tobytes() == want.tobytes()
-            want = five_call_tri_matvec(ops.mass_diag, ops.mass_off, v)
+            want = fem._edge_matvec(ops.mass_diag, ops.mass_off, v)
             assert mass_matvec_rows(ops, v).tobytes() == want.tobytes()
+
+
+STACKS = [(8, 2, 128), (2, 4096), (3, 2), (64, 16, 2, 4096, 8), (4, 8, 16, 32, 64, 256)]
+
+
+@pytest.mark.parametrize("cells", STACKS)
+def test_a_stack_factors_as_its_grids_do(cells):
+    grids = [Grid1D(c) for c in cells]
+    stack = assemble(*grids)
+    assert stack.grids == tuple(grids)
+    for tau in (2.0**-10, 0.3):
+        d, e = fem.ldlt(stack, tau)
+        parts = [fem.ldlt(assemble(g), tau) for g in grids]
+        # a 2-cell grid's e is the [0.0] placeholder of its empty off-diagonal
+        offs = [e_g[: g.n_interior - 1] for g, (_, e_g) in zip(grids, parts)]
+        want_e = np.concatenate([x for off in offs for x in (np.zeros(1), off)][1:])
+        assert d.tobytes() == np.concatenate([d_g for d_g, _ in parts]).tobytes()
+        assert e.tobytes() == want_e.tobytes()
+
+
+@pytest.mark.parametrize("cells", STACKS)
+def test_a_stack_steps_each_grid_with_its_own_bits(cells):
+    grids = [Grid1D(c) for c in cells]
+    stack = assemble(*grids)
+    v = np.random.default_rng(len(cells)).standard_normal((3, stack.mass_diag.size))
+    cuts = np.cumsum([g.n_interior for g in grids])[:-1]
+    for tau in (2.0**-10, 0.3):
+        products = (mass_matvec_rows(stack, v), resolvent_rows(stack, tau, v))
+        for g, part, got_mass, got_solve in zip(grids, np.split(v, cuts, axis=1),
+                                                *(np.split(p, cuts, axis=1) for p in products)):
+            ops = assemble(g)
+            assert got_mass.tobytes() == mass_matvec_rows(ops, part).tobytes()
+            # LAPACK solves a 1-node system alone with a reciprocal product,
+            # but that node with a division inside a stack
+            same = got_solve.tobytes() == resolvent_rows(ops, tau, part).tobytes()
+            assert same or g.n_interior == 1, g
 
 
 def test_solve_semi_implicit_scalar_case():
