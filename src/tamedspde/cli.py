@@ -5,14 +5,16 @@ Usage:
     tamedspde run <config.ini> [--output DIR]
     tamedspde list-presets
 
-The config file is flat INI (key = value under sections).  A section or key
-that no experiment kind reads (``CONFIG_KEYS``) is a configuration error,
-reported before anything is written; a key that only another kind reads is
-accepted.  Every run reads and checks each key its kind uses, check
-thresholds included, before any computation, copies the configuration next
-to its outputs, and emits CSV tables plus a plain-text verdict summary.
-An output directory that cannot be made or written is a configuration
-error.  Exit codes: 0 all asserted checks pass,
+The config file is flat INI (key = value under sections).  ``KEYS``
+declares each key once: its type, default and bounds.  ``read_config`` is
+the parse phase: a section or key that no experiment kind reads is a
+configuration error, a key that only another kind reads is accepted, and
+every key of the sections the kind reads (``KIND_SECTIONS``), check
+thresholds included, is parsed and checked, as are the checks that tie one
+value to another.  Only then does a run make its output directory, copy the
+configuration next to its outputs, compute, and emit CSV tables plus a
+plain-text verdict summary.  An output directory that cannot be made or
+written is a configuration error.  Exit codes: 0 all asserted checks pass,
 1 a scientific check failed, 2 configuration error, 3 numerical failure
 during compute (every path blew up, or a tridiagonal LDL^T factorization
 or solve failed).
@@ -26,8 +28,12 @@ from __future__ import annotations
 import argparse
 import configparser
 import difflib
+import io
 import sys
+from collections.abc import Collection
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -49,115 +55,166 @@ class ConfigError(Exception):
     pass
 
 
+@dataclass(frozen=True)
+class Key:
+    """One config key: its type (int, float, str, or a ``list[...]`` of one),
+    its default (``...`` for a required key) and the bounds a value given in
+    the file must meet: ``v > above``, ``lo <= v <= hi``, ``v in choices``.
+    A list meets them item by item; a default is valid by declaration."""
+
+    type: type
+    default: object = None
+    lo: float | None = None
+    hi: float | None = None
+    above: float | None = None
+    choices: Collection | None = None
+
+
+# The sections each experiment kind reads; [experiment] is read by all.
+MODEL = ("grid", "scheme", "coefficients", "noise")
+KIND_SECTIONS = {
+    "simulate": (*MODEL, "initial", "monte_carlo"),
+    "lyapunov": (*MODEL, "assumptions", "lyapunov"),
+    "longrun": (*MODEL, "assumptions", "initial", "monte_carlo"),
+    "coupling": (*MODEL, "coupling", "monte_carlo"),
+    "ergodic": (*MODEL, "ergodic", "monte_carlo"),
+    "blowup": (*MODEL, "blowup", "monte_carlo"),
+    "strong-rate": (*MODEL, "initial", "monte_carlo", "ladder"),
+    "semigroup-rate": ("ladder",),
+    "check-assumptions": ("grid", "coefficients", "noise", "assumptions"),
+}
+KINDS = tuple(KIND_SECTIONS)
+
 # Every (section, key) that some experiment kind reads.  Anything else is
 # rejected: a misspelled key would otherwise run its default unnoticed.
-CONFIG_KEYS = {
-    "experiment": ("kind", "seed", "output_dir"),
-    "grid": ("n_cells",),
-    "scheme": ("kind", "tau", "horizon"),
-    "coefficients": ("preset", "epsilon", "g0", "drift", "diffusion", "q",
-                     "diffusion_kind", "variant"),  # variant: read to name its replacement
-    "noise": ("decay", "scale", "truncation"),
-    "initial": ("kind", "amplitude", "mode", "center", "width"),
-    "monte_carlo": ("paths", "record_stride", "path_id"),
-    "assumptions": ("scan_radius", "scan_points"),
-    "lyapunov": ("amplitudes", "samples"),
-    "coupling": ("amplitude_a", "amplitude_b", "steps", "min_r_squared"),
-    "ergodic": ("amplitudes", "observables", "tolerance", "burn_in_fraction"),
-    "blowup": ("amplitudes", "min_untamed_frequency"),
-    "ladder": ("axis", "taus", "n_cells", "min_slope", "max_slope", "min_r_squared",
-               "t", "fixed_n_cells", "mode"),
+KEYS = {
+    "experiment": {"kind": Key(str, ..., choices=KINDS), "seed": Key(int, ...),
+                   "output_dir": Key(str)},  # required unless --output is given
+    "grid": {"n_cells": Key(int, ..., lo=2)},
+    "scheme": {"kind": Key(str, "gtem", choices={s.value for s in Scheme}),
+               "tau": Key(float, ..., hi=1.0, above=0.0),
+               "horizon": Key(float, ..., above=0.0)},
+    "coefficients": {  # drift, diffusion and q are required without a preset
+        "preset": Key(str, "", choices=PRESETS),
+        "epsilon": Key(float, 1.0, above=0.0), "g0": Key(float, 1.0),
+        "drift": Key(list[float]), "diffusion": Key(list[float]), "q": Key(int, lo=0),
+        "diffusion_kind": Key(str, "polynomial", choices={"polynomial", "sqrt_quadratic"}),
+        "variant": Key(str)},  # removed: read only to name its replacement
+    "noise": {"decay": Key(float, 3.0, above=1.0), "scale": Key(float, 1.0, above=0.0),
+              "truncation": Key(str, "auto")},  # or an integer up to the interior nodes
+    "initial": {"kind": Key(str, "zero", choices={"zero", "sine", "const", "bump"}),
+                "amplitude": Key(float, 1.0), "mode": Key(int, 1, lo=1),
+                "center": Key(float, 0.5), "width": Key(float, 0.1, above=0.0)},
+    "monte_carlo": {"paths": Key(int, 100, lo=1), "record_stride": Key(int, 1, lo=1),
+                    "path_id": Key(int, 0, lo=0)},
+    "assumptions": {"scan_radius": Key(float, 20.0, lo=10.0),
+                    "scan_points": Key(int, 200_001, lo=10_000)},
+    "lyapunov": {"amplitudes": Key(list[float], tuple(float(a) for a in range(0, 11))),
+                 "samples": Key(int, 10_000, lo=1000)},
+    "coupling": {"amplitude_a": Key(float, 0.0), "amplitude_b": Key(float, 5.0),
+                 "steps": Key(int, 200, lo=10), "min_r_squared": Key(float, 0.9)},
+    "ergodic": {"amplitudes": Key(list[float], (0.0, 5.0)),
+                "observables": Key(list[str], ("l2_sq",), choices=ergodicity.OBSERVABLE_ROWS),
+                "tolerance": Key(float, 0.05, above=0.0),
+                "burn_in_fraction": Key(float, 0.2, lo=0.0, hi=0.9)},
+    "blowup": {"amplitudes": Key(list[float], (1.0, 3.0, 5.0)),
+               "min_untamed_frequency": Key(float)},
+    "ladder": {  # the axis says which of taus and n_cells is required
+        "axis": Key(str, ..., choices={"tau", "h"}),
+        "taus": Key(list[float]), "n_cells": Key(list[int], lo=2),
+        "min_slope": Key(float), "max_slope": Key(float), "min_r_squared": Key(float),
+        "t": Key(float, 1.0, above=0.0), "fixed_n_cells": Key(int, 256, lo=2),
+        "mode": Key(int, 1, lo=1)},  # and below the coarsest mesh
 }
 
+# The keys whose default or bound differs by kind.
+KIND_OVERRIDES = {
+    "longrun": {("monte_carlo", "paths"): {"lo": 2},
+                ("monte_carlo", "record_stride"): {"default": 1000}},
+    "strong-rate": {("monte_carlo", "paths"): {"lo": 2}},
+    "check-assumptions": {("grid", "n_cells"): {"default": 256}},
+}
 
-class ConfigReader:
-    """Typed access to an INI file with field-qualified error messages."""
-
-    def __init__(self, path: Path):
-        self.parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        try:
-            with open(path, encoding="utf-8") as fh:
-                self.parser.read_file(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}")
-        except configparser.Error as exc:
-            raise ConfigError(f"malformed config file {path}: {exc}")
-        if self.parser.defaults():  # its keys would land in every section
-            raise ConfigError("unknown section [DEFAULT]")
-        for section in self.parser.sections():
-            if section not in CONFIG_KEYS:
-                raise ConfigError(f"unknown section [{section}]{_nearest(section, CONFIG_KEYS)}")
-            for key in self.parser.options(section):
-                if key not in CONFIG_KEYS[section]:
-                    raise ConfigError(
-                        f"unknown key [{section}] {key}{_nearest(key, CONFIG_KEYS[section])}")
-
-    def _raw(self, section: str, key: str, default):
-        if not self.parser.has_option(section, key):
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required field [{section}] {key}")
-            return None
-        return self.parser.get(section, key).strip()
-
-    def get_str(self, section, key, default=None, choices=None):
-        raw = self._raw(section, key, default)
-        val = default if raw is None else raw
-        if choices is not None and val not in choices:
-            raise ConfigError(
-                f"[{section}] {key} = {val!r} is not one of {sorted(choices)}"
-            )
-        return val
-
-    def get_int(self, section, key, default=None, minimum=None, maximum=None):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        try:
-            val = int(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer")
-        _check_range(section, key, val, minimum, maximum)
-        return val
-
-    def get_float(self, section, key, default=None, minimum=None, maximum=None,
-                  exclusive_min=None):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        try:
-            val = float(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not a number")
-        if exclusive_min is not None and val <= exclusive_min:
-            raise ConfigError(
-                f"[{section}] {key} = {val} must be > {exclusive_min}"
-            )
-        _check_range(section, key, val, minimum, maximum)
-        return val
-
-    def _get_list(self, section, key, default, cast, what):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        try:
-            values = [cast(tok.strip()) for tok in raw.split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not {what}")
-        if not values:
-            raise ConfigError(f"[{section}] {key} is empty; expected {what}")
-        return values
-
-    def get_float_list(self, section, key, default=None):
-        return self._get_list(section, key, default, float, "a number list")
-
-    def get_int_list(self, section, key, default=None):
-        return self._get_list(section, key, default, int, "an integer list")
-
-    def get_str_list(self, section, key, default=None):
-        return self._get_list(section, key, default, str, "a name list")
+WHAT = {int: "an integer", float: "a number", str: "a name"}
 
 
-_REQUIRED = object()  # default= sentinel: the field has no default
+def read_config(path: Path) -> tuple[dict, str]:
+    """The parse phase: ``({(section, key): value}, resolved config text)``.
+
+    The map holds every key the config's kind reads, defaults included.
+    Each value the file gives is parsed, type-checked and range-checked
+    here, and so are the checks that tie one value to another, so a config
+    error is reported before anything is made or computed.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}")
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}")
+    if parser.defaults():  # its keys would land in every section
+        raise ConfigError("unknown section [DEFAULT]")
+    for section in parser.sections():
+        if section not in KEYS:
+            raise ConfigError(f"unknown section [{section}]{_nearest(section, KEYS)}")
+        for key in parser.options(section):
+            if key not in KEYS[section]:
+                raise ConfigError(
+                    f"unknown key [{section}] {key}{_nearest(key, KEYS[section])}")
+    kind = _value(parser, "experiment", "kind", KEYS["experiment"]["kind"])
+    overrides = KIND_OVERRIDES.get(kind, {})
+    cfg = {}
+    for section in ("experiment", *KIND_SECTIONS[kind]):
+        for key, spec in KEYS[section].items():
+            spec = replace(spec, **overrides.get((section, key), {}))
+            cfg[section, key] = _value(parser, section, key, spec)
+    _check_dependent(cfg, KIND_SECTIONS[kind])
+    echo = configparser.ConfigParser()
+    for section in parser.sections():
+        echo[section] = dict(parser.items(section))
+    text = io.StringIO()
+    echo.write(text)
+    return cfg, text.getvalue()
+
+
+def _value(parser, section: str, key: str, spec: Key):
+    if not parser.has_option(section, key):
+        if spec.default is ...:
+            raise ConfigError(f"missing required field [{section}] {key}")
+        return spec.default
+    return _parse(section, key, parser.get(section, key).strip(), spec)
+
+
+def _parse(section: str, key: str, raw: str, spec: Key):
+    (cast,) = get_args(spec.type) or (spec.type,)
+    many = cast is not spec.type
+    what = WHAT[cast] + " list" * many
+    try:
+        val = [cast(t.strip()) for t in raw.split(",") if t.strip()] if many else cast(raw)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not {what}")
+    if many and not val:
+        raise ConfigError(f"[{section}] {key} is empty; expected {what}")
+    _check(section, key, val, spec)
+    return val
+
+
+def _check(section: str, key: str, val, spec: Key) -> None:
+    many = isinstance(val, list)
+    items = val if many else [val]
+    if spec.choices is not None and val != spec.default:
+        for item in items:
+            if item not in spec.choices:
+                raise ConfigError(f"[{section}] {key}{':' if many else ' ='} {item!r} "
+                                  f"is not one of {sorted(spec.choices)}")
+    if spec.above is not None and min(items) <= spec.above:
+        raise ConfigError(f"[{section}] {key} = {min(items)} must be > {spec.above}")
+    if spec.lo is not None and min(items) < spec.lo:
+        raise ConfigError(f"[{section}] {key} = {min(items)} must be >= {spec.lo}")
+    if spec.hi is not None and max(items) > spec.hi:
+        raise ConfigError(f"[{section}] {key} = {max(items)} must be <= {spec.hi}")
 
 
 def _nearest(name: str, known) -> str:
@@ -165,11 +222,41 @@ def _nearest(name: str, known) -> str:
     return f"; did you mean {close[0]!r}?" if close else ""
 
 
-def _check_range(section, key, val, minimum, maximum):
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"[{section}] {key} = {val} must be >= {minimum}")
-    if maximum is not None and val > maximum:
-        raise ConfigError(f"[{section}] {key} = {val} must be <= {maximum}")
+def _check_dependent(cfg: dict, sections: tuple) -> None:
+    """The checks of one value against another, once each value has passed."""
+    if "coefficients" in sections:
+        variant = cfg["coefficients", "variant"]
+        if variant is not None:  # rejected, not mapped: the scheme says what is tamed
+            kind = {"both_a": "gtem", "both_b": "gtem_b", "drift_only": "drift_gtem"}.get(
+                variant, "gtem, gtem_b or drift_gtem")
+            raise ConfigError(f"[coefficients] variant was removed; set [scheme] kind = {kind}")
+        for key in () if cfg["coefficients", "preset"] else ("drift", "diffusion", "q"):
+            if cfg["coefficients", key] is None:
+                raise ConfigError(f"missing required field [coefficients] {key}")
+    if "noise" in sections:  # resolved here: "auto" is every interior node
+        interior = Grid1D(cfg["grid", "n_cells"]).n_interior
+        raw = cfg["noise", "truncation"]
+        cfg["noise", "truncation"] = interior if raw == "auto" else _parse(
+            "noise", "truncation", raw, Key(int, lo=1, hi=interior))
+    if "ladder" in sections:
+        key = "taus" if cfg["ladder", "axis"] == "tau" else "n_cells"
+        values = cfg["ladder", key]
+        if values is None:
+            raise ConfigError(f"missing required field [ladder] {key}")
+        if len(values) < convergence.MIN_FIT_POINTS:  # a shorter ladder could never be fitted
+            raise ConfigError(
+                f"[ladder] {key} lists {len(values)} values; a rate fit needs "
+                f">= {convergence.MIN_FIT_POINTS}"
+            )
+        if cfg["experiment", "kind"] == "semigroup-rate":
+            cells, taus = _semigroup_ladder(cfg)
+            if len(taus) != len(cells):
+                raise ConfigError(
+                    f"[ladder] taus lists {len(taus)} values but [ladder] n_cells "
+                    f"lists {len(cells)}; an h ladder takes one tau per mesh"
+                )
+            # A higher mode aliases on the coarsest mesh.
+            _check("ladder", "mode", cfg["ladder", "mode"], Key(int, hi=min(cells) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -177,89 +264,45 @@ def _check_range(section, key, val, minimum, maximum):
 # ---------------------------------------------------------------------------
 
 
-def _build_coefficients(cfg: ConfigReader) -> CoefficientSpec:
-    variant = cfg.get_str("coefficients", "variant")
-    if variant is not None:  # rejected, not mapped: the scheme says what is tamed
-        kind = {"both_a": "gtem", "both_b": "gtem_b", "drift_only": "drift_gtem"}.get(
-            variant, "gtem, gtem_b or drift_gtem")
-        raise ConfigError(f"[coefficients] variant was removed; set [scheme] kind = {kind}")
-    preset = cfg.get_str("coefficients", "preset", default="")
+def _build_coefficients(cfg: dict) -> CoefficientSpec:
+    preset = cfg["coefficients", "preset"]
     if preset:
-        if preset not in PRESETS:
-            raise ConfigError(
-                f"[coefficients] preset = {preset!r} is not one of {sorted(PRESETS)}"
-            )
         factory = PRESETS[preset][0]
         if preset == "allen-cahn":
-            eps = cfg.get_float("coefficients", "epsilon", default=1.0, exclusive_min=0.0)
-            g0 = cfg.get_float("coefficients", "g0", default=1.0)
-            return factory(eps, g0)
+            return factory(cfg["coefficients", "epsilon"], cfg["coefficients", "g0"])
         return factory()
-    drift = cfg.get_float_list("coefficients", "drift", default=_REQUIRED)
-    diffusion = cfg.get_float_list("coefficients", "diffusion", default=_REQUIRED)
-    q = cfg.get_int("coefficients", "q", default=_REQUIRED, minimum=0)
-    kind = cfg.get_str(
-        "coefficients", "diffusion_kind", default="polynomial",
-        choices={"polynomial", "sqrt_quadratic"},
-    )
     try:
         return CoefficientSpec(
-            drift=tuple(drift), diffusion=tuple(diffusion), q=q,
-            diffusion_kind=kind,
+            drift=tuple(cfg["coefficients", "drift"]),
+            diffusion=tuple(cfg["coefficients", "diffusion"]),
+            q=cfg["coefficients", "q"],
+            diffusion_kind=cfg["coefficients", "diffusion_kind"],
         )
     except ValueError as exc:
         raise ConfigError(f"[coefficients] {exc}")
 
 
-def _build_noise(cfg: ConfigReader, grid: Grid1D) -> QWienerSpec:
-    decay = cfg.get_float("noise", "decay", default=3.0, exclusive_min=1.0)
-    scale = cfg.get_float("noise", "scale", default=1.0, exclusive_min=0.0)
-    raw_trunc = cfg.get_str("noise", "truncation", default="auto")
-    if raw_trunc == "auto":
-        truncation = grid.n_interior
-    else:
-        truncation = cfg.get_int("noise", "truncation", minimum=1,
-                                 maximum=grid.n_interior)
-    return QWienerSpec(decay, scale, truncation)
+def _build_noise(cfg: dict) -> QWienerSpec:
+    return QWienerSpec(cfg["noise", "decay"], cfg["noise", "scale"],
+                       cfg["noise", "truncation"])
 
 
-def _build_scheme_config(cfg: ConfigReader, seed: int) -> SchemeConfig:
-    n_cells = cfg.get_int("grid", "n_cells", default=_REQUIRED, minimum=2)
-    grid = Grid1D(n_cells)
-    tau = cfg.get_float("scheme", "tau", default=_REQUIRED, exclusive_min=0.0,
-                        maximum=1.0)
-    horizon = cfg.get_float("scheme", "horizon", default=_REQUIRED, exclusive_min=0.0)
-    kind = cfg.get_str("scheme", "kind", default="gtem",
-                       choices={s.value for s in Scheme})
+def _build_scheme_config(cfg: dict) -> SchemeConfig:
     coefficients = _build_coefficients(cfg)
-    noise = _build_noise(cfg, grid)
+    noise = _build_noise(cfg)
     try:
         return SchemeConfig(
-            tau=tau, grid=grid, horizon=horizon, scheme=kind,
-            coefficients=coefficients, noise=noise, seed=seed,
+            tau=cfg["scheme", "tau"], grid=Grid1D(cfg["grid", "n_cells"]),
+            horizon=cfg["scheme", "horizon"],
+            scheme=cfg["scheme", "kind"], coefficients=coefficients, noise=noise,
+            seed=cfg["experiment", "seed"],
         )
     except ValueError as exc:
         raise ConfigError(f"[scheme] {exc}")
 
 
-def _build_initial(cfg: ConfigReader) -> InitialCondition:
-    kind = cfg.get_str("initial", "kind", default="zero",
-                       choices={"zero", "sine", "const", "bump"})
-    return InitialCondition(
-        kind=kind,
-        amplitude=cfg.get_float("initial", "amplitude", default=1.0),
-        mode=cfg.get_int("initial", "mode", default=1, minimum=1),
-        center=cfg.get_float("initial", "center", default=0.5),
-        width=cfg.get_float("initial", "width", default=0.1, exclusive_min=0.0),
-    )
-
-
-def _echo_resolved(cfg: ConfigReader, out_dir: Path) -> None:
-    echo = configparser.ConfigParser()
-    for section in cfg.parser.sections():
-        echo[section] = dict(cfg.parser.items(section))
-    with open(out_dir / "resolved_config.ini", "w", encoding="utf-8") as fh:
-        echo.write(fh)
+def _build_initial(cfg: dict) -> InitialCondition:
+    return InitialCondition(**{key: cfg["initial", key] for key in KEYS["initial"]})
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +310,14 @@ def _echo_resolved(cfg: ConfigReader, out_dir: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _assumption_report(cfg: ConfigReader, spec: CoefficientSpec, noise: QWienerSpec):
+def _assumption_report(cfg: dict, spec: CoefficientSpec, noise: QWienerSpec):
     """``check_assumptions`` on the scan the [assumptions] section sets."""
-    radius = cfg.get_float("assumptions", "scan_radius", default=20.0, minimum=10.0)
-    points = cfg.get_int("assumptions", "scan_points", default=200_001, minimum=10_000)
-    return check_assumptions(spec, noise, scan_radius=radius, scan_points=points)
+    return check_assumptions(spec, noise, scan_radius=cfg["assumptions", "scan_radius"],
+                             scan_points=cfg["assumptions", "scan_points"])
 
 
-def _run_check_assumptions(cfg: ConfigReader, out: Path, seed: int) -> list:
-    grid = Grid1D(cfg.get_int("grid", "n_cells", default=256, minimum=2))
-    report = _assumption_report(cfg, _build_coefficients(cfg), _build_noise(cfg, grid))
+def _run_check_assumptions(cfg: dict, out: Path) -> list:
+    report = _assumption_report(cfg, _build_coefficients(cfg), _build_noise(cfg))
     rows = [
         ("feasible", report.feasible),
         ("q_flag_outside_supported_range", report.q_flag),
@@ -322,11 +363,10 @@ def _run_check_assumptions(cfg: ConfigReader, out: Path, seed: int) -> list:
 SIMULATE_OBSERVABLES = ("h1_sq", "l2_sq", "lq2", "lyapunov")
 
 
-def _run_simulate(cfg: ConfigReader, out: Path, seed: int) -> list:
-    config = _build_scheme_config(cfg, seed)
+def _run_simulate(cfg: dict, out: Path) -> list:
+    config = _build_scheme_config(cfg)
     x0 = _build_initial(cfg).build(config.grid)
-    stride = cfg.get_int("monte_carlo", "record_stride", default=1, minimum=1)
-    path_id = cfg.get_int("monte_carlo", "path_id", default=0, minimum=0)
+    stride = cfg["monte_carlo", "record_stride"]
     chain = BatchChains(config, x0.values)
     fns = [ergodicity.OBSERVABLE_ROWS[name] for name in SIMULATE_OBSERVABLES]
     rows = []
@@ -336,7 +376,8 @@ def _run_simulate(cfg: ConfigReader, out: Path, seed: int) -> list:
             [step, step * config.tau] + [float(fn(states, config)[0]) for fn in fns]
         )
 
-    chain.run(EnsembleNoise(config, [path_id]), config.n_steps, stride, record)
+    noise = EnsembleNoise(config, [cfg["monte_carlo", "path_id"]])
+    chain.run(noise, config.n_steps, stride, record)
     write_csv(out / "trajectory.csv", ["step", "time", *SIMULATE_OBSERVABLES], rows)
     blowup_step = int(chain.blowup_step[0])
     blew = blowup_step >= 0
@@ -350,16 +391,13 @@ def _run_simulate(cfg: ConfigReader, out: Path, seed: int) -> list:
     ]
 
 
-def _run_lyapunov(cfg: ConfigReader, out: Path, seed: int) -> list:
-    config = _build_scheme_config(cfg, seed)
+def _run_lyapunov(cfg: dict, out: Path) -> list:
+    config = _build_scheme_config(cfg)
     report = _assumption_report(cfg, config.coefficients, config.noise)
-    amps = cfg.get_float_list("lyapunov", "amplitudes",
-                              default=[float(a) for a in range(0, 11)])
-    samples = cfg.get_int("lyapunov", "samples", default=10_000, minimum=1000)
-    anchors = [
-        InitialCondition("sine", amplitude=a).build(config.grid) for a in amps
-    ]
-    probes = ergodicity.lyapunov_contraction_test(config, anchors, samples, report)
+    amps = cfg["lyapunov", "amplitudes"]
+    anchors = [InitialCondition("sine", amplitude=a).build(config.grid) for a in amps]
+    probes = ergodicity.lyapunov_contraction_test(config, anchors, cfg["lyapunov", "samples"],
+                                                  report)
     write_csv(
         out / "lyapunov_contraction.csv",
         ["experiment", "anchor_amplitude", "anchor_l2_sq", "anchor_V",
@@ -382,13 +420,12 @@ def _run_lyapunov(cfg: ConfigReader, out: Path, seed: int) -> list:
     ]
 
 
-def _run_longrun(cfg: ConfigReader, out: Path, seed: int) -> list:
-    config = _build_scheme_config(cfg, seed)
+def _run_longrun(cfg: dict, out: Path) -> list:
+    config = _build_scheme_config(cfg)
     report = _assumption_report(cfg, config.coefficients, config.noise)
     x0 = _build_initial(cfg).build(config.grid)
-    paths = cfg.get_int("monte_carlo", "paths", default=100, minimum=2)
-    stride = cfg.get_int("monte_carlo", "record_stride", default=1000, minimum=1)
-    res = ergodicity.long_run_moment_test(config, x0, paths, report, stride)
+    res = ergodicity.long_run_moment_test(config, x0, cfg["monte_carlo", "paths"], report,
+                                          cfg["monte_carlo", "record_stride"])
     write_csv(
         out / "longrun_moments.csv",
         ["experiment", "step", "time", "mean_l2_sq", "mc_std_error",
@@ -408,16 +445,14 @@ def _run_longrun(cfg: ConfigReader, out: Path, seed: int) -> list:
     ]
 
 
-def _run_coupling(cfg: ConfigReader, out: Path, seed: int) -> list:
-    config = _build_scheme_config(cfg, seed)
-    amp_a = cfg.get_float("coupling", "amplitude_a", default=0.0)
-    amp_b = cfg.get_float("coupling", "amplitude_b", default=5.0)
-    steps = cfg.get_int("coupling", "steps", default=200, minimum=10)
-    paths = cfg.get_int("monte_carlo", "paths", default=100, minimum=1)
-    min_r2 = cfg.get_float("coupling", "min_r_squared", default=0.9)
+def _run_coupling(cfg: dict, out: Path) -> list:
+    config = _build_scheme_config(cfg)
+    amp_a, amp_b = cfg["coupling", "amplitude_a"], cfg["coupling", "amplitude_b"]
+    min_r2 = cfg["coupling", "min_r_squared"]
     x0a = InitialCondition("sine", amplitude=amp_a).build(config.grid)
     x0b = InitialCondition("sine", amplitude=amp_b).build(config.grid)
-    res = ergodicity.coupling_decay_test(config, x0a, x0b, steps, paths)
+    res = ergodicity.coupling_decay_test(config, x0a, x0b, cfg["coupling", "steps"],
+                                         cfg["monte_carlo", "paths"])
     write_csv(
         out / "coupling_distance.csv",
         ["experiment", "step", "time", "mean_l2_distance"],
@@ -440,24 +475,15 @@ def _run_coupling(cfg: ConfigReader, out: Path, seed: int) -> list:
     return [CheckResult("coupling-geometric-decay", ok, detail)]
 
 
-def _run_ergodic(cfg: ConfigReader, out: Path, seed: int) -> list:
-    config = _build_scheme_config(cfg, seed)
-    amps = cfg.get_float_list("ergodic", "amplitudes", default=[0.0, 5.0])
-    observables = cfg.get_str_list("ergodic", "observables", default=["l2_sq"])
-    for name in observables:
-        if name not in ergodicity.OBSERVABLE_ROWS:
-            raise ConfigError(
-                f"[ergodic] observables: {name!r} is not one of "
-                f"{sorted(ergodicity.OBSERVABLE_ROWS)}"
-            )
-    tol = cfg.get_float("ergodic", "tolerance", default=0.05, exclusive_min=0.0)
-    frac = cfg.get_float("ergodic", "burn_in_fraction", default=0.2,
-                         minimum=0.0, maximum=0.9)
-    stride = cfg.get_int("monte_carlo", "record_stride", default=1, minimum=1)
-    burn = int(frac * config.n_steps)
+def _run_ergodic(cfg: dict, out: Path) -> list:
+    config = _build_scheme_config(cfg)
+    amps = cfg["ergodic", "amplitudes"]
+    tol = cfg["ergodic", "tolerance"]
+    burn = int(cfg["ergodic", "burn_in_fraction"] * config.n_steps)
     x0s = [InitialCondition("sine", amplitude=a).build(config.grid) for a in amps]
     estimates = ergodicity.ergodic_limit_test(
-        config, observables, x0s, burn, tolerance=tol, record_stride=stride
+        config, cfg["ergodic", "observables"], x0s, burn, tolerance=tol,
+        record_stride=cfg["monte_carlo", "record_stride"],
     )
     rows = []
     for est in estimates:
@@ -483,12 +509,11 @@ def _run_ergodic(cfg: ConfigReader, out: Path, seed: int) -> list:
     return checks
 
 
-def _run_blowup(cfg: ConfigReader, out: Path, seed: int) -> list:
-    config = _build_scheme_config(cfg, seed)
-    amps = cfg.get_float_list("blowup", "amplitudes", default=[1.0, 3.0, 5.0])
-    paths = cfg.get_int("monte_carlo", "paths", default=100, minimum=1)
-    min_freq = cfg.get_float("blowup", "min_untamed_frequency", default=None)
-    rows = ergodicity.em_blowup_probe(config, amps, paths)
+def _run_blowup(cfg: dict, out: Path) -> list:
+    config = _build_scheme_config(cfg)
+    min_freq = cfg["blowup", "min_untamed_frequency"]
+    rows = ergodicity.em_blowup_probe(config, cfg["blowup", "amplitudes"],
+                                      cfg["monte_carlo", "paths"])
     write_csv(
         out / "blowup_frequencies.csv",
         ["experiment", "x0_amplitude", "tau", "untamed_blowup_frequency",
@@ -515,16 +540,9 @@ def _run_blowup(cfg: ConfigReader, out: Path, seed: int) -> list:
     return checks
 
 
-def _slope_band(cfg: ConfigReader) -> tuple:
-    """[ladder] (min_slope, max_slope, min_r_squared), each None when unset;
-    read before the ladder runs, so a malformed threshold costs no compute."""
-    return tuple(cfg.get_float("ladder", key, default=None)
-                 for key in ("min_slope", "max_slope", "min_r_squared"))
-
-
-def _slope_checks(band: tuple, fit, label: str) -> list:
+def _slope_checks(cfg: dict, fit, label: str) -> list:
     checks = []
-    lo, hi, min_r2 = band
+    lo, hi, min_r2 = (cfg["ladder", key] for key in ("min_slope", "max_slope", "min_r_squared"))
     if lo is not None or hi is not None:
         ok = (lo is None or fit.slope >= lo) and (hi is None or fit.slope <= hi)
         checks.append(
@@ -543,23 +561,6 @@ def _slope_checks(band: tuple, fit, label: str) -> list:
     return checks
 
 
-def _rate_ladder(cfg: ConfigReader, key: str) -> list:
-    """The required [ladder] list ``taus`` or ``n_cells``, long enough for a rate fit.
-
-    Checked before any stepping: a shorter ladder could never be fitted.
-    """
-    get = cfg.get_float_list if key == "taus" else cfg.get_int_list
-    values = get("ladder", key, default=_REQUIRED)
-    if len(values) < convergence.MIN_FIT_POINTS:
-        raise ConfigError(
-            f"[ladder] {key} lists {len(values)} values; a rate fit needs "
-            f">= {convergence.MIN_FIT_POINTS}"
-        )
-    if key == "n_cells":
-        _check_range("ladder", key, min(values), 2, None)
-    return values
-
-
 def _write_plot_data(path: Path, xs, ys, fit) -> None:
     rows = [
         (x, y, float(np.exp(fit.intercept) * x**fit.slope)) for x, y in zip(xs, ys)
@@ -567,22 +568,13 @@ def _write_plot_data(path: Path, xs, ys, fit) -> None:
     write_csv(path, ["x_step_or_width", "measured_error", "fitted_power_law"], rows)
 
 
-def _run_strong_rate(cfg: ConfigReader, out: Path, seed: int) -> list:
-    reference = _build_scheme_config(cfg, seed)
-    x0 = _build_initial(cfg)
-    paths = cfg.get_int("monte_carlo", "paths", default=100, minimum=2)
-    axis = cfg.get_str("ladder", "axis", default=_REQUIRED, choices={"tau", "h"})
-    band = _slope_band(cfg)
-    if axis == "tau":
-        taus = _rate_ladder(cfg, "taus")
-        table = convergence.strong_error_ladder(
-            reference, x0, paths, coarse_taus=taus
-        )
-    else:
-        cells = _rate_ladder(cfg, "n_cells")
-        table = convergence.strong_error_ladder(
-            reference, x0, paths, coarse_n_cells=cells
-        )
+def _run_strong_rate(cfg: dict, out: Path) -> list:
+    axis = cfg["ladder", "axis"]
+    table = convergence.strong_error_ladder(
+        _build_scheme_config(cfg), _build_initial(cfg), cfg["monte_carlo", "paths"],
+        coarse_taus=cfg["ladder", "taus"] if axis == "tau" else None,
+        coarse_n_cells=cfg["ladder", "n_cells"] if axis == "h" else None,
+    )
     write_csv(
         out / "strong_error_table.csv",
         ["tau", "h", "n_paths", "rms_sup_t_l2_error", "mc_std_error",
@@ -604,41 +596,40 @@ def _run_strong_rate(cfg: ConfigReader, out: Path, seed: int) -> list:
         ["axis", "slope", "intercept", "r_squared", "n_points", "excluded_zero_rows"],
         [(axis, fit.slope, fit.intercept, fit.r_squared, fit.n_points, fit.n_excluded)],
     )
-    return _slope_checks(band, fit, "strong-rate") or [
+    return _slope_checks(cfg, fit, "strong-rate") or [
         CheckResult("strong-rate-computed", True,
                     f"slope {fit.slope:.4f}, R^2 {fit.r_squared:.4f}")
     ]
 
 
-def _run_semigroup_rate(cfg: ConfigReader, out: Path, seed: int) -> list:
-    axis = cfg.get_str("ladder", "axis", default=_REQUIRED, choices={"tau", "h"})
-    t = cfg.get_float("ladder", "t", default=1.0, exclusive_min=0.0)
-    if axis == "h":
-        cells = _rate_ladder(cfg, "n_cells")
-        taus = cfg.get_float_list("ladder", "taus", default=None)
-        if taus is None:
-            taus = [t / nc**2 for nc in cells]
-    else:
-        taus = _rate_ladder(cfg, "taus")
-        nc = cfg.get_int("ladder", "fixed_n_cells", default=256, minimum=2)
-        cells = [nc] * len(taus)
-    # A higher mode aliases on the coarsest mesh.
-    mode = cfg.get_int("ladder", "mode", default=1, minimum=1, maximum=min(cells) - 1)
-    band = _slope_band(cfg)
-    xs, errors, fit = convergence.semigroup_error_test(cells, taus, axis, mode=mode, t=t)
+def _semigroup_ladder(cfg: dict) -> tuple:
+    """(n_cells, taus) of a semigroup ladder: an h ladder's taus default to
+    t / n_cells^2, a tau ladder keeps [ladder] fixed_n_cells."""
+    taus = cfg["ladder", "taus"]
+    if cfg["ladder", "axis"] == "h":
+        cells = cfg["ladder", "n_cells"]
+        return cells, taus or [cfg["ladder", "t"] / nc**2 for nc in cells]
+    return [cfg["ladder", "fixed_n_cells"]] * len(taus), taus
+
+
+def _run_semigroup_rate(cfg: dict, out: Path) -> list:
+    cells, taus = _semigroup_ladder(cfg)
+    t = cfg["ladder", "t"]
+    xs, errors, fit = convergence.semigroup_error_test(
+        cells, taus, cfg["ladder", "axis"], mode=cfg["ladder", "mode"], t=t)
     write_csv(
         out / "semigroup_error_table.csv",
         ["n_cells", "h", "tau", "l2_error_at_t", "time_t"],
         [(c, 1.0 / c, tau, e, t) for c, tau, e in zip(cells, taus, errors)],
     )
     _write_plot_data(out / "semigroup_error_plot.csv", xs, errors, fit)
-    return _slope_checks(band, fit, "semigroup-rate") or [
+    return _slope_checks(cfg, fit, "semigroup-rate") or [
         CheckResult("semigroup-rate-computed", True,
                     f"slope {fit.slope:.4f}, R^2 {fit.r_squared:.4f}")
     ]
 
 
-# One runner per experiment kind; the config's [experiment] kind picks it.
+# One runner per experiment kind (``KIND_SECTIONS``); [experiment] kind picks it.
 RUNNERS = {
     "simulate": _run_simulate,
     "lyapunov": _run_lyapunov,
@@ -650,7 +641,6 @@ RUNNERS = {
     "semigroup-rate": _run_semigroup_rate,
     "check-assumptions": _run_check_assumptions,
 }
-KINDS = tuple(RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -660,19 +650,17 @@ KINDS = tuple(RUNNERS)
 
 def run_experiment(config_path: Path, output_override=None) -> int:
     try:
-        cfg = ConfigReader(config_path)
-        kind = cfg.get_str("experiment", "kind", default=_REQUIRED, choices=set(KINDS))
-        seed = cfg.get_int("experiment", "seed", default=_REQUIRED)
-        out_dir = Path(
-            output_override
-            or cfg.get_str("experiment", "output_dir", default=_REQUIRED)
-        )
+        cfg, resolved = read_config(config_path)
+        out_dir = output_override or cfg["experiment", "output_dir"]
+        if out_dir is None:
+            raise ConfigError("missing required field [experiment] output_dir")
+        out_dir = Path(out_dir)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            _echo_resolved(cfg, out_dir)
+            (out_dir / "resolved_config.ini").write_text(resolved, encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"output directory {out_dir} is not usable: {exc}")
-        checks = RUNNERS[kind](cfg, out_dir, seed)
+        checks = RUNNERS[cfg["experiment", "kind"]](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -2,12 +2,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
 
-from tamedspde import convergence, engine, fem, noise
-from tamedspde.cli import _REQUIRED, EXIT_NUMERICAL_FAILURE, KINDS, ConfigReader, main
+from tamedspde import cli, convergence, engine, fem, noise
+from tamedspde.cli import EXIT_NUMERICAL_FAILURE, KINDS, main, read_config
 from tamedspde.fem import dispersion_eigenvalue
 from tamedspde.grid import Grid1D
 from tamedspde.reporting import format_value
@@ -282,7 +283,98 @@ def test_a_malformed_check_threshold_is_rejected_before_compute(
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: [{section}] {key} = 'abc' is not a number"), err
-    assert not list(out.glob("*.csv")) and not (out / "verdict.txt").exists()
+    assert not out.exists()
+
+
+# Every section a kind needs to get past its required keys; each kind reads
+# only its own sections (cli.KIND_SECTIONS) and accepts the others.
+REQUIRED_SECTIONS = {
+    "grid": {"n_cells": "16"},
+    "scheme": {"kind": "gtem", "tau": "0.015625", "horizon": "1.0"},
+    "coefficients": {"preset": "allen-cahn"},
+    "ladder": {"axis": "h", "n_cells": "8, 16, 32, 64"},
+}
+
+
+def render(kind, out, sections, override=(None, None, None)):
+    """An INI text of ``sections`` with ``[section] key = value`` set by ``override``."""
+    section, key, value = override
+    blocks = {"experiment": {"kind": kind, "seed": "7", "output_dir": str(out)},
+              **{name: dict(keys) for name, keys in sections.items()}}
+    if section is not None:
+        blocks.setdefault(section, {})[key] = value
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+                   for name, keys in blocks.items())
+
+
+def forbid_compute(monkeypatch):
+    monkeypatch.setattr(cli, "check_assumptions", fail_if_called)
+    monkeypatch.setattr(noise.PathSampler, "coeffs", fail_if_called)
+    monkeypatch.setattr(engine.BatchChains, "advance", fail_if_called)
+    monkeypatch.setattr(convergence, "semigroup_error", fail_if_called)
+
+
+def numeric_keys():
+    """(kind, section, key, expected message) for every numeric key each kind reads."""
+    what = {int: "an integer", float: "a number"}
+    for kind, sections in cli.KIND_SECTIONS.items():
+        for section in ("experiment", *sections):
+            for key, spec in cli.KEYS[section].items():
+                (item,) = get_args(spec.type) or (spec.type,)
+                if item in what:
+                    yield kind, section, key, what[item] + " list" * (item is not spec.type)
+        if "noise" in sections:  # an integer or "auto"
+            yield kind, "noise", "truncation", "an integer"
+
+
+@pytest.mark.parametrize("kind, section, key, what", list(numeric_keys()))
+def test_every_malformed_number_is_rejected_before_the_output_directory(
+    tmp_path, capsys, monkeypatch, kind, section, key, what
+):
+    forbid_compute(monkeypatch)
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "abc.ini",
+                render(kind, out, REQUIRED_SECTIONS, (section, key, "abc")))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == f"config error: [{section}] {key} = 'abc' is not {what}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, section, key, value, message", [
+    ("longrun", "monte_carlo", "paths", "abc", "[monte_carlo] paths = 'abc' is not an integer"),
+    ("longrun", "monte_carlo", "paths", "1", "[monte_carlo] paths = 1 must be >= 2"),
+    ("lyapunov", "lyapunov", "samples", "abc", "[lyapunov] samples = 'abc' is not an integer"),
+    ("lyapunov", "lyapunov", "amplitudes", "0, x", "[lyapunov] amplitudes = '0, x' is not"),
+    ("longrun", "initial", "kind", "bogus", "[initial] kind = 'bogus' is not one of"),
+])
+def test_a_certified_probe_rejects_a_bad_value_before_its_assumption_scan(
+    tmp_path, capsys, monkeypatch, kind, section, key, value, message
+):
+    """Each of these was once read after check_assumptions had run."""
+    forbid_compute(monkeypatch)
+    out = tmp_path / "out"
+    sections = {**REQUIRED_SECTIONS, "initial": {"kind": "sine"},
+                "monte_carlo": {"paths": "4"}, "lyapunov": {"samples": "1000"}}
+    cfg = write(tmp_path / "probe.ini", render(kind, out, sections, (section, key, value)))
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
+
+
+def test_an_h_ladder_with_fewer_taus_than_meshes_is_rejected_before_the_output_directory(
+    tmp_path, capsys, monkeypatch
+):
+    forbid_compute(monkeypatch)
+    out = tmp_path / "out"
+    ladder = {"axis": "h", "n_cells": "8, 16, 32, 64", "taus": "0.01, 0.001, 0.0001"}
+    cfg = write(tmp_path / "taus.ini", render("semigroup-rate", out, {"ladder": ladder}))
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: [ladder] taus lists 3 values but [ladder] n_cells lists 4; "
+        "an h ladder takes one tau per mesh"
+    ]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("variant, kind", [("both_a", "gtem"), ("both_b", "gtem_b"),
@@ -371,12 +463,11 @@ def test_an_output_directory_below_a_regular_file_is_a_config_error(tmp_path, ca
 
 
 def test_every_shipped_config_parses_and_every_kind_has_one():
-    """Parsing only: the key table, the experiment kind and the seed."""
+    """The whole parse phase: every key each shipped config's kind reads."""
     kinds = set()
     for path in sorted((Path(__file__).parents[1] / "configs").glob("*.ini")):
-        cfg = ConfigReader(path)
-        kinds.add(cfg.get_str("experiment", "kind", default=_REQUIRED, choices=set(KINDS)))
-        cfg.get_int("experiment", "seed", default=_REQUIRED)
+        cfg, _ = read_config(path)
+        kinds.add(cfg["experiment", "kind"])
     assert kinds == set(KINDS)
 
 
