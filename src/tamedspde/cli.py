@@ -230,8 +230,12 @@ def _check_dependent(cfg: dict, sections: tuple) -> None:
             kind = {"both_a": "gtem", "both_b": "gtem_b", "drift_only": "drift_gtem"}.get(
                 variant, "gtem, gtem_b or drift_gtem")
             raise ConfigError(f"[coefficients] variant was removed; set [scheme] kind = {kind}")
-        for key in () if cfg["coefficients", "preset"] else ("drift", "diffusion", "q"):
-            if cfg["coefficients", key] is None:
+        preset = cfg["coefficients", "preset"]
+        for key in ("drift", "diffusion", "q", "diffusion_kind"):
+            given = cfg["coefficients", key] != KEYS["coefficients"][key].default
+            if preset and given:  # the preset would run and the key be ignored
+                raise ConfigError(f"[coefficients] {key} cannot be given with preset = {preset}")
+            if not (preset or given or key == "diffusion_kind"):
                 raise ConfigError(f"missing required field [coefficients] {key}")
     if "noise" in sections:  # resolved here: "auto" is every interior node
         interior = Grid1D(cfg["grid", "n_cells"]).n_interior

@@ -2,22 +2,23 @@
 
 No closed-form solution exists for the nonlinear equation, so the strong
 error of a coarse discretization is measured against the same scheme run at
-a much finer resolution on the *same* Brownian path.  A chunk of paths
-advances the reference and every ladder member in lockstep, one row per path,
-streaming the fine noise in blocks of the smallest multiple of lcm(ratios)
-that covers ``MIN_BLOCK_STEPS`` reference steps (the last block may be
-shorter, still a multiple of lcm): each block's fine increments are drawn
-once, summed over coarse steps level by level (exact aggregation of the
-Wiener path), truncated to the coarse grid's own modes, and the fine
-reference is restricted to coarse nodes (exact for nested meshes); each
-member takes one error reduction per block.  The reference and the members
-step in ratio groups (reference steps per member step): the chains of one
-ratio advance as one ``BatchChains`` whose node axis holds their grids back
-to back, each chain's noise synthesized on its own grid into its slice.  An
-h ladder is then one group, one step call per reference step; a tau ladder
-with distinct ratios has one chain per group.
-Memory is O(chunk x block x modes), whatever the horizon, and a block past
-``MAX_BLOCK_VALUES`` is rejected.  The reported error per ladder point is
+a much finer resolution on the *same* Brownian path.  A slice of paths
+(``parallel.path_slices``, by its block buffers per path) advances the
+reference and every ladder member in lockstep, one row per path, streaming
+the fine noise in blocks of the smallest multiple of lcm(ratios) that covers
+``MIN_BLOCK_STEPS`` reference steps (the last block may be shorter, still a
+multiple of lcm): each block's fine increments are drawn once, summed over
+coarse steps level by level (exact aggregation of the Wiener path),
+truncated to the coarse grid's own modes, and the fine reference is
+restricted to coarse nodes (exact for nested meshes); each member takes one
+error reduction per block.  The reference and the members step in ratio
+groups (reference steps per member step): the chains of one ratio advance as
+one ``BatchChains`` whose node axis holds their grids back to back, each
+chain's noise synthesized on its own grid into its slice.  An h ladder is
+then one group, one step call per reference step; a tau ladder with distinct
+ratios has one chain per group.  Memory is O(slice x block x modes), whatever
+the horizon, and a block past ``MAX_BLOCK_VALUES`` is rejected.  The
+reported error per ladder point is
 
     RMS over paths of  max over the coarse time grid of  ||Z_coarse - R Z_ref||_{L2},
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,7 +43,7 @@ from . import fem
 from .engine import BatchChains, resolvent_rows
 from .grid import Grid1D, rows_l2_sq, sine_mode
 from .noise import PathSampler, pairwise_tree_sum_axis, synthesize
-from .parallel import PATH_CHUNK, parallel_map, path_chunks
+from .parallel import PATH_CHUNK, parallel_map, path_slices
 from .schemes import InitialCondition, SchemeConfig
 
 
@@ -250,10 +252,10 @@ class _GroupRun:
 
 
 def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_ids):
-    """(squared sup errors (paths, members), blown (paths,)) of one path chunk.
+    """(squared sup errors (paths, members), blown (paths,)) of one path slice.
 
     The reference and the members are grouped by ratio (``_chain_groups``),
-    and each group advances the chunk's paths as rows of one stacked
+    and each group advances the slice's paths as rows of one stacked
     ``BatchChains``, a block of ``_block_shape`` reference steps at a time:
     one step call per group step, so an h ladder takes one per reference
     step.  A group sums its steps with the pairwise tree from the sums of
@@ -312,10 +314,10 @@ def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_i
     return worst, blown
 
 
-def _check_block_memory(reference: SchemeConfig, members, n_rows: int) -> None:
-    """Reject a ladder whose block buffers pass the cap: the fine draws, and
+def _check_block_memory(reference: SchemeConfig, members, n_rows: int) -> int:
+    """The float64 values a path's block buffers hold: the fine draws, and
     per ratio group its summed draws (ratio > 1), stacked noise values and
-    kept states."""
+    kept states.  A ladder whose ``n_rows`` paths pass the cap is rejected."""
     block, stride = _block_shape(members)
     k_ref = reference.noise.truncation
     per_row = block * k_ref
@@ -328,6 +330,7 @@ def _check_block_memory(reference: SchemeConfig, members, n_rows: int) -> None:
             f"a ladder block of {block} reference steps needs {per_row * n_rows} "
             f"float64 values per path chunk, over the cap of {MAX_BLOCK_VALUES}"
         )
+    return per_row
 
 
 def strong_error_ladder(
@@ -347,12 +350,9 @@ def strong_error_ladder(
     All members of one path ride the same fine Brownian increments.
     """
     axis, members = _ladder_members(reference, coarse_taus, coarse_n_cells)
-    _check_block_memory(reference, members, min(n_paths, PATH_CHUNK))
-
-    def one_chunk(rng):
-        return _ladder_chunk(reference, x0, members, range(rng[0], rng[1]))
-
-    parts = parallel_map(one_chunk, path_chunks(n_paths))
+    per_path = _check_block_memory(reference, members, min(n_paths, PATH_CHUNK))
+    parts = parallel_map(partial(_ladder_chunk, reference, x0, members),
+                         path_slices(n_paths, per_path))
     err_matrix = np.sqrt(np.maximum(np.concatenate([w for w, _ in parts]), 0.0))
     blown_mask = np.concatenate([b for _, b in parts])
     rows = []

@@ -4,10 +4,11 @@ The Monte Carlo harnesses advance many independent paths of the same scheme
 configuration; doing so row-by-row wastes most of the time in per-call
 overhead.  ``BatchChains`` keeps the ensemble as a (paths, nodes) matrix and
 advances every path in one set of array operations; a single path is a
-1-row ensemble, and a probe steps each slice of its paths
+1-row ensemble, and a probe or a ladder steps each slice of its paths
 (``parallel.path_slices``) as one ensemble.  ``EnsembleNoise`` draws every
 path's counter-based stream with one re-keyed generator
-(``noise.PathSampler``) and synthesizes the nodal increments in one call.
+(``noise.PathSampler``) and synthesizes the nodal increments in one call,
+once per path however many copies of it the ensemble holds.
 
 Everything a step needs that does not change from step to step is resolved
 once per ensemble into a ``StepPlan`` (``step_plan``): the FEM operators,
@@ -180,18 +181,21 @@ class EnsembleNoise:
 
     The sampler's noise scale is fixed by the config's tau.  A path's nodal
     values are fixed by the seed, its path id and the step, whatever ensemble
-    it rides in (``synthesize`` treats each row on its own).
+    it rides in (``synthesize`` treats each row on its own).  With ``copies``
+    > 1 they are repeated: the rows are copy 0 of every path, then copy 1, ...
     """
 
-    def __init__(self, config: SchemeConfig, path_ids: Sequence[int]):
+    def __init__(self, config: SchemeConfig, path_ids: Sequence[int], copies: int = 1):
         self.sampler = PathSampler(config.noise, config.seed, path_ids, config.tau)
         self.n_cells = config.grid.n_cells
+        self.copies = copies
 
     def coeff_rows(self, step_index: int) -> np.ndarray:
         return self.sampler.coeffs(step_index)
 
     def value_rows(self, step_index: int) -> np.ndarray:
-        return synthesize(self.coeff_rows(step_index), self.n_cells)
+        values = synthesize(self.coeff_rows(step_index), self.n_cells)
+        return values if self.copies == 1 else np.tile(values, (self.copies, 1))
 
 
 class BatchChains:

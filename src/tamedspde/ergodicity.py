@@ -15,13 +15,16 @@ tamed schemes ergodicity-preserving:
   identical noise.
 
 Every probe is deterministic in (config, seed) and acceptance bands are
-3 Monte Carlo standard errors throughout.
+3 Monte Carlo standard errors throughout.  The four Monte Carlo probes map one
+work item over slices of their paths: ``run_slice`` bound to a ``SliceTask``,
+plain data that pickles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,6 +59,44 @@ def _require_certified(config: SchemeConfig, report: AssumptionReport) -> None:
     report.require_feasible()
     if report.tau_max is None or config.tau > report.tau_max:
         raise StepSizeNotCertified(config.tau, report)
+
+
+@dataclass(frozen=True, eq=False)
+class SliceTask:
+    """What a probe's slice of paths runs.
+
+    Each path starts as the rows of ``starts`` (copies, nodes), all driven by
+    the path's one noise stream, and takes ``n_steps`` steps.  ``observable``,
+    a key of ``SLICE_OBSERVABLES``, if given, is recorded at step 0, every
+    multiple of ``record_stride`` and the last step.
+    """
+
+    config: SchemeConfig
+    starts: np.ndarray
+    n_steps: int
+    record_stride: int = 1
+    observable: Optional[str] = None
+
+
+def run_slice(task: SliceTask, paths: range):
+    """(recorded columns (paths, records) or None, blow-up step of each row)
+    of ``paths``, stepped as one ensemble of ``len(task.starts)`` copies."""
+    chains = BatchChains(task.config, np.repeat(task.starts, len(paths), axis=0))
+    noise = EnsembleNoise(task.config, paths, len(task.starts))
+    if task.observable is None:
+        chains.run(noise, task.n_steps)
+        return None, chains.blowup_step
+    fn, cols = SLICE_OBSERVABLES[task.observable], []
+    chains.run(noise, task.n_steps, task.record_stride,
+               lambda s, v: cols.append(fn(v, task.config)))
+    return np.column_stack(cols), chains.blowup_step
+
+
+def _run_paths(task: SliceTask, paths: range):
+    """``run_slice`` mapped over the slices of ``paths``, its parts joined."""
+    slices = [paths[s.start:s.stop] for s in path_slices(len(paths), task.starts.size)]
+    cols, steps = zip(*parallel_map(partial(run_slice, task), slices))
+    return (None if cols[0] is None else np.vstack(cols)), np.concatenate(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -96,20 +137,12 @@ def lyapunov_contraction_test(
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
     k1, k2 = report.lyap_contraction, report.lyap_source
     h, tau = config.grid.h, config.tau
-    slices = path_slices(n_samples, config.grid.n_interior)
     probes = []
     for a, anchor in enumerate(anchors):
         if anchor.grid != config.grid:
             raise ValueError("anchor grid does not match the scheme grid")
-
-        def one_slice(rng, _anchor=anchor, _first=a * n_samples):
-            start, stop = rng
-            chains = BatchChains(config, np.tile(_anchor.values, (stop - start, 1)))
-            noise = EnsembleNoise(config, range(_first + start, _first + stop))
-            chains.advance(noise.value_rows(0))
-            return rows_lyapunov(chains.states, h, tau)
-
-        v1 = np.concatenate(parallel_map(one_slice, slices))
+        task = SliceTask(config, anchor.values[None], 1, observable="lyapunov")
+        v1 = _run_paths(task, range(a * n_samples, (a + 1) * n_samples))[0][:, -1]
         est = float(np.mean(v1))
         se = float(np.std(v1, ddof=1) / math.sqrt(n_samples))
         x_l2 = float(rows_l2_sq(anchor.values, h))
@@ -156,34 +189,17 @@ def long_run_moment_test(
     """Empirical E||Z_n||^2 against K2/K1 + exp(-K1 tau n) ||X0||^2."""
     _require_certified(config, report)
     n_steps = config.n_steps
-    h = config.grid.h
-
-    def one_slice(rng):
-        start, stop = rng
-        chains = BatchChains(config, np.tile(x0.values, (stop - start, 1)))
-        noise = EnsembleNoise(config, range(start, stop))
-        recorded = []
-        steps = []
-        chains.run(
-            noise,
-            n_steps,
-            record_stride,
-            lambda s, V: (steps.append(s), recorded.append(rows_l2_sq(V, h))),
-        )
-        return np.asarray(steps), np.column_stack(recorded), int(chains.blown.sum())
-
-    parts = parallel_map(one_slice, path_slices(n_paths, config.grid.n_interior))
-    steps = parts[0][0]
-    all_l2 = np.vstack([p[1] for p in parts])  # (paths, n_recorded)
-    n_blow = sum(p[2] for p in parts)
+    task = SliceTask(config, x0.values[None], n_steps, record_stride, "l2_sq")
+    all_l2, blowup_step = _run_paths(task, range(n_paths))  # (paths, n_recorded)
+    steps = np.union1d(np.arange(0, n_steps, record_stride), n_steps)  # as recorded
     k1, k2 = report.lyap_contraction, report.lyap_source
-    env = k2 / k1 + np.exp(-k1 * config.tau * steps) * rows_l2_sq(x0.values, h)
+    env = k2 / k1 + np.exp(-k1 * config.tau * steps) * rows_l2_sq(x0.values, config.grid.h)
     return LongRunResult(
         steps=steps,
         mean_l2_sq=all_l2.mean(axis=0),
         std_error=all_l2.std(axis=0, ddof=1) / math.sqrt(n_paths),
         envelope=env,
-        n_blowups=n_blow,
+        n_blowups=int((blowup_step >= 0).sum()),
         n_paths=n_paths,
     )
 
@@ -215,28 +231,13 @@ def coupling_decay_test(
 ) -> CouplingResult:
     """Two chains per path on identical noise; fits log E||Z^a - Z^b|| vs n.
 
-    Steps whose mean distance is at most ``COUPLING_FIT_FLOOR`` times the
-    step-0 one are rounding error and left out; with fewer than two left the
-    slope is None.  A nonnegative slope is reported, not raised: a finding.
+    A slice steps both chains of its paths as one ensemble [a; b].  Steps
+    whose mean distance is at most ``COUPLING_FIT_FLOOR`` times the step-0
+    one are rounding error and left out; with fewer than two left the slope
+    is None.  A nonnegative slope is reported, not raised: a finding.
     """
-    h = config.grid.h
-
-    def one_slice(rng):
-        start, stop = rng
-        m = stop - start
-        a = BatchChains(config, np.tile(x0_a.values, (m, 1)))
-        b = BatchChains(config, np.tile(x0_b.values, (m, 1)))
-        noise = EnsembleNoise(config, range(start, stop))
-        dists = [np.sqrt(np.maximum(rows_l2_sq(a.states - b.states, h), 0.0))]
-        for n in range(1, n_steps + 1):
-            vals = noise.value_rows(n - 1)
-            a.advance(vals)
-            b.advance(vals)
-            dists.append(np.sqrt(np.maximum(rows_l2_sq(a.states - b.states, h), 0.0)))
-        return np.column_stack(dists)  # (m, n_steps + 1)
-
-    slices = path_slices(n_paths, config.grid.n_interior)
-    dist = np.vstack(parallel_map(one_slice, slices))
+    task = SliceTask(config, np.stack([x0_a.values, x0_b.values]), n_steps, 1, "distance")
+    dist = _run_paths(task, range(n_paths))[0]  # (paths, n_steps + 1)
     mean = dist.mean(axis=0)
     steps = np.arange(n_steps + 1)
     fit = mean > COUPLING_FIT_FLOOR * mean[0]  # the floor leaves rounding error out
@@ -279,6 +280,10 @@ OBSERVABLE_ROWS = {
     "one": lambda v, cfg: np.ones(v.shape[0]),
     "exp_neg_l2sq": lambda v, cfg: np.exp(-rows_l2_sq(v, cfg.grid.h)),
 }
+# What a probe's slice may record (``SliceTask``): also ||a - b|| per path of a
+# two-copy ensemble [a; b].
+SLICE_OBSERVABLES = dict(OBSERVABLE_ROWS, distance=lambda v, cfg: np.sqrt(
+    np.maximum(rows_l2_sq(np.subtract(*np.split(v, 2)), cfg.grid.h), 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,27 +409,18 @@ def em_blowup_probe(
     the twin is ``Scheme.GTEM`` (f and g tamed) whatever ``config.scheme`` is."""
     untamed = replace(config, scheme=Scheme.UNTAMED_EM)
     tamed = replace(config, scheme=Scheme.GTEM)
-    slices = path_slices(n_paths, config.grid.n_interior)
     rows = []
     for amp in amplitudes:
-        x0 = np.sin(np.pi * config.grid.nodes) * amp
-
-        def freq(cfg):
-            def one_slice(rng):
-                start, stop = rng
-                chains = BatchChains(cfg, np.tile(x0, (stop - start, 1)))
-                noise = EnsembleNoise(cfg, range(start, stop))
-                chains.run(noise, cfg.n_steps)
-                return int(chains.blown.sum())
-
-            return sum(parallel_map(one_slice, slices)) / n_paths
-
+        x0 = np.sin(np.pi * config.grid.nodes)[None] * amp
+        untamed_f, tamed_f = (
+            int((_run_paths(SliceTask(cfg, x0, cfg.n_steps), range(n_paths))[1] >= 0).sum())
+            / n_paths for cfg in (untamed, tamed))
         rows.append(
             BlowupRow(
                 amplitude=float(amp),
                 tau=config.tau,
-                untamed_frequency=freq(untamed),
-                tamed_frequency=freq(tamed),
+                untamed_frequency=untamed_f,
+                tamed_frequency=tamed_f,
                 n_paths=n_paths,
             )
         )

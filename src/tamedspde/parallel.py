@@ -1,11 +1,11 @@
 """Deterministic worker-pool mapping for Monte Carlo work items.
 
 Worker count comes from the TAMEDSPDE_WORKERS environment variable (default
-1) and controls scheduling only.  A work item is a slice of a probe's paths,
-stepped as one lockstep ensemble (``path_slices``), or a chunk of a strong-
-error ladder's paths (``path_chunks``).  Both depend only on the path count
-and the mesh, and results are combined in item order, so every output is
-byte-identical at any parallelism level.
+1) and controls scheduling only.  A work item is a slice of a probe's or a
+ladder's paths, cut by one rule (``path_slices``) from the path count and
+the values a path holds, and stepped as one ensemble by a module-level
+function bound to plain data (picklable).  Results are combined in item
+order, so every output is byte-identical at any parallelism level.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-PATH_CHUNK = 25  # paths per ladder chunk, and the unit of a probe's slices
-# State values per slice, above one chunk.  Peak RSS grows by about nine
+PATH_CHUNK = 25  # the unit of a slice: paths stepped together at least
+# Values per slice, above one chunk.  Peak RSS grows by about nine
 # state-sized arrays per slice; the coupling probe at 4096 cells x 1000 paths
 # peaked 65 MB higher at 2^20 (250-row slices) than here (25-row slices), at
 # the same speed.
@@ -42,16 +42,12 @@ def parallel_map(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-def path_chunks(n_paths: int) -> list:
-    """[(start, stop), ...] covering range(n_paths) in chunks of PATH_CHUNK."""
-    return [(a, min(a + PATH_CHUNK, n_paths)) for a in range(0, n_paths, PATH_CHUNK)]
+def path_slices(n_paths: int, row_values: int) -> list:
+    """Ranges covering range(n_paths) in slices of whole PATH_CHUNKs.
 
-
-def path_slices(n_paths: int, n_nodes: int) -> list:
-    """[(start, stop), ...] covering range(n_paths) in slices of whole PATH_CHUNKs.
-
-    A slice holds at most MAX_SLICE_VALUES states of ``n_nodes`` values, or
-    one chunk where a chunk holds more.
+    ``row_values`` is what one path holds: a probe's start values, a ladder's
+    block buffers.  A slice holds at most MAX_SLICE_VALUES of them, or one
+    chunk where a chunk holds more.
     """
-    rows = max(1, MAX_SLICE_VALUES // (n_nodes * PATH_CHUNK)) * PATH_CHUNK
-    return [(a, min(a + rows, n_paths)) for a in range(0, n_paths, rows)]
+    rows = max(1, MAX_SLICE_VALUES // (row_values * PATH_CHUNK)) * PATH_CHUNK
+    return [range(a, min(a + rows, n_paths)) for a in range(0, n_paths, rows)]

@@ -559,6 +559,31 @@ axis = {axis}
     assert not (out / "verdict.txt").exists()
 
 
+@pytest.mark.parametrize("key, value", [("drift", "1, 2"), ("diffusion", "1"), ("q", "2"),
+                                        ("diffusion_kind", "sqrt_quadratic")])
+def test_preset_with_its_own_coefficient_keys_is_rejected(tmp_path, capsys, monkeypatch,
+                                                          key, value):
+    # The preset would run and the key be ignored, so the config is refused
+    # before the output directory is made.
+    forbid_compute(monkeypatch)
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "preset.ini",
+                render("simulate", out, REQUIRED_SECTIONS, ("coefficients", key, value)))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == (
+        f"config error: [coefficients] {key} cannot be given with preset = allen-cahn")
+    assert not out.exists()
+
+
+def test_preset_with_the_default_diffusion_kind_runs(tmp_path):
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "preset.ini", render(
+        "simulate", out, {**REQUIRED_SECTIONS, "monte_carlo": {"paths": "1"}},
+        ("coefficients", "diffusion_kind", "polynomial")))
+    assert main(["run", str(cfg)]) == 0
+
+
 ALLEN_CAHN = "[coefficients]\npreset = allen-cahn"
 
 # case -> (kind, the sections holding the empty list and the coefficients)

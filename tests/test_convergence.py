@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tamedspde import convergence
+from tamedspde import convergence, parallel
 from tamedspde.coefficients import CoefficientSpec, allen_cahn
 from tamedspde.convergence import (
     _check_block_memory,
@@ -360,6 +360,16 @@ def test_rows_l2_sq_of_a_step_block_equals_each_step():
 
 
 def test_ladder_tables_identical_across_worker_counts(monkeypatch):
+    # A cap of one value per slice leaves one chunk per slice, so the 2-worker
+    # run maps two slices, 25 paths and 5, on the pool.
+    monkeypatch.setattr(parallel, "MAX_SLICE_VALUES", 1)
+    mapped = []
+
+    def spy_map(fn, items):
+        mapped.append([len(paths) for paths in items])
+        return parallel.parallel_map(fn, items)
+
+    monkeypatch.setattr(convergence, "parallel_map", spy_map)
     ref = additive_reference(tau=2.0**-7, n_cells=32)
     for ladder in (dict(coarse_taus=[2.0**-5, 2.0**-4]), dict(coarse_n_cells=[4, 8, 16])):
         tables = []
@@ -367,8 +377,9 @@ def test_ladder_tables_identical_across_worker_counts(monkeypatch):
             monkeypatch.setenv("TAMEDSPDE_WORKERS", workers)
             tables.append(strong_error_ladder(ref, InitialCondition("sine", amplitude=2.0),
                                               30, **ladder))
-        assert repr(tables[0]) == repr(tables[1])  # two chunks: 25 paths and 5
+        assert repr(tables[0]) == repr(tables[1])
         assert tables[0].rows[0].n_paths == 30
+    assert mapped == [[25, 5]] * 4
 
 
 def test_semigroup_error_matches_mode_decay():

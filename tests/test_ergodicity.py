@@ -1,5 +1,6 @@
 import functools
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from tamedspde.convergence import fit_line
 from tamedspde.ergodicity import (
     COUPLING_FIT_FLOOR,
     OBSERVABLE_ROWS,
+    SliceTask,
     StepSizeNotCertified,
     coupling_decay_test,
     em_blowup_probe,
@@ -25,6 +27,7 @@ from tamedspde.ergodicity import (
     long_run_moment_test,
     lyapunov_contraction_test,
     nondegeneracy_precheck,
+    run_slice,
 )
 from tamedspde.fem import dispersion_eigenvalue
 from tamedspde.grid import (
@@ -457,3 +460,21 @@ def test_ergodic_rows_match_chunked_oracle(monkeypatch, n_cells):
     assert len(seen) == cfg.n_steps + 1
     for v, step in zip(seen, zip(*chunk_states)):
         assert np.array_equal(v, np.vstack(step))
+
+
+def test_slice_tasks_pickle_and_run_the_same_bits():
+    # A work item is a module-level function bound to plain data, so a process
+    # pool could ship it; unpickled, it must compute the same bits.
+    cfg = ac_config(horizon=8 * 2.0**-6, seed=31)
+    x0_a = InitialCondition("sine", amplitude=10.0).build(GRID).values
+    x0_b = InitialCondition("sine", amplitude=2.0).build(GRID).values
+    tasks = [SliceTask(cfg, x0_a[None], cfg.n_steps, 3, "l2_sq"),
+             SliceTask(cfg, np.stack([x0_a, x0_b]), 6, 1, "distance")]
+    paths = range(2 * parallel.PATH_CHUNK)  # a slice of two chunks
+    for task in tasks:
+        work = functools.partial(run_slice, task)
+        copy = pickle.loads(pickle.dumps(work))
+        (cols, steps), (cols_copy, steps_copy) = work(paths), copy(paths)
+        assert cols.shape[0] == len(paths)
+        assert np.array_equal(cols, cols_copy)
+        assert np.array_equal(steps, steps_copy)

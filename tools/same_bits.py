@@ -7,9 +7,10 @@ PARENT and CHANGE are the roots of two checkouts; each runs with its own
 ``src/`` on the path.  Two comparisons:
 
 - Every ``configs/*.ini`` that both checkouts have is run by each with
-  ``tamedspde run CONFIG --output DIR``.  The exit codes, the stdout and
-  every output file must be byte-identical, once the output directory's path
-  is replaced by one placeholder (``resolved_config.ini`` and stdout may
+  ``tamedspde run CONFIG --output DIR``, and once more by CHANGE on two
+  worker threads.  The exit codes, the stdout and every output file of each
+  CHANGE run must be byte-identical to PARENT's, once the output directory's
+  path is replaced by one placeholder (``resolved_config.ini`` and stdout may
   name it).  A CSV that differs is reported with the largest relative
   difference over its numeric fields, or with its row or column counts
   when those differ.
@@ -18,7 +19,8 @@ PARENT and CHANGE are the roots of two checkouts; each runs with its own
   not edited).  The SHA-256 of each round's payload, as sorted JSON, must
   be equal.
 
-Both run at one BLAS thread and one worker.  Everything is written to a
+Both run at one BLAS thread and, but for the second CHANGE run of each
+config, one worker.  Everything is written to a
 temporary directory, which is removed at the end.  Exit 0 when every
 comparison matched, 1 otherwise.
 """
@@ -50,21 +52,21 @@ for name in sorted(settings.WORKLOADS):
 """
 
 
-def child_env(root: Path) -> dict:
+def child_env(root: Path, workers: int = 1) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
     env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave both checkouts as they are
-    env["TAMEDSPDE_WORKERS"] = "1"
+    env["TAMEDSPDE_WORKERS"] = str(workers)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     return env
 
 
-def run_config(root: Path, config: Path, out: Path):
+def run_config(root: Path, config: Path, out: Path, workers: int):
     """(exit code, stdout with the output path replaced) of one CLI run."""
     proc = subprocess.run(
         [sys.executable, "-m", "tamedspde.cli", "run", str(config), "--output", str(out)],
-        cwd=out.parent, env=child_env(root), capture_output=True,
+        cwd=out.parent, env=child_env(root, workers), capture_output=True,
     )
     return proc.returncode, proc.stdout.replace(str(out).encode(), PLACEHOLDER)
 
@@ -114,28 +116,31 @@ def compare_configs(parent: Path, change: Path, tmp: Path) -> int:
     mismatches = 0
     names = sorted(p.name for p in (change / "configs").glob("*.ini")
                    if (parent / "configs" / p.name).is_file())
+    sides = (("parent", parent, 1), ("change", change, 1), ("change-2-workers", change, 2))
     for name in names:
         runs = {}
-        for side, root in (("parent", parent), ("change", change)):
+        for side, root, workers in sides:
             out = tmp / side / Path(name).stem
             out.parent.mkdir(parents=True, exist_ok=True)
-            code, stdout = run_config(root, root / "configs" / name, out)
+            code, stdout = run_config(root, root / "configs" / name, out, workers)
             runs[side] = (code, stdout, output_files(out))
-        (code_a, out_a, files_a), (code_b, out_b, files_b) = runs["parent"], runs["change"]
-        if code_a != code_b:
-            print(f"DIFF  {name}: exit {code_a} != {code_b}")
-            mismatches += 1
-        if out_a != out_b:
-            print(f"DIFF  {name}: stdout")
-            mismatches += 1
-        for rel in sorted(set(files_a) | set(files_b)):
-            a, b = files_a.get(rel), files_b.get(rel)
-            if a == b:
-                print(f"same  {name}: {rel}")
-                continue
-            detail = f" ({csv_shift(a, b)})" if rel.endswith(".csv") and a and b else ""
-            print(f"DIFF  {name}: {rel}{detail}")
-            mismatches += 1
+        code_a, out_a, files_a = runs.pop("parent")
+        for side, (code_b, out_b, files_b) in runs.items():
+            label = name if side == "change" else f"{name} ({side})"
+            if code_a != code_b:
+                print(f"DIFF  {label}: exit {code_a} != {code_b}")
+                mismatches += 1
+            if out_a != out_b:
+                print(f"DIFF  {label}: stdout")
+                mismatches += 1
+            for rel in sorted(set(files_a) | set(files_b)):
+                a, b = files_a.get(rel), files_b.get(rel)
+                if a == b:
+                    print(f"same  {label}: {rel}")
+                    continue
+                detail = f" ({csv_shift(a, b)})" if rel.endswith(".csv") and a and b else ""
+                print(f"DIFF  {label}: {rel}{detail}")
+                mismatches += 1
     return mismatches
 
 
