@@ -7,17 +7,17 @@ Usage:
 
 The config file is flat INI (key = value under sections).  ``KEYS``
 declares each key once: its type, default and bounds.  ``read_config`` is
-the parse phase: a section or key that no experiment kind reads is a
-configuration error, a key that only another kind reads is accepted, and
-every key of the sections the kind reads (``KIND_SECTIONS``), check
-thresholds included, is parsed and checked, as are the checks that tie one
-value to another.  Only then does a run make its output directory, copy the
-configuration next to its outputs, compute, and emit CSV tables plus a
-plain-text verdict summary.  An output directory that cannot be made or
-written is a configuration error.  Exit codes: 0 all asserted checks pass,
-1 a scientific check failed, 2 configuration error, 3 numerical failure
-during compute (every path blew up, or a tridiagonal LDL^T factorization
-or solve failed).
+the parse phase: a key no kind reads is an error, one only another kind
+reads is accepted; each key the kind reads is parsed and checked, then the
+checks tying one value to another, then the build step makes the model
+objects and runs the model's own checks (``_build``).  Every config error
+(exit 2) is raised there, before the output directory is made; an output
+directory that cannot be made or written is one too.  Then a run writes the
+parsed map (``resolved_config.ini``), computes, and emits CSV tables and a
+plain-text verdict.  Exit codes: 0 all asserted checks pass, 1 a scientific
+check failed, 2 configuration error, 3 numerical failure during compute
+(every path blew up, or a tridiagonal LDL^T factorization or solve failed).
+Any other exception is a program fault and ends with its traceback.
 
 The TAMEDSPDE_WORKERS environment variable sets the worker-thread count
 for Monte Carlo paths; it affects runtime only, never results.
@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import difflib
-import io
 import sys
 from collections.abc import Collection
 from dataclasses import dataclass, replace
@@ -37,12 +36,13 @@ from typing import get_args
 
 import numpy as np
 
-from . import convergence, ergodicity
+from . import __version__, convergence, ergodicity
 from .coefficients import PRESETS, CoefficientSpec, check_assumptions
 from .engine import BatchChains, EnsembleNoise
 from .grid import Grid1D
 from .noise import QWienerSpec
-from .reporting import CheckResult, write_csv, write_verdicts
+from .parallel import worker_count
+from .reporting import CheckResult, format_value, write_csv, write_verdicts
 from .schemes import InitialCondition, Scheme, SchemeConfig
 
 EXIT_PASS = 0
@@ -112,17 +112,17 @@ KEYS = {
     "lyapunov": {"amplitudes": Key(list[float], tuple(float(a) for a in range(0, 11))),
                  "samples": Key(int, 10_000, lo=1000)},
     "coupling": {"amplitude_a": Key(float, 0.0), "amplitude_b": Key(float, 5.0),
-                 "steps": Key(int, 200, lo=10), "min_r_squared": Key(float, 0.9)},
+                 "steps": Key(int, 200, lo=10), "min_r_squared": Key(float, 0.9, hi=1.0)},
     "ergodic": {"amplitudes": Key(list[float], (0.0, 5.0)),
                 "observables": Key(list[str], ("l2_sq",), choices=ergodicity.OBSERVABLE_ROWS),
                 "tolerance": Key(float, 0.05, above=0.0),
                 "burn_in_fraction": Key(float, 0.2, lo=0.0, hi=0.9)},
     "blowup": {"amplitudes": Key(list[float], (1.0, 3.0, 5.0)),
-               "min_untamed_frequency": Key(float)},
+               "min_untamed_frequency": Key(float, lo=0.0, hi=1.0)},
     "ladder": {  # the axis says which of taus and n_cells is required
         "axis": Key(str, ..., choices={"tau", "h"}),
         "taus": Key(list[float]), "n_cells": Key(list[int], lo=2),
-        "min_slope": Key(float), "max_slope": Key(float), "min_r_squared": Key(float),
+        "min_slope": Key(float), "max_slope": Key(float), "min_r_squared": Key(float, hi=1.0),
         "t": Key(float, 1.0, above=0.0), "fixed_n_cells": Key(int, 256, lo=2),
         "mode": Key(int, 1, lo=1)},  # and below the coarsest mesh
 }
@@ -138,13 +138,13 @@ KIND_OVERRIDES = {
 WHAT = {int: "an integer", float: "a number", str: "a name"}
 
 
-def read_config(path: Path) -> tuple[dict, str]:
-    """The parse phase: ``({(section, key): value}, resolved config text)``.
+def read_config(path: Path) -> tuple[dict, dict]:
+    """The parse phase: ``({(section, key): value}, {name: model object})``.
 
     The map holds every key the config's kind reads, defaults included.
     Each value the file gives is parsed, type-checked and range-checked
-    here, and so are the checks that tie one value to another, so a config
-    error is reported before anything is made or computed.
+    here, then the checks that tie one value to another, then the build
+    step (``_build``), so a config error is reported before anything is made.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -171,12 +171,7 @@ def read_config(path: Path) -> tuple[dict, str]:
             spec = replace(spec, **overrides.get((section, key), {}))
             cfg[section, key] = _value(parser, section, key, spec)
     _check_dependent(cfg, KIND_SECTIONS[kind])
-    echo = configparser.ConfigParser()
-    for section in parser.sections():
-        echo[section] = dict(parser.items(section))
-    text = io.StringIO()
-    echo.write(text)
-    return cfg, text.getvalue()
+    return cfg, _build(cfg)
 
 
 def _value(parser, section: str, key: str, spec: Key):
@@ -252,61 +247,81 @@ def _check_dependent(cfg: dict, sections: tuple) -> None:
                 f"[ladder] {key} lists {len(values)} values; a rate fit needs "
                 f">= {convergence.MIN_FIT_POINTS}"
             )
-        if cfg["experiment", "kind"] == "semigroup-rate":
-            cells, taus = _semigroup_ladder(cfg)
+        lo, hi = cfg["ladder", "min_slope"], cfg["ladder", "max_slope"]
+        if None not in (lo, hi) and lo > hi:  # no slope could pass
+            raise ConfigError(f"[ladder] min_slope = {lo} must be <= max_slope = {hi}")
+
+
+# ---------------------------------------------------------------------------
+# The build step
+# ---------------------------------------------------------------------------
+
+
+def _build(cfg: dict) -> dict:
+    """``{name: model object}`` of the config's kind, each checked as its
+    compute would check it; a rejection is a ``ConfigError``.  ``anchors``
+    are the sine initial data of a lyapunov, coupling or ergodic run, and
+    ``ladder`` the keyword arguments of a rate ladder."""
+    kind = cfg["experiment", "kind"]
+    sections, model = KIND_SECTIONS[kind], {}
+    if "coefficients" in sections:
+        c = {key: cfg["coefficients", key] for key in KEYS["coefficients"]}
+        args = (c["epsilon"], c["g0"]) if c["preset"] == "allen-cahn" else ()
+        try:
+            model["coefficients"] = PRESETS[c["preset"]][0](*args) if c["preset"] else (
+                CoefficientSpec(tuple(c["drift"]), tuple(c["diffusion"]), c["q"],
+                                c["diffusion_kind"]))
+        except ValueError as exc:
+            raise ConfigError(f"[coefficients] {exc}")
+        model["noise"] = QWienerSpec(cfg["noise", "decay"], cfg["noise", "scale"],
+                                     cfg["noise", "truncation"])
+    if "scheme" in sections:
+        try:
+            model["config"] = config = SchemeConfig(
+                tau=cfg["scheme", "tau"], grid=Grid1D(cfg["grid", "n_cells"]),
+                horizon=cfg["scheme", "horizon"], scheme=cfg["scheme", "kind"],
+                coefficients=model["coefficients"], noise=model["noise"],
+                seed=cfg["experiment", "seed"])
+        except ValueError as exc:
+            raise ConfigError(f"[scheme] {exc}")
+    if "initial" in sections:
+        model["x0"] = InitialCondition(**{key: cfg["initial", key] for key in KEYS["initial"]})
+    if kind in ("lyapunov", "coupling", "ergodic"):
+        amps = ((cfg["coupling", "amplitude_a"], cfg["coupling", "amplitude_b"])
+                if kind == "coupling" else cfg[kind, "amplitudes"])
+        model["anchors"] = [InitialCondition("sine", amplitude=a).build(config.grid) for a in amps]
+    if "assumptions" in sections:
+        model["report"] = check_assumptions(model["coefficients"], model["noise"], **{
+            key: cfg["assumptions", key] for key in KEYS["assumptions"]})
+    if "ladder" in sections:
+        axis, taus, cells = (cfg["ladder", key] for key in ("axis", "taus", "n_cells"))
+        if kind == "strong-rate":
+            model["ladder"] = {"coarse_taus": taus if axis == "tau" else None,
+                               "coarse_n_cells": cells if axis == "h" else None}
+        else:  # an h ladder's taus default to t / n_cells^2; a tau ladder's mesh is fixed
+            cells = cells if axis == "h" else [cfg["ladder", "fixed_n_cells"]] * len(taus)
+            taus = taus or [cfg["ladder", "t"] / nc**2 for nc in cells]
             if len(taus) != len(cells):
-                raise ConfigError(
-                    f"[ladder] taus lists {len(taus)} values but [ladder] n_cells "
-                    f"lists {len(cells)}; an h ladder takes one tau per mesh"
-                )
+                raise ConfigError(f"[ladder] taus lists {len(taus)} values but [ladder] n_cells "
+                                  f"lists {len(cells)}; an h ladder takes one tau per mesh")
             # A higher mode aliases on the coarsest mesh.
             _check("ladder", "mode", cfg["ladder", "mode"], Key(int, hi=min(cells) - 1))
-
-
-# ---------------------------------------------------------------------------
-# Config assembly
-# ---------------------------------------------------------------------------
-
-
-def _build_coefficients(cfg: dict) -> CoefficientSpec:
-    preset = cfg["coefficients", "preset"]
-    if preset:
-        factory = PRESETS[preset][0]
-        if preset == "allen-cahn":
-            return factory(cfg["coefficients", "epsilon"], cfg["coefficients", "g0"])
-        return factory()
-    try:
-        return CoefficientSpec(
-            drift=tuple(cfg["coefficients", "drift"]),
-            diffusion=tuple(cfg["coefficients", "diffusion"]),
-            q=cfg["coefficients", "q"],
-            diffusion_kind=cfg["coefficients", "diffusion_kind"],
-        )
+            model["ladder"] = {"n_cells_list": cells, "taus": taus}
+    try:  # the checks the compute makes before its first step
+        if kind in ("lyapunov", "longrun"):
+            ergodicity.require_certified(config, model["report"])
+        elif kind == "ergodic":
+            ergodicity.require_nondegenerate(config.coefficients)
+        elif kind == "strong-rate":
+            convergence.ladder_plan(config, n_paths=cfg["monte_carlo", "paths"],
+                                    **model["ladder"])
+        elif kind == "semigroup-rate":
+            convergence.check_semigroup_ladder(**model["ladder"], mode=cfg["ladder", "mode"],
+                                               t=cfg["ladder", "t"])
+        worker_count()
     except ValueError as exc:
-        raise ConfigError(f"[coefficients] {exc}")
-
-
-def _build_noise(cfg: dict) -> QWienerSpec:
-    return QWienerSpec(cfg["noise", "decay"], cfg["noise", "scale"],
-                       cfg["noise", "truncation"])
-
-
-def _build_scheme_config(cfg: dict) -> SchemeConfig:
-    coefficients = _build_coefficients(cfg)
-    noise = _build_noise(cfg)
-    try:
-        return SchemeConfig(
-            tau=cfg["scheme", "tau"], grid=Grid1D(cfg["grid", "n_cells"]),
-            horizon=cfg["scheme", "horizon"],
-            scheme=cfg["scheme", "kind"], coefficients=coefficients, noise=noise,
-            seed=cfg["experiment", "seed"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[scheme] {exc}")
-
-
-def _build_initial(cfg: dict) -> InitialCondition:
-    return InitialCondition(**{key: cfg["initial", key] for key in KEYS["initial"]})
+        raise ConfigError(str(exc))
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +329,8 @@ def _build_initial(cfg: dict) -> InitialCondition:
 # ---------------------------------------------------------------------------
 
 
-def _assumption_report(cfg: dict, spec: CoefficientSpec, noise: QWienerSpec):
-    """``check_assumptions`` on the scan the [assumptions] section sets."""
-    return check_assumptions(spec, noise, scan_radius=cfg["assumptions", "scan_radius"],
-                             scan_points=cfg["assumptions", "scan_points"])
-
-
-def _run_check_assumptions(cfg: dict, out: Path) -> list:
-    report = _assumption_report(cfg, _build_coefficients(cfg), _build_noise(cfg))
+def _run_check_assumptions(cfg: dict, model: dict, out: Path) -> list:
+    report = model["report"]
     rows = [
         ("feasible", report.feasible),
         ("q_flag_outside_supported_range", report.q_flag),
@@ -367,9 +376,9 @@ def _run_check_assumptions(cfg: dict, out: Path) -> list:
 SIMULATE_OBSERVABLES = ("h1_sq", "l2_sq", "lq2", "lyapunov")
 
 
-def _run_simulate(cfg: dict, out: Path) -> list:
-    config = _build_scheme_config(cfg)
-    x0 = _build_initial(cfg).build(config.grid)
+def _run_simulate(cfg: dict, model: dict, out: Path) -> list:
+    config = model["config"]
+    x0 = model["x0"].build(config.grid)
     stride = cfg["monte_carlo", "record_stride"]
     chain = BatchChains(config, x0.values)
     fns = [ergodicity.OBSERVABLE_ROWS[name] for name in SIMULATE_OBSERVABLES]
@@ -395,13 +404,10 @@ def _run_simulate(cfg: dict, out: Path) -> list:
     ]
 
 
-def _run_lyapunov(cfg: dict, out: Path) -> list:
-    config = _build_scheme_config(cfg)
-    report = _assumption_report(cfg, config.coefficients, config.noise)
+def _run_lyapunov(cfg: dict, model: dict, out: Path) -> list:
     amps = cfg["lyapunov", "amplitudes"]
-    anchors = [InitialCondition("sine", amplitude=a).build(config.grid) for a in amps]
-    probes = ergodicity.lyapunov_contraction_test(config, anchors, cfg["lyapunov", "samples"],
-                                                  report)
+    probes = ergodicity.lyapunov_contraction_test(model["config"], model["anchors"],
+                                                  cfg["lyapunov", "samples"], model["report"])
     write_csv(
         out / "lyapunov_contraction.csv",
         ["experiment", "anchor_amplitude", "anchor_l2_sq", "anchor_V",
@@ -424,11 +430,10 @@ def _run_lyapunov(cfg: dict, out: Path) -> list:
     ]
 
 
-def _run_longrun(cfg: dict, out: Path) -> list:
-    config = _build_scheme_config(cfg)
-    report = _assumption_report(cfg, config.coefficients, config.noise)
-    x0 = _build_initial(cfg).build(config.grid)
-    res = ergodicity.long_run_moment_test(config, x0, cfg["monte_carlo", "paths"], report,
+def _run_longrun(cfg: dict, model: dict, out: Path) -> list:
+    config = model["config"]
+    res = ergodicity.long_run_moment_test(config, model["x0"].build(config.grid),
+                                          cfg["monte_carlo", "paths"], model["report"],
                                           cfg["monte_carlo", "record_stride"])
     write_csv(
         out / "longrun_moments.csv",
@@ -449,13 +454,11 @@ def _run_longrun(cfg: dict, out: Path) -> list:
     ]
 
 
-def _run_coupling(cfg: dict, out: Path) -> list:
-    config = _build_scheme_config(cfg)
+def _run_coupling(cfg: dict, model: dict, out: Path) -> list:
+    config = model["config"]
     amp_a, amp_b = cfg["coupling", "amplitude_a"], cfg["coupling", "amplitude_b"]
     min_r2 = cfg["coupling", "min_r_squared"]
-    x0a = InitialCondition("sine", amplitude=amp_a).build(config.grid)
-    x0b = InitialCondition("sine", amplitude=amp_b).build(config.grid)
-    res = ergodicity.coupling_decay_test(config, x0a, x0b, cfg["coupling", "steps"],
+    res = ergodicity.coupling_decay_test(config, *model["anchors"], cfg["coupling", "steps"],
                                          cfg["monte_carlo", "paths"])
     write_csv(
         out / "coupling_distance.csv",
@@ -479,14 +482,13 @@ def _run_coupling(cfg: dict, out: Path) -> list:
     return [CheckResult("coupling-geometric-decay", ok, detail)]
 
 
-def _run_ergodic(cfg: dict, out: Path) -> list:
-    config = _build_scheme_config(cfg)
+def _run_ergodic(cfg: dict, model: dict, out: Path) -> list:
+    config = model["config"]
     amps = cfg["ergodic", "amplitudes"]
     tol = cfg["ergodic", "tolerance"]
     burn = int(cfg["ergodic", "burn_in_fraction"] * config.n_steps)
-    x0s = [InitialCondition("sine", amplitude=a).build(config.grid) for a in amps]
     estimates = ergodicity.ergodic_limit_test(
-        config, cfg["ergodic", "observables"], x0s, burn, tolerance=tol,
+        config, cfg["ergodic", "observables"], model["anchors"], burn, tolerance=tol,
         record_stride=cfg["monte_carlo", "record_stride"],
     )
     rows = []
@@ -513,10 +515,9 @@ def _run_ergodic(cfg: dict, out: Path) -> list:
     return checks
 
 
-def _run_blowup(cfg: dict, out: Path) -> list:
-    config = _build_scheme_config(cfg)
+def _run_blowup(cfg: dict, model: dict, out: Path) -> list:
     min_freq = cfg["blowup", "min_untamed_frequency"]
-    rows = ergodicity.em_blowup_probe(config, cfg["blowup", "amplitudes"],
+    rows = ergodicity.em_blowup_probe(model["config"], cfg["blowup", "amplitudes"],
                                       cfg["monte_carlo", "paths"])
     write_csv(
         out / "blowup_frequencies.csv",
@@ -572,13 +573,9 @@ def _write_plot_data(path: Path, xs, ys, fit) -> None:
     write_csv(path, ["x_step_or_width", "measured_error", "fitted_power_law"], rows)
 
 
-def _run_strong_rate(cfg: dict, out: Path) -> list:
-    axis = cfg["ladder", "axis"]
-    table = convergence.strong_error_ladder(
-        _build_scheme_config(cfg), _build_initial(cfg), cfg["monte_carlo", "paths"],
-        coarse_taus=cfg["ladder", "taus"] if axis == "tau" else None,
-        coarse_n_cells=cfg["ladder", "n_cells"] if axis == "h" else None,
-    )
+def _run_strong_rate(cfg: dict, model: dict, out: Path) -> list:
+    table = convergence.strong_error_ladder(model["config"], model["x0"],
+                                            cfg["monte_carlo", "paths"], **model["ladder"])
     write_csv(
         out / "strong_error_table.csv",
         ["tau", "h", "n_paths", "rms_sup_t_l2_error", "mc_std_error",
@@ -598,7 +595,7 @@ def _run_strong_rate(cfg: dict, out: Path) -> list:
     write_csv(
         out / "rate_fit.csv",
         ["axis", "slope", "intercept", "r_squared", "n_points", "excluded_zero_rows"],
-        [(axis, fit.slope, fit.intercept, fit.r_squared, fit.n_points, fit.n_excluded)],
+        [(table.axis, fit.slope, fit.intercept, fit.r_squared, fit.n_points, fit.n_excluded)],
     )
     return _slope_checks(cfg, fit, "strong-rate") or [
         CheckResult("strong-rate-computed", True,
@@ -606,26 +603,20 @@ def _run_strong_rate(cfg: dict, out: Path) -> list:
     ]
 
 
-def _semigroup_ladder(cfg: dict) -> tuple:
-    """(n_cells, taus) of a semigroup ladder: an h ladder's taus default to
-    t / n_cells^2, a tau ladder keeps [ladder] fixed_n_cells."""
-    taus = cfg["ladder", "taus"]
-    if cfg["ladder", "axis"] == "h":
-        cells = cfg["ladder", "n_cells"]
-        return cells, taus or [cfg["ladder", "t"] / nc**2 for nc in cells]
-    return [cfg["ladder", "fixed_n_cells"]] * len(taus), taus
-
-
-def _run_semigroup_rate(cfg: dict, out: Path) -> list:
-    cells, taus = _semigroup_ladder(cfg)
+def _run_semigroup_rate(cfg: dict, model: dict, out: Path) -> list:
+    cells, taus = model["ladder"]["n_cells_list"], model["ladder"]["taus"]
     t = cfg["ladder", "t"]
-    xs, errors, fit = convergence.semigroup_error_test(
-        cells, taus, cfg["ladder", "axis"], mode=cfg["ladder", "mode"], t=t)
+    xs, errors = convergence.semigroup_error_test(
+        **model["ladder"], axis=cfg["ladder", "axis"], mode=cfg["ladder", "mode"], t=t)
     write_csv(
         out / "semigroup_error_table.csv",
         ["n_cells", "h", "tau", "l2_error_at_t", "time_t"],
         [(c, 1.0 / c, tau, e, t) for c, tau, e in zip(cells, taus, errors)],
     )
+    try:
+        fit = convergence.fit_rate_xy(xs, errors)
+    except convergence.RateFitError as exc:  # the ladder ran; its errors are the finding
+        return [CheckResult("semigroup-rate-fit", False, str(exc))]
     _write_plot_data(out / "semigroup_error_plot.csv", xs, errors, fit)
     return _slope_checks(cfg, fit, "semigroup-rate") or [
         CheckResult("semigroup-rate-computed", True,
@@ -652,25 +643,36 @@ RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
+def _resolved_text(cfg: dict) -> str:
+    """The parsed map as INI, keys whose value is None left out: every value
+    a run used, defaults and the resolved truncation included."""
+    lines = [f"# tamedspde {__version__}"]
+    for (section, key), value in cfg.items():
+        if value is not None:
+            if f"[{section}]" not in lines:
+                lines += ["", f"[{section}]"]
+            items = value if isinstance(value, (list, tuple)) else [value]
+            lines.append(f"{key} = {', '.join(map(format_value, items))}")
+    return "\n".join(lines) + "\n"
+
+
 def run_experiment(config_path: Path, output_override=None) -> int:
     try:
-        cfg, resolved = read_config(config_path)
+        cfg, model = read_config(config_path)
         out_dir = output_override or cfg["experiment", "output_dir"]
         if out_dir is None:
             raise ConfigError("missing required field [experiment] output_dir")
         out_dir = Path(out_dir)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "resolved_config.ini").write_text(resolved, encoding="utf-8")
+            (out_dir / "resolved_config.ini").write_text(_resolved_text(cfg), encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"output directory {out_dir} is not usable: {exc}")
-        checks = RUNNERS[cfg["experiment", "kind"]](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    try:  # any other exception is a program fault, and keeps its traceback
+        checks = RUNNERS[cfg["experiment", "kind"]](cfg, model, out_dir)
     except RuntimeError as exc:  # every path blew up, or an LDL^T factor or solve failed
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

@@ -333,6 +333,12 @@ def _check_block_memory(reference: SchemeConfig, members, n_rows: int) -> int:
     return per_row
 
 
+def ladder_plan(reference: SchemeConfig, coarse_taus, coarse_n_cells, n_paths: int):
+    """(axis, members, values per path) of a ladder, checked as ``strong_error_ladder`` does."""
+    axis, members = _ladder_members(reference, coarse_taus, coarse_n_cells)
+    return axis, members, _check_block_memory(reference, members, min(n_paths, PATH_CHUNK))
+
+
 def strong_error_ladder(
     reference: SchemeConfig,
     x0: InitialCondition,
@@ -349,8 +355,7 @@ def strong_error_ladder(
     refined by the reference mesh; both are checked before any stepping.
     All members of one path ride the same fine Brownian increments.
     """
-    axis, members = _ladder_members(reference, coarse_taus, coarse_n_cells)
-    per_path = _check_block_memory(reference, members, min(n_paths, PATH_CHUNK))
+    axis, members, per_path = ladder_plan(reference, coarse_taus, coarse_n_cells, n_paths)
     parts = parallel_map(partial(_ladder_chunk, reference, x0, members),
                          path_slices(n_paths, per_path))
     err_matrix = np.sqrt(np.maximum(np.concatenate([w for w, _ in parts]), 0.0))
@@ -400,9 +405,7 @@ def semigroup_error(n_cells: int, tau: float, mode: int = 1, t: float = 1.0) -> 
     quadrature.
     """
     grid = Grid1D(n_cells)
-    k = round(t / tau)
-    if k < 1 or abs(k * tau - t) > 1e-9 * t:
-        raise ValueError(f"t = {t} must be an integer multiple of tau = {tau}")
+    k = _steps_to(t, tau)
     u_num = resolvent_rows(fem.assemble(grid), tau, sine_mode(grid, mode).values, steps=k)
     quad_n = 8192
     xs = np.linspace(0.0, 1.0, quad_n + 1)
@@ -413,18 +416,16 @@ def semigroup_error(n_cells: int, tau: float, mode: int = 1, t: float = 1.0) -> 
     return float(np.sqrt(np.trapezoid((exact - approx) ** 2, xs)))
 
 
-def semigroup_error_test(
-    n_cells_list: Sequence[int],
-    taus: Sequence[float],
-    axis: str,
-    mode: int = 1,
-    t: float = 1.0,
-):
-    """(x axis, errors, log-log fit) along a (grid, tau) ladder.
+def _steps_to(t: float, tau: float) -> int:
+    k = round(t / tau)
+    if k < 1 or abs(k * tau - t) > 1e-9 * t:
+        raise ValueError(f"t = {t} must be an integer multiple of tau = {tau}")
+    return k
 
-    The x axis is each point's h on an "h" ladder and its tau on a "tau" one.
-    An exact amplitude below ``SEMIGROUP_MIN_AMPLITUDE`` is rejected first.
-    """
+
+def check_semigroup_ladder(n_cells_list, taus, mode: int, t: float) -> None:
+    """``semigroup_error_test``'s checks before any solve, each a ``ValueError``: one
+    tau per mesh, exact amplitude at t >= ``SEMIGROUP_MIN_AMPLITUDE``, t a multiple of every tau."""
     if len(n_cells_list) != len(taus):
         raise ValueError("n_cells_list and taus must have equal length")
     amplitude = math.sqrt(2.0) * math.exp(-((mode * math.pi) ** 2) * t)
@@ -433,6 +434,22 @@ def semigroup_error_test(
             f"exact amplitude {amplitude:.3g} at mode {mode}, t = {t} is below "
             f"{SEMIGROUP_MIN_AMPLITUDE:g}: the errors would be rounding error"
         )
+    for tau in taus:
+        _steps_to(t, tau)
+
+
+def semigroup_error_test(
+    n_cells_list: Sequence[int],
+    taus: Sequence[float],
+    axis: str,
+    mode: int = 1,
+    t: float = 1.0,
+):
+    """(x axis, errors) along a (grid, tau) ladder; ``fit_rate_xy`` fits them.
+
+    The x axis is each point's h on an "h" ladder and its tau on a "tau" one.
+    """
+    check_semigroup_ladder(n_cells_list, taus, mode, t)
     if axis == "h":
         xs = [1.0 / nc for nc in n_cells_list]
     elif axis == "tau":
@@ -442,4 +459,4 @@ def semigroup_error_test(
     errors = [
         semigroup_error(nc, tau, mode=mode, t=t) for nc, tau in zip(n_cells_list, taus)
     ]
-    return xs, errors, fit_rate_xy(xs, errors)
+    return xs, errors

@@ -55,7 +55,9 @@ class StepSizeNotCertified(ValueError):
         self.report = report
 
 
-def _require_certified(config: SchemeConfig, report: AssumptionReport) -> None:
+def require_certified(config: SchemeConfig, report: AssumptionReport) -> None:
+    """What the certified probes check before any step: a feasible report
+    (``InfeasibleAssumptions``) and tau <= tau_max (``StepSizeNotCertified``)."""
     report.require_feasible()
     if report.tau_max is None or config.tau > report.tau_max:
         raise StepSizeNotCertified(config.tau, report)
@@ -132,7 +134,7 @@ def lyapunov_contraction_test(
     its own block of path ids, so all increments are independent, and steps
     them as one ensemble per slice.
     """
-    _require_certified(config, report)
+    require_certified(config, report)
     if n_samples < 1000:
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
     k1, k2 = report.lyap_contraction, report.lyap_source
@@ -187,7 +189,7 @@ def long_run_moment_test(
     record_stride: int = 1000,
 ) -> LongRunResult:
     """Empirical E||Z_n||^2 against K2/K1 + exp(-K1 tau n) ||X0||^2."""
-    _require_certified(config, report)
+    require_certified(config, report)
     n_steps = config.n_steps
     task = SliceTask(config, x0.values[None], n_steps, record_stride, "l2_sq")
     all_l2, blowup_step = _run_paths(task, range(n_paths))  # (paths, n_recorded)
@@ -322,6 +324,14 @@ def nondegeneracy_precheck(spec: CoefficientSpec) -> PrecheckResult:
     return PrecheckResult(passed=bad.size == 0, witnesses=tuple(float(b) for b in bad[:8]))
 
 
+def require_nondegenerate(spec: CoefficientSpec) -> None:
+    """What ``ergodic_limit_test`` checks before any step: a ``ValueError``
+    unless ``nondegeneracy_precheck`` passes."""
+    pre = nondegeneracy_precheck(spec)
+    if not pre.passed:
+        raise ValueError(f"nondegeneracy precheck failed: g vanishes at {pre.witnesses}")
+
+
 def ergodic_limit_test(
     config: SchemeConfig,
     observables: Sequence[str],
@@ -336,11 +346,7 @@ def ergodic_limit_test(
     burn-in, each observable's time average is compared across initial
     conditions (relative tolerance, default 5%).
     """
-    pre = nondegeneracy_precheck(config.coefficients)
-    if not pre.passed:
-        raise ValueError(
-            f"nondegeneracy precheck failed: g vanishes at {pre.witnesses}"
-        )
+    require_nondegenerate(config.coefficients)
     n_steps = config.n_steps
     if not 0 <= burn_in_steps < n_steps:
         raise ValueError(f"burn-in {burn_in_steps} must be < horizon {n_steps}")

@@ -1,3 +1,4 @@
+import configparser
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from typing import get_args
 import numpy as np
 import pytest
 
+import tamedspde
 from tamedspde import cli, convergence, engine, fem, noise
 from tamedspde.cli import EXIT_NUMERICAL_FAILURE, KINDS, main, read_config
 from tamedspde.fem import dispersion_eigenvalue
@@ -21,6 +23,9 @@ def test_format_value_handles_numpy_scalars():
     assert format_value(False) == "false"
     assert format_value(np.int64(7)) == "7"
     assert format_value(None) == "None"
+
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 
 def write(path, text):
@@ -377,6 +382,119 @@ def test_an_h_ladder_with_fewer_taus_than_meshes_is_rejected_before_the_output_d
     assert not out.exists()
 
 
+SCHEME_16 = {"grid": {"n_cells": "16"}, "scheme": {"kind": "drift_gtem", "tau": "0.015625",
+                                                 "horizon": "1.0"}}
+ALLEN_CAHN_16 = {**SCHEME_16, "coefficients": {"preset": "allen-cahn"}}
+
+# case -> (kind, sections, environment, first stderr line); the model's own
+# checks, each of which once exited 2 after the output directory was made.
+MODEL_ERRORS = {
+    "ladder-grid-not-refined": (
+        "strong-rate", {**ALLEN_CAHN_16, "ladder": {"axis": "h", "n_cells": "3, 4, 8, 16"}}, {},
+        "reference grid (16 cells) does not refine the coarse grid (3 cells)"),
+    "coarse-tau-not-a-multiple": (
+        "strong-rate", {**ALLEN_CAHN_16, "ladder": {"axis": "tau",
+                                                    "taus": "0.03, 0.0625, 0.125, 0.25"}}, {},
+        "coarse tau 0.03 is not an integer multiple of the reference tau 0.015625"),
+    "semigroup-amplitude-floor": (
+        "semigroup-rate", {"ladder": {"axis": "h", "n_cells": "8, 16, 32, 64", "t": "3.0"}}, {},
+        "exact amplitude 1.96e-13 at mode 1, t = 3.0 is below 1e-08: "
+        "the errors would be rounding error"),
+    "semigroup-t-not-a-multiple": (
+        "semigroup-rate", {"ladder": {"axis": "tau", "taus": "0.3, 0.1, 0.05, 0.025"}}, {},
+        "t = 1.0 must be an integer multiple of tau = 0.3"),
+    "uncertified-tau": (
+        "lyapunov", {**ALLEN_CAHN_16, "scheme": {"tau": "0.5", "horizon": "1.0"},
+                     "lyapunov": {"samples": "1000"}}, {},
+        "tau = 0.5 exceeds the certified ceiling tau_max = 0.0215515 "
+        "(L2 = 0.9375, L4 = 1.0625, beta = 0.46875)"),
+    "degenerate-noise": (
+        "ergodic", {**SCHEME_16, "coefficients": {"drift": "0, 1, 0, -1", "diffusion": "0, 1",
+                                                  "q": "2"}}, {},
+        "nondegeneracy precheck failed: g vanishes at (0.0,)"),
+    "horizon-not-a-multiple": (
+        "ergodic", {**ALLEN_CAHN_16, "scheme": {"tau": "0.015625", "horizon": "1.01"}}, {},
+        "[scheme] horizon 1.01 is not an integer multiple of tau 0.015625"),
+    "workers-not-an-integer": (
+        "coupling", ALLEN_CAHN_16, {"TAMEDSPDE_WORKERS": "abc"},
+        "TAMEDSPDE_WORKERS must be an integer >= 1, got 'abc'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_ERRORS))
+def test_a_model_error_is_rejected_before_the_output_directory(tmp_path, capsys, monkeypatch,
+                                                                case):
+    monkeypatch.setattr(noise.PathSampler, "coeffs", fail_if_called)
+    monkeypatch.setattr(engine.BatchChains, "advance", fail_if_called)
+    monkeypatch.setattr(convergence, "semigroup_error", fail_if_called)
+    kind, sections, env, message = MODEL_ERRORS[case]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "model.ini", render(kind, out, sections))
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == f"config error: {message}"
+    assert not out.exists()
+
+
+BAND_ERRORS = [
+    ("semigroup-rate", "ladder", {"min_slope": "2.5", "max_slope": "2.1"},
+     "[ladder] min_slope = 2.5 must be <= max_slope = 2.1"),
+    ("strong-rate", "ladder", {"min_slope": "1", "max_slope": "0.5"},
+     "[ladder] min_slope = 1.0 must be <= max_slope = 0.5"),
+    ("semigroup-rate", "ladder", {"min_r_squared": "1.5"},
+     "[ladder] min_r_squared = 1.5 must be <= 1.0"),
+    ("coupling", "coupling", {"min_r_squared": "1.01"},
+     "[coupling] min_r_squared = 1.01 must be <= 1.0"),
+    ("blowup", "blowup", {"min_untamed_frequency": "1.5"},
+     "[blowup] min_untamed_frequency = 1.5 must be <= 1.0"),
+    ("blowup", "blowup", {"min_untamed_frequency": "-0.1"},
+     "[blowup] min_untamed_frequency = -0.1 must be >= 0.0"),
+]
+
+
+@pytest.mark.parametrize("kind, section, keys, message", BAND_ERRORS, ids=[
+    "semigroup-slopes", "strong-slopes", "ladder-r2", "coupling-r2", "frequency-hi", "frequency-lo"])
+def test_a_check_band_no_result_could_meet_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                            kind, section, keys, message):
+    forbid_compute(monkeypatch)
+    out = tmp_path / "out"
+    sections = {**ALLEN_CAHN_16, "ladder": {"axis": "h", "n_cells": "2, 4, 8, 16"}}
+    sections[section] = {**sections.get(section, {}), **keys}
+    cfg = write(tmp_path / "band.ini", render(kind, out, sections))
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not out.exists()
+
+
+def test_an_unfittable_semigroup_ladder_is_a_failed_check(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(convergence, "semigroup_error",
+                        lambda n_cells, tau, mode, t: 0.0 if n_cells > 16 else 1.0 / n_cells**2)
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "sg.ini", render(
+        "semigroup-rate", out, {"ladder": {"axis": "h", "n_cells": "8, 16, 32, 64"}}))
+    assert main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err == ""
+    assert (out / "verdict.txt").read_text().splitlines() == [
+        "FAIL semigroup-rate-fit: need >= 4 positive points for a rate fit, got 2",
+        "overall: FAIL",
+    ]
+    table = (out / "semigroup_error_table.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in table[1:]] == ["8", "16", "32", "64"]
+
+
+def test_a_value_error_in_compute_is_a_program_fault_not_a_config_error(tmp_path, monkeypatch):
+    def fault(*args, **kwargs):
+        raise ValueError("a fault in the program")
+
+    monkeypatch.setattr(engine.BatchChains, "advance", fault)
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "sim.ini", render("simulate", out, ALLEN_CAHN_16))
+    with pytest.raises(ValueError, match="a fault in the program"):
+        main(["run", str(cfg)])
+    assert (out / "resolved_config.ini").exists() and not (out / "verdict.txt").exists()
+
+
 @pytest.mark.parametrize("variant, kind", [("both_a", "gtem"), ("both_b", "gtem_b"),
                                            ("drift_only", "drift_gtem")])
 def test_removed_variant_key_names_the_scheme_kind(tmp_path, capsys, monkeypatch,
@@ -409,7 +527,7 @@ variant = {variant}
     err = capsys.readouterr().err
     assert err.startswith("config error: [coefficients] variant")
     assert err.rstrip().endswith(f"[scheme] kind = {kind}"), err
-    assert not (out / "verdict.txt").exists()
+    assert not out.exists()
 
 
 SIMULATE_16 = """
@@ -463,12 +581,45 @@ def test_an_output_directory_below_a_regular_file_is_a_config_error(tmp_path, ca
 
 
 def test_every_shipped_config_parses_and_every_kind_has_one():
-    """The whole parse phase: every key each shipped config's kind reads."""
+    """The whole parse phase: every key each shipped config's kind reads,
+    and the build step's model objects and checks."""
     kinds = set()
-    for path in sorted((Path(__file__).parents[1] / "configs").glob("*.ini")):
-        cfg, _ = read_config(path)
-        kinds.add(cfg["experiment", "kind"])
+    for path in sorted(CONFIGS.glob("*.ini")):
+        cfg, model = read_config(path)
+        kind = cfg["experiment", "kind"]
+        kinds.add(kind)
+        assert ("config" in model) == ("scheme" in cli.KIND_SECTIONS[kind]), path
+        assert ("report" in model) == ("assumptions" in cli.KIND_SECTIONS[kind]), path
+        assert ("ladder" in model) == ("ladder" in cli.KIND_SECTIONS[kind]), path
     assert kinds == set(KINDS)
+
+
+# The strong-rate configs take 3 and 15 s; the others about 1 s together.
+QUICK_CONFIGS = [p for p in sorted(CONFIGS.glob("*.ini")) if "strong_rate" not in p.name]
+
+
+@pytest.mark.parametrize("path", QUICK_CONFIGS, ids=lambda p: p.stem)
+def test_a_resolved_config_reruns_to_the_same_outputs(tmp_path, capsys, path):
+    """``resolved_config.ini`` is the parsed map: defaults, the resolved
+    truncation and the package version included."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    code = main(["run", str(path), "--output", str(first)])
+    resolved = first / "resolved_config.ini"
+    text = resolved.read_text(encoding="utf-8")
+    assert text.startswith(f"# tamedspde {tamedspde.__version__}\n")
+    cfg, _ = read_config(path)
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    assert {(s, k) for s in parser.sections() for k in parser.options(s)} == {
+        key for key, value in cfg.items() if value is not None}
+    if "noise" in cli.KIND_SECTIONS[cfg["experiment", "kind"]]:
+        assert f"\ntruncation = {cfg['noise', 'truncation']}\n" in text
+    assert read_config(resolved)[0] == cfg
+    assert main(["run", str(resolved), "--output", str(second)]) == code
+    a, b = read_outputs(first), read_outputs(second)
+    assert set(a) == set(b)
+    for name in a:
+        assert a[name] == b[name], name
 
 
 def test_lyapunov_rejects_uncertified_tau_as_config_error(tmp_path, capsys, monkeypatch):
@@ -511,7 +662,7 @@ record_stride = 1
             assert main(["run", str(cfg)]) == 2, (kind, message)
             err = capsys.readouterr().err
             assert err.startswith("config error:") and message in err, err
-            assert not (out / "verdict.txt").exists()
+            assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -556,7 +707,7 @@ axis = {axis}
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: [ladder]") and key in err, err
-    assert not (out / "verdict.txt").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [("drift", "1, 2"), ("diffusion", "1"), ("q", "2"),
@@ -622,7 +773,7 @@ paths = 2
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "is empty" in err, err
-    assert not (out / "verdict.txt").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -655,7 +806,7 @@ mode = {mode}
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}"), err
-    assert not (out / "verdict.txt").exists()
+    assert not out.exists()
 
 
 def test_ladder_block_past_the_memory_cap_is_rejected_before_any_draw(
@@ -695,7 +846,7 @@ taus = {taus}
     err = capsys.readouterr().err
     assert err.startswith("config error: a ladder block of 9009 reference steps"), err
     assert f"over the cap of {convergence.MAX_BLOCK_VALUES}" in err, err
-    assert not (out / "verdict.txt").exists()
+    assert not out.exists()
 
 
 def test_strong_rate_run_and_determinism(tmp_path, monkeypatch):

@@ -396,12 +396,14 @@ def test_semigroup_error_matches_mode_decay():
 
 def test_semigroup_rates():
     cells = [8, 16, 32, 64, 128]
-    xs, _, fit_h = semigroup_error_test(cells, [1.0 / nc**2 for nc in cells], axis="h")
+    xs, errors = semigroup_error_test(cells, [1.0 / nc**2 for nc in cells], axis="h")
     assert xs == [1.0 / nc for nc in cells]
+    fit_h = fit_rate_xy(xs, errors)
     assert abs(fit_h.slope - 2.0) <= 0.1
     taus = [2.0**-k for k in range(8, 13)]
-    xs, _, fit_t = semigroup_error_test([256] * 5, taus, axis="tau")
+    xs, errors = semigroup_error_test([256] * 5, taus, axis="tau")
     assert xs == taus
+    fit_t = fit_rate_xy(xs, errors)
     assert abs(fit_t.slope - 1.0) <= 0.1
     with pytest.raises(ValueError):
         semigroup_error_test([8, 16], [0.1], axis="h")
