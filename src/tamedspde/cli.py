@@ -16,8 +16,8 @@ directory that cannot be made or written is one too.  Then a run writes the
 parsed map (``resolved_config.ini``), computes, and emits CSV tables and a
 plain-text verdict.  Exit codes: 0 all asserted checks pass, 1 a scientific
 check failed, 2 configuration error, 3 numerical failure during compute
-(every path blew up, or a tridiagonal LDL^T factorization or solve failed).
-Any other exception is a program fault and ends with its traceback.
+(every path blew up, or a tridiagonal LDL^T factorization or solve failed),
+4 program fault: any other exception, its traceback printed to stderr.
 
 The TAMEDSPDE_WORKERS environment variable sets the worker-thread count
 for Monte Carlo paths; it affects runtime only, never results.
@@ -29,6 +29,7 @@ import argparse
 import configparser
 import difflib
 import sys
+import traceback
 from collections.abc import Collection
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -49,6 +50,7 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_FAILURE = 3
+EXIT_PROGRAM_FAULT = 4
 
 
 class ConfigError(Exception):
@@ -217,6 +219,33 @@ def _nearest(name: str, known) -> str:
     return f"; did you mean {close[0]!r}?" if close else ""
 
 
+def _unread(cfg: dict, sections: tuple) -> dict:
+    """{(section, key): why the run does not read it}, as the preset and a
+    ladder's kind and axis decide."""
+    unread = {}
+    if "coefficients" in sections:
+        preset = cfg["coefficients", "preset"]
+        if preset:  # the preset's own coefficients run
+            for key in ("drift", "diffusion", "q", "diffusion_kind"):
+                unread["coefficients", key] = f"with preset = {preset}"
+        if preset != "allen-cahn":
+            for key in ("epsilon", "g0"):
+                unread["coefficients", key] = "unless preset = allen-cahn, the one that reads it"
+    if "ladder" in sections:
+        strong = cfg["experiment", "kind"] == "strong-rate"
+        if cfg["ladder", "axis"] == "tau":
+            mesh = "[grid] n_cells" if strong else "[ladder] fixed_n_cells"
+            unread["ladder", "n_cells"] = f"on a tau ladder, whose mesh is {mesh}"
+        elif strong:
+            unread["ladder", "taus"] = "on a strong-rate h ladder, whose tau is [scheme] tau"
+        else:
+            unread["ladder", "fixed_n_cells"] = "on an h ladder, whose meshes are [ladder] n_cells"
+        if strong:
+            for key in ("t", "mode", "fixed_n_cells"):
+                unread["ladder", key] = "on a strong-rate ladder; only semigroup-rate reads it"
+    return unread
+
+
 def _check_dependent(cfg: dict, sections: tuple) -> None:
     """The checks of one value against another, once each value has passed."""
     if "coefficients" in sections:
@@ -225,12 +254,12 @@ def _check_dependent(cfg: dict, sections: tuple) -> None:
             kind = {"both_a": "gtem", "both_b": "gtem_b", "drift_only": "drift_gtem"}.get(
                 variant, "gtem, gtem_b or drift_gtem")
             raise ConfigError(f"[coefficients] variant was removed; set [scheme] kind = {kind}")
-        preset = cfg["coefficients", "preset"]
-        for key in ("drift", "diffusion", "q", "diffusion_kind"):
-            given = cfg["coefficients", key] != KEYS["coefficients"][key].default
-            if preset and given:  # the preset would run and the key be ignored
-                raise ConfigError(f"[coefficients] {key} cannot be given with preset = {preset}")
-            if not (preset or given or key == "diffusion_kind"):
+    for (section, key), why in _unread(cfg, sections).items():
+        if cfg[section, key] != KEYS[section][key].default:  # the run would ignore it
+            raise ConfigError(f"[{section}] {key} cannot be given {why}")
+    if "coefficients" in sections and not cfg["coefficients", "preset"]:
+        for key in ("drift", "diffusion", "q"):
+            if cfg["coefficients", key] is None:
                 raise ConfigError(f"missing required field [coefficients] {key}")
     if "noise" in sections:  # resolved here: "auto" is every interior node
         interior = Grid1D(cfg["grid", "n_cells"]).n_interior
@@ -294,12 +323,11 @@ def _build(cfg: dict) -> dict:
         model["report"] = check_assumptions(model["coefficients"], model["noise"], **{
             key: cfg["assumptions", key] for key in KEYS["assumptions"]})
     if "ladder" in sections:
-        axis, taus, cells = (cfg["ladder", key] for key in ("axis", "taus", "n_cells"))
+        taus, cells = cfg["ladder", "taus"], cfg["ladder", "n_cells"]  # None if ``_unread``
         if kind == "strong-rate":
-            model["ladder"] = {"coarse_taus": taus if axis == "tau" else None,
-                               "coarse_n_cells": cells if axis == "h" else None}
+            model["ladder"] = {"coarse_taus": taus, "coarse_n_cells": cells}
         else:  # an h ladder's taus default to t / n_cells^2; a tau ladder's mesh is fixed
-            cells = cells if axis == "h" else [cfg["ladder", "fixed_n_cells"]] * len(taus)
+            cells = cells or [cfg["ladder", "fixed_n_cells"]] * len(taus)
             taus = taus or [cfg["ladder", "t"] / nc**2 for nc in cells]
             if len(taus) != len(cells):
                 raise ConfigError(f"[ladder] taus lists {len(taus)} values but [ladder] n_cells "
@@ -378,9 +406,8 @@ SIMULATE_OBSERVABLES = ("h1_sq", "l2_sq", "lq2", "lyapunov")
 
 def _run_simulate(cfg: dict, model: dict, out: Path) -> list:
     config = model["config"]
-    x0 = model["x0"].build(config.grid)
     stride = cfg["monte_carlo", "record_stride"]
-    chain = BatchChains(config, x0.values)
+    chain = BatchChains(config, model["x0"].build(config.grid))
     fns = [ergodicity.OBSERVABLE_ROWS[name] for name in SIMULATE_OBSERVABLES]
     rows = []
 
@@ -671,7 +698,7 @@ def run_experiment(config_path: Path, output_override=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    try:  # any other exception is a program fault, and keeps its traceback
+    try:  # any other exception is a program fault (``main``)
         checks = RUNNERS[cfg["experiment", "kind"]](cfg, model, out_dir)
     except RuntimeError as exc:  # every path blew up, or an LDL^T factor or solve failed
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -684,7 +711,8 @@ def run_experiment(config_path: Path, output_override=None) -> int:
 
 def list_presets() -> str:
     lines = ["built-in coefficient presets:"]
-    for name, (factory, desc, (decay, scale)) in PRESETS.items():
+    decay, scale = KEYS["noise"]["decay"].default, KEYS["noise"]["scale"].default
+    for name, (factory, desc) in PRESETS.items():
         spec = factory()
         lines.append(
             f"  {name}: {desc}\n"
@@ -708,10 +736,14 @@ def main(argv=None) -> int:
                        help="override [experiment] output_dir")
     sub.add_parser("list-presets", help="print the built-in coefficient presets")
     args = parser.parse_args(argv)
-    if args.command == "list-presets":
-        print(list_presets())
-        return EXIT_PASS
-    return run_experiment(args.config, args.output)
+    try:
+        if args.command == "list-presets":
+            print(list_presets())
+            return EXIT_PASS
+        return run_experiment(args.config, args.output)
+    except Exception:  # not a config error, numerical failure or failed check
+        traceback.print_exc()
+        return EXIT_PROGRAM_FAULT
 
 
 if __name__ == "__main__":

@@ -145,27 +145,23 @@ def lipschitz_sqrt_g(scale: float = 0.2, eps: float = 1.0) -> CoefficientSpec:
     )
 
 
-#: Built-in presets: name -> (factory, description, default noise (decay, scale)).
+#: Built-in presets: name -> (factory, description).
 PRESETS = {
     "allen-cahn": (
         allen_cahn,
         "f(x) = eps^-2 (x - x^3), additive unit diffusion; the phase-field benchmark",
-        (3.0, 1.0),
     ),
     "double-well": (
         double_well,
         "double-well drift x - x^3 with small quadratic-growth diffusion",
-        (3.0, 1.0),
     ),
     "cubic-with-quadratic-g": (
         cubic_with_quadratic_g,
         "cubic drift (negative leading) with quadratic diffusion",
-        (3.0, 1.0),
     ),
     "linear-ou": (
         linear_ou,
         "linear drift -x with constant diffusion; exact stationary statistics",
-        (3.0, 1.0),
     ),
 }
 

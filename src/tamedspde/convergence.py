@@ -227,7 +227,7 @@ class _GroupRun:
 
     def __init__(self, ratio, configs, x0, n_rows, block, stride):
         grids = [c.grid for c in configs]
-        start = np.concatenate([x0.build(g).values for g in grids])
+        start = np.concatenate([x0.build(g) for g in grids])
         self.chain = BatchChains(configs[0], np.broadcast_to(start, (n_rows, len(start))), grids)
         self.ratio, self.configs = ratio, configs
         self.cuts = [cut for cut, _ in self.chain.plan.segments]
@@ -406,7 +406,7 @@ def semigroup_error(n_cells: int, tau: float, mode: int = 1, t: float = 1.0) -> 
     """
     grid = Grid1D(n_cells)
     k = _steps_to(t, tau)
-    u_num = resolvent_rows(fem.assemble(grid), tau, sine_mode(grid, mode).values, steps=k)
+    u_num = resolvent_rows(fem.assemble(grid), tau, sine_mode(grid, mode), steps=k)
     quad_n = 8192
     xs = np.linspace(0.0, 1.0, quad_n + 1)
     exact = math.exp(-((mode * math.pi) ** 2) * t) * np.sqrt(2.0) * np.sin(mode * np.pi * xs)

@@ -15,7 +15,9 @@ tamed schemes ergodicity-preserving:
   identical noise.
 
 Every probe is deterministic in (config, seed) and acceptance bands are
-3 Monte Carlo standard errors throughout.  The four Monte Carlo probes map one
+3 Monte Carlo standard errors throughout.  Initial data and anchors are
+nodal arrays (``InitialCondition.build``); ``BatchChains`` checks their
+length against the config's grid.  The four Monte Carlo probes map one
 work item over slices of their paths: ``run_slice`` bound to a ``SliceTask``,
 plain data that pickles.
 """
@@ -32,15 +34,9 @@ import numpy as np
 from .coefficients import AssumptionReport, CoefficientSpec, eval_g
 from .convergence import fit_line
 from .engine import BatchChains, EnsembleNoise
-from .grid import (
-    GridFunction,
-    rows_h1_sq,
-    rows_l2_sq,
-    rows_lp,
-    rows_lyapunov,
-)
+from .grid import rows_h1_sq, rows_l2_sq, rows_lp, rows_lyapunov
 from .parallel import parallel_map, path_slices
-from .schemes import Scheme, SchemeConfig
+from .schemes import InitialCondition, Scheme, SchemeConfig
 
 
 class StepSizeNotCertified(ValueError):
@@ -124,7 +120,7 @@ class LyapunovProbe:
 
 def lyapunov_contraction_test(
     config: SchemeConfig,
-    anchors: Sequence[GridFunction],
+    anchors: Sequence[np.ndarray],
     n_samples: int,
     report: AssumptionReport,
 ) -> list:
@@ -141,17 +137,15 @@ def lyapunov_contraction_test(
     h, tau = config.grid.h, config.tau
     probes = []
     for a, anchor in enumerate(anchors):
-        if anchor.grid != config.grid:
-            raise ValueError("anchor grid does not match the scheme grid")
-        task = SliceTask(config, anchor.values[None], 1, observable="lyapunov")
+        task = SliceTask(config, anchor[None], 1, observable="lyapunov")
         v1 = _run_paths(task, range(a * n_samples, (a + 1) * n_samples))[0][:, -1]
         est = float(np.mean(v1))
         se = float(np.std(v1, ddof=1) / math.sqrt(n_samples))
-        x_l2 = float(rows_l2_sq(anchor.values, h))
+        x_l2 = float(rows_l2_sq(anchor, h))
         probes.append(
             LyapunovProbe(
                 anchor_l2_sq=x_l2,
-                anchor_V=float(rows_lyapunov(anchor.values, h, tau)),
+                anchor_V=float(rows_lyapunov(anchor, h, tau)),
                 estimate=est,
                 std_error=se,
                 bound=(1.0 - k1 * tau) * x_l2 + k2 * tau,
@@ -183,7 +177,7 @@ class LongRunResult:
 
 def long_run_moment_test(
     config: SchemeConfig,
-    x0: GridFunction,
+    x0: np.ndarray,
     n_paths: int,
     report: AssumptionReport,
     record_stride: int = 1000,
@@ -191,11 +185,11 @@ def long_run_moment_test(
     """Empirical E||Z_n||^2 against K2/K1 + exp(-K1 tau n) ||X0||^2."""
     require_certified(config, report)
     n_steps = config.n_steps
-    task = SliceTask(config, x0.values[None], n_steps, record_stride, "l2_sq")
+    task = SliceTask(config, x0[None], n_steps, record_stride, "l2_sq")
     all_l2, blowup_step = _run_paths(task, range(n_paths))  # (paths, n_recorded)
     steps = np.union1d(np.arange(0, n_steps, record_stride), n_steps)  # as recorded
     k1, k2 = report.lyap_contraction, report.lyap_source
-    env = k2 / k1 + np.exp(-k1 * config.tau * steps) * rows_l2_sq(x0.values, config.grid.h)
+    env = k2 / k1 + np.exp(-k1 * config.tau * steps) * rows_l2_sq(x0, config.grid.h)
     return LongRunResult(
         steps=steps,
         mean_l2_sq=all_l2.mean(axis=0),
@@ -226,8 +220,8 @@ class CouplingResult:
 
 def coupling_decay_test(
     config: SchemeConfig,
-    x0_a: GridFunction,
-    x0_b: GridFunction,
+    x0_a: np.ndarray,
+    x0_b: np.ndarray,
     n_steps: int,
     n_paths: int,
 ) -> CouplingResult:
@@ -238,7 +232,7 @@ def coupling_decay_test(
     one are rounding error and left out; with fewer than two left the slope
     is None.  A nonnegative slope is reported, not raised: a finding.
     """
-    task = SliceTask(config, np.stack([x0_a.values, x0_b.values]), n_steps, 1, "distance")
+    task = SliceTask(config, np.stack([x0_a, x0_b]), n_steps, 1, "distance")
     dist = _run_paths(task, range(n_paths))[0]  # (paths, n_steps + 1)
     mean = dist.mean(axis=0)
     steps = np.arange(n_steps + 1)
@@ -309,33 +303,21 @@ class ErgodicEstimate:
         return self.max_rel_disagreement <= self.tolerance
 
 
-@dataclass(frozen=True)
-class PrecheckResult:
-    passed: bool
-    witnesses: tuple  # points where g vanishes
-
-
-def nondegeneracy_precheck(spec: CoefficientSpec) -> PrecheckResult:
-    """Pointwise surrogate of noise nondegeneracy: g must not vanish on [-20, 20]."""
+def require_nondegenerate(spec: CoefficientSpec) -> None:
+    """What ``ergodic_limit_test`` checks before any step, a pointwise surrogate
+    of noise nondegeneracy: a ``ValueError`` if g vanishes on [-20, 20]."""
     xi = np.linspace(-20.0, 20.0, 20_001)
     gv = np.abs(eval_g(spec, xi))
-    tol = 1e-12 * max(1.0, float(gv.max()))
-    bad = xi[gv <= tol]
-    return PrecheckResult(passed=bad.size == 0, witnesses=tuple(float(b) for b in bad[:8]))
-
-
-def require_nondegenerate(spec: CoefficientSpec) -> None:
-    """What ``ergodic_limit_test`` checks before any step: a ``ValueError``
-    unless ``nondegeneracy_precheck`` passes."""
-    pre = nondegeneracy_precheck(spec)
-    if not pre.passed:
-        raise ValueError(f"nondegeneracy precheck failed: g vanishes at {pre.witnesses}")
+    bad = xi[gv <= 1e-12 * max(1.0, float(gv.max()))]
+    if bad.size:
+        witnesses = tuple(float(b) for b in bad[:8])
+        raise ValueError(f"nondegeneracy precheck failed: g vanishes at {witnesses}")
 
 
 def ergodic_limit_test(
     config: SchemeConfig,
     observables: Sequence[str],
-    x0_list: Sequence[GridFunction],
+    x0_list: Sequence[np.ndarray],
     burn_in_steps: int,
     tolerance: float = 0.05,
     record_stride: int = 1,
@@ -351,7 +333,7 @@ def ergodic_limit_test(
     if not 0 <= burn_in_steps < n_steps:
         raise ValueError(f"burn-in {burn_in_steps} must be < horizon {n_steps}")
     fns = {name: OBSERVABLE_ROWS[name] for name in observables}
-    chains = BatchChains(config, np.stack([x.values for x in x0_list]))
+    chains = BatchChains(config, np.stack(x0_list))
     noise = EnsembleNoise(config, range(len(x0_list)))
     series = {name: [] for name in fns}
     rec_steps = []
@@ -417,7 +399,7 @@ def em_blowup_probe(
     tamed = replace(config, scheme=Scheme.GTEM)
     rows = []
     for amp in amplitudes:
-        x0 = np.sin(np.pi * config.grid.nodes)[None] * amp
+        x0 = InitialCondition("sine", amplitude=amp).build(config.grid)[None]
         untamed_f, tamed_f = (
             int((_run_paths(SliceTask(cfg, x0, cfg.n_steps), range(n_paths))[1] >= 0).sum())
             / n_paths for cfg in (untamed, tamed))

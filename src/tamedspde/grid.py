@@ -1,8 +1,9 @@
 """Uniform 1D Dirichlet mesh, nodal functions, and the norms used throughout.
 
 The domain is the unit interval (0, 1) with homogeneous Dirichlet boundary
-conditions.  A ``GridFunction`` stores the interior nodal values of a
-continuous piecewise-linear function; boundary values are identically zero.
+conditions.  A nodal function is the float64 array of the interior values of
+a continuous piecewise-linear function; boundary values are identically
+zero, so an array of n - 1 values lives on the mesh of n cells.
 Norms provided, each defined once over the rows of a (paths, nodes) matrix:
 
 - ``rows_l2_sq``:    squared L2 norm of the interpolant, via the P1 mass matrix.
@@ -10,7 +11,7 @@ Norms provided, each defined once over the rows of a (paths, nodes) matrix:
 - ``rows_lp``:       L^p norm by composite trapezoid quadrature at the nodes.
 - ``rows_lyapunov``: the Lyapunov functional ||Z||^2 + 2 tau ||grad Z||^2.
 
-``l2_norm`` is the scalar L2 norm of one ``GridFunction``, a 1-row view.
+``l2_norm`` is the scalar L2 norm of one nodal array, a 1-row view.
 
 The spectral decomposition (``sine_transform``) uses the continuum Dirichlet
 eigenbasis e_k(x) = sqrt(2) sin(k pi x) sampled at the nodes.  Coefficients
@@ -20,7 +21,7 @@ exact: the sum of squared coefficients equals l2_norm(u)**2 to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -57,33 +58,11 @@ class Grid1D:
         return self.n_cells % coarse.n_cells == 0
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
-
-
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    """Interior nodal values of a piecewise-linear function vanishing at 0 and 1."""
-
-    grid: Grid1D
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.grid.n_interior,):
-            raise ValueError(
-                f"expected {self.grid.n_interior} interior values, got shape {vals.shape}"
-            )
-        object.__setattr__(self, "values", _readonly(vals))
-
-
-def sine_mode(grid: Grid1D, k: int) -> GridFunction:
+def sine_mode(grid: Grid1D, k: int) -> np.ndarray:
     """Interpolant of the eigenfunction e_k(x) = sqrt(2) sin(k pi x)."""
     if not 1 <= k <= grid.n_interior:
         raise ValueError(f"mode k must be in [1, {grid.n_interior}], got {k}")
-    return GridFunction(grid, np.sqrt(2.0) * np.sin(k * np.pi * grid.nodes))
+    return np.sqrt(2.0) * np.sin(k * np.pi * grid.nodes)
 
 
 def mass_weights(grid: Grid1D) -> np.ndarray:
@@ -120,12 +99,13 @@ def rows_lyapunov(v: np.ndarray, h: float, tau: float) -> np.ndarray:
     return rows_l2_sq(v, h) + 2.0 * tau * rows_h1_sq(v, h)
 
 
-def l2_norm(u: GridFunction) -> float:
-    """(u^T M u)^(1/2): the exact L2 norm of the piecewise-linear interpolant."""
-    return float(np.sqrt(max(rows_l2_sq(u.values, u.grid.h), 0.0)))
+def l2_norm(u: np.ndarray) -> float:
+    """(u^T M u)^(1/2): the exact L2 norm of the piecewise-linear interpolant
+    of the interior values ``u``, on the mesh of len(u) + 1 cells."""
+    return float(np.sqrt(max(rows_l2_sq(u, Grid1D(len(u) + 1).h), 0.0)))
 
 
-def sine_transform(u: GridFunction) -> np.ndarray:
+def sine_transform(u: np.ndarray) -> np.ndarray:
     """Sine-basis coefficients of u: ``c[k-1]`` multiplies e_k(x) = sqrt(2) sin(k pi x).
 
     The coefficients carry the mass weights, so sum(c**2) equals the
@@ -133,6 +113,6 @@ def sine_transform(u: GridFunction) -> np.ndarray:
     """
     # DST-I: y[k] = 2 sum_i v_i sin(pi (k+1)(i+1)/n); nodal expansion
     # coefficient of sqrt(2) sin(k pi x) is dst(v)[k] / (n sqrt(2)).
-    n = u.grid.n_cells
-    c = scipy.fft.dst(u.values, type=1) / (n * np.sqrt(2.0))
-    return c * np.sqrt(mass_weights(u.grid))
+    grid = Grid1D(len(u) + 1)
+    c = scipy.fft.dst(u, type=1) / (grid.n_cells * np.sqrt(2.0))
+    return c * np.sqrt(mass_weights(grid))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSpec
-from .grid import Grid1D, GridFunction
+from .grid import Grid1D
 from .noise import QWienerSpec
 
 OVERFLOW_GUARD = 1e12
@@ -43,7 +43,7 @@ class Scheme(str, enum.Enum):
 
 @dataclass(frozen=True)
 class InitialCondition:
-    """Closed-form initial data interpolated to the nodes.
+    """Closed-form initial data interpolated to the interior nodes.
 
     kinds: "zero"; "sine" (amplitude * sin(mode pi x)); "const" (amplitude on
     the interior); "bump" (amplitude * exp(-((x - center)/width)^2 / 2)).
@@ -55,19 +55,17 @@ class InitialCondition:
     center: float = 0.5
     width: float = 0.1
 
-    def build(self, grid: Grid1D) -> GridFunction:
+    def build(self, grid: Grid1D) -> np.ndarray:
         x = grid.nodes
         if self.kind == "zero":
-            v = np.zeros_like(x)
-        elif self.kind == "sine":
-            v = self.amplitude * np.sin(self.mode * np.pi * x)
-        elif self.kind == "const":
-            v = np.full_like(x, self.amplitude)
-        elif self.kind == "bump":
-            v = self.amplitude * np.exp(-(((x - self.center) / self.width) ** 2) / 2.0)
-        else:
-            raise ValueError(f"unknown initial-condition kind {self.kind!r}")
-        return GridFunction(grid, v)
+            return np.zeros_like(x)
+        if self.kind == "sine":
+            return self.amplitude * np.sin(self.mode * np.pi * x)
+        if self.kind == "const":
+            return np.full_like(x, self.amplitude)
+        if self.kind == "bump":
+            return self.amplitude * np.exp(-(((x - self.center) / self.width) ** 2) / 2.0)
+        raise ValueError(f"unknown initial-condition kind {self.kind!r}")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 
 import tamedspde
 from tamedspde import cli, convergence, engine, fem, noise
-from tamedspde.cli import EXIT_NUMERICAL_FAILURE, KINDS, main, read_config
+from tamedspde.cli import EXIT_NUMERICAL_FAILURE, EXIT_PROGRAM_FAULT, KINDS, main, read_config
 from tamedspde.fem import dispersion_eigenvalue
 from tamedspde.grid import Grid1D
 from tamedspde.reporting import format_value
@@ -37,12 +37,27 @@ def read_outputs(out_dir):
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.is_file()}
 
 
+LIST_PRESETS = """\
+built-in coefficient presets:
+  allen-cahn: f(x) = eps^-2 (x - x^3), additive unit diffusion; the phase-field benchmark
+      drift = (0.0, 1.0, 0.0, -1.0), diffusion = (1.0,), q = 2
+      default noise: eigenvalue decay k^-3, scale 1, truncation tied to the mesh
+  double-well: double-well drift x - x^3 with small quadratic-growth diffusion
+      drift = (0.0, 1.0, 0.0, -1.0), diffusion = (0.1, 0.0, 0.05), q = 2
+      default noise: eigenvalue decay k^-3, scale 1, truncation tied to the mesh
+  cubic-with-quadratic-g: cubic drift (negative leading) with quadratic diffusion
+      drift = (0.0, 1.0, 0.5, -2.0), diffusion = (0.1, 0.0, 0.1), q = 2
+      default noise: eigenvalue decay k^-3, scale 1, truncation tied to the mesh
+  linear-ou: linear drift -x with constant diffusion; exact stationary statistics
+      drift = (0.0, -1.0), diffusion = (1.0,), q = 0
+      default noise: eigenvalue decay k^-3, scale 1, truncation tied to the mesh
+"""
+
+
 def test_list_presets(capsys):
+    # The whole text: the noise line is the [noise] defaults every run starts from.
     assert main(["list-presets"]) == 0
-    out = capsys.readouterr().out
-    assert "allen-cahn" in out
-    assert out.count("\n      drift") >= 4
-    assert "variant" not in out  # the scheme, not the preset, says what is tamed
+    assert capsys.readouterr().out == LIST_PRESETS
 
 
 def test_malformed_config_names_field(tmp_path, capsys):
@@ -483,16 +498,71 @@ def test_an_unfittable_semigroup_ladder_is_a_failed_check(tmp_path, capsys, monk
     assert [row.split(",")[0] for row in table[1:]] == ["8", "16", "32", "64"]
 
 
-def test_a_value_error_in_compute_is_a_program_fault_not_a_config_error(tmp_path, monkeypatch):
+def test_a_value_error_in_compute_is_a_program_fault_not_a_config_error(tmp_path, capsys,
+                                                                         monkeypatch):
     def fault(*args, **kwargs):
         raise ValueError("a fault in the program")
 
     monkeypatch.setattr(engine.BatchChains, "advance", fault)
     out = tmp_path / "out"
     cfg = write(tmp_path / "sim.ini", render("simulate", out, ALLEN_CAHN_16))
-    with pytest.raises(ValueError, match="a fault in the program"):
-        main(["run", str(cfg)])
+    assert main(["run", str(cfg)]) == EXIT_PROGRAM_FAULT == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):"), err
+    assert err.splitlines()[-1] == "ValueError: a fault in the program"
     assert (out / "resolved_config.ini").exists() and not (out / "verdict.txt").exists()
+
+
+# case -> (kind, sections, first stderr line): a key the run would not read,
+# given a value other than its default.
+NOT_ALLEN_CAHN = "cannot be given unless preset = allen-cahn, the one that reads it"
+UNREAD_KEYS = {
+    "epsilon-with-double-well": (
+        "simulate", {**SCHEME_16, "coefficients": {"preset": "double-well", "epsilon": "0.25"}},
+        f"[coefficients] epsilon {NOT_ALLEN_CAHN}"),
+    "g0-with-double-well": (
+        "simulate", {**SCHEME_16, "coefficients": {"preset": "double-well", "g0": "0.5"}},
+        f"[coefficients] g0 {NOT_ALLEN_CAHN}"),
+    "epsilon-without-preset": (
+        "simulate", {**SCHEME_16, "coefficients": {"drift": "0, -1", "diffusion": "1", "q": "0",
+                                                   "epsilon": "0.5"}},
+        f"[coefficients] epsilon {NOT_ALLEN_CAHN}"),
+    "strong-tau-ladder-n_cells": (
+        "strong-rate", {**ALLEN_CAHN_16, "ladder": {
+            "axis": "tau", "taus": "0.03125, 0.0625, 0.125, 0.25", "n_cells": "2, 4, 8, 16"}},
+        "[ladder] n_cells cannot be given on a tau ladder, whose mesh is [grid] n_cells"),
+    "semigroup-tau-ladder-n_cells": (
+        "semigroup-rate", {"ladder": {"axis": "tau", "taus": "0.1, 0.05, 0.025, 0.0125",
+                                      "n_cells": "8, 16, 32, 64"}},
+        "[ladder] n_cells cannot be given on a tau ladder, whose mesh is [ladder] fixed_n_cells"),
+    "strong-h-ladder-taus": (
+        "strong-rate", {**ALLEN_CAHN_16, "ladder": {
+            "axis": "h", "n_cells": "2, 4, 8, 16", "taus": "0.03125, 0.0625, 0.125, 0.25"}},
+        "[ladder] taus cannot be given on a strong-rate h ladder, whose tau is [scheme] tau"),
+    **{f"strong-ladder-{key}": (
+        "strong-rate", {**ALLEN_CAHN_16, "ladder": {"axis": "h", "n_cells": "2, 4, 8, 16",
+                                                    key: value}},
+        f"[ladder] {key} cannot be given on a strong-rate ladder; only semigroup-rate reads it")
+       for key, value in (("t", "3.0"), ("mode", "7"), ("fixed_n_cells", "64"))},
+    "semigroup-h-ladder-fixed_n_cells": (
+        "semigroup-rate", {"ladder": {"axis": "h", "n_cells": "8, 16, 32, 64",
+                                      "fixed_n_cells": "64"}},
+        "[ladder] fixed_n_cells cannot be given on an h ladder, "
+        "whose meshes are [ladder] n_cells"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_KEYS))
+def test_a_key_the_run_would_not_read_is_rejected_before_the_output_directory(
+    tmp_path, capsys, monkeypatch, case
+):
+    forbid_compute(monkeypatch)
+    kind, sections, message = UNREAD_KEYS[case]
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "unread.ini", render(kind, out, sections))
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == f"config error: {message}"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("variant, kind", [("both_a", "gtem"), ("both_b", "gtem_b"),

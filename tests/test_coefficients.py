@@ -193,14 +193,14 @@ def test_check_assumptions_q_zero_flag():
 
 def test_presets_all_pass_with_default_noise():
     assert len(PRESETS) >= 4
-    for name, (factory, _desc, (decay, scale)) in PRESETS.items():
-        rep = check_assumptions(factory(), QWienerSpec(decay, scale, 255))
+    for name, (factory, _desc) in PRESETS.items():
+        rep = check_assumptions(factory(), QWienerSpec(3.0, 1.0, 255))
         assert rep.feasible, name
 
 
 SCAN_CASES = [
-    *((name, factory(), QWienerSpec(decay, scale, 255), 200_001)
-      for name, (factory, _desc, (decay, scale)) in PRESETS.items()),
+    *((name, factory(), QWienerSpec(3.0, 1.0, 255), 200_001)
+      for name, (factory, _desc) in PRESETS.items()),
     ("lipschitz-sqrt", lipschitz_sqrt_g(), NOISE, 200_001),
     ("infeasible", CoefficientSpec(drift=(0.0, 0.0, 0.0, 1.0), diffusion=(1.0,), q=2), NOISE, 200_001),
     ("odd-scan", allen_cahn(0.5), NOISE, 123_457),

@@ -148,7 +148,7 @@ def whole_path_ladder(reference, x0, n_paths, rungs):
         sampler = PathSampler(reference.noise, reference.seed, [p], reference.tau)
         fine = np.stack([sampler.coeffs(i)[0] for i in range(n_ref)])
         ref_states, blown = march_one_path(
-            reference, x0.build(reference.grid).values,
+            reference, x0.build(reference.grid),
             synthesize(fine, reference.grid.n_cells),
         )
         assert not blown
@@ -160,7 +160,7 @@ def whole_path_ladder(reference, x0, n_paths, rungs):
                                coefficients=reference.coefficients,
                                noise=reference.noise.for_grid(grid), seed=reference.seed)
             states, blown = march_one_path(
-                cfg, x0.build(grid).values, synthesize(agg, grid.n_cells)
+                cfg, x0.build(grid), synthesize(agg, grid.n_cells)
             )
             assert not blown
             m = reference.grid.n_cells // grid.n_cells
@@ -199,7 +199,7 @@ def per_step_ladder_chunk(reference, x0, members, path_ids):
     block = math.lcm(*(m.ratio for m in members))
     sampler = PathSampler(reference.noise, reference.seed, path_ids, tau)
     n, k_ref = len(path_ids), reference.noise.truncation
-    start_values = x0.build(reference.grid).values
+    start_values = x0.build(reference.grid)
     ref = BatchChains(reference, np.broadcast_to(start_values, (n, len(start_values))))
     runs = [BatchChains(m.config, ref.states[:, m.restrict]) for m in members]
     worst = np.stack([rows_l2_sq(run.states - ref.states[:, m.restrict], m.config.grid.h)

@@ -26,13 +26,12 @@ from tamedspde.ergodicity import (
     ergodic_limit_test,
     long_run_moment_test,
     lyapunov_contraction_test,
-    nondegeneracy_precheck,
+    require_nondegenerate,
     run_slice,
 )
 from tamedspde.fem import dispersion_eigenvalue
 from tamedspde.grid import (
     Grid1D,
-    GridFunction,
     mass_weights,
     rows_l2_sq,
     rows_lyapunov,
@@ -187,12 +186,11 @@ def test_coupling_fit_leaves_out_distances_at_rounding_level():
 
 
 def test_nondegeneracy_precheck():
-    assert nondegeneracy_precheck(linear_ou()).passed  # g = 1
+    require_nondegenerate(linear_ou())  # g = 1
     vanishing = CoefficientSpec(drift=(0.0, -1.0), diffusion=(0.0, 1.0), q=0)
-    res = nondegeneracy_precheck(vanishing)  # g(x) = x vanishes at 0
-    assert not res.passed
-    assert any(abs(w) < 1e-9 for w in res.witnesses)
-    assert nondegeneracy_precheck(double_well()).passed  # g = 0.1 + 0.05 x^2
+    with pytest.raises(ValueError, match=r"precheck failed: g vanishes at \(0\.0,\)$"):
+        require_nondegenerate(vanishing)  # g(x) = x vanishes at 0
+    require_nondegenerate(double_well())  # g = 0.1 + 0.05 x^2
 
 
 def test_ergodic_limit_linear_oracle():
@@ -295,7 +293,7 @@ def test_mode1_observable_matches_sine_transform():
                            coefficients=AC, noise=QWienerSpec(3.0, 1.0, n_cells - 1))
         rows = rng.standard_normal((5, grid.n_interior)) * rng.uniform(0.1, 10.0, (5, 1))
         got = OBSERVABLE_ROWS["mode1"](rows, cfg)
-        expected = [sine_transform(GridFunction(grid, r))[0] for r in rows]
+        expected = [sine_transform(r)[0] for r in rows]
         assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
 
 
@@ -337,7 +335,7 @@ def chunk_chains(cfg, x0_values, ids):
 def oracle_long_run(cfg, x0, n_paths, stride):
     l2, n_blow = [], 0
     for ids in chunked(n_paths):
-        chains, noise = chunk_chains(cfg, x0.values, ids)
+        chains, noise = chunk_chains(cfg, x0, ids)
         rec = []
         chains.run(noise, cfg.n_steps, stride,
                    lambda s, v: rec.append(rows_l2_sq(v, cfg.grid.h)))
@@ -350,8 +348,8 @@ def oracle_long_run(cfg, x0, n_paths, stride):
 def oracle_coupling(cfg, x0_a, x0_b, n_steps, n_paths):
     dist = []
     for ids in chunked(n_paths):
-        a, noise = chunk_chains(cfg, x0_a.values, ids)
-        b, _ = chunk_chains(cfg, x0_b.values, ids)
+        a, noise = chunk_chains(cfg, x0_a, ids)
+        b, _ = chunk_chains(cfg, x0_b, ids)
         d = [rows_l2_sq(a.states - b.states, cfg.grid.h)]
         for n in range(n_steps):
             vals = noise.value_rows(n)
@@ -374,7 +372,7 @@ def oracle_blowups(cfg, x0_values, n_paths):
 def oracle_lyapunov(cfg, anchor, a, n_samples):
     v1 = []
     for ids in chunked(n_samples, a * n_samples):
-        chains, noise = chunk_chains(cfg, anchor.values, ids)
+        chains, noise = chunk_chains(cfg, anchor, ids)
         chains.advance(noise.value_rows(0))
         v1.append(rows_lyapunov(chains.states, cfg.grid.h, cfg.tau))
     v1 = np.concatenate(v1)
@@ -446,10 +444,9 @@ def test_ergodic_rows_match_chunked_oracle(monkeypatch, n_cells):
     grid, noise, _ = certified_setup(n_cells)
     cfg = SchemeConfig(tau=2.0**-6, grid=grid, horizon=16 * 2.0**-6, scheme="gtem",
                        coefficients=AC, noise=noise, seed=29)
-    x0s = np.stack([InitialCondition("sine", amplitude=a).build(grid).values
+    x0s = np.stack([InitialCondition("sine", amplitude=a).build(grid)
                     for a in np.linspace(0.0, 6.0, 60)])
-    ergodic_limit_test(cfg, ("spy",), [GridFunction(grid, x) for x in x0s],
-                       burn_in_steps=4)
+    ergodic_limit_test(cfg, ("spy",), list(x0s), burn_in_steps=4)
     chunk_states = []
     for ids in chunked(len(x0s)):
         chains = BatchChains(cfg, x0s[ids.start:ids.stop])
@@ -466,8 +463,8 @@ def test_slice_tasks_pickle_and_run_the_same_bits():
     # A work item is a module-level function bound to plain data, so a process
     # pool could ship it; unpickled, it must compute the same bits.
     cfg = ac_config(horizon=8 * 2.0**-6, seed=31)
-    x0_a = InitialCondition("sine", amplitude=10.0).build(GRID).values
-    x0_b = InitialCondition("sine", amplitude=2.0).build(GRID).values
+    x0_a = InitialCondition("sine", amplitude=10.0).build(GRID)
+    x0_b = InitialCondition("sine", amplitude=2.0).build(GRID)
     tasks = [SliceTask(cfg, x0_a[None], cfg.n_steps, 3, "l2_sq"),
              SliceTask(cfg, np.stack([x0_a, x0_b]), 6, 1, "distance")]
     paths = range(2 * parallel.PATH_CHUNK)  # a slice of two chunks

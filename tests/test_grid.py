@@ -3,7 +3,6 @@ import pytest
 
 from tamedspde.grid import (
     Grid1D,
-    GridFunction,
     l2_norm,
     mass_weights,
     rows_h1_sq,
@@ -17,11 +16,11 @@ from tamedspde.schemes import InitialCondition
 
 def h1_seminorm(u):
     """The exact L2 norm of the interpolant's gradient, from ``rows_h1_sq``."""
-    return float(np.sqrt(rows_h1_sq(u.values, u.grid.h)))
+    return float(np.sqrt(rows_h1_sq(u, 1.0 / (len(u) + 1))))
 
 
 def random_function(grid, rng, scale=1.0):
-    return GridFunction(grid, scale * rng.standard_normal(grid.n_interior))
+    return scale * rng.standard_normal(grid.n_interior)
 
 
 def test_grid_validation():
@@ -30,8 +29,6 @@ def test_grid_validation():
     g = Grid1D(8)
     assert g.h * g.n_cells == 1.0
     assert len(g.nodes) == 7
-    with pytest.raises(ValueError):
-        GridFunction(g, np.zeros(5))
 
 
 def test_l2_norm_zero_and_homogeneity():
@@ -39,7 +36,7 @@ def test_l2_norm_zero_and_homogeneity():
     assert l2_norm(InitialCondition("zero").build(g)) == 0.0
     rng = np.random.default_rng(1)
     u = random_function(g, rng)
-    assert np.isclose(l2_norm(GridFunction(g, -3.0 * u.values)), 3.0 * l2_norm(u), rtol=1e-13)
+    assert np.isclose(l2_norm(-3.0 * u), 3.0 * l2_norm(u), rtol=1e-13)
 
 
 def test_l2_norm_sine_mode_quadrature_oracle():
@@ -55,7 +52,7 @@ def test_h1_seminorm_sine_and_hat():
     u = sine_mode(Grid1D(256), 1)
     assert abs(h1_seminorm(u) - np.pi) <= 0.01  # integral(2 pi^2 cos^2) = pi^2
     g = Grid1D(4)
-    hat = GridFunction(g, np.array([0.0, 1.0, 0.0]))
+    hat = np.array([0.0, 1.0, 0.0])
     # piecewise-linear gradient integral: two elements of slope +-1/h
     assert np.isclose(h1_seminorm(hat), np.sqrt(2.0 / g.h), rtol=1e-14)
     assert h1_seminorm(InitialCondition("zero").build(g)) == 0.0
@@ -63,7 +60,7 @@ def test_h1_seminorm_sine_and_hat():
 
 def test_lp_norms():
     g = Grid1D(256)
-    assert rows_lp(InitialCondition("zero").build(g).values, g.h, 3.0) == 0.0
+    assert rows_lp(InitialCondition("zero").build(g), g.h, 3.0) == 0.0
     assert rows_lp(np.ones(g.n_interior), g.h, np.inf) == 1.0
     u = np.sin(np.pi * g.nodes)
     assert abs(rows_lp(u, g.h, 4.0) - (3.0 / 8.0) ** 0.25) <= 1e-3  # integral(sin^4) = 3/8
@@ -82,7 +79,7 @@ def test_sine_transform_orthogonality_and_roundtrip():
         g = Grid1D(n)
         u = random_function(g, rng)
         back = synthesize(sine_transform(u) / np.sqrt(mass_weights(g)), n)
-        assert np.max(np.abs(back - u.values)) <= 1e-10
+        assert np.max(np.abs(back - u)) <= 1e-10
 
 
 def test_parseval():
@@ -98,8 +95,8 @@ def test_parseval():
     [
         l2_norm,
         h1_seminorm,
-        lambda u: rows_lp(u.values, u.grid.h, 3.0),
-        lambda u: rows_lp(u.values, u.grid.h, np.inf),
+        lambda u: rows_lp(u, 1.0 / (len(u) + 1), 3.0),
+        lambda u: rows_lp(u, 1.0 / (len(u) + 1), np.inf),
     ],
 )
 def test_norm_homogeneity_and_triangle(norm):
@@ -108,7 +105,6 @@ def test_norm_homogeneity_and_triangle(norm):
     for _ in range(25):
         u, v = random_function(g, rng), random_function(g, rng)
         c = float(rng.standard_normal())
-        cu = GridFunction(g, c * u.values)
-        assert np.isclose(norm(cu), abs(c) * norm(u), rtol=1e-10, atol=1e-14)
-        assert norm(GridFunction(g, u.values + v.values)) <= norm(u) + norm(v) + 1e-12
+        assert np.isclose(norm(c * u), abs(c) * norm(u), rtol=1e-10, atol=1e-14)
+        assert norm(u + v) <= norm(u) + norm(v) + 1e-12
 

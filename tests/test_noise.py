@@ -189,7 +189,7 @@ def test_mode_variance_mc_oracle():
     tau, n = 0.01, 10_000
     spec = QWienerSpec(3.0, 1.0, 63)
     values = EnsembleNoise(noise_config(spec, tau=tau, seed=7), range(n)).value_rows(0)
-    m_e1 = mass_matvec_rows(assemble(GRID), sine_mode(GRID, 1).values)
+    m_e1 = mass_matvec_rows(assemble(GRID), sine_mode(GRID, 1))
     proj = values @ m_e1  # mass inner product with e_1
     var = proj.var(ddof=1)
     se = var * np.sqrt(2.0 / (n - 1))  # SE of a variance estimate

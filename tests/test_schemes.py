@@ -32,7 +32,7 @@ def heat_config(n_cells=64, tau=0.05, horizon=1.0):
 
 def run_path(config, x0, path_id, record_stride=1):
     """One path as a 1-row ensemble: (recorded steps, recorded states, chains)."""
-    chains = BatchChains(config, x0.values)
+    chains = BatchChains(config, x0)
     steps, states = [], []
 
     def record(step, rows):
@@ -72,7 +72,7 @@ def test_heat_decay_matches_resolvent_powers():
 def test_zero_is_fixed_point_on_zero_noise_path():
     cfg = SchemeConfig(tau=0.1, grid=Grid1D(32), horizon=1.0, scheme="gtem",
                        coefficients=allen_cahn(1.0), noise=QWienerSpec(3.0, 1.0, 31))
-    chains = BatchChains(cfg, InitialCondition("zero").build(cfg.grid).values)
+    chains = BatchChains(cfg, InitialCondition("zero").build(cfg.grid))
     for _ in range(10):
         chains.advance(np.zeros((1, cfg.grid.n_interior)))
         assert np.all(chains.states == 0.0)  # f(0) = 0, g dampened by zero noise
@@ -96,7 +96,7 @@ def test_step_depends_only_on_state_and_increment():
                        seed=7)
     x0 = InitialCondition("sine", amplitude=1.0).build(cfg.grid)
     noise = EnsembleNoise(cfg, [0])
-    chains = BatchChains(cfg, x0.values)
+    chains = BatchChains(cfg, x0)
     for n in range(3):
         chains.advance(noise.value_rows(n))
     # a fresh copy of the same values must step identically
@@ -130,7 +130,7 @@ def test_blowup_flag_is_sticky_and_state_frozen():
     grid = Grid1D(8)
     cfg = SchemeConfig(tau=0.5, grid=grid, horizon=5.0, scheme="untamed_em",
                        coefficients=allen_cahn(0.3), noise=QWienerSpec(3.0, 1e-30, 7))
-    chains = BatchChains(cfg, InitialCondition("sine", amplitude=30.0).build(grid).values)
+    chains = BatchChains(cfg, InitialCondition("sine", amplitude=30.0).build(grid))
     zero = np.zeros((1, grid.n_interior))
     while not chains.blown[0]:
         chains.advance(zero)
@@ -182,8 +182,8 @@ def test_run_stops_stepping_once_every_row_is_frozen(monkeypatch):
 
 def test_lyapunov_functional():
     g = Grid1D(256)
-    assert rows_lyapunov(InitialCondition("zero").build(g).values, g.h, 0.1) == 0.0
-    u = sine_mode(g, 1).values
+    assert rows_lyapunov(InitialCondition("zero").build(g), g.h, 0.1) == 0.0
+    u = sine_mode(g, 1)
     assert abs(rows_lyapunov(u, g.h, 0.1) - (1.0 + 0.2 * np.pi**2)) <= 0.02
     rng = np.random.default_rng(8)
     v = rng.standard_normal((3, 255))
@@ -200,12 +200,12 @@ def test_single_step_tau_continuity():
     base = SchemeConfig(tau=0.01, grid=grid, horizon=0.01, scheme="drift_gtem",
                         coefficients=allen_cahn(1.0), noise=noise, seed=5)
     inc_values = EnsembleNoise(base, [0]).value_rows(0)
-    limit = x0.values + eval_g(allen_cahn(1.0), x0.values) * inc_values[0]
+    limit = x0 + eval_g(allen_cahn(1.0), x0) * inc_values[0]
     errs = []
     for tau in (0.02, 0.01, 0.005, 0.0025):
         cfg = SchemeConfig(tau=tau, grid=grid, horizon=tau, scheme="drift_gtem",
                            coefficients=allen_cahn(1.0), noise=noise)
-        out, _ = step_rows(step_plan(cfg), x0.values[None, :], inc_values)
+        out, _ = step_rows(step_plan(cfg), x0[None, :], inc_values)
         errs.append(np.linalg.norm(out[0] - limit))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     for r in ratios:
@@ -245,7 +245,7 @@ def test_record_stride_and_initial_conditions():
     assert steps[0] == 0 and steps[-1] == cfg.n_steps
     assert all(s % 7 == 0 for s in steps[1:-1])
     const = InitialCondition("const", amplitude=2.5).build(cfg.grid)
-    assert np.all(const.values == 2.5)
+    assert np.all(const == 2.5)
     with pytest.raises(ValueError):
         InitialCondition("wavelet").build(cfg.grid)
     with pytest.raises(ValueError):
@@ -261,7 +261,7 @@ def test_nonfinite_rhs_row_freezes_alone():
     cfg = SchemeConfig(tau=0.125, grid=Grid1D(16), horizon=1.0, scheme="gtem",
                        coefficients=allen_cahn(1.0), noise=QWienerSpec(3.0, 1.0, 15),
                        seed=2)
-    x0 = np.stack([InitialCondition("sine", amplitude=a).build(cfg.grid).values
+    x0 = np.stack([InitialCondition("sine", amplitude=a).build(cfg.grid)
                    for a in (0.5, 1.0, 2.0)])
     noise = EnsembleNoise(cfg, range(3)).value_rows  # step-n noise: noise(n - 1)
     chains = BatchChains(cfg, x0)

@@ -4,7 +4,7 @@
     python3 tools/same_bits.py PARENT CHANGE
 
 PARENT and CHANGE are the roots of two checkouts; each runs with its own
-``src/`` on the path.  Two comparisons:
+``src/`` on the path.  Three comparisons:
 
 - Every ``configs/*.ini`` that both checkouts have is run by each with
   ``tamedspde run CONFIG --output DIR``, and once more by CHANGE on two
@@ -18,6 +18,8 @@ PARENT and CHANGE are the roots of two checkouts; each runs with its own
   seed, are run by each through its own ``perfbench/workloads.py`` (imported,
   not edited).  The SHA-256 of each round's payload, as sorted JSON, must
   be equal.
+- ``tamedspde list-presets``, the one CLI output no config run covers: its
+  exit code and stdout must be byte-identical.
 
 Both run at one BLAS thread and, but for the second CHANGE run of each
 config, one worker.  Everything is written to a
@@ -144,6 +146,15 @@ def compare_configs(parent: Path, change: Path, tmp: Path) -> int:
     return mismatches
 
 
+def compare_list_presets(parent: Path, change: Path, tmp: Path) -> int:
+    a, b = (subprocess.run([sys.executable, "-m", "tamedspde.cli", "list-presets"], cwd=tmp,
+                           env=child_env(root), capture_output=True)
+            for root in (parent, change))
+    same = (a.returncode, a.stdout) == (b.returncode, b.stdout)
+    print(f"{'same' if same else 'DIFF'}  list-presets")
+    return int(not same)
+
+
 def payload_digests(root: Path, tmp: Path) -> list:
     proc = subprocess.run(
         [sys.executable, "-c", PAYLOAD_DIGESTS], cwd=tmp, env=child_env(root),
@@ -175,6 +186,7 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         mismatches = compare_configs(parent, change, tmp)
         mismatches += compare_payloads(parent, change, tmp)
+        mismatches += compare_list_presets(parent, change, tmp)
     print("same bits" if mismatches == 0 else f"{mismatches} mismatches")
     return 0 if mismatches == 0 else 1
 
