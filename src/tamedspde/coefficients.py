@@ -211,8 +211,9 @@ def _abs_pow(x, m: int):
     return x2 ** (m // 2) * np.abs(x)
 
 
-def _check_tau(tau: float) -> None:
-    if not 0.0 < tau <= 1.0:
+def _check_tau(tau) -> None:
+    t = np.asarray(tau)
+    if not np.all((0.0 < t) & (t <= 1.0)):  # NaN fails too
         raise ValueError(f"tau must be in (0, 1], got {tau}")
 
 
@@ -230,22 +231,31 @@ def eval_g_tau(spec: CoefficientSpec, tau: float, xi, power: int):
     return eval_g(spec, xi) / np.sqrt(1.0 + math.sqrt(tau) * x2**power)
 
 
-def eval_f_tau_prime(spec: CoefficientSpec, tau: float, xi):
+def eval_f_tau_prime(spec: CoefficientSpec, tau, xi):
     """Derivative of the tamed drift, in closed form.
 
     d/dx [f (1 + tau |x|^{2q})^{-1/2}]
         = ((1 + tau |x|^{2q}) f'(x) - q tau |x|^{2(q-1)} x f(x))
           / (1 + tau |x|^{2q})^{3/2}
+
+    ``tau`` may be a column of step sizes (shape (m, 1)): each row of the
+    result is then the derivative at one of them, bit for bit, while the
+    tau-free factors f', f and the powers of |x| are computed once.  The
+    in-place operations keep the order of the formula's products.
     """
     _check_tau(tau)
     q = spec.q
-    p = _abs_pow(xi, 2 * q)
-    numer = (1.0 + tau * p) * eval_f_prime(spec, xi)
+    x = np.asarray(xi, dtype=np.float64)
+    damp = 1.0 + tau * _abs_pow(x, 2 * q)
+    numer = damp * eval_f_prime(spec, x)
     if q > 0:
-        numer = numer - q * tau * _abs_pow(xi, 2 * (q - 1)) * np.asarray(xi) * eval_f(
-            spec, xi
-        )
-    return numer / (1.0 + tau * p) ** 1.5
+        drift_term = q * tau * _abs_pow(x, 2 * (q - 1))
+        drift_term *= x
+        drift_term *= eval_f(spec, x)
+        numer -= drift_term
+    damp **= 1.5
+    numer /= damp
+    return numer
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +333,11 @@ def _edge_trend_ok(margin_of, xi: np.ndarray):
 # the scan grid itself, holds one tile, not the whole scan.
 _SCAN_TILE = 1 << 14
 
+# The step sizes at which the scan takes the sup of f_tau', as a column: the
+# tamed derivative is evaluated at all of them at once, on sub-tiles of
+# _SCAN_TILE // len(_SCAN_TAUS) points, so that it too holds one tile.
+_SCAN_TAUS = np.concatenate([np.logspace(-4, 0, 17), [1e-6]])[:, None]
+
 
 class _ScanMax:
     """np.max, and the first-occurrence np.argmax, of a scan fed tile by tile."""
@@ -380,12 +395,12 @@ def check_assumptions(
     c_q = c_q_constant(noise_spec)
     lead_combo = spec.drift_leading + spec.diffusion_leading**2 * c_q
     coercive_decay = (1.0 - _PAD) * abs(lead_combo) if lead_combo < 0 else None
-    tau_grid = np.concatenate([np.logspace(-4, 0, 17), [1e-6]])
+    sub_tile = _SCAN_TILE // len(_SCAN_TAUS)
     violations = []
 
     # First pass: every maximum that needs no scan-fitted constant.
     ratio, lhs0, phi, fp, deriv, sd_ratio = (_ScanMax() for _ in range(6))
-    tamed = [_ScanMax() for _ in tau_grid]
+    tamed = []  # per sub-tile, the max of f_tau' at each scanned tau
     for a, x in tiles:
         fv = eval_f(spec, x)
         fpv = eval_f_prime(spec, x)
@@ -400,8 +415,8 @@ def check_assumptions(
         deriv.add(np.abs(fpv) / (1.0 + _abs_pow(x, q)))
         if q >= 1:
             sd_ratio.add(np.abs(eval_f_second(spec, x)[outer]) / _abs_pow(x, q - 1)[outer])
-        for acc, tau in zip(tamed, tau_grid):
-            acc.add(eval_f_tau_prime(spec, float(tau), x))
+        for b in range(0, len(x), sub_tile):
+            tamed.append(np.max(eval_f_tau_prime(spec, _SCAN_TAUS, x[b:b + sub_tile]), axis=1))
 
     # Second pass: the offsets fitted after their scales.
     growth_scale = (1.0 + _PAD) * max(ratio.max(), abs(spec.drift_leading), 1e-12)
@@ -475,8 +490,8 @@ def check_assumptions(
 
     # --- tamed derivative cap: sup over tau in (0, 1], x of f_tau'
     cap = -np.inf
-    for acc in tamed:
-        cap = max(cap, acc.max())
+    for sup in np.max(tamed, axis=0):  # in _SCAN_TAUS order: max() skips a NaN sup
+        cap = max(cap, float(sup))
     tamed_cap = (1.0 + _PAD) * max(cap, 1e-12)
 
     # --- Lyapunov constants and the certified step ceiling, with beta = L2/2

@@ -17,6 +17,8 @@ The spectral decomposition (``sine_transform``) uses the continuum Dirichlet
 eigenbasis e_k(x) = sqrt(2) sin(k pi x) sampled at the nodes.  Coefficients
 carry the P1 mass weight sqrt((2 + cos(k pi h))/3), which makes Parseval
 exact: the sum of squared coefficients equals l2_norm(u)**2 to rounding.
+It imports ``scipy.fft`` when first called, not with this module, so that a
+run that never transforms does not load it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,8 @@ def sine_transform(u: np.ndarray) -> np.ndarray:
     The coefficients carry the mass weights, so sum(c**2) equals the
     squared L2 (mass-matrix) norm of u, k = 1..n_cells-1.
     """
+    import scipy.fft  # deferred, as in noise.synthesize
+
     # DST-I: y[k] = 2 sum_i v_i sin(pi (k+1)(i+1)/n); nodal expansion
     # coefficient of sqrt(2) sin(k pi x) is dst(v)[k] / (n sqrt(2)).
     grid = Grid1D(len(u) + 1)

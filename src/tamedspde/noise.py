@@ -26,7 +26,9 @@ drawn in place.
 to 64 cells by one 1-row product per row with the cached dense sine matrix,
 on wider ones by a DST-I, which needs no O(n^2) matrix.  At every mesh a
 row's values depend on neither how many rows share the call nor the BLAS
-thread count, so a path's noise is the same in any ensemble.
+thread count, so a path's noise is the same in any ensemble.  ``scipy.fft``
+is imported by the first DST, not with this module: a run whose meshes are
+all of up to 64 cells never loads it (nor the ``scipy.special`` it pulls in).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.fft
 
 from .grid import Grid1D
 
@@ -115,9 +116,10 @@ def synthesize(coeffs: np.ndarray, n_cells: int, out: np.ndarray | None = None) 
     up to ``_DENSE_MAX_CELLS`` cells take one 1-row product per row with the
     cached dense matrix: a product of several rows lets BLAS pick its kernel,
     and so a row's bits, by the row count.  Wider meshes zero-pad the rows to
-    n_cells - 1 modes and apply DST-I, which treats every row on its own.
-    ``out``, if given, receives the values (it may be a strided view, such
-    as one grid's slice of a stacked block) and is returned.
+    n_cells - 1 modes and apply DST-I, which treats every row on its own;
+    the first such call imports ``scipy.fft``.  ``out``, if given, receives
+    the values (it may be a strided view, such as one grid's slice of a
+    stacked block) and is returned.
     """
     n_modes = coeffs.shape[-1]
     if n_modes > n_cells - 1:
@@ -131,6 +133,8 @@ def synthesize(coeffs: np.ndarray, n_cells: int, out: np.ndarray | None = None) 
             return values
         out[...] = values
         return out
+    import scipy.fft  # deferred: narrow runs never load it
+
     # DST-I: y[i] = 2 sum_k c[k] sin(pi (i+1)(k+1) / n_cells)
     return np.multiply(
         scipy.fft.dst(coeffs, type=1, n=n_cells - 1, axis=-1), np.sqrt(2.0) / 2.0, out=out
@@ -197,11 +201,12 @@ class PathSampler:
         if not 0 <= step_index < 1 << 64:
             raise ValueError(f"step_index out of range: {step_index}")
         n_modes = self.spec.truncation
+        shape = (len(self._key_words), n_modes)
         if out is None:
-            out = np.empty((len(self._key_words), n_modes))
-        elif not (out.flags.c_contiguous and out.dtype == np.float64):
-            # reshape(-1) must be a view, and concatenate must not cast
-            raise ValueError("out must be a C-contiguous float64 array")
+            out = np.empty(shape)
+        elif not (out.shape == shape and out.flags.c_contiguous and out.dtype == np.float64):
+            # one row per path; reshape(-1) must be a view, and concatenate must not cast
+            raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
         self._counter[2] = step_index
         key, state, bitgen = self._key, self._state, self._bitgen
         normal = self._gen.standard_normal

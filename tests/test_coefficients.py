@@ -219,6 +219,18 @@ def test_tiled_scan_equals_a_whole_array_scan(monkeypatch, name, spec, noise, po
         assert repr(getattr(tiled, field.name)) == repr(getattr(whole, field.name)), field.name
 
 
+@pytest.mark.parametrize("name, spec, noise, points", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
+def test_scan_cap_is_the_public_tamed_derivative_formula(name, spec, noise, points):
+    # the cap is the padded sup of eval_f_tau_prime, one scalar tau at a
+    # time, over the whole scan grid
+    rep = check_assumptions(spec, noise, scan_points=points)
+    xi = np.linspace(-rep.scan_radius, rep.scan_radius, points)
+    cap = max(float(np.max(eval_f_tau_prime(spec, float(tau), xi)))
+              for tau in coefficients._SCAN_TAUS[:, 0])
+    expected = (1.0 + coefficients._PAD) * max(cap, 1e-12)
+    assert repr(rep.tamed_derivative_bound) == repr(expected)
+
+
 def test_scan_parameters_validated():
     with pytest.raises(ValueError):
         check_assumptions(allen_cahn(1.0), NOISE, scan_radius=5.0)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -136,6 +141,20 @@ def test_coeffs_rejects_an_out_that_is_not_c_contiguous_float64(n_modes):
         ps.coeffs(3, out=np.zeros((2, 2 * n_modes))[:, ::2])
     with pytest.raises(ValueError, match="float64"):
         ps.coeffs(3, out=np.zeros((2, n_modes), dtype=np.float32))
+
+
+@pytest.mark.parametrize("n_modes", [63, 1100])
+@pytest.mark.parametrize("extra_rows, extra_modes", [(-1, 0), (1, 0), (0, 1)])
+def test_coeffs_rejects_an_out_of_the_wrong_shape(n_modes, extra_rows, extra_modes):
+    # on both sides of the widest concatenated row: the in-place draw zips
+    # the path ids with the rows, so a wrong row count would drop paths or
+    # leave rows unfilled but scaled
+    assert (n_modes > noise_mod._CONCAT_MAX_MODES) == (n_modes == 1100)
+    ps = PathSampler(QWienerSpec(3.0, 1.0, n_modes), 42, [1, 2, 3], 0.01)
+    out = np.full((3 + extra_rows, n_modes + extra_modes), 123.0)
+    with pytest.raises(ValueError, match=rf"of shape \(3, {n_modes}\)"):
+        ps.coeffs(3, out=out)
+    assert np.all(out == 123.0)
 
 
 def test_multi_path_sampler_rows_equal_fresh_generators():
@@ -357,6 +376,36 @@ def test_dense_synthesis_shares_the_cache_and_wide_meshes_bypass_it(tmp_path):
                        coefficients=allen_cahn(1.0), noise=SPEC.for_grid(wide), seed=5)
     strong_error_ladder(ref, InitialCondition("sine"), 1, coarse_n_cells=[16, 32])
     assert _synth_matrix.cache_info().currsize == 2  # the 16- and 32-cell members
+
+
+NARROW_RUN_THEN_WIDE_SYNTHESIS = """
+import sys
+import numpy as np
+from tamedspde import cli
+from tamedspde.noise import synthesize
+
+assert cli.main(["run", sys.argv[1], "--output", sys.argv[2]]) == 0
+assert "scipy.fft" not in sys.modules, "a 32-cell run imported scipy.fft"
+coeffs = np.random.default_rng(5).standard_normal((3, 127))
+values = synthesize(coeffs, 128)
+assert "scipy.fft" in sys.modules, "a 128-cell synthesis ran without scipy.fft"
+dst = sys.modules["scipy.fft"].dst(coeffs, type=1, axis=-1)
+assert np.array_equal(values, dst * (np.sqrt(2.0) / 2.0))
+"""
+
+
+def test_a_narrow_run_never_imports_scipy_fft(tmp_path):
+    # a fresh interpreter: the one running the tests has loaded scipy.fft
+    root = Path(__file__).resolve().parents[1]
+    src = str(root / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", TAMEDSPDE_WORKERS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", NARROW_RUN_THEN_WIDE_SYNTHESIS,
+         str(root / "configs" / "lyapunov_allen_cahn.ini"), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_c_q_constant():
