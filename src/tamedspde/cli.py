@@ -7,8 +7,10 @@ Usage:
 
 The config file is flat INI (key = value under sections).  ``KEYS``
 declares each key once: its type, default and bounds.  ``read_config`` is
-the parse phase: a key no kind reads is an error, one only another kind
-reads is accepted; each key the kind reads is parsed and checked, then the
+the parse phase: a key no kind reads is an error, and so is a key off its
+default in a section the kind reads that the kind does not read (each kind
+reads only its own [monte_carlo] keys); a section only another kind reads
+is accepted.  Each key the kind reads is parsed and checked, then the
 checks tying one value to another, then the build step makes the model
 objects and runs the model's own checks (``_build``).  Every config error
 (exit 2) is raised there, before the output directory is made; an output
@@ -220,9 +222,9 @@ def _nearest(name: str, known) -> str:
 
 
 def _unread(cfg: dict, sections: tuple) -> dict:
-    """{(section, key): why the run does not read it}, as the preset and a
-    ladder's kind and axis decide."""
-    unread = {}
+    """{(section, key): why the run does not read it}, as the preset, the
+    kind's [monte_carlo] keys and a ladder's kind and axis decide."""
+    unread, kind = {}, cfg["experiment", "kind"]
     if "coefficients" in sections:
         preset = cfg["coefficients", "preset"]
         if preset:  # the preset's own coefficients run
@@ -231,8 +233,13 @@ def _unread(cfg: dict, sections: tuple) -> dict:
         if preset != "allen-cahn":
             for key in ("epsilon", "g0"):
                 unread["coefficients", key] = "unless preset = allen-cahn, the one that reads it"
+    if "monte_carlo" in sections:
+        reads = {"simulate": ("record_stride", "path_id"), "longrun": ("paths", "record_stride"),
+                 "ergodic": ("record_stride",)}.get(kind, ("paths",))
+        unread.update({("monte_carlo", key): f"on a {kind} run, which reads only [monte_carlo] "
+                       f"{' and '.join(reads)}" for key in KEYS["monte_carlo"] if key not in reads})
     if "ladder" in sections:
-        strong = cfg["experiment", "kind"] == "strong-rate"
+        strong = kind == "strong-rate"
         if cfg["ladder", "axis"] == "tau":
             mesh = "[grid] n_cells" if strong else "[ladder] fixed_n_cells"
             unread["ladder", "n_cells"] = f"on a tau ladder, whose mesh is {mesh}"
@@ -266,6 +273,8 @@ def _check_dependent(cfg: dict, sections: tuple) -> None:
         raw = cfg["noise", "truncation"]
         cfg["noise", "truncation"] = interior if raw == "auto" else _parse(
             "noise", "truncation", raw, Key(int, lo=1, hi=interior))
+    if "ergodic" in sections and len(cfg["ergodic", "amplitudes"]) < 2:  # nothing to agree with
+        raise ConfigError("[ergodic] amplitudes lists 1 value; the agreement check needs >= 2")
     if "ladder" in sections:
         key = "taus" if cfg["ladder", "axis"] == "tau" else "n_cells"
         values = cfg["ladder", key]
@@ -408,17 +417,12 @@ def _run_simulate(cfg: dict, model: dict, out: Path) -> list:
     config = model["config"]
     stride = cfg["monte_carlo", "record_stride"]
     chain = BatchChains(config, model["x0"].build(config.grid))
-    fns = [ergodicity.OBSERVABLE_ROWS[name] for name in SIMULATE_OBSERVABLES]
-    rows = []
-
-    def record(step, states):
-        rows.append(
-            [step, step * config.tau] + [float(fn(states, config)[0]) for fn in fns]
-        )
-
     noise = EnsembleNoise(config, [cfg["monte_carlo", "path_id"]])
-    chain.run(noise, config.n_steps, stride, record)
-    write_csv(out / "trajectory.csv", ["step", "time", *SIMULATE_OBSERVABLES], rows)
+    steps, values = chain.run(noise, config.n_steps, stride,
+                              [ergodicity.OBSERVABLE_ROWS[name] for name in SIMULATE_OBSERVABLES])
+    write_csv(out / "trajectory.csv", ["step", "time", *SIMULATE_OBSERVABLES],
+              [[step, step * config.tau, *(float(v[0, i]) for v in values)]
+               for i, step in enumerate(steps.tolist())])
     blowup_step = int(chain.blowup_step[0])
     blew = blowup_step >= 0
     return [

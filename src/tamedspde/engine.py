@@ -23,6 +23,9 @@ is not blown steps with the bits of its own one-grid plan (a grid with one
 interior node aside, see ``fem``).  The strong-error ladder steps the
 reference and its same-ratio members this way, one call per step.
 
+``BatchChains.run`` holds the one record schedule: it returns the steps it
+recorded and its observables' values there, so no driver works them out.
+
 Blow-up is detected, not raised: a row whose solution trips the overflow
 guard is frozen at its last finite state, and the failing step index is
 recorded, which is what the untamed baseline's blow-up statistics measure.
@@ -238,27 +241,27 @@ class BatchChains:
         else:
             self.states = np.where(self.blown[:, None], self.states, z)
 
-    def run(
-        self,
-        noise: EnsembleNoise,
-        n_steps: int,
-        record_stride: int = 1,
-        record=None,
-    ):
-        """Advance ``n_steps`` steps, calling ``record(step, states)`` at strides.
+    def run(self, noise: EnsembleNoise, n_steps: int, record_stride: int = 1,
+            observables: Sequence = ()):
+        """Advance ``n_steps`` steps; return the recorded ``(steps, values)``.
 
-        Records step 0, every multiple of ``record_stride`` and the last step.
-        Once every row is frozen, no noise is drawn and no step is taken: the
+        ``steps``: step 0, every multiple of ``record_stride`` and the last.
+        ``values[i]``: ``observables[i](states, plan.config)`` at each, stacked
+        on a last axis; a row-wise observable gives (rows, len(steps)).  Once
+        every row is frozen, no noise is drawn and no step is taken: the
         frozen states are recorded as they are.
         """
         if record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {record_stride}")
-        if record is not None:
-            record(0, self.states)
+        config, steps = self.plan.config, [0]
+        series = [[fn(self.states, config)] for fn in observables]
         for n in range(1, n_steps + 1):
             if self._n_blown < self.n_paths:
                 self.advance(noise.value_rows(n - 1))
             else:
                 self.step_index += 1
-            if record is not None and (n % record_stride == 0 or n == n_steps):
-                record(n, self.states)
+            if n % record_stride == 0 or n == n_steps:
+                steps.append(n)
+                for fn, s in zip(observables, series):
+                    s.append(fn(self.states, config))
+        return np.asarray(steps), [np.stack(s, axis=-1) for s in series]

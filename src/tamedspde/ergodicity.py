@@ -19,7 +19,8 @@ Every probe is deterministic in (config, seed) and acceptance bands are
 nodal arrays (``InitialCondition.build``); ``BatchChains`` checks their
 length against the config's grid.  The four Monte Carlo probes map one
 work item over slices of their paths: ``run_slice`` bound to a ``SliceTask``,
-plain data that pickles.
+plain data that pickles.  Every probe reads the steps it recorded, and its
+observables' values there, from what ``BatchChains.run`` returns.
 """
 
 from __future__ import annotations
@@ -77,24 +78,21 @@ class SliceTask:
 
 
 def run_slice(task: SliceTask, paths: range):
-    """(recorded columns (paths, records) or None, blow-up step of each row)
-    of ``paths``, stepped as one ensemble of ``len(task.starts)`` copies."""
+    """(recorded steps, recorded columns (paths, records) or None, blow-up
+    step of each row) of ``paths``, stepped as one ensemble of
+    ``len(task.starts)`` copies."""
     chains = BatchChains(task.config, np.repeat(task.starts, len(paths), axis=0))
     noise = EnsembleNoise(task.config, paths, len(task.starts))
-    if task.observable is None:
-        chains.run(noise, task.n_steps)
-        return None, chains.blowup_step
-    fn, cols = SLICE_OBSERVABLES[task.observable], []
-    chains.run(noise, task.n_steps, task.record_stride,
-               lambda s, v: cols.append(fn(v, task.config)))
-    return np.column_stack(cols), chains.blowup_step
+    fns = () if task.observable is None else (SLICE_OBSERVABLES[task.observable],)
+    steps, values = chains.run(noise, task.n_steps, task.record_stride, fns)
+    return steps, (values[0] if values else None), chains.blowup_step
 
 
 def _run_paths(task: SliceTask, paths: range):
     """``run_slice`` mapped over the slices of ``paths``, its parts joined."""
     slices = [paths[s.start:s.stop] for s in path_slices(len(paths), task.starts.size)]
-    cols, steps = zip(*parallel_map(partial(run_slice, task), slices))
-    return (None if cols[0] is None else np.vstack(cols)), np.concatenate(steps)
+    steps, cols, blowups = zip(*parallel_map(partial(run_slice, task), slices))
+    return steps[0], (None if cols[0] is None else np.vstack(cols)), np.concatenate(blowups)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +136,7 @@ def lyapunov_contraction_test(
     probes = []
     for a, anchor in enumerate(anchors):
         task = SliceTask(config, anchor[None], 1, observable="lyapunov")
-        v1 = _run_paths(task, range(a * n_samples, (a + 1) * n_samples))[0][:, -1]
+        v1 = _run_paths(task, range(a * n_samples, (a + 1) * n_samples))[1][:, -1]
         est = float(np.mean(v1))
         se = float(np.std(v1, ddof=1) / math.sqrt(n_samples))
         x_l2 = float(rows_l2_sq(anchor, h))
@@ -184,10 +182,8 @@ def long_run_moment_test(
 ) -> LongRunResult:
     """Empirical E||Z_n||^2 against K2/K1 + exp(-K1 tau n) ||X0||^2."""
     require_certified(config, report)
-    n_steps = config.n_steps
-    task = SliceTask(config, x0[None], n_steps, record_stride, "l2_sq")
-    all_l2, blowup_step = _run_paths(task, range(n_paths))  # (paths, n_recorded)
-    steps = np.union1d(np.arange(0, n_steps, record_stride), n_steps)  # as recorded
+    task = SliceTask(config, x0[None], config.n_steps, record_stride, "l2_sq")
+    steps, all_l2, blowup_step = _run_paths(task, range(n_paths))  # (paths, n_recorded)
     k1, k2 = report.lyap_contraction, report.lyap_source
     env = k2 / k1 + np.exp(-k1 * config.tau * steps) * rows_l2_sq(x0, config.grid.h)
     return LongRunResult(
@@ -233,9 +229,8 @@ def coupling_decay_test(
     is None.  A nonnegative slope is reported, not raised: a finding.
     """
     task = SliceTask(config, np.stack([x0_a, x0_b]), n_steps, 1, "distance")
-    dist = _run_paths(task, range(n_paths))[0]  # (paths, n_steps + 1)
+    steps, dist, _ = _run_paths(task, range(n_paths))  # (paths, n_steps + 1)
     mean = dist.mean(axis=0)
-    steps = np.arange(n_steps + 1)
     fit = mean > COUPLING_FIT_FLOOR * mean[0]  # the floor leaves rounding error out
     if fit.sum() >= 2:
         slope, intercept, r2 = fit_line(steps[fit], np.log(mean[fit]))
@@ -324,31 +319,25 @@ def ergodic_limit_test(
 ) -> list:
     """Time averages from each initial condition must agree pairwise.
 
-    Chains start from different initial data on independent noise; after
-    burn-in, each observable's time average is compared across initial
-    conditions (relative tolerance, default 5%).
+    Chains start from at least two different initial data on independent
+    noise; after burn-in, each observable's time average is compared across
+    initial conditions (relative tolerance, default 5%).
     """
     require_nondegenerate(config.coefficients)
     n_steps = config.n_steps
     if not 0 <= burn_in_steps < n_steps:
         raise ValueError(f"burn-in {burn_in_steps} must be < horizon {n_steps}")
-    fns = {name: OBSERVABLE_ROWS[name] for name in observables}
+    if len(x0_list) < 2:
+        raise ValueError(f"agreement needs >= 2 initial conditions, got {len(x0_list)}")
+    names = list(dict.fromkeys(observables))  # a repeated name is reported once
     chains = BatchChains(config, np.stack(x0_list))
     noise = EnsembleNoise(config, range(len(x0_list)))
-    series = {name: [] for name in fns}
-    rec_steps = []
-
-    def record(s, V):
-        rec_steps.append(s)
-        for name, fn in fns.items():
-            series[name].append(fn(V, config))
-
-    chains.run(noise, n_steps, record_stride, record)
-    rec = np.asarray(rec_steps)
-    keep = rec > burn_in_steps
+    steps, series = chains.run(noise, n_steps, record_stride,
+                               [OBSERVABLE_ROWS[name] for name in names])
+    keep = steps > burn_in_steps
     out = []
-    for name in fns:
-        mat = np.column_stack(series[name])[:, keep]  # (n_x0, n_kept)
+    for name, values in zip(names, series):
+        mat = values[:, keep]  # (n_x0, n_kept)
         avgs = mat.mean(axis=1)
         ses = _batch_means_se(mat)
         ens = float(avgs.mean())
@@ -401,7 +390,7 @@ def em_blowup_probe(
     for amp in amplitudes:
         x0 = InitialCondition("sine", amplitude=amp).build(config.grid)[None]
         untamed_f, tamed_f = (
-            int((_run_paths(SliceTask(cfg, x0, cfg.n_steps), range(n_paths))[1] >= 0).sum())
+            int((_run_paths(SliceTask(cfg, x0, cfg.n_steps), range(n_paths))[2] >= 0).sum())
             / n_paths for cfg in (untamed, tamed))
         rows.append(
             BlowupRow(

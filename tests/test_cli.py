@@ -565,6 +565,46 @@ def test_a_key_the_run_would_not_read_is_rejected_before_the_output_directory(
     assert not out.exists()
 
 
+# kind -> the [monte_carlo] keys it reads; a value other than the default of
+# any other one would be ignored, so it is rejected.
+MONTE_CARLO_READS = {"simulate": ("record_stride", "path_id"),
+                     "longrun": ("paths", "record_stride"), "ergodic": ("record_stride",),
+                     "coupling": ("paths",), "blowup": ("paths",), "strong-rate": ("paths",)}
+OFF_DEFAULT = {"paths": "7", "record_stride": "8", "path_id": "3"}
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind, sections in cli.KIND_SECTIONS.items() if "monte_carlo" in sections
+    for key in OFF_DEFAULT if key not in MONTE_CARLO_READS[kind]])
+def test_a_monte_carlo_key_the_kind_does_not_read_is_rejected_before_the_output_directory(
+    tmp_path, capsys, monkeypatch, kind, key
+):
+    forbid_compute(monkeypatch)
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "mc.ini", render(kind, out, REQUIRED_SECTIONS,
+                                            ("monte_carlo", key, OFF_DEFAULT[key])))
+    assert main(["run", str(cfg)]) == 2
+    reads = " and ".join(MONTE_CARLO_READS[kind])
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: [monte_carlo] {key} cannot be given on a {kind} run, "
+        f"which reads only [monte_carlo] {reads}"]
+    assert not out.exists()
+
+
+def test_an_ergodic_run_with_one_amplitude_is_rejected_before_the_output_directory(
+    tmp_path, capsys, monkeypatch
+):
+    """One start agrees with itself, so its agreement check could never fail."""
+    forbid_compute(monkeypatch)
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "erg.ini", render("ergodic", out, REQUIRED_SECTIONS,
+                                             ("ergodic", "amplitudes", "5")))
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: [ergodic] amplitudes lists 1 value; the agreement check needs >= 2"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("variant, kind", [("both_a", "gtem"), ("both_b", "gtem_b"),
                                            ("drift_only", "drift_gtem")])
 def test_removed_variant_key_names_the_scheme_kind(tmp_path, capsys, monkeypatch,
@@ -800,7 +840,7 @@ def test_preset_with_its_own_coefficient_keys_is_rejected(tmp_path, capsys, monk
 def test_preset_with_the_default_diffusion_kind_runs(tmp_path):
     out = tmp_path / "out"
     cfg = write(tmp_path / "preset.ini", render(
-        "simulate", out, {**REQUIRED_SECTIONS, "monte_carlo": {"paths": "1"}},
+        "simulate", out, REQUIRED_SECTIONS,
         ("coefficients", "diffusion_kind", "polynomial")))
     assert main(["run", str(cfg)]) == 0
 

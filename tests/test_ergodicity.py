@@ -232,10 +232,12 @@ def test_ergodic_limit_invariant_to_seed_and_burn_in():
 def test_ergodic_limit_short_horizon_widens_ci():
     cfg = SchemeConfig(tau=2.0**-6, grid=GRID, horizon=2.0, scheme="drift_gtem",
                        coefficients=linear_ou(), noise=NOISE, seed=24)
-    ests = ergodic_limit_test(cfg, ("l2_sq",), [ZERO], burn_in_steps=16)
+    x0s = [ZERO, InitialCondition("sine", amplitude=1.0).build(GRID)]
+    ests = ergodic_limit_test(cfg, ("l2_sq", "l2_sq"), x0s, burn_in_steps=16)
+    assert len(ests) == 1  # a repeated observable is reported once
     assert ests[0].widened_ci  # horizon far too short for the 5% tolerance
     with pytest.raises(ValueError):
-        ergodic_limit_test(cfg, ("l2_sq",), [ZERO],
+        ergodic_limit_test(cfg, ("l2_sq",), x0s,
                            burn_in_steps=cfg.n_steps + 1)
 
 
@@ -244,7 +246,20 @@ def test_ergodic_limit_rejects_degenerate_g():
     cfg = SchemeConfig(tau=0.125, grid=GRID, horizon=8.0, scheme="drift_gtem",
                        coefficients=vanishing, noise=NOISE)
     with pytest.raises(ValueError, match="nondegeneracy"):
+        ergodic_limit_test(cfg, ("l2_sq",), [ZERO, ZERO + 1.0], burn_in_steps=4)
+
+
+def test_ergodic_limit_needs_two_starts_after_its_other_checks():
+    # one start always agrees with itself, so it could never fail
+    cfg = SchemeConfig(tau=0.125, grid=GRID, horizon=8.0, scheme="drift_gtem",
+                       coefficients=linear_ou(), noise=NOISE)
+    with pytest.raises(ValueError, match=r"^agreement needs >= 2 initial conditions, got 1$"):
         ergodic_limit_test(cfg, ("l2_sq",), [ZERO], burn_in_steps=4)
+    with pytest.raises(ValueError, match="burn-in"):
+        ergodic_limit_test(cfg, ("l2_sq",), [ZERO], burn_in_steps=cfg.n_steps)
+    with pytest.raises(ValueError, match="nondegeneracy"):
+        ergodic_limit_test(replace(cfg, coefficients=CoefficientSpec((0.0, -1.0), (0.0, 1.0), 0)),
+                           ("l2_sq",), [ZERO], burn_in_steps=cfg.n_steps)
 
 
 def test_blowup_probe_contrast():
@@ -315,6 +330,31 @@ def test_time_averages_do_not_depend_on_the_ensemble_size():
             assert np.array_equal(fn(v, cfg)[:25], fn(v[:25], cfg))
 
 
+@pytest.mark.parametrize("stride, recorded", [(4, [0, 4, 8, 12]), (5, [0, 5, 10, 12])])
+def test_run_returns_the_steps_it_records_and_the_values_there(stride, recorded):
+    # 12 steps: a stride of 4 divides them, one of 5 does not
+    cfg = ac_config(horizon=12 * 2.0**-6)
+    x0 = InitialCondition("sine", amplitude=3.0).build(GRID)
+    rows = np.stack([x0, ZERO, -x0])
+    chains = BatchChains(cfg, rows)
+    steps, (l2, states) = chains.run(EnsembleNoise(cfg, range(3)), cfg.n_steps, stride,
+                                     [OBSERVABLE_ROWS["l2_sq"], lambda v, cfg: v])
+    assert steps.tolist() == recorded
+    assert l2.shape == (3, len(recorded))
+    assert states.shape == (3, GRID.n_interior, len(recorded))
+    assert np.array_equal(states[..., 0], rows) and np.array_equal(states[..., -1], chains.states)
+    for i in range(len(recorded)):
+        assert np.allclose(l2[:, i], rows_l2_sq(states[..., i], GRID.h), rtol=1e-14, atol=0.0)
+    bare = BatchChains(cfg, rows)
+    bare_steps, values = bare.run(EnsembleNoise(cfg, range(3)), cfg.n_steps, stride)
+    assert values == [] and np.array_equal(bare_steps, steps)
+    assert np.array_equal(bare.states, chains.states)
+    res = long_run_moment_test(cfg, x0, 4, AC_REPORT, record_stride=stride)
+    assert np.array_equal(res.steps, steps)
+    every = BatchChains(cfg, x0).run(EnsembleNoise(cfg, [0]), cfg.n_steps)[0]
+    assert np.array_equal(coupling_decay_test(cfg, x0, ZERO, cfg.n_steps, 4).steps, every)
+
+
 # ---------------------------------------------------------------------------
 # Slices of one lockstep ensemble against 25-row chunks
 # ---------------------------------------------------------------------------
@@ -336,10 +376,7 @@ def oracle_long_run(cfg, x0, n_paths, stride):
     l2, n_blow = [], 0
     for ids in chunked(n_paths):
         chains, noise = chunk_chains(cfg, x0, ids)
-        rec = []
-        chains.run(noise, cfg.n_steps, stride,
-                   lambda s, v: rec.append(rows_l2_sq(v, cfg.grid.h)))
-        l2.append(np.column_stack(rec))
+        l2.append(chains.run(noise, cfg.n_steps, stride, [OBSERVABLE_ROWS["l2_sq"]])[1][0])
         n_blow += int(chains.blown.sum())
     l2 = np.vstack(l2)
     return l2.mean(axis=0), l2.std(axis=0, ddof=1) / math.sqrt(n_paths), n_blow
@@ -450,13 +487,12 @@ def test_ergodic_rows_match_chunked_oracle(monkeypatch, n_cells):
     chunk_states = []
     for ids in chunked(len(x0s)):
         chains = BatchChains(cfg, x0s[ids.start:ids.stop])
-        states = []
-        chains.run(EnsembleNoise(cfg, ids), cfg.n_steps,
-                   record=lambda s, v: states.append(v))
+        _, (states,) = chains.run(EnsembleNoise(cfg, ids), cfg.n_steps,
+                                  observables=[lambda v, cfg: v])
         chunk_states.append(states)
     assert len(seen) == cfg.n_steps + 1
-    for v, step in zip(seen, zip(*chunk_states)):
-        assert np.array_equal(v, np.vstack(step))
+    for n, v in enumerate(seen):
+        assert np.array_equal(v, np.vstack([states[..., n] for states in chunk_states]))
 
 
 def test_slice_tasks_pickle_and_run_the_same_bits():
@@ -471,7 +507,8 @@ def test_slice_tasks_pickle_and_run_the_same_bits():
     for task in tasks:
         work = functools.partial(run_slice, task)
         copy = pickle.loads(pickle.dumps(work))
-        (cols, steps), (cols_copy, steps_copy) = work(paths), copy(paths)
-        assert cols.shape[0] == len(paths)
-        assert np.array_equal(cols, cols_copy)
+        (steps, cols, blowups), (steps_copy, cols_copy, blowups_copy) = work(paths), copy(paths)
+        assert cols.shape == (len(paths), len(steps))
         assert np.array_equal(steps, steps_copy)
+        assert np.array_equal(cols, cols_copy)
+        assert np.array_equal(blowups, blowups_copy)

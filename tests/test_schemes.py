@@ -33,14 +33,9 @@ def heat_config(n_cells=64, tau=0.05, horizon=1.0):
 def run_path(config, x0, path_id, record_stride=1):
     """One path as a 1-row ensemble: (recorded steps, recorded states, chains)."""
     chains = BatchChains(config, x0)
-    steps, states = [], []
-
-    def record(step, rows):
-        steps.append(step)
-        states.append(rows[0].copy())
-
-    chains.run(EnsembleNoise(config, [path_id]), config.n_steps, record_stride, record)
-    return np.asarray(steps), np.stack(states), chains
+    steps, (states,) = chains.run(EnsembleNoise(config, [path_id]), config.n_steps,
+                                  record_stride, [lambda v, cfg: v[0]])
+    return steps, states.T, chains
 
 
 def test_config_validation():
@@ -159,7 +154,7 @@ def test_run_stops_stepping_once_every_row_is_frozen(monkeypatch):
     last = int(oracle.blowup_step.max())
     assert last < cfg.n_steps
 
-    drawn, records = [], []
+    drawn = []
     value_rows = EnsembleNoise.value_rows
 
     def spy(self, step_index):
@@ -168,14 +163,14 @@ def test_run_stops_stepping_once_every_row_is_frozen(monkeypatch):
 
     monkeypatch.setattr(EnsembleNoise, "value_rows", spy)
     chains = BatchChains(cfg, x0)
-    chains.run(EnsembleNoise(cfg, range(100)), cfg.n_steps, 7,
-               lambda n, v: records.append((n, v.copy())))
+    steps, (states,) = chains.run(EnsembleNoise(cfg, range(100)), cfg.n_steps, 7,
+                                  [lambda v, cfg: v])
     assert drawn == list(range(last))  # step n draws step n - 1's noise
     assert chains.step_index == oracle.step_index == cfg.n_steps
     assert np.array_equal(chains.blowup_step, oracle.blowup_step)
     assert np.array_equal(chains.states, oracle.states)
-    assert [n for n, _ in records] == list(range(0, cfg.n_steps, 7)) + [cfg.n_steps]
-    for n, v in records:
+    assert steps.tolist() == list(range(0, cfg.n_steps, 7)) + [cfg.n_steps]
+    for n, v in zip(steps, np.moveaxis(states, -1, 0)):
         if n >= last:
             assert np.array_equal(v, oracle.states)
 

@@ -13,7 +13,8 @@ PARENT and CHANGE are the roots of two checkouts; each runs with its own
   path is replaced by one placeholder (``resolved_config.ini`` and stdout may
   name it).  A CSV that differs is reported with the largest relative
   difference over its numeric fields, or with its row or column counts
-  when those differ.
+  when those differ.  A config that only one checkout has is listed as
+  skipped.
 - Rounds 0 and 1 of every benchmark workload, at the benchmark's default
   seed, are run by each through its own ``perfbench/workloads.py`` (imported,
   not edited).  The SHA-256 of each round's payload, as sorted JSON, must
@@ -116,8 +117,11 @@ def csv_shift(a: bytes, b: bytes) -> str:
 
 def compare_configs(parent: Path, change: Path, tmp: Path) -> int:
     mismatches = 0
-    names = sorted(p.name for p in (change / "configs").glob("*.ini")
-                   if (parent / "configs" / p.name).is_file())
+    have = {side: {p.name for p in (root / "configs").glob("*.ini")}
+            for side, root in (("parent", parent), ("change", change))}
+    for name in sorted(have["parent"] ^ have["change"]):
+        print(f"skip  {name}: only in {'parent' if name in have['parent'] else 'change'}")
+    names = sorted(have["parent"] & have["change"])
     sides = (("parent", parent, 1), ("change", change, 1), ("change-2-workers", change, 2))
     for name in names:
         runs = {}
