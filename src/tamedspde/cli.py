@@ -102,8 +102,7 @@ KEYS = {
         "preset": Key(str, "", choices=PRESETS),
         "epsilon": Key(float, 1.0, above=0.0), "g0": Key(float, 1.0),
         "drift": Key(list[float]), "diffusion": Key(list[float]), "q": Key(int, lo=0),
-        "diffusion_kind": Key(str, "polynomial", choices={"polynomial", "sqrt_quadratic"}),
-        "variant": Key(str)},  # removed: read only to name its replacement
+        "diffusion_kind": Key(str, "polynomial", choices={"polynomial", "sqrt_quadratic"})},
     "noise": {"decay": Key(float, 3.0, above=1.0), "scale": Key(float, 1.0, above=0.0),
               "truncation": Key(str, "auto")},  # or an integer up to the interior nodes
     "initial": {"kind": Key(str, "zero", choices={"zero", "sine", "const", "bump"}),
@@ -255,12 +254,6 @@ def _unread(cfg: dict, sections: tuple) -> dict:
 
 def _check_dependent(cfg: dict, sections: tuple) -> None:
     """The checks of one value against another, once each value has passed."""
-    if "coefficients" in sections:
-        variant = cfg["coefficients", "variant"]
-        if variant is not None:  # rejected, not mapped: the scheme says what is tamed
-            kind = {"both_a": "gtem", "both_b": "gtem_b", "drift_only": "drift_gtem"}.get(
-                variant, "gtem, gtem_b or drift_gtem")
-            raise ConfigError(f"[coefficients] variant was removed; set [scheme] kind = {kind}")
     for (section, key), why in _unread(cfg, sections).items():
         if cfg[section, key] != KEYS[section][key].default:  # the run would ignore it
             raise ConfigError(f"[{section}] {key} cannot be given {why}")

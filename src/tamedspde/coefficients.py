@@ -166,18 +166,43 @@ PRESETS = {
 }
 
 
-def _polyval(coeffs: tuple, x):
-    """In-place Horner from the leading coefficient of an ascending tuple
-    (for finite x, the same bits as a start from zero)."""
-    x = np.asarray(x, dtype=np.float64)
-    if len(coeffs) == 1:
-        return np.full_like(x, coeffs[0])[()]
-    y = x * coeffs[-1]  # the first Horner product, in a fresh array
-    y += coeffs[-2]
-    for a in coeffs[-3::-1]:
+def horner_terms(coeffs: tuple) -> tuple:
+    """The operands of ``horner`` for an ascending coefficient tuple: the
+    leading coefficient, then the coefficient each later step adds, as 0-d
+    float64 arrays (no ufunc converts a Python float).
+
+    The add of a zero coefficient is None, skipped, when the next coefficient
+    added is nonzero.  Adding 0.0 changes only -0.0, to +0.0; the product by x
+    that follows keeps that difference to the sign of a zero (0 * inf and a
+    NaN x give the same NaN either way), and adding a nonzero coefficient
+    then gives the same bits from either zero.  The last add has no such
+    successor and stays: it turns -0.0 into +0.0.
+    """
+    terms = [np.asarray(float(a)) for a in coeffs[::-1]]
+    for i in range(1, len(terms) - 1):
+        if coeffs[-1 - i] == 0.0 and coeffs[-2 - i] != 0.0:
+            terms[i] = None
+    return tuple(terms)
+
+
+def horner(terms: tuple, x: np.ndarray):
+    """In-place Horner over ``horner_terms`` in a fresh array, from the first
+    product x * a_n (for finite x, the same bits as a start from zero)."""
+    if len(terms) == 1:
+        return np.full_like(x, terms[0])
+    y = x * terms[0]
+    if terms[1] is not None:
+        y += terms[1]
+    for a in terms[2:]:
         y *= x
-        y += a
-    return y[()]  # a numpy scalar for scalar x
+        if a is not None:
+            y += a
+    return y
+
+
+def _polyval(coeffs: tuple, x):
+    """``horner`` of an ascending coefficient tuple; a numpy scalar for scalar x."""
+    return horner(horner_terms(coeffs), np.asarray(x, dtype=np.float64))[()]
 
 
 def _polyder(coeffs: tuple) -> tuple:

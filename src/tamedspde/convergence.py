@@ -7,11 +7,11 @@ a much finer resolution on the *same* Brownian path.  A slice of paths
 reference and every ladder member in lockstep, one row per path, streaming
 the fine noise in blocks of the smallest multiple of lcm(ratios) that covers
 ``MIN_BLOCK_STEPS`` reference steps (the last block may be shorter, still a
-multiple of lcm): each block's fine increments are drawn once, summed over
-coarse steps level by level (exact aggregation of the Wiener path),
-truncated to the coarse grid's own modes, and the fine reference is
-restricted to coarse nodes (exact for nested meshes); each member takes one
-error reduction per block.  The reference and the members step in ratio
+multiple of lcm): each block's fine increments are drawn once, by one
+``PathSampler.coeffs`` call, summed over coarse steps level by level (exact
+aggregation of the Wiener path), truncated to the coarse grid's own modes,
+and the fine reference is restricted to coarse nodes (exact for nested
+meshes); each member takes one error reduction per block.  The reference and the members step in ratio
 groups (reference steps per member step): the chains of one ratio advance as
 one ``BatchChains`` whose node axis holds their grids back to back, each
 chain's noise synthesized on its own grid into its slice.  An h ladder is
@@ -286,9 +286,7 @@ def _ladder_chunk(reference: SchemeConfig, x0: InitialCondition, members, path_i
     fine_block = np.empty((block, n, k_ref))
     for start in range(0, reference.n_steps, block):
         size = min(block, reference.n_steps - start)  # a multiple of lcm(ratios)
-        fine = fine_block[:size]
-        for i in range(size):
-            sampler.coeffs(start + i, out=fine[i])
+        fine = sampler.coeffs(start, out=fine_block[:size])  # the block's steps, one call
         sums = {1: fine}  # this block's increments summed at power-of-two ratios
         kept = []
         for run in runs:

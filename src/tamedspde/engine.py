@@ -13,13 +13,19 @@ once per path however many copies of it the ensemble holds.
 Everything a step needs that does not change from step to step is resolved
 once per ensemble into a ``StepPlan`` (``step_plan``): the FEM operators,
 the LDL^T factor of M + tau K, which of f and g the scheme tames, and a
-one-coefficient g.  ``step_rows`` then does only the step's arithmetic,
-through this module's ``drift_diffusion_rows``, ``mass_matvec_rows`` and
-``_dpbtrs``.  A plan may also step a stack of grids whose nodes lie back to
-back on the node axis, all with one scheme, coefficients and tau: the
-drift, taming and noise terms act node by node, and the stacked operators
-are block-diagonal (``fem.assemble``), so each grid's slice of a row that
-is not blown steps with the bits of its own one-grid plan (a grid with one
+one-coefficient g.  The step's scalars are resolved there as 0-d float64
+arrays: tau, 1.0, sqrt(tau), c0, the drift's Horner terms
+(``coefficients.horner_terms``) and, in the operators, the one-grid mass
+diagonals.  A Python float operand costs each ufunc a scalar conversion,
+which on a narrow row is a fair share of the call.  ``step_rows`` then does
+only the step's arithmetic, through this module's ``drift_diffusion_rows``,
+``mass_matvec_rows`` and ``_dpbtrs``.
+
+A plan may also step a stack of grids whose nodes lie back to back on the
+node axis, all with one scheme, coefficients and tau: the drift, taming
+and noise terms act node by node, and the stacked operators are
+block-diagonal (``fem.assemble``), so each grid's slice of a row that is
+not blown steps with the bits of its own one-grid plan (a grid with one
 interior node aside, see ``fem``).  The strong-error ladder steps the
 reference and its same-ratio members this way, one call per step.
 
@@ -29,12 +35,17 @@ recorded and its observables' values there, so no driver works them out.
 Blow-up is detected, not raised: a row whose solution trips the overflow
 guard is frozen at its last finite state, and the failing step index is
 recorded, which is what the untamed baseline's blow-up statistics measure.
-Only this post-solve guard is needed: ``dpttrs`` solves each row's column
-on its own, so a non-finite right-hand side gives a non-finite solution in
-its own row, flagged at the same step, and leaves the other rows alone.  The
-guard tests the whole block's max and min first; only a block that fails
-that test takes the per-row sup and mass-norm rule, on each grid of a stack
-with that grid's h, and a row is blown when any of its grids is.
+From then on only the live rows are stepped.  Only this post-solve guard is
+needed: ``dpttrs`` solves each row's column on its own, so a non-finite
+right-hand side gives a non-finite solution in its own row, flagged at the
+same step, and leaves the other rows alone.  The guard takes three steps,
+each only when the one before fails: one dot of the whole block,
+z.z <= G^2/2, which implies every |z| <= G (G = ``OVERFLOW_GUARD``); the
+block's max and min; then the per-row sup and mass-norm rule, on each grid
+of a stack with that grid's h, a row being blown when any of its grids is.
+A block the dot passes also passes the max and min test, and in a block
+that passes that test the per-row rule flags no row: the first two steps
+only skip work.
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrs
 
 from . import fem
-from .coefficients import DiffusionKind, eval_f, eval_g
+from .coefficients import DiffusionKind, eval_g, horner, horner_terms
 from .fem import mass_matvec_rows
 from .grid import Grid1D, rows_l2_sq
 from .noise import PathSampler, synthesize
@@ -63,6 +74,9 @@ class StepPlan:
     x^(2 g_power))^{1/2}, or None for an untamed g.  ``g0``: c0 when g is the
     one-coefficient polynomial, else None.  ``unit_g``: g* is exactly 1.0.
     ``segments``: (slice of the node axis, h) of each grid of the stack.
+    ``drift``: f's ``horner_terms``.  The step's scalars (``tau``, ``one``,
+    ``sqrt_tau``, ``g0``, the Horner terms) are 0-d float64 arrays, so no
+    ufunc of a step converts a Python float.
     """
 
     config: SchemeConfig
@@ -71,8 +85,11 @@ class StepPlan:
     factor: tuple  # (d, e) of the LDL^T factor of M + tau K
     tame_f: bool
     g_power: Optional[int]
-    sqrt_tau: float
-    g0: Optional[float]
+    tau: np.ndarray
+    one: np.ndarray
+    sqrt_tau: np.ndarray
+    drift: tuple
+    g0: Optional[np.ndarray]
     unit_g: bool
 
 
@@ -94,17 +111,20 @@ def step_plan(config: SchemeConfig, grids: Sequence[Grid1D] = ()) -> StepPlan:
         factor=fem.ldlt(ops, config.tau),
         tame_f=scheme is not Scheme.UNTAMED_EM,
         g_power=g_power,
-        sqrt_tau=math.sqrt(config.tau),
-        g0=g0,
+        tau=np.asarray(config.tau),
+        one=np.asarray(1.0),
+        sqrt_tau=np.asarray(math.sqrt(config.tau)),
+        drift=horner_terms(spec.drift),
+        g0=None if g0 is None else np.asarray(g0),
         unit_g=g_power is None and g0 == 1.0,
     )
 
 
-def _taming_divisor(x2: np.ndarray, power: int, scale: float) -> np.ndarray:
-    """(1 + scale x2^power)^{1/2} in one fresh array, in that order."""
+def _taming_divisor(x2: np.ndarray, power: int, scale: np.ndarray, one: np.ndarray) -> np.ndarray:
+    """(one + scale x2^power)^{1/2} in one fresh array, in that order."""
     d = x2**power
     d *= scale
-    d += 1.0
+    d += one
     return np.sqrt(d, out=d)
 
 
@@ -112,17 +132,17 @@ def drift_diffusion_rows(plan: StepPlan, values: np.ndarray):
     """(f*, g*) of the plan's scheme, with the bits of the public evaluators
     (``coefficients.eval_f_tau`` and ``eval_g_tau``); both tamings share one
     x**2.  Rows or a vector; f* is a fresh array, and an untamed
-    one-coefficient g comes back as the float c0, which broadcasts."""
+    one-coefficient g comes back as c0, a 0-d array, which broadcasts."""
     spec = plan.config.coefficients
-    f = eval_f(spec, values)
+    f = horner(plan.drift, values)
     g = eval_g(spec, values) if plan.g0 is None else plan.g0
     if not plan.tame_f:
         return f, g
     x2 = values**2
-    f /= _taming_divisor(x2, spec.q, plan.config.tau)
+    f /= _taming_divisor(x2, spec.q, plan.tau, plan.one)
     if plan.g_power is None:
         return f, g
-    d = _taming_divisor(x2, plan.g_power, plan.sqrt_tau)
+    d = _taming_divisor(x2, plan.g_power, plan.sqrt_tau, plan.one)
     return f, np.divide(g, d, out=d)
 
 
@@ -149,6 +169,13 @@ def resolvent_rows(ops: fem.FemOperators, tau: float, v: np.ndarray, steps: int 
     return v
 
 
+# z.z <= G^2/2 implies |z_i| <= G for every entry: the computed sum of n
+# nonnegative rounded squares is at least (1 - 2^-53)^n times the exact one,
+# so each exact square stays below G^2 for any n < 2^51.  An overflowed square
+# or a NaN fails the test.
+_DOT_GUARD = OVERFLOW_GUARD**2 / 2
+
+
 def step_rows(plan: StepPlan, values: np.ndarray, noise_values: np.ndarray):
     """One scheme step for a (paths, nodes) matrix of states.
 
@@ -161,12 +188,14 @@ def step_rows(plan: StepPlan, values: np.ndarray, noise_values: np.ndarray):
     """
     rhs, g = drift_diffusion_rows(plan, values)
     # values + tau f* + g* dW, in the order of that sum, in the fresh f* array
-    rhs *= plan.config.tau
+    rhs *= plan.tau
     rhs += values
     rhs += noise_values if plan.unit_g else g * noise_values  # 1.0 * x is x
     z = _solve_rows(plan.ops, plan.factor, rhs)
-    # One test of the whole block first; a NaN fails both comparisons.
-    if z.size == 0 or (z.max() <= OVERFLOW_GUARD and z.min() >= -OVERFLOW_GUARD):
+    # The whole block first: one dot (see _DOT_GUARD), then its max and min;
+    # a NaN fails every comparison, and an empty block's dot is 0.0.
+    flat = z.reshape(-1)
+    if flat @ flat <= _DOT_GUARD or (z.max() <= OVERFLOW_GUARD and z.min() >= -OVERFLOW_GUARD):
         return z, None
     blown = ~(np.abs(z).max(axis=-1) <= OVERFLOW_GUARD)  # NaN rows too
     # The sup norm bounds the L2 norm on (0, 1), on each grid of a stack, so
@@ -230,16 +259,28 @@ class BatchChains:
         return self.blowup_step >= 0
 
     def advance(self, noise_values: np.ndarray) -> None:
-        """One step for every live row, driven by the given nodal noise."""
+        """One step for every live row, driven by the given nodal noise.
+
+        Once a row has blown, only the live rows are stepped, and their new
+        states written back: rows step on their own, so their bits are those
+        of a step of the whole block."""
         self.step_index += 1
-        z, blown_now = step_rows(self.plan, self.states, noise_values)
-        if blown_now is not None:
-            self.blowup_step[blown_now & (self.blowup_step < 0)] = self.step_index
-            self._n_blown = int(self.blown.sum())
         if self._n_blown == 0:
-            self.states = z
+            z, blown_now = step_rows(self.plan, self.states, noise_values)
+            if blown_now is None:
+                self.states = z
+                return
+            live = np.arange(self.n_paths)
         else:
-            self.states = np.where(self.blown[:, None], self.states, z)
+            live = np.flatnonzero(self.blowup_step < 0)
+            z, blown_now = step_rows(self.plan, self.states[live], noise_values[live])
+        if blown_now is not None:
+            self.blowup_step[live[blown_now]] = self.step_index
+            self._n_blown += int(blown_now.sum())
+            live, z = live[~blown_now], z[~blown_now]
+        states = self.states.copy()  # fresh, as after any step: an observable may keep it
+        states[live] = z
+        self.states = states
 
     def run(self, noise: EnsembleNoise, n_steps: int, record_stride: int = 1,
             observables: Sequence = ()):

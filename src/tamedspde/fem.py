@@ -24,6 +24,7 @@ the operator suite compares.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -39,6 +40,8 @@ class FemOperators:
     ``mass_diag``/``mass_off`` and ``stiff_diag``/``stiff_off`` hold the main
     and first off-diagonal entries (both symmetric).  ``grids`` holds one
     grid, or the grids of a stack in the order of their nodes.
+    ``mass_scalars``: on one grid, its constant mass diagonals as 0-d float64
+    arrays (diag, off), off None for one interior node; None on a stack.
     """
 
     grids: tuple
@@ -46,6 +49,7 @@ class FemOperators:
     mass_off: np.ndarray = field(repr=False)
     stiff_diag: np.ndarray = field(repr=False)
     stiff_off: np.ndarray = field(repr=False)
+    mass_scalars: Optional[tuple] = field(repr=False)
 
     @property
     def grid(self) -> Grid1D:
@@ -64,21 +68,27 @@ def ldlt(ops: FemOperators, tau: float) -> tuple:
     return d, e
 
 
-def _tri_matvec(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """diag v + off v[i+1] + off v[i-1] per row, in that order; the P1 diagonals
-    of one grid are constant (``assemble``), so one product off * v serves
-    both neighbours."""
-    y = diag[0] * v
-    if len(off):
-        w = off[0] * v
+def _tri_matvec(diag: np.ndarray, off: Optional[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """diag v + off v[i+1] + off v[i-1] per row, in that order, with the
+    constant diagonals of one grid (``FemOperators.mass_scalars``): one
+    product off * v serves both neighbours."""
+    y = diag * v
+    if off is not None:
+        w = off * v
         y[..., :-1] += w[..., 1:]
         y[..., 1:] += w[..., :-1]
     return y
 
 
+def _constant_diagonals(diag: np.ndarray, off: np.ndarray) -> tuple:
+    """The constant diagonals of one grid's operator as ``_tri_matvec`` takes them."""
+    return np.asarray(diag[0]), np.asarray(off[0]) if len(off) else None
+
+
 def _edge_matvec(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``_tri_matvec`` with the diagonals as arrays, for a stack: a product
-    with each neighbour, so the 0.0 at a joint keeps the blocks apart."""
+    """``_tri_matvec`` with the diagonals as arrays, for a stack or the
+    stiffness: a product with each neighbour, so the 0.0 at a joint keeps the
+    blocks apart; on one grid, the bits of ``_tri_matvec``."""
     y = diag * v
     y[..., :-1] += off * v[..., 1:]
     y[..., 1:] += off * v[..., :-1]
@@ -87,8 +97,9 @@ def _edge_matvec(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray
 
 def mass_matvec_rows(ops: FemOperators, v: np.ndarray) -> np.ndarray:
     """M v for each row of v, or for the vector v."""
-    matvec = _tri_matvec if len(ops.grids) == 1 else _edge_matvec
-    return matvec(ops.mass_diag, ops.mass_off, v)
+    if ops.mass_scalars is not None:
+        return _tri_matvec(*ops.mass_scalars, v)
+    return _edge_matvec(ops.mass_diag, ops.mass_off, v)
 
 
 def assemble(*grids: Grid1D) -> FemOperators:
@@ -102,12 +113,14 @@ def assemble(*grids: Grid1D) -> FemOperators:
         parts = [np.full(g.n_interior - 1, entry(g.h)) for g in grids]
         return np.concatenate([x for part in parts for x in (np.zeros(1), part)][1:])
 
+    mass_diag, mass_off = diagonal(lambda h: 4.0 * h / 6.0), off_diagonal(lambda h: h / 6.0)
     return FemOperators(
         grids=tuple(grids),
-        mass_diag=diagonal(lambda h: 4.0 * h / 6.0),
-        mass_off=off_diagonal(lambda h: h / 6.0),
+        mass_diag=mass_diag,
+        mass_off=mass_off,
         stiff_diag=diagonal(lambda h: 2.0 / h),
         stiff_off=off_diagonal(lambda h: -1.0 / h),
+        mass_scalars=_constant_diagonals(mass_diag, mass_off) if len(grids) == 1 else None,
     )
 
 
@@ -131,7 +144,7 @@ def eigen_smallest(ops: FemOperators, tol: float = 1e-10, max_iter: int = 200) -
             (fac, False), mass_matvec_rows(ops, v), check_finite=False
         )
         v /= np.sqrt(v @ mass_matvec_rows(ops, v))
-        lam = float(v @ _tri_matvec(ops.stiff_diag, ops.stiff_off, v))
+        lam = float(v @ _edge_matvec(ops.stiff_diag, ops.stiff_off, v))
         if abs(lam - lam_prev) <= tol * abs(lam):
             return lam
         lam_prev = lam

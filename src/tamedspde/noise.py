@@ -15,12 +15,13 @@ the k-th normal drawn.  Every zeta is therefore a pure function of (seed,
 path, step, mode): resampling is bit-identical, paths can be generated
 concurrently, truncating to fewer modes gives a prefix of the same draws,
 and summing increments over coarser steps reproduces exactly the same
-Brownian path — the properties the coupled convergence ladders rely on.  An ensemble keeps one generator and
-re-keys it for each of its paths at each step by assigning a prebuilt state,
-never reading it, and writes the ensemble's block with one concatenate
-(see ``PathSampler``): on numpy 2.4.6 and a 2-vCPU x86 host, a 100-row block
-of 31-mode draws costs about 1.2 us a row, against 1.6 us with each row
-drawn in place.
+Brownian path — the properties the coupled convergence ladders rely on.
+An ensemble keeps one generator and re-keys it for each of its paths at each
+step by assigning a prebuilt state, never reading it, and one call fills
+one step's rows or a whole block of steps, such as a ladder's (steps,
+paths, K) buffer, with one concatenate (see ``PathSampler``): on numpy
+2.4.6 and a 2-vCPU x86 host, a 100-row block of 31-mode draws costs about
+1.2 us a row, against 1.6 us with each row drawn in place.
 
 ``synthesize`` turns rows of coefficients into nodal values: on meshes of up
 to 64 cells by one 1-row product per row with the cached dense sine matrix,
@@ -162,14 +163,17 @@ class PathSampler:
     reading, editing and writing it back 2.1 us.  Building a sampler costs
     about 20 us.
 
+    One ``coeffs`` call fills one step's rows, or the rows of a block of
+    consecutive steps: a ladder draws each of its blocks in one call, so the
+    per-call costs (the checks, the final scale) are paid once per block.
     Rows of up to ``_CONCAT_MAX_MODES`` modes are drawn into fresh arrays
-    and one ``np.concatenate`` writes the block, since numpy's ``out=`` path
-    costs more per call than the allocating one; wider rows are drawn in
-    place, where the copy costs more than the out= path.  Per ``coeffs`` call (1 BLAS
-    thread, same host), 100 rows at K = 31 took 122 us concatenated against
-    156 us in place, and 2 rows at K = 255 6.6 us either way; 2 rows at
-    K = 4095 took 81 against 79 us, and concatenating them slowed the
-    4096-cell ladder benchmark by about 2%.
+    and one ``np.concatenate`` writes the whole call's rows, since numpy's
+    ``out=`` path costs more per call than the allocating one; wider rows
+    are drawn in place, where the copy costs more than the out= path.  Per
+    one-step call (1 BLAS thread, same host), 100 rows at K = 31 took 122 us
+    concatenated against 156 us in place, and 2 rows at K = 255 6.6 us
+    either way; 2 rows at K = 4095 took 81 against 79 us, and concatenating
+    them slowed the 4096-cell ladder benchmark by about 2%.
     """
 
     def __init__(self, spec: QWienerSpec, seed: int, path_ids: Sequence[int], tau: float):
@@ -194,33 +198,43 @@ class PathSampler:
     def coeffs(self, step_index: int, out: np.ndarray | None = None) -> np.ndarray:
         """sqrt(lambda_k tau) zeta_k for one step, one row per path id.
 
-        ``out``, if given, must be a C-contiguous float64 array of shape
-        (len(path_ids), truncation), such as one step's rows of a larger
-        block; it is filled in place and returned.
+        ``out``, if given, is a C-contiguous float64 array of shape
+        (len(path_ids), truncation), filled with that step's rows, or of
+        shape (steps, len(path_ids), truncation), such as a block buffer,
+        filled with the rows of steps ``step_index``, ``step_index + 1``, ...
+        in one call; it is filled in place and returned.
         """
-        if not 0 <= step_index < 1 << 64:
-            raise ValueError(f"step_index out of range: {step_index}")
-        n_modes = self.spec.truncation
-        shape = (len(self._key_words), n_modes)
+        n_modes, n_paths = self.spec.truncation, len(self._key_words)
         if out is None:
-            out = np.empty(shape)
-        elif not (out.shape == shape and out.flags.c_contiguous and out.dtype == np.float64):
+            out = np.empty((n_paths, n_modes))
+        elif not (out.shape[-2:] == (n_paths, n_modes) and out.ndim in (2, 3)
+                  and out.flags.c_contiguous and out.dtype == np.float64):
             # one row per path; reshape(-1) must be a view, and concatenate must not cast
-            raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
-        self._counter[2] = step_index
-        key, state, bitgen = self._key, self._state, self._bitgen
+            raise ValueError(
+                f"out must be a C-contiguous float64 array of shape {(n_paths, n_modes)} "
+                f"or (steps, {n_paths}, {n_modes})"
+            )
+        n_steps = len(out) if out.ndim == 3 else 1
+        last = step_index + max(n_steps, 1) - 1
+        if not 0 <= step_index <= last < 1 << 64:
+            raise ValueError(f"step_index out of range: {step_index}, last step {last}")
+        counter, key, state, bitgen = self._counter, self._key, self._state, self._bitgen
         normal = self._gen.standard_normal
         if n_modes > _CONCAT_MAX_MODES:
-            for word, row in zip(self._key_words, out):
-                key[1] = word
-                bitgen.state = state
-                normal(n_modes, out=row)
+            for step, rows in enumerate(out.reshape(n_steps, n_paths, n_modes), step_index):
+                counter[2] = step
+                for word, row in zip(self._key_words, rows):
+                    key[1] = word
+                    bitgen.state = state
+                    normal(n_modes, out=row)
         else:
             rows = []
-            for word in self._key_words:
-                key[1] = word
-                bitgen.state = state
-                rows.append(normal(n_modes))
+            for step in range(step_index, step_index + n_steps):
+                counter[2] = step
+                for word in self._key_words:
+                    key[1] = word
+                    bitgen.state = state
+                    rows.append(normal(n_modes))
             if rows:
                 np.concatenate(rows, out=out.reshape(-1))
         out *= self._scale

@@ -320,6 +320,55 @@ def test_polyval_matches_a_full_like_horner_start(coeffs):
         assert got.tobytes() == full_like_horner(coeffs, scalar).tobytes()
 
 
+def plain_horner(coeffs, x):
+    """Horner from the first product x * a_n with every add, zeros included."""
+    if len(coeffs) == 1:
+        return np.full_like(x, coeffs[0])
+    y = x * coeffs[-1]
+    y += coeffs[-2]
+    for a in coeffs[-3::-1]:
+        y *= x
+        y += a
+    return y
+
+
+def preset_polynomials():
+    """Every preset's drift and diffusion, each with its first two derivatives."""
+    for name, (factory, _) in sorted(PRESETS.items()):
+        spec = factory()
+        for part, coeffs in (("drift", spec.drift), ("diffusion", spec.diffusion)):
+            for order in range(3):
+                yield f"{name}-{part}-{order}", coeffs
+                coeffs = coefficients._polyder(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [c for _, c in preset_polynomials()],
+                         ids=[n for n, _ in preset_polynomials()])
+def test_horner_skipping_zero_adds_gives_the_bits_of_every_add(coeffs):
+    rng = np.random.default_rng(len(coeffs))
+    x = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e200, -1e200],
+        rng.uniform(-40.0, 40.0, 64), rng.standard_normal(16) * 1e-160,
+    ])
+    terms = coefficients.horner_terms(coeffs)
+    with np.errstate(all="ignore"):  # overflow and inf - inf are part of the test
+        want = plain_horner(coeffs, x)
+        assert coefficients.horner(terms, x).tobytes() == want.tobytes()
+        assert coefficients._polyval(coeffs, x).tobytes() == want.tobytes()
+    assert all(t is None or (t.shape == () and t.dtype == np.float64) for t in terms)
+    # the last add stays, and a zero add is skipped only before a nonzero one
+    skipped = [i for i, t in enumerate(terms) if t is None]
+    assert len(coeffs) == 1 or terms[-1] is not None
+    assert all(coeffs[-1 - i] == 0.0 and coeffs[-2 - i] != 0.0 for i in skipped)
+
+
+def test_horner_skips_the_zero_adds_of_the_cubic_drift():
+    # f = x - x^3: the x^2 add goes, the constant add stays (-0.0 -> +0.0)
+    terms = coefficients.horner_terms(allen_cahn(1.0).drift)
+    assert [None if t is None else float(t) for t in terms] == [-1.0, None, 1.0, 0.0]
+    assert coefficients.horner(terms, np.array([-0.0])).tobytes() == np.array([0.0]).tobytes()
+
+
 def test_evaluators_accept_scalars():
     ac = allen_cahn(1.0)
     assert eval_f(ac, 2.0) == -6.0

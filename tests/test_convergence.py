@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tamedspde import convergence, parallel
+from tamedspde import convergence, engine, parallel
 from tamedspde.coefficients import CoefficientSpec, allen_cahn
 from tamedspde.convergence import (
     _check_block_memory,
@@ -274,6 +274,47 @@ def test_a_blown_row_leaves_the_other_rows_of_an_h_ladder_as_they_were():
         worst, blown = _ladder_chunk(reference, x0, members, range(12))
         want_worst, want_blown = per_step_ladder_chunk(reference, x0, members, range(12))
     assert np.array_equal(blown, want_blown) and 0 < blown.sum() < len(blown)
+    assert worst[~blown].tobytes() == want_worst[~blown].tobytes()
+
+
+def advance_stepping_frozen_rows(self, noise_values):
+    """``BatchChains.advance`` as it was: every row stepped, blown rows frozen."""
+    self.step_index += 1
+    z, blown_now = engine.step_rows(self.plan, self.states, noise_values)
+    if blown_now is not None:
+        self.blowup_step[blown_now & (self.blowup_step < 0)] = self.step_index
+        self._n_blown = int(self.blown.sum())
+    self.states = z if self._n_blown == 0 else np.where(self.blown[:, None], self.states, z)
+
+
+def test_only_live_rows_are_stepped_once_a_row_has_blown(monkeypatch):
+    # the blow-up test's 12 rows at 4x its horizon: 64 steps of one stacked
+    # chain.  Stepping the frozen rows again made nearly every step return a
+    # blown array; stepping the live rows alone leaves their bits as they were
+    tau_ref = 2.0**-3
+    reference = SchemeConfig(tau=tau_ref, grid=Grid1D(32), horizon=64 * tau_ref,
+                             scheme="untamed_em", coefficients=allen_cahn(1.0),
+                             noise=QWienerSpec(3.0, 30.0, 31), seed=3)
+    _, members = _ladder_members(reference, None, [4, 8, 16])
+    x0 = InitialCondition("sine", amplitude=6.0)
+    step_rows, calls = engine.step_rows, collections.Counter()
+
+    def counting(plan, values, noise_values):
+        z, blown = step_rows(plan, values, noise_values)
+        calls["steps"] += 1
+        calls["blown"] += blown is not None
+        return z, blown
+
+    monkeypatch.setattr(engine, "step_rows", counting)
+    with np.errstate(all="ignore"):
+        worst, blown = _ladder_chunk(reference, x0, members, range(12))
+        live_calls = dict(calls)
+        calls.clear()
+        monkeypatch.setattr(BatchChains, "advance", advance_stepping_frozen_rows)
+        want_worst, want_blown = _ladder_chunk(reference, x0, members, range(12))
+    assert dict(calls) == {"steps": 64, "blown": 60}
+    assert live_calls == {"steps": 64, "blown": 3}  # the steps at which rows blew
+    assert np.array_equal(blown, want_blown) and blown.sum() == 6
     assert worst[~blown].tobytes() == want_worst[~blown].tobytes()
 
 

@@ -130,6 +130,40 @@ def test_coeffs_fill_a_step_block_of_the_ladder_buffer(n_modes):
     assert np.array_equal(ps.coeffs(5), fine[1])
 
 
+@pytest.mark.parametrize("n_modes", [63, noise_mod._CONCAT_MAX_MODES, 2047])
+def test_coeffs_fill_a_block_of_steps_in_one_call(n_modes):
+    # the ladder's block buffer (steps, paths, K) from one call: the rows of
+    # steps 5, 6, ... equal one call per step, on both sides of the widest
+    # concatenated row; an odd K leaves Philox words buffered after each row
+    spec = QWienerSpec(3.0, 1.0, n_modes)
+    ids = [4, 9, 2]
+    ps = PathSampler(spec, 42, ids, 0.01)
+    buffer = np.zeros((6, len(ids), n_modes))
+    block = buffer[1:5]
+    assert ps.coeffs(5, out=block) is block
+    for i, rows in enumerate(block):
+        assert rows.tobytes() == ps.coeffs(5 + i).tobytes()
+    assert not buffer[0].any() and not buffer[5].any()
+    assert ps.coeffs(5, out=buffer[:0]).shape == (0, len(ids), n_modes)
+    last = (1 << 64) - 2  # a block may end on the last step
+    assert ps.coeffs(last, out=buffer[:2])[1].tobytes() == ps.coeffs(last + 1).tobytes()
+
+
+@pytest.mark.parametrize("n_modes", [63, 1100])
+def test_coeffs_rejects_a_block_of_the_wrong_shape_or_past_the_last_step(n_modes):
+    ps = PathSampler(QWienerSpec(3.0, 1.0, n_modes), 42, [1, 2, 3], 0.01)
+    for shape in ((4, 2, n_modes), (4, 3, n_modes + 1), (1, 4, 3, n_modes), (3 * n_modes,)):
+        out = np.full(shape, 123.0)
+        with pytest.raises(ValueError, match=rf"or \(steps, 3, {n_modes}\)"):
+            ps.coeffs(3, out=out)
+        assert np.all(out == 123.0)
+    out = np.full((4, 3, n_modes), 123.0)
+    for start in ((1 << 64) - 3, -1):  # a block of steps 2^64 - 3 .. 2^64
+        with pytest.raises(ValueError, match="step_index out of range"):
+            ps.coeffs(start, out=out)
+    assert np.all(out == 123.0)
+
+
 @pytest.mark.parametrize("n_modes", [63, 2047])
 def test_coeffs_rejects_an_out_that_is_not_c_contiguous_float64(n_modes):
     ps = PathSampler(QWienerSpec(3.0, 1.0, n_modes), 42, [1, 2], 0.01)

@@ -294,6 +294,12 @@ def test_block_guard_flags_what_the_per_row_rule_flags(monkeypatch):
         assert flagged.tolist() == [False, True, True, True, False, False, False, False, True]
         picks = [[], [0], list(range(9))]
         picks += [[0, i] for i in range(1, 9)] + [[i] for i in range(1, 9)]
+        # many rows at 0.9 G: the block's dot exceeds G^2/2 while every
+        # |z| <= G, so the max and min test must still pass it
+        rows = np.concatenate([rows, np.full((6, 15), 0.9 * OVERFLOW_GUARD)])
+        flagged = np.concatenate([flagged, np.zeros(6, dtype=bool)])
+        picks.append(list(range(9, 15)))
+        assert np.dot(rows[9:].ravel(), rows[9:].ravel()) > OVERFLOW_GUARD**2 / 2
         for pick in picks:
             z = rows[pick]
             monkeypatch.setattr(engine, "_solve_rows", lambda ops, factor, v, z=z: z.copy())
