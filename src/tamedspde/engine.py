@@ -74,9 +74,10 @@ class StepPlan:
     x^(2 g_power))^{1/2}, or None for an untamed g.  ``g0``: c0 when g is the
     one-coefficient polynomial, else None.  ``unit_g``: g* is exactly 1.0.
     ``segments``: (slice of the node axis, h) of each grid of the stack.
-    ``drift``: f's ``horner_terms``.  The step's scalars (``tau``, ``one``,
-    ``sqrt_tau``, ``g0``, the Horner terms) are 0-d float64 arrays, so no
-    ufunc of a step converts a Python float.
+    ``drift``: f's ``horner_terms``; ``diffusion``: g's, when g is a
+    polynomial of two or more coefficients, else None.  The step's scalars
+    (``tau``, ``one``, ``sqrt_tau``, ``g0``, the Horner terms) are 0-d float64
+    arrays, so no ufunc of a step converts a Python float.
     """
 
     config: SchemeConfig
@@ -89,6 +90,7 @@ class StepPlan:
     one: np.ndarray
     sqrt_tau: np.ndarray
     drift: tuple
+    diffusion: Optional[tuple]
     g0: Optional[np.ndarray]
     unit_g: bool
 
@@ -102,8 +104,8 @@ def step_plan(config: SchemeConfig, grids: Sequence[Grid1D] = ()) -> StepPlan:
     ops = fem.assemble(*grids)
     stops = list(accumulate(g.n_interior for g in grids))
     g_power = {Scheme.GTEM: spec.q // 2, Scheme.GTEM_B: spec.q}.get(scheme)
-    one = spec.diffusion_kind is DiffusionKind.POLYNOMIAL and len(spec.diffusion) == 1
-    g0 = spec.diffusion[0] if one else None
+    polynomial_g = spec.diffusion_kind is DiffusionKind.POLYNOMIAL
+    g0 = spec.diffusion[0] if polynomial_g and len(spec.diffusion) == 1 else None
     return StepPlan(
         config=config,
         ops=ops,
@@ -115,6 +117,7 @@ def step_plan(config: SchemeConfig, grids: Sequence[Grid1D] = ()) -> StepPlan:
         one=np.asarray(1.0),
         sqrt_tau=np.asarray(math.sqrt(config.tau)),
         drift=horner_terms(spec.drift),
+        diffusion=horner_terms(spec.diffusion) if polynomial_g and g0 is None else None,
         g0=None if g0 is None else np.asarray(g0),
         unit_g=g_power is None and g0 == 1.0,
     )
@@ -135,7 +138,12 @@ def drift_diffusion_rows(plan: StepPlan, values: np.ndarray):
     one-coefficient g comes back as c0, a 0-d array, which broadcasts."""
     spec = plan.config.coefficients
     f = horner(plan.drift, values)
-    g = eval_g(spec, values) if plan.g0 is None else plan.g0
+    if plan.g0 is not None:
+        g = plan.g0
+    elif plan.diffusion is not None:
+        g = horner(plan.diffusion, values)
+    else:
+        g = eval_g(spec, values)
     if not plan.tame_f:
         return f, g
     x2 = values**2
