@@ -8,14 +8,14 @@ Usage:
 The config file is flat INI (key = value under sections).  ``KEYS``
 declares each key once: its type, default and bounds.  ``read_config`` is
 the parse phase: a key no kind reads is an error, and so is a key off its
-default in a section the kind reads that the kind does not read (each kind
-reads only its own [monte_carlo] keys); a section only another kind reads
-is accepted.  Each key the kind reads is parsed and checked, then the
-checks tying one value to another, then the build step makes the model
-objects and runs the model's own checks (``_build``).  Every config error
-(exit 2) is raised there, before the output directory is made; an output
-directory that cannot be made or written is one too.  Then a run writes the
-parsed map (``resolved_config.ini``), computes, and emits CSV tables and a
+default that the run does not read (``_unread``); a section only another
+kind reads is accepted.  Each key the kind reads is parsed and checked,
+then the checks tying one value to another, which drop the keys the run
+does not read, then the build step makes the model objects from the map
+and runs the model's own checks (``_build``).  Every config error (exit 2)
+is raised there, before the output directory is made; an output directory
+that cannot be made or written is one too.  Then a run writes the parsed
+map (``resolved_config.ini``), computes, and emits CSV tables and a
 plain-text verdict.  Exit codes: 0 all asserted checks pass, 1 a scientific
 check failed, 2 configuration error, 3 numerical failure during compute
 (every path blew up, or a tridiagonal LDL^T factorization or solve failed),
@@ -41,12 +41,12 @@ import numpy as np
 
 from . import __version__, convergence, ergodicity
 from .coefficients import PRESETS, CoefficientSpec, check_assumptions
-from .engine import BatchChains, EnsembleNoise
+from .engine import BatchChains
 from .grid import Grid1D
 from .noise import QWienerSpec
 from .parallel import worker_count
 from .reporting import CheckResult, format_value, write_csv, write_verdicts
-from .schemes import InitialCondition, Scheme, SchemeConfig
+from .schemes import INITIAL_FIELDS, InitialCondition, Scheme, SchemeConfig
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -105,7 +105,7 @@ KEYS = {
         "diffusion_kind": Key(str, "polynomial", choices={"polynomial", "sqrt_quadratic"})},
     "noise": {"decay": Key(float, 3.0, above=1.0), "scale": Key(float, 1.0, above=0.0),
               "truncation": Key(str, "auto")},  # or an integer up to the interior nodes
-    "initial": {"kind": Key(str, "zero", choices={"zero", "sine", "const", "bump"}),
+    "initial": {"kind": Key(str, "zero", choices=INITIAL_FIELDS),
                 "amplitude": Key(float, 1.0), "mode": Key(int, 1, lo=1),
                 "center": Key(float, 0.5), "width": Key(float, 0.1, above=0.0)},
     "monte_carlo": {"paths": Key(int, 100, lo=1), "record_stride": Key(int, 1, lo=1),
@@ -144,7 +144,7 @@ WHAT = {int: "an integer", float: "a number", str: "a name"}
 def read_config(path: Path) -> tuple[dict, dict]:
     """The parse phase: ``({(section, key): value}, {name: model object})``.
 
-    The map holds every key the config's kind reads, defaults included.
+    The map holds every key the run reads, defaults included, and no other.
     Each value the file gives is parsed, type-checked and range-checked
     here, then the checks that tie one value to another, then the build
     step (``_build``), so a config error is reported before anything is made.
@@ -222,7 +222,7 @@ def _nearest(name: str, known) -> str:
 
 def _unread(cfg: dict, sections: tuple) -> dict:
     """{(section, key): why the run does not read it}, as the preset, the
-    kind's [monte_carlo] keys and a ladder's kind and axis decide."""
+    start, the kind's [monte_carlo] keys and a ladder's kind and axis decide."""
     unread, kind = {}, cfg["experiment", "kind"]
     if "coefficients" in sections:
         preset = cfg["coefficients", "preset"]
@@ -232,6 +232,10 @@ def _unread(cfg: dict, sections: tuple) -> dict:
         if preset != "allen-cahn":
             for key in ("epsilon", "g0"):
                 unread["coefficients", key] = "unless preset = allen-cahn, the one that reads it"
+    if "initial" in sections:
+        start = cfg["initial", "kind"]
+        unread.update({("initial", key): f"with [initial] kind = {start}" for key in KEYS["initial"]
+                       if key not in ("kind", *INITIAL_FIELDS[start])})
     if "monte_carlo" in sections:
         reads = {"simulate": ("record_stride", "path_id"), "longrun": ("paths", "record_stride"),
                  "ergodic": ("record_stride",)}.get(kind, ("paths",))
@@ -253,9 +257,10 @@ def _unread(cfg: dict, sections: tuple) -> dict:
 
 
 def _check_dependent(cfg: dict, sections: tuple) -> None:
-    """The checks of one value against another, once each value has passed."""
+    """The checks of one value against another, once each value has passed;
+    a key the run does not read leaves the map, and off its default is an error."""
     for (section, key), why in _unread(cfg, sections).items():
-        if cfg[section, key] != KEYS[section][key].default:  # the run would ignore it
+        if cfg.pop((section, key)) != KEYS[section][key].default:
             raise ConfigError(f"[{section}] {key} cannot be given {why}")
     if "coefficients" in sections and not cfg["coefficients", "preset"]:
         for key in ("drift", "diffusion", "q"):
@@ -288,6 +293,10 @@ def _check_dependent(cfg: dict, sections: tuple) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _section(cfg: dict, name: str) -> dict:
+    return {key: value for (section, key), value in cfg.items() if section == name}
+
+
 def _build(cfg: dict) -> dict:
     """``{name: model object}`` of the config's kind, each checked as its
     compute would check it; a rejection is a ``ConfigError``.  ``anchors``
@@ -296,7 +305,7 @@ def _build(cfg: dict) -> dict:
     kind = cfg["experiment", "kind"]
     sections, model = KIND_SECTIONS[kind], {}
     if "coefficients" in sections:
-        c = {key: cfg["coefficients", key] for key in KEYS["coefficients"]}
+        c = _section(cfg, "coefficients")
         args = (c["epsilon"], c["g0"]) if c["preset"] == "allen-cahn" else ()
         try:
             model["coefficients"] = PRESETS[c["preset"]][0](*args) if c["preset"] else (
@@ -316,20 +325,23 @@ def _build(cfg: dict) -> dict:
         except ValueError as exc:
             raise ConfigError(f"[scheme] {exc}")
     if "initial" in sections:
-        model["x0"] = InitialCondition(**{key: cfg["initial", key] for key in KEYS["initial"]})
+        model["x0"] = InitialCondition(**_section(cfg, "initial"))
     if kind in ("lyapunov", "coupling", "ergodic"):
         amps = ((cfg["coupling", "amplitude_a"], cfg["coupling", "amplitude_b"])
                 if kind == "coupling" else cfg[kind, "amplitudes"])
         model["anchors"] = [InitialCondition("sine", amplitude=a).build(config.grid) for a in amps]
     if "assumptions" in sections:
-        model["report"] = check_assumptions(model["coefficients"], model["noise"], **{
-            key: cfg["assumptions", key] for key in KEYS["assumptions"]})
+        model["report"] = check_assumptions(model["coefficients"], model["noise"],
+                                            **_section(cfg, "assumptions"))
     if "ladder" in sections:
-        taus, cells = cfg["ladder", "taus"], cfg["ladder", "n_cells"]  # None if ``_unread``
+        on_tau = cfg["ladder", "axis"] == "tau"
         if kind == "strong-rate":
-            model["ladder"] = {"coarse_taus": taus, "coarse_n_cells": cells}
-        else:  # an h ladder's taus default to t / n_cells^2; a tau ladder's mesh is fixed
-            cells = cells or [cfg["ladder", "fixed_n_cells"]] * len(taus)
+            model["ladder"] = ({"coarse_taus": cfg["ladder", "taus"]} if on_tau else
+                               {"coarse_n_cells": cfg["ladder", "n_cells"]})
+        else:  # a tau ladder's mesh is fixed; an h ladder's taus default to t / n_cells^2
+            taus = cfg["ladder", "taus"]
+            cells = [cfg["ladder", "fixed_n_cells"]] * len(taus) if on_tau else (
+                cfg["ladder", "n_cells"])
             taus = taus or [cfg["ladder", "t"] / nc**2 for nc in cells]
             if len(taus) != len(cells):
                 raise ConfigError(f"[ladder] taus lists {len(taus)} values but [ladder] n_cells "
@@ -410,8 +422,7 @@ def _run_simulate(cfg: dict, model: dict, out: Path) -> list:
     config = model["config"]
     stride = cfg["monte_carlo", "record_stride"]
     chain = BatchChains(config, model["x0"].build(config.grid))
-    noise = EnsembleNoise(config, [cfg["monte_carlo", "path_id"]])
-    steps, values = chain.run(noise, config.n_steps, stride,
+    steps, values = chain.run([cfg["monte_carlo", "path_id"]], config.n_steps, stride,
                               [ergodicity.OBSERVABLE_ROWS[name] for name in SIMULATE_OBSERVABLES])
     write_csv(out / "trajectory.csv", ["step", "time", *SIMULATE_OBSERVABLES],
               [[step, step * config.tau, *(float(v[0, i]) for v in values)]

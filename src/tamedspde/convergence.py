@@ -44,7 +44,7 @@ from .engine import BatchChains, resolvent_rows
 from .grid import Grid1D, rows_l2_sq, sine_mode
 from .noise import PathSampler, pairwise_tree_sum_axis, synthesize
 from .parallel import PATH_CHUNK, parallel_map, path_slices
-from .schemes import InitialCondition, SchemeConfig
+from .schemes import InitialCondition, SchemeConfig, whole_steps
 
 
 @dataclass(frozen=True)
@@ -150,50 +150,26 @@ class _Member:
     restrict: np.ndarray  # reference node indices of the member's nodes
 
 
-def _ladder_members(
-    reference: SchemeConfig,
-    coarse_taus: Optional[Sequence[float]],
-    coarse_n_cells: Optional[Sequence[int]],
-):
-    """(axis, members) of a ladder, every member checked against the reference."""
+def _ladder_members(reference: SchemeConfig, coarse_taus: Optional[Sequence[float]],
+                    coarse_n_cells: Optional[Sequence[int]]):
+    """(axis, members) of a ladder, every member checked against the reference:
+    a coarse tau is a whole number of reference steps (``whole_steps``), and
+    divides the horizon, as the member's own ``SchemeConfig`` checks."""
     if (coarse_taus is None) == (coarse_n_cells is None):
         raise ValueError("specify exactly one of coarse_taus / coarse_n_cells")
     if coarse_taus is not None:
         axis = "tau"
-        rungs = []
-        for t in coarse_taus:
-            ratio = t / reference.tau
-            if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-                raise ValueError(
-                    f"coarse tau {t} is not an integer multiple of the "
-                    f"reference tau {reference.tau}"
-                )
-            rungs.append((int(round(ratio)), reference.grid))
+        rungs = [(whole_steps(t, reference.tau, "coarse tau"), reference.grid)
+                 for t in coarse_taus]
     else:
         axis = "h"
         rungs = [(1, Grid1D(nc)) for nc in coarse_n_cells]
     if not rungs:
         raise ValueError("the ladder needs at least one coarse member")
-    n_ref = reference.n_steps
-    members = []
-    for ratio, grid in rungs:
-        if n_ref % ratio:
-            raise ValueError(
-                f"coarse tau {ratio * reference.tau} does not divide the horizon: "
-                f"{n_ref} reference steps are not a multiple of {ratio}"
-            )
-        members.append(
-            _Member(
-                ratio,
-                replace(
-                    reference,
-                    tau=ratio * reference.tau,
-                    grid=grid,
-                    noise=reference.noise.for_grid(grid),
-                ),
-                _restriction_indices(reference.grid, grid),
-            )
-        )
+    members = [_Member(ratio, replace(reference, tau=ratio * reference.tau, grid=grid,
+                                      noise=reference.noise.for_grid(grid)),
+                       _restriction_indices(reference.grid, grid))
+               for ratio, grid in rungs]
     return axis, members
 
 
@@ -331,7 +307,7 @@ def _check_block_memory(reference: SchemeConfig, members, n_rows: int) -> int:
     return per_row
 
 
-def ladder_plan(reference: SchemeConfig, coarse_taus, coarse_n_cells, n_paths: int):
+def ladder_plan(reference: SchemeConfig, n_paths: int, coarse_taus=None, coarse_n_cells=None):
     """(axis, members, values per path) of a ladder, checked as ``strong_error_ladder`` does."""
     axis, members = _ladder_members(reference, coarse_taus, coarse_n_cells)
     return axis, members, _check_block_memory(reference, members, min(n_paths, PATH_CHUNK))
@@ -353,7 +329,7 @@ def strong_error_ladder(
     refined by the reference mesh; both are checked before any stepping.
     All members of one path ride the same fine Brownian increments.
     """
-    axis, members, per_path = ladder_plan(reference, coarse_taus, coarse_n_cells, n_paths)
+    axis, members, per_path = ladder_plan(reference, n_paths, coarse_taus, coarse_n_cells)
     parts = parallel_map(partial(_ladder_chunk, reference, x0, members),
                          path_slices(n_paths, per_path))
     err_matrix = np.sqrt(np.maximum(np.concatenate([w for w, _ in parts]), 0.0))
@@ -403,8 +379,8 @@ def semigroup_error(n_cells: int, tau: float, mode: int = 1, t: float = 1.0) -> 
     quadrature.
     """
     grid = Grid1D(n_cells)
-    k = _steps_to(t, tau)
-    u_num = resolvent_rows(fem.assemble(grid), tau, sine_mode(grid, mode), steps=k)
+    u_num = resolvent_rows(fem.assemble(grid), tau, sine_mode(grid, mode),
+                           steps=whole_steps(t, tau, "t"))
     quad_n = 8192
     xs = np.linspace(0.0, 1.0, quad_n + 1)
     exact = math.exp(-((mode * math.pi) ** 2) * t) * np.sqrt(2.0) * np.sin(mode * np.pi * xs)
@@ -412,13 +388,6 @@ def semigroup_error(n_cells: int, tau: float, mode: int = 1, t: float = 1.0) -> 
     vals_full = np.concatenate([[0.0], u_num, [0.0]])
     approx = np.interp(xs, nodes_full, vals_full)
     return float(np.sqrt(np.trapezoid((exact - approx) ** 2, xs)))
-
-
-def _steps_to(t: float, tau: float) -> int:
-    k = round(t / tau)
-    if k < 1 or abs(k * tau - t) > 1e-9 * t:
-        raise ValueError(f"t = {t} must be an integer multiple of tau = {tau}")
-    return k
 
 
 def check_semigroup_ladder(n_cells_list, taus, mode: int, t: float) -> None:
@@ -433,7 +402,7 @@ def check_semigroup_ladder(n_cells_list, taus, mode: int, t: float) -> None:
             f"{SEMIGROUP_MIN_AMPLITUDE:g}: the errors would be rounding error"
         )
     for tau in taus:
-        _steps_to(t, tau)
+        whole_steps(t, tau, "t")
 
 
 def semigroup_error_test(

@@ -29,8 +29,10 @@ not blown steps with the bits of its own one-grid plan (a grid with one
 interior node aside, see ``fem``).  The strong-error ladder steps the
 reference and its same-ratio members this way, one call per step.
 
-``BatchChains.run`` holds the one record schedule: it returns the steps it
-recorded and its observables' values there, so no driver works them out.
+``BatchChains.run`` draws its paths' noise from its own plan's config, so no
+driver can pair a chain with noise scaled for another tau, and holds the one
+record schedule: it returns the steps it recorded and its observables'
+values there, so no driver works them out.
 
 Blow-up is detected, not raised: a row whose solution trips the overflow
 guard is frozen at its last finite state, and the failing step index is
@@ -38,14 +40,11 @@ recorded, which is what the untamed baseline's blow-up statistics measure.
 From then on only the live rows are stepped.  Only this post-solve guard is
 needed: ``dpttrs`` solves each row's column on its own, so a non-finite
 right-hand side gives a non-finite solution in its own row, flagged at the
-same step, and leaves the other rows alone.  The guard takes three steps,
-each only when the one before fails: one dot of the whole block,
-z.z <= G^2/2, which implies every |z| <= G (G = ``OVERFLOW_GUARD``); the
-block's max and min; then the per-row sup and mass-norm rule, on each grid
-of a stack with that grid's h, a row being blown when any of its grids is.
-A block the dot passes also passes the max and min test, and in a block
-that passes that test the per-row rule flags no row: the first two steps
-only skip work.
+same step, and leaves the other rows alone.  The guard takes two steps:
+one dot of the whole block, z.z <= G^2/2, which implies every |z| <= G
+(G = ``OVERFLOW_GUARD``), so the dot only skips work; when it fails, the
+per-row sup and mass-norm rule, on each grid of a stack with that grid's h,
+a row being blown when any of its grids is.
 """
 
 from __future__ import annotations
@@ -188,8 +187,8 @@ def step_rows(plan: StepPlan, values: np.ndarray, noise_values: np.ndarray):
     """One scheme step for a (paths, nodes) matrix of states.
 
     Solves (M + tau K) Z_n = M [Z_{n-1} + tau f*(Z_{n-1}) + g*(Z_{n-1}) dW]
-    row by row.  Returns (new_values, blown): ``blown`` is None when the
-    whole block passes the overflow guard, else it marks the rows whose
+    row by row.  Returns (new_values, blown): ``blown`` is None when every
+    |z| <= ``OVERFLOW_GUARD``, else it marks the rows whose
     solution tripped it during this step, a non-finite right-hand side
     included (see the module docstring); such a row's output is meaningless
     and the caller keeps the previous state instead.
@@ -200,12 +199,14 @@ def step_rows(plan: StepPlan, values: np.ndarray, noise_values: np.ndarray):
     rhs += values
     rhs += noise_values if plan.unit_g else g * noise_values  # 1.0 * x is x
     z = _solve_rows(plan.ops, plan.factor, rhs)
-    # The whole block first: one dot (see _DOT_GUARD), then its max and min;
-    # a NaN fails every comparison, and an empty block's dot is 0.0.
+    # The whole block first, by one dot (see _DOT_GUARD): a NaN fails the
+    # comparison, and an empty block's dot is 0.0.
     flat = z.reshape(-1)
-    if flat @ flat <= _DOT_GUARD or (z.max() <= OVERFLOW_GUARD and z.min() >= -OVERFLOW_GUARD):
+    if flat @ flat <= _DOT_GUARD:
         return z, None
     blown = ~(np.abs(z).max(axis=-1) <= OVERFLOW_GUARD)  # NaN rows too
+    if not blown.any():
+        return z, None
     # The sup norm bounds the L2 norm on (0, 1), on each grid of a stack, so
     # only these rows need the mass-norm decision, grid by grid; a
     # non-finite row has a non-finite norm.
@@ -290,10 +291,12 @@ class BatchChains:
         states[live] = z
         self.states = states
 
-    def run(self, noise: EnsembleNoise, n_steps: int, record_stride: int = 1,
+    def run(self, path_ids: Sequence[int], n_steps: int, record_stride: int = 1,
             observables: Sequence = ()):
         """Advance ``n_steps`` steps; return the recorded ``(steps, values)``.
 
+        The rows are copies of ``path_ids`` in ``EnsembleNoise`` order, driven
+        by their noise; rows that are not whole copies are a ``ValueError``.
         ``steps``: step 0, every multiple of ``record_stride`` and the last.
         ``values[i]``: ``observables[i](states, plan.config)`` at each, stacked
         on a last axis; a row-wise observable gives (rows, len(steps)).  Once
@@ -302,7 +305,10 @@ class BatchChains:
         """
         if record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {record_stride}")
+        if not len(path_ids) or self.n_paths % len(path_ids):
+            raise ValueError(f"{self.n_paths} rows are not whole copies of {len(path_ids)} path ids")
         config, steps = self.plan.config, [0]
+        noise = EnsembleNoise(config, path_ids, self.n_paths // len(path_ids))
         series = [[fn(self.states, config)] for fn in observables]
         for n in range(1, n_steps + 1):
             if self._n_blown < self.n_paths:

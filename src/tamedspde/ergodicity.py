@@ -19,8 +19,9 @@ Every probe is deterministic in (config, seed) and acceptance bands are
 nodal arrays (``InitialCondition.build``); ``BatchChains`` checks their
 length against the config's grid.  The four Monte Carlo probes map one
 work item over slices of their paths: ``run_slice`` bound to a ``SliceTask``,
-plain data that pickles.  Every probe reads the steps it recorded, and its
-observables' values there, from what ``BatchChains.run`` returns.
+plain data that pickles.  Every probe hands ``BatchChains.run`` its path ids,
+and the run draws their noise; the probe reads the steps it recorded, and
+its observables' values there, from what the run returns.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .coefficients import AssumptionReport, CoefficientSpec, eval_g
 from .convergence import fit_line
-from .engine import BatchChains, EnsembleNoise
+from .engine import BatchChains
 from .grid import rows_h1_sq, rows_l2_sq, rows_lp, rows_lyapunov
 from .parallel import parallel_map, path_slices
 from .schemes import InitialCondition, Scheme, SchemeConfig
@@ -82,9 +83,8 @@ def run_slice(task: SliceTask, paths: range):
     step of each row) of ``paths``, stepped as one ensemble of
     ``len(task.starts)`` copies."""
     chains = BatchChains(task.config, np.repeat(task.starts, len(paths), axis=0))
-    noise = EnsembleNoise(task.config, paths, len(task.starts))
     fns = () if task.observable is None else (SLICE_OBSERVABLES[task.observable],)
-    steps, values = chains.run(noise, task.n_steps, task.record_stride, fns)
+    steps, values = chains.run(paths, task.n_steps, task.record_stride, fns)
     return steps, (values[0] if values else None), chains.blowup_step
 
 
@@ -331,8 +331,7 @@ def ergodic_limit_test(
         raise ValueError(f"agreement needs >= 2 initial conditions, got {len(x0_list)}")
     names = list(dict.fromkeys(observables))  # a repeated name is reported once
     chains = BatchChains(config, np.stack(x0_list))
-    noise = EnsembleNoise(config, range(len(x0_list)))
-    steps, series = chains.run(noise, n_steps, record_stride,
+    steps, series = chains.run(range(len(x0_list)), n_steps, record_stride,
                                [OBSERVABLE_ROWS[name] for name in names])
     keep = steps > burn_in_steps
     out = []

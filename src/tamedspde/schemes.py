@@ -16,8 +16,9 @@ scheme alone decides which coefficients are tamed (f_tau as in
 The linear part is treated implicitly (nonexpansive resolvent), the
 coefficients explicitly; taming keeps the explicit part stable uniformly in
 the horizon.  This module holds what one chain is (``SchemeConfig``, its
-initial data and the overflow guard); the step itself is implemented once,
-for (paths, nodes) matrices, in ``tamedspde.engine``.
+initial data, the overflow guard and the step-count rule ``whole_steps``);
+the step itself is implemented once, for (paths, nodes) matrices, in
+``tamedspde.engine``.
 """
 
 from __future__ import annotations
@@ -34,11 +35,25 @@ from .noise import QWienerSpec
 OVERFLOW_GUARD = 1e12
 
 
+def whole_steps(t: float, tau: float, name: str) -> int:
+    """The n steps of ``tau`` that make ``name`` t: n = round(t / tau) >= 1
+    with |n tau - t| <= 1e-9 t, else a ``ValueError`` that names both."""
+    n = round(t / tau)
+    if n < 1 or abs(n * tau - t) > 1e-9 * t:
+        raise ValueError(f"{name} {t} is not an integer multiple of tau {tau}")
+    return n
+
+
 class Scheme(str, enum.Enum):
     GTEM = "gtem"
     GTEM_B = "gtem_b"
     DRIFT_GTEM = "drift_gtem"
     UNTAMED_EM = "untamed_em"
+
+
+# The fields of ``InitialCondition`` each kind reads.
+INITIAL_FIELDS = {"zero": (), "sine": ("amplitude", "mode"), "const": ("amplitude",),
+                  "bump": ("amplitude", "center", "width")}
 
 
 @dataclass(frozen=True)
@@ -86,11 +101,7 @@ class SchemeConfig:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
         if self.horizon <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        n = round(self.horizon / self.tau)
-        if n < 1 or abs(n * self.tau - self.horizon) > 1e-9 * max(1.0, self.horizon):
-            raise ValueError(
-                f"horizon {self.horizon} is not an integer multiple of tau {self.tau}"
-            )
+        whole_steps(self.horizon, self.tau, "horizon")
         if self.noise.truncation > self.grid.n_interior:
             raise ValueError(
                 f"noise truncation {self.noise.truncation} exceeds the "
@@ -106,4 +117,4 @@ class SchemeConfig:
 
     @property
     def n_steps(self) -> int:
-        return round(self.horizon / self.tau)
+        return whole_steps(self.horizon, self.tau, "horizon")

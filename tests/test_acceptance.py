@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, at the stated tolerances.
+"""Acceptance suite: one test per criterion, at the stated tolerances, and
+one more on criterion 10's shared config file.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
 per criterion.  The whole suite targets desk-scale hardware; the heaviest
@@ -6,6 +7,7 @@ items are the three Monte Carlo rate ladders and the 10^5-step long-run
 bound (a few minutes each).
 """
 
+import configparser
 import time
 
 import numpy as np
@@ -321,10 +323,8 @@ def test_criterion_09_taming_function_suite():
     )
 
 
-def test_criterion_10_determinism_across_runs_and_workers(tmp_path, monkeypatch):
-    from tamedspde.cli import main
-
-    base = """
+# Criterion 10 feeds one file to two kinds; each reads only its own sections.
+CRITERION_10_CONFIG = """
 [experiment]
 kind = {kind}
 seed = 77
@@ -353,13 +353,18 @@ record_stride = 32
 amplitudes = 0, 5, 10
 samples = 2000
 """
+
+
+def test_criterion_10_determinism_across_runs_and_workers(tmp_path, monkeypatch):
+    from tamedspde.cli import main
+
     mismatches = []
     for kind in ("longrun", "lyapunov"):
         outputs = []
         for tag, workers in (("a", "1"), ("b", "1"), ("c", "4")):
             out = tmp_path / f"{kind}_{tag}"
             cfg = tmp_path / f"{kind}_{tag}.ini"
-            cfg.write_text(base.format(kind=kind, out=out), encoding="utf-8")
+            cfg.write_text(CRITERION_10_CONFIG.format(kind=kind, out=out), encoding="utf-8")
             monkeypatch.setenv("TAMEDSPDE_WORKERS", workers)
             code = main(["run", str(cfg)])
             assert code == 0, f"{kind} run failed with exit {code}"
@@ -378,3 +383,18 @@ samples = 2000
         "longrun and lyapunov outputs byte-identical across reruns and worker "
         f"counts 1 vs 4" + (f"; mismatches: {mismatches}" if mismatches else ""),
     )
+
+
+def test_criterion_10_shared_file_runs_as_lyapunov_without_its_monte_carlo_section(tmp_path):
+    """A section only another kind reads is accepted, and left out of the
+    run's parsed map: ``resolved_config.ini`` lists what the run reads."""
+    from tamedspde.cli import main
+
+    out = tmp_path / "lyapunov"
+    cfg = tmp_path / "shared.ini"
+    cfg.write_text(CRITERION_10_CONFIG.format(kind="lyapunov", out=out), encoding="utf-8")
+    assert main(["run", str(cfg)]) == 0
+    parser = configparser.ConfigParser()
+    parser.read_string((out / "resolved_config.ini").read_text(encoding="utf-8"))
+    assert "lyapunov" in parser.sections()
+    assert "monte_carlo" not in parser.sections() and "initial" not in parser.sections()

@@ -410,14 +410,14 @@ MODEL_ERRORS = {
     "coarse-tau-not-a-multiple": (
         "strong-rate", {**ALLEN_CAHN_16, "ladder": {"axis": "tau",
                                                     "taus": "0.03, 0.0625, 0.125, 0.25"}}, {},
-        "coarse tau 0.03 is not an integer multiple of the reference tau 0.015625"),
+        "coarse tau 0.03 is not an integer multiple of tau 0.015625"),
     "semigroup-amplitude-floor": (
         "semigroup-rate", {"ladder": {"axis": "h", "n_cells": "8, 16, 32, 64", "t": "3.0"}}, {},
         "exact amplitude 1.96e-13 at mode 1, t = 3.0 is below 1e-08: "
         "the errors would be rounding error"),
     "semigroup-t-not-a-multiple": (
         "semigroup-rate", {"ladder": {"axis": "tau", "taus": "0.3, 0.1, 0.05, 0.025"}}, {},
-        "t = 1.0 must be an integer multiple of tau = 0.3"),
+        "t 1.0 is not an integer multiple of tau 0.3"),
     "uncertified-tau": (
         "lyapunov", {**ALLEN_CAHN_16, "scheme": {"tau": "0.5", "horizon": "1.0"},
                      "lyapunov": {"samples": "1000"}}, {},
@@ -549,6 +549,17 @@ UNREAD_KEYS = {
                                       "fixed_n_cells": "64"}},
         "[ladder] fixed_n_cells cannot be given on an h ladder, "
         "whose meshes are [ladder] n_cells"),
+    "initial-width-on-a-sine-start": (
+        "simulate", {**ALLEN_CAHN_16, "initial": {"kind": "sine", "width": "0.5"}},
+        "[initial] width cannot be given with [initial] kind = sine"),
+    "initial-center-on-a-sine-start": (
+        "longrun", {**ALLEN_CAHN_16, "initial": {"kind": "sine", "width": "0.5",
+                                                 "center": "0.3"}},
+        "[initial] center cannot be given with [initial] kind = sine"),
+    "initial-amplitude-on-a-zero-start": (
+        "strong-rate", {**ALLEN_CAHN_16, "initial": {"amplitude": "2.0"},
+                        "ladder": {"axis": "h", "n_cells": "2, 4, 8, 16"}},
+        "[initial] amplitude cannot be given with [initial] kind = zero"),
 }
 
 
@@ -708,7 +719,8 @@ QUICK_CONFIGS = [p for p in sorted(CONFIGS.glob("*.ini")) if "strong_rate" not i
 @pytest.mark.parametrize("path", QUICK_CONFIGS, ids=lambda p: p.stem)
 def test_a_resolved_config_reruns_to_the_same_outputs(tmp_path, capsys, path):
     """``resolved_config.ini`` is the parsed map: defaults, the resolved
-    truncation and the package version included."""
+    truncation and the package version included, and no key the run does
+    not read."""
     first, second = tmp_path / "first", tmp_path / "second"
     code = main(["run", str(path), "--output", str(first)])
     resolved = first / "resolved_config.ini"
@@ -717,9 +729,14 @@ def test_a_resolved_config_reruns_to_the_same_outputs(tmp_path, capsys, path):
     cfg, _ = read_config(path)
     parser = configparser.ConfigParser()
     parser.read_string(text)
-    assert {(s, k) for s in parser.sections() for k in parser.options(s)} == {
-        key for key, value in cfg.items() if value is not None}
-    if "noise" in cli.KIND_SECTIONS[cfg["experiment", "kind"]]:
+    written = {(s, k) for s in parser.sections() for k in parser.options(s)}
+    assert written == {key for key, value in cfg.items() if value is not None}
+    kind = cfg["experiment", "kind"]
+    assert not written & set(cli._unread(cfg, cli.KIND_SECTIONS[kind]))
+    if kind == "simulate":
+        assert not written & {("monte_carlo", "paths"), ("coefficients", "diffusion_kind"),
+                              ("initial", "center"), ("initial", "width")}
+    if "noise" in cli.KIND_SECTIONS[kind]:
         assert f"\ntruncation = {cfg['noise', 'truncation']}\n" in text
     assert read_config(resolved)[0] == cfg
     assert main(["run", str(resolved), "--output", str(second)]) == code

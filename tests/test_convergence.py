@@ -102,7 +102,8 @@ def test_ladder_validates_nesting(monkeypatch):
 
     monkeypatch.setattr(BatchChains, "advance", no_stepping)
     ref = additive_reference()
-    with pytest.raises(ValueError, match="not a multiple of 3"):
+    with pytest.raises(ValueError,
+                       match=r"horizon 1\.0 is not an integer multiple of tau 0\.0029296875"):
         strong_error_ladder(ref, InitialCondition("sine"), 2,
                             coarse_taus=[2.0**-8, 3.0 * 2.0**-10])  # 1024 % 3 != 0
     with pytest.raises(ValueError):

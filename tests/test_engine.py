@@ -175,7 +175,7 @@ def test_a_path_steps_to_the_states_of_its_one_row_run_in_any_ensemble(n_cells):
 
     def states_after_16_steps(path_ids):
         chains = BatchChains(cfg, np.broadcast_to(x0, (len(path_ids), len(x0))))
-        chains.run(EnsembleNoise(cfg, path_ids), 16)
+        chains.run(path_ids, 16)
         return chains.states
 
     for n_paths in (2, 25, 26, 50):
@@ -183,6 +183,37 @@ def test_a_path_steps_to_the_states_of_its_one_row_run_in_any_ensemble(n_cells):
         for p in (0, n_paths - 1):
             alone = states_after_16_steps([p])[0]
             assert ensemble[p].tobytes() == alone.tobytes(), (n_paths, p)
+
+
+def test_run_refuses_rows_that_are_not_whole_copies_of_its_path_ids(monkeypatch):
+    def no_noise(*args, **kwargs):
+        raise AssertionError("noise was built before the rows were checked")
+
+    monkeypatch.setattr(EnsembleNoise, "__init__", no_noise)
+    cfg = SchemeConfig(tau=2.0**-6, grid=Grid1D(16), horizon=1.0, scheme="gtem",
+                       coefficients=SPECS["constant-g-1"], noise=QWienerSpec(3.0, 1.0, 15))
+    chains = BatchChains(cfg, np.zeros((3, 15)))
+    for ids in ([], [0, 1]):
+        with pytest.raises(ValueError, match=f"3 rows are not whole copies of {len(ids)} path"):
+            chains.run(ids, 4)
+    assert chains.step_index == 0
+
+
+def test_a_two_copy_run_steps_on_the_noise_of_its_path_ids():
+    """Rows [a; b] of two copies of paths 4 and 9 take each step's noise of
+    those paths, twice over, from an ``EnsembleNoise`` of the plan's config."""
+    cfg = SchemeConfig(tau=2.0**-6, grid=Grid1D(32), horizon=16 * 2.0**-6, scheme="gtem",
+                       coefficients=SPECS["polynomial-g"], noise=QWienerSpec(3.0, 1.0, 31),
+                       seed=20250809)
+    ids = [4, 9]
+    a, b = np.sin(np.pi * cfg.grid.nodes), np.full(31, 3.0)
+    rows = np.stack([a, a, b, b])
+    chains, oracle = BatchChains(cfg, rows), BatchChains(cfg, rows)
+    chains.run(ids, cfg.n_steps)
+    noise = EnsembleNoise(cfg, ids, 2)
+    for n in range(cfg.n_steps):
+        oracle.advance(noise.value_rows(n))
+    assert chains.states.tobytes() == oracle.states.tobytes()
 
 
 def test_a_stacked_plan_guards_each_grid_with_its_own_h():

@@ -337,7 +337,7 @@ def test_run_returns_the_steps_it_records_and_the_values_there(stride, recorded)
     x0 = InitialCondition("sine", amplitude=3.0).build(GRID)
     rows = np.stack([x0, ZERO, -x0])
     chains = BatchChains(cfg, rows)
-    steps, (l2, states) = chains.run(EnsembleNoise(cfg, range(3)), cfg.n_steps, stride,
+    steps, (l2, states) = chains.run(range(3), cfg.n_steps, stride,
                                      [OBSERVABLE_ROWS["l2_sq"], lambda v, cfg: v])
     assert steps.tolist() == recorded
     assert l2.shape == (3, len(recorded))
@@ -346,12 +346,12 @@ def test_run_returns_the_steps_it_records_and_the_values_there(stride, recorded)
     for i in range(len(recorded)):
         assert np.allclose(l2[:, i], rows_l2_sq(states[..., i], GRID.h), rtol=1e-14, atol=0.0)
     bare = BatchChains(cfg, rows)
-    bare_steps, values = bare.run(EnsembleNoise(cfg, range(3)), cfg.n_steps, stride)
+    bare_steps, values = bare.run(range(3), cfg.n_steps, stride)
     assert values == [] and np.array_equal(bare_steps, steps)
     assert np.array_equal(bare.states, chains.states)
     res = long_run_moment_test(cfg, x0, 4, AC_REPORT, record_stride=stride)
     assert np.array_equal(res.steps, steps)
-    every = BatchChains(cfg, x0).run(EnsembleNoise(cfg, [0]), cfg.n_steps)[0]
+    every = BatchChains(cfg, x0).run([0], cfg.n_steps)[0]
     assert np.array_equal(coupling_decay_test(cfg, x0, ZERO, cfg.n_steps, 4).steps, every)
 
 
@@ -375,8 +375,8 @@ def chunk_chains(cfg, x0_values, ids):
 def oracle_long_run(cfg, x0, n_paths, stride):
     l2, n_blow = [], 0
     for ids in chunked(n_paths):
-        chains, noise = chunk_chains(cfg, x0, ids)
-        l2.append(chains.run(noise, cfg.n_steps, stride, [OBSERVABLE_ROWS["l2_sq"]])[1][0])
+        chains, _ = chunk_chains(cfg, x0, ids)
+        l2.append(chains.run(ids, cfg.n_steps, stride, [OBSERVABLE_ROWS["l2_sq"]])[1][0])
         n_blow += int(chains.blown.sum())
     l2 = np.vstack(l2)
     return l2.mean(axis=0), l2.std(axis=0, ddof=1) / math.sqrt(n_paths), n_blow
@@ -400,8 +400,8 @@ def oracle_coupling(cfg, x0_a, x0_b, n_steps, n_paths):
 def oracle_blowups(cfg, x0_values, n_paths):
     total = 0
     for ids in chunked(n_paths):
-        chains, noise = chunk_chains(cfg, x0_values, ids)
-        chains.run(noise, cfg.n_steps)
+        chains, _ = chunk_chains(cfg, x0_values, ids)
+        chains.run(ids, cfg.n_steps)
         total += int(chains.blown.sum())
     return total / n_paths
 
@@ -487,7 +487,7 @@ def test_ergodic_rows_match_chunked_oracle(monkeypatch, n_cells):
     chunk_states = []
     for ids in chunked(len(x0s)):
         chains = BatchChains(cfg, x0s[ids.start:ids.stop])
-        _, (states,) = chains.run(EnsembleNoise(cfg, ids), cfg.n_steps,
+        _, (states,) = chains.run(ids, cfg.n_steps,
                                   observables=[lambda v, cfg: v])
         chunk_states.append(states)
     assert len(seen) == cfg.n_steps + 1

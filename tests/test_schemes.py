@@ -13,7 +13,13 @@ from tamedspde.grid import (
     sine_mode,
 )
 from tamedspde.noise import QWienerSpec
-from tamedspde.schemes import OVERFLOW_GUARD, InitialCondition, Scheme, SchemeConfig
+from tamedspde.schemes import (
+    OVERFLOW_GUARD,
+    InitialCondition,
+    Scheme,
+    SchemeConfig,
+    whole_steps,
+)
 
 ZERO_DRIFT = CoefficientSpec(drift=(0.0,), diffusion=(0.0,), q=0)
 
@@ -33,9 +39,25 @@ def heat_config(n_cells=64, tau=0.05, horizon=1.0):
 def run_path(config, x0, path_id, record_stride=1):
     """One path as a 1-row ensemble: (recorded steps, recorded states, chains)."""
     chains = BatchChains(config, x0)
-    steps, (states,) = chains.run(EnsembleNoise(config, [path_id]), config.n_steps,
+    steps, (states,) = chains.run([path_id], config.n_steps,
                                   record_stride, [lambda v, cfg: v[0]])
     return steps, states.T, chains
+
+
+@pytest.mark.parametrize("t, tau, name", [
+    (1.01, 2.0**-6, "horizon"),  # a config's horizon
+    (1.0, 0.3, "t"),  # a semigroup ladder's t
+    (0.03, 2.0**-6, "coarse tau"),  # a tau ladder's coarse step
+    (0.001, 0.25, "t"),  # no whole step
+])
+def test_whole_steps_rejects_a_t_that_is_not_a_whole_number_of_steps(t, tau, name):
+    with pytest.raises(ValueError, match=f"^{name} {t} is not an integer multiple of tau {tau}$"):
+        whole_steps(t, tau, name)
+
+
+def test_whole_steps_accepts_a_t_within_rounding_of_whole_steps():
+    assert 0.1 * 3 != 0.3 and whole_steps(0.3, 0.1, "horizon") == 3
+    assert whole_steps(1.0, 1.0 / 81, "t") == 81  # an h ladder's t / n^2 at 9 cells
 
 
 def test_config_validation():
@@ -163,7 +185,7 @@ def test_run_stops_stepping_once_every_row_is_frozen(monkeypatch):
 
     monkeypatch.setattr(EnsembleNoise, "value_rows", spy)
     chains = BatchChains(cfg, x0)
-    steps, (states,) = chains.run(EnsembleNoise(cfg, range(100)), cfg.n_steps, 7,
+    steps, (states,) = chains.run(range(100), cfg.n_steps, 7,
                                   [lambda v, cfg: v])
     assert drawn == list(range(last))  # step n draws step n - 1's noise
     assert chains.step_index == oracle.step_index == cfg.n_steps
