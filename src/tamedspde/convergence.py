@@ -5,12 +5,12 @@ error of a coarse discretization is measured against the same scheme run at
 a much finer resolution on the *same* Brownian path.  A slice of paths
 (``parallel.path_slices``, by its block buffers per path) advances the
 reference and every ladder member in lockstep, one row per path, streaming
-the fine noise in blocks of the smallest multiple of lcm(ratios) that covers
-``MIN_BLOCK_STEPS`` reference steps (the last block may be shorter, still a
-multiple of lcm): each block's fine increments are drawn once, by one
-``PathSampler.coeffs`` call, summed over coarse steps level by level (exact
-aggregation of the Wiener path), truncated to the coarse grid's own modes,
-and the fine reference is restricted to coarse nodes (exact for nested
+the fine noise in blocks of the smallest multiple of lcm(ratios) that
+covers ``engine.BLOCK_STEPS`` reference steps (the last block may be
+shorter, still a multiple of lcm): each block's fine increments are drawn
+once, by one ``PathSampler.coeffs`` call, summed over coarse steps level by
+level (exact aggregation of the Wiener path), truncated to the coarse grid's
+own modes, and the fine reference is restricted to coarse nodes (exact for nested
 meshes); each member takes one error reduction per block.  The reference and the members step in ratio
 groups (reference steps per member step): the chains of one ratio advance as
 one ``BatchChains`` whose node axis holds their grids back to back, each
@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fem
-from .engine import BatchChains, resolvent_rows
+from .engine import BLOCK_STEPS, BatchChains, resolvent_rows
 from .grid import Grid1D, rows_l2_sq, sine_mode
 from .noise import PathSampler, pairwise_tree_sum_axis, synthesize
 from .parallel import PATH_CHUNK, parallel_map, path_slices
@@ -85,7 +85,6 @@ class RateFit:
 MIN_FIT_POINTS = 4  # a rate fit needs at least this many positive errors
 SEMIGROUP_MIN_AMPLITUDE = 1e-8  # a smaller exact amplitude leaves only rounding error
 MAX_BLOCK_VALUES = 2**26  # float64 values one chunk's ladder block may hold (512 MB)
-MIN_BLOCK_STEPS = 8  # reference steps a ladder block covers at least, tail aside
 
 
 class RateFitError(ValueError):
@@ -175,10 +174,10 @@ def _ladder_members(reference: SchemeConfig, coarse_taus: Optional[Sequence[floa
 
 def _block_shape(members):
     """(block, stride): the smallest multiple of lcm(ratios) covering
-    ``MIN_BLOCK_STEPS`` reference steps, and gcd(ratios)."""
+    ``BLOCK_STEPS`` reference steps, and gcd(ratios)."""
     ratios = [m.ratio for m in members]
     lcm = math.lcm(*ratios)
-    return lcm * -(-MIN_BLOCK_STEPS // lcm), math.gcd(*ratios)
+    return lcm * -(-BLOCK_STEPS // lcm), math.gcd(*ratios)
 
 
 def _chain_groups(reference: SchemeConfig, members):

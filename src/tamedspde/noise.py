@@ -19,9 +19,8 @@ Brownian path — the properties the coupled convergence ladders rely on.
 An ensemble keeps one generator and re-keys it for each of its paths at each
 step by assigning a prebuilt state, never reading it, and one call fills
 one step's rows or a whole block of steps, such as a ladder's (steps,
-paths, K) buffer, with one concatenate (see ``PathSampler``): on numpy
-2.4.6 and a 2-vCPU x86 host, a 100-row block of 31-mode draws costs about
-1.2 us a row, against 1.6 us with each row drawn in place.
+paths, K) buffer, each row drawn in place (see ``PathSampler``): on numpy
+2.4.6 and a 2-vCPU x86 host, a row of 31 modes costs about 1.5 us.
 
 ``synthesize`` turns rows of coefficients into nodal values: on meshes of up
 to 64 cells by one 1-row product per row with the cached dense sine matrix,
@@ -142,11 +141,6 @@ def synthesize(coeffs: np.ndarray, n_cells: int, out: np.ndarray | None = None) 
     )
 
 
-# Widest rows that ``PathSampler`` draws into fresh arrays and concatenates:
-# near 1024 modes the copy costs about what numpy's out= path does.
-_CONCAT_MAX_MODES = 1023
-
-
 class PathSampler:
     """Sampler for a list of paths: one Philox generator, re-keyed per row.
 
@@ -164,28 +158,25 @@ class PathSampler:
     about 20 us.
 
     One ``coeffs`` call fills one step's rows, or the rows of a block of
-    consecutive steps: a ladder draws each of its blocks in one call, so the
-    per-call costs (the checks, the final scale) are paid once per block.
-    Rows of up to ``_CONCAT_MAX_MODES`` modes are drawn into fresh arrays
-    and one ``np.concatenate`` writes the whole call's rows, since numpy's
-    ``out=`` path costs more per call than the allocating one; wider rows
-    are drawn in place, where the copy costs more than the out= path.  Per
-    one-step call (1 BLAS thread, same host), 100 rows at K = 31 took 122 us
-    concatenated against 156 us in place, and 2 rows at K = 255 6.6 us
-    either way; 2 rows at K = 4095 took 81 against 79 us, and concatenating
-    them slowed the 4096-cell ladder benchmark by about 2%.
+    consecutive steps: the ladders and ``engine.BatchChains.run`` draw each
+    of their blocks in one call, so the per-call costs (the checks, the
+    final scale) are paid once per block.  Each row is drawn in place by
+    ``standard_normal(out=row)``; given a ``size`` as well, numpy would
+    check the shape on every row.  Per row (1 BLAS thread, same host), in
+    a block of 8 steps: 1.5-1.6 us at 100 rows of K = 31, 1.9-2.0 us at 2
+    rows of K = 63 and 5.0-5.1 us at 25 rows of K = 255.
     """
 
     def __init__(self, spec: QWienerSpec, seed: int, path_ids: Sequence[int], tau: float):
         if not tau > 0:  # NaN included
             raise ValueError(f"tau must be positive, got {tau}")
         self.spec = spec
-        self._key_words = [pid & _MASK64 for pid in path_ids]
+        self._key_words = [int(pid) & _MASK64 for pid in path_ids]  # numpy ints too
         self._scale = np.sqrt(spec.eigenvalues() * tau)
         self._bitgen = np.random.Philox(0)  # a placeholder: each row assigns its state
         self._gen = np.random.Generator(self._bitgen)
         self._counter = [0, 0, 0, 0]  # counter = step_index << 128: word 2 only
-        self._key = [seed & _MASK64, 0]  # word 1: the path id of the row drawn
+        self._key = [int(seed) & _MASK64, 0]  # word 1: the path id of the row drawn
         self._state = {
             "bit_generator": "Philox",
             "state": {"counter": self._counter, "key": self._key},
@@ -209,7 +200,7 @@ class PathSampler:
             out = np.empty((n_paths, n_modes))
         elif not (out.shape[-2:] == (n_paths, n_modes) and out.ndim in (2, 3)
                   and out.flags.c_contiguous and out.dtype == np.float64):
-            # one row per path; reshape(-1) must be a view, and concatenate must not cast
+            # one row per path; every row must be a view that the draw can fill
             raise ValueError(
                 f"out must be a C-contiguous float64 array of shape {(n_paths, n_modes)} "
                 f"or (steps, {n_paths}, {n_modes})"
@@ -220,23 +211,12 @@ class PathSampler:
             raise ValueError(f"step_index out of range: {step_index}, last step {last}")
         counter, key, state, bitgen = self._counter, self._key, self._state, self._bitgen
         normal = self._gen.standard_normal
-        if n_modes > _CONCAT_MAX_MODES:
-            for step, rows in enumerate(out.reshape(n_steps, n_paths, n_modes), step_index):
-                counter[2] = step
-                for word, row in zip(self._key_words, rows):
-                    key[1] = word
-                    bitgen.state = state
-                    normal(n_modes, out=row)
-        else:
-            rows = []
-            for step in range(step_index, step_index + n_steps):
-                counter[2] = step
-                for word in self._key_words:
-                    key[1] = word
-                    bitgen.state = state
-                    rows.append(normal(n_modes))
-            if rows:
-                np.concatenate(rows, out=out.reshape(-1))
+        for step, rows in enumerate(out.reshape(n_steps, n_paths, n_modes), step_index):
+            counter[2] = step
+            for word, row in zip(self._key_words, rows):
+                key[1] = word
+                bitgen.state = state
+                normal(out=row)
         out *= self._scale
         return out
 

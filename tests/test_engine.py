@@ -16,11 +16,19 @@ import pytest
 from scipy.linalg.lapack import dpttrs
 
 from tamedspde import fem
-from tamedspde.coefficients import CoefficientSpec, DiffusionKind, eval_f, eval_g
-from tamedspde.engine import BatchChains, EnsembleNoise, step_rows
+from tamedspde.coefficients import (
+    CoefficientSpec,
+    DiffusionKind,
+    allen_cahn,
+    check_assumptions,
+    eval_f,
+    eval_g,
+)
+from tamedspde.engine import BLOCK_STEPS, BatchChains, EnsembleNoise, step_rows
+from tamedspde.ergodicity import lyapunov_contraction_test
 from tamedspde.fem import mass_matvec_rows
 from tamedspde.grid import Grid1D, rows_l2_sq
-from tamedspde.noise import QWienerSpec
+from tamedspde.noise import PathSampler, QWienerSpec, synthesize
 from tamedspde.schemes import OVERFLOW_GUARD, Scheme, SchemeConfig
 
 CUBIC = (0.0, 1.0, 0.0, -1.0)
@@ -152,7 +160,7 @@ def test_the_plan_is_resolved_once(monkeypatch):
     calls.clear()
     noise = EnsembleNoise(cfg, [0, 1])
     for n in range(50):
-        chains.advance(noise.value_rows(n))
+        chains.advance(noise.value_rows(n, 1)[0])
     assert chains.step_index == 50 and not calls
 
 
@@ -163,7 +171,7 @@ def test_a_path_gets_the_same_noise_bits_in_ensembles_of_26_and_50_paths(n_cells
                        noise=QWienerSpec(3.0, 1.0, n_cells - 1), seed=20250809)
     small, large = EnsembleNoise(cfg, range(26)), EnsembleNoise(cfg, range(50))
     for n in range(8):
-        assert small.value_rows(n)[25].tobytes() == large.value_rows(n)[25].tobytes()
+        assert small.value_rows(n, 1)[0, 25].tobytes() == large.value_rows(n, 1)[0, 25].tobytes()
 
 
 @pytest.mark.parametrize("n_cells", [32, 64])
@@ -212,8 +220,93 @@ def test_a_two_copy_run_steps_on_the_noise_of_its_path_ids():
     chains.run(ids, cfg.n_steps)
     noise = EnsembleNoise(cfg, ids, 2)
     for n in range(cfg.n_steps):
-        oracle.advance(noise.value_rows(n))
+        oracle.advance(noise.value_rows(n, 1)[0])
     assert chains.states.tobytes() == oracle.states.tobytes()
+
+
+def fresh_philox_values(cfg, path_ids, step, copies):
+    """One step's nodal increments of ``path_ids``, ``copies`` times over, each
+    row from a freshly built Philox generator: key words (seed, path id) mod
+    2^64, counter step * 2^128, as the noise module defines the stream."""
+    mask, scale = (1 << 64) - 1, np.sqrt(cfg.noise.eigenvalues() * cfg.tau)
+    rows = [scale * np.random.Generator(np.random.Philox(
+        key=(cfg.seed & mask) | ((p & mask) << 64), counter=step << 128)
+    ).standard_normal(cfg.noise.truncation) for p in path_ids]
+    return np.tile(synthesize(np.stack(rows), cfg.grid.n_cells), (copies, 1))
+
+
+def assert_run_matches_a_per_step_oracle(cfg, rows, path_ids, n_steps, stride=5):
+    """``run`` against one ``advance`` per step on fresh-Philox noise: the
+    recorded steps and values, the states and the blow-up steps, byte for byte."""
+    observables = (lambda v, c: rows_l2_sq(v, c.grid.h), lambda v, c: v)
+    chains, oracle = BatchChains(cfg, rows), BatchChains(cfg, rows)
+    steps, values = chains.run(path_ids, n_steps, stride, observables)
+    copies = len(rows) // len(path_ids)
+    expected_steps, expected = [0], [[fn(oracle.states, cfg)] for fn in observables]
+    for n in range(1, n_steps + 1):
+        oracle.advance(fresh_philox_values(cfg, path_ids, n - 1, copies))
+        if n % stride == 0 or n == n_steps:
+            expected_steps.append(n)
+            for fn, series in zip(observables, expected):
+                series.append(fn(oracle.states, cfg))
+    assert steps.tobytes() == np.asarray(expected_steps).tobytes()
+    for got, series in zip(values, expected, strict=True):
+        assert got.tobytes() == np.stack(series, axis=-1).tobytes()
+    assert chains.states.tobytes() == oracle.states.tobytes()
+    assert chains.blowup_step.tobytes() == oracle.blowup_step.tobytes()
+    assert chains.step_index == oracle.step_index == n_steps
+    return chains
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 8, 9, 21])
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("n_cells", [32, 128])  # dense and DST-I synthesis
+def test_run_steps_on_each_steps_noise_across_block_boundaries(n_steps, copies, n_cells):
+    cfg = SchemeConfig(tau=2.0**-6, grid=Grid1D(n_cells), horizon=1.0, scheme="gtem",
+                       coefficients=SPECS["polynomial-g"],
+                       noise=QWienerSpec(3.0, 1.0, n_cells - 1), seed=20250809)
+    ids = [4, 9, 2]
+    starts = [a * np.sin(np.pi * cfg.grid.nodes) for a in (1.0, 3.0)[:copies]]
+    rows = np.repeat(np.stack(starts), len(ids), axis=0)
+    assert_run_matches_a_per_step_oracle(cfg, rows, ids, n_steps)
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 8, 9, 21])
+@pytest.mark.parametrize("copies", [1, 2])
+def test_run_freezes_rows_mid_block_as_a_per_step_run_does(n_steps, copies):
+    # the untamed setup of criterion 6: a row started at amplitude 5 blows up
+    # at step 4, one at 2.5 at steps 5 to 9, so rows freeze inside a block
+    grid = Grid1D(64)
+    cfg = SchemeConfig(tau=0.5, grid=grid, horizon=50.0, scheme="untamed_em",
+                       coefficients=allen_cahn(0.5), noise=QWienerSpec(3.0, 1.0, 63),
+                       seed=20250809)
+    ids = range(6)
+    amplitudes = [5.0, 2.5] * 3 if copies == 1 else [5.0] * 6 + [2.5] * 6
+    rows = np.stack([a * np.sin(np.pi * grid.nodes) for a in amplitudes])
+    chains = assert_run_matches_a_per_step_oracle(cfg, rows, ids, n_steps)
+    blowups = chains.blowup_step[np.asarray(amplitudes) == 2.5]
+    if n_steps >= 9:
+        assert chains.blown.all() and set(chains.blowup_step) - set(blowups) == {4}
+        assert (blowups % BLOCK_STEPS).all()  # each froze with steps of its block left
+    if n_steps == 1:
+        assert not chains.blown.any()
+
+
+def test_a_one_step_lyapunov_probe_draws_one_step(monkeypatch):
+    drawn = []
+    coeffs = PathSampler.coeffs
+
+    def spy(self, step_index, out=None):
+        drawn.append((step_index, 1 if out is None or out.ndim == 2 else len(out)))
+        return coeffs(self, step_index, out)
+
+    monkeypatch.setattr(PathSampler, "coeffs", spy)
+    grid = Grid1D(32)
+    cfg = SchemeConfig(tau=2.0**-6, grid=grid, horizon=1.0, scheme="gtem",
+                       coefficients=allen_cahn(1.0), noise=QWienerSpec(3.0, 1.0, 31))
+    report = check_assumptions(cfg.coefficients, cfg.noise)
+    lyapunov_contraction_test(cfg, [np.zeros(grid.n_interior)], 1000, report)
+    assert drawn and all(call == (0, 1) for call in drawn)
 
 
 def test_a_stacked_plan_guards_each_grid_with_its_own_h():

@@ -389,7 +389,7 @@ def oracle_coupling(cfg, x0_a, x0_b, n_steps, n_paths):
         b, _ = chunk_chains(cfg, x0_b, ids)
         d = [rows_l2_sq(a.states - b.states, cfg.grid.h)]
         for n in range(n_steps):
-            vals = noise.value_rows(n)
+            vals = noise.value_rows(n, 1)[0]
             a.advance(vals)
             b.advance(vals)
             d.append(rows_l2_sq(a.states - b.states, cfg.grid.h))
@@ -410,7 +410,7 @@ def oracle_lyapunov(cfg, anchor, a, n_samples):
     v1 = []
     for ids in chunked(n_samples, a * n_samples):
         chains, noise = chunk_chains(cfg, anchor, ids)
-        chains.advance(noise.value_rows(0))
+        chains.advance(noise.value_rows(0, 1)[0])
         v1.append(rows_lyapunov(chains.states, cfg.grid.h, cfg.tau))
     v1 = np.concatenate(v1)
     return float(np.mean(v1)), float(np.std(v1, ddof=1) / math.sqrt(n_samples))

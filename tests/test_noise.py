@@ -115,10 +115,10 @@ def test_coeffs_fill_a_row_of_a_block_buffer():
     assert not fine.any()  # nothing else was written
 
 
-@pytest.mark.parametrize("n_modes", [63, noise_mod._CONCAT_MAX_MODES, 2047])
+@pytest.mark.parametrize("n_modes", [63, 1023, 2047])
 def test_coeffs_fill_a_step_block_of_the_ladder_buffer(n_modes):
     # the ladder's fine[i]: one step's (paths, K) rows inside a (steps, paths, K)
-    # block, on both sides of the widest concatenated row
+    # block, at narrow and wide rows
     spec = QWienerSpec(3.0, 1.0, n_modes)
     ids = [4, 9, 2]
     ps = PathSampler(spec, 42, ids, 0.01)
@@ -130,11 +130,11 @@ def test_coeffs_fill_a_step_block_of_the_ladder_buffer(n_modes):
     assert np.array_equal(ps.coeffs(5), fine[1])
 
 
-@pytest.mark.parametrize("n_modes", [63, noise_mod._CONCAT_MAX_MODES, 2047])
+@pytest.mark.parametrize("n_modes", [63, 1023, 2047])
 def test_coeffs_fill_a_block_of_steps_in_one_call(n_modes):
     # the ladder's block buffer (steps, paths, K) from one call: the rows of
-    # steps 5, 6, ... equal one call per step, on both sides of the widest
-    # concatenated row; an odd K leaves Philox words buffered after each row
+    # steps 5, 6, ... equal one call per step, at narrow and wide rows; an
+    # odd K leaves Philox words buffered after each row
     spec = QWienerSpec(3.0, 1.0, n_modes)
     ids = [4, 9, 2]
     ps = PathSampler(spec, 42, ids, 0.01)
@@ -180,10 +180,8 @@ def test_coeffs_rejects_an_out_that_is_not_c_contiguous_float64(n_modes):
 @pytest.mark.parametrize("n_modes", [63, 1100])
 @pytest.mark.parametrize("extra_rows, extra_modes", [(-1, 0), (1, 0), (0, 1)])
 def test_coeffs_rejects_an_out_of_the_wrong_shape(n_modes, extra_rows, extra_modes):
-    # on both sides of the widest concatenated row: the in-place draw zips
-    # the path ids with the rows, so a wrong row count would drop paths or
-    # leave rows unfilled but scaled
-    assert (n_modes > noise_mod._CONCAT_MAX_MODES) == (n_modes == 1100)
+    # the in-place draw zips the path ids with the rows, so a wrong row
+    # count would drop paths or leave rows unfilled but scaled
     ps = PathSampler(QWienerSpec(3.0, 1.0, n_modes), 42, [1, 2, 3], 0.01)
     out = np.full((3 + extra_rows, n_modes + extra_modes), 123.0)
     with pytest.raises(ValueError, match=rf"of shape \(3, {n_modes}\)"):
@@ -222,6 +220,16 @@ def test_multi_path_sampler_rows_equal_fresh_generators():
     assert PathSampler(spec, 42, [], 0.01).coeffs(3).shape == (0, spec.truncation)
 
 
+def test_numpy_integer_seed_and_ids_key_mod_2_64_as_python_ints_do():
+    # np.int64(-1) & (2^64 - 1) would overflow a C long: the sampler keys int(x)
+    spec = QWienerSpec(3.0, 1.0, 31)
+    ps = PathSampler(spec, np.int64(-1), np.arange(3), 0.01)
+    python_ints = PathSampler(spec, -1, [0, 1, 2], 0.01)
+    for step in (0, 11):
+        assert ps.coeffs(step).tobytes() == python_ints.coeffs(step).tobytes()
+    assert np.array_equal(ps.coeffs(11)[2], fresh_philox_coeffs(spec, 0.01, MASK64, 2, 11))
+
+
 def test_ensemble_rows_equal_per_path_oracles():
     # the ids lyapunov_contraction_test draws for anchor a: a * n_samples + j
     n_samples, tau = 1000, 0.01
@@ -229,10 +237,10 @@ def test_ensemble_rows_equal_per_path_oracles():
     noise = EnsembleNoise(noise_config(tau=tau, seed=17), ids)
     for step in (0, 4):
         oracle = np.stack([fresh_philox_coeffs(SPEC, tau, 17, p, step) for p in ids])
-        assert np.array_equal(noise.coeff_rows(step), oracle)
+        assert np.array_equal(noise.coeff_rows(step, 1)[0], oracle)
     # a path's row does not depend on the ensemble it is drawn in
-    one = EnsembleNoise(noise_config(tau=tau, seed=17), [7]).coeff_rows(3)
-    many = EnsembleNoise(noise_config(tau=tau, seed=17), range(25)).coeff_rows(3)
+    one = EnsembleNoise(noise_config(tau=tau, seed=17), [7]).coeff_rows(3, 1)[0]
+    many = EnsembleNoise(noise_config(tau=tau, seed=17), range(25)).coeff_rows(3, 1)[0]
     assert one.shape == (1, SPEC.truncation)
     assert np.array_equal(one[0], many[7])
 
@@ -241,7 +249,7 @@ def test_mode_variance_mc_oracle():
     # Var<dW, q_1> over many samples ~ lambda_1 * tau
     tau, n = 0.01, 10_000
     spec = QWienerSpec(3.0, 1.0, 63)
-    values = EnsembleNoise(noise_config(spec, tau=tau, seed=7), range(n)).value_rows(0)
+    values = EnsembleNoise(noise_config(spec, tau=tau, seed=7), range(n)).value_rows(0, 1)[0]
     m_e1 = mass_matvec_rows(assemble(GRID), sine_mode(GRID, 1))
     proj = values @ m_e1  # mass inner product with e_1
     var = proj.var(ddof=1)
@@ -252,7 +260,7 @@ def test_mode_variance_mc_oracle():
 
 def test_mode_independence_and_trace():
     tau, n = 0.04, 10_000
-    coeffs = EnsembleNoise(noise_config(tau=tau, seed=11), range(n)).coeff_rows(0)
+    coeffs = EnsembleNoise(noise_config(tau=tau, seed=11), range(n)).coeff_rows(0, 1)[0]
     # cross-covariance of distinct modes within 3 SE of zero
     for j, k in [(0, 1), (1, 4), (2, 7)]:
         c = np.cov(coeffs[:, j], coeffs[:, k], ddof=1)[0, 1]
@@ -268,8 +276,8 @@ def test_mode_independence_and_trace():
 def test_independence_across_steps():
     tau, n = 0.01, 4000
     noise = EnsembleNoise(noise_config(tau=tau, seed=13), range(n))
-    a = noise.coeff_rows(0)[:, :3]
-    b = noise.coeff_rows(1)[:, :3]
+    a = noise.coeff_rows(0, 1)[0][:, :3]
+    b = noise.coeff_rows(1, 1)[0][:, :3]
     for m in range(3):
         c = np.cov(a[:, m], b[:, m], ddof=1)[0, 1]
         se = np.sqrt(a[:, m].var(ddof=1) * b[:, m].var(ddof=1) / (n - 1))
@@ -283,7 +291,7 @@ def test_aggregation_identity_and_variance():
     # variance of a 4-step aggregate ~ 4 * lambda_k * tau_fine
     tau, n = 0.01, 10_000
     noise = EnsembleNoise(noise_config(tau=tau, seed=6), range(n))
-    fine = np.stack([noise.coeff_rows(k) for k in range(4)], axis=1)  # (paths, 4, K)
+    fine = np.stack([noise.coeff_rows(k, 1)[0] for k in range(4)], axis=1)  # (paths, 4, K)
     sums = pairwise_tree_sum_axis(fine)[:, 0]
     var = sums.var(ddof=1)
     se = var * np.sqrt(2.0 / (n - 1))
@@ -321,7 +329,7 @@ def test_coarse_path_is_prefix_of_fine_path():
     # restricting the fine coefficients synthesizes the coarse path's values
     coarse_noise = EnsembleNoise(noise_config(coarse_spec, coarse_grid, seed=21), [4])
     restricted = synthesize(fine[None, :15], coarse_grid.n_cells)
-    assert np.array_equal(restricted, coarse_noise.value_rows(8))
+    assert np.array_equal(restricted, coarse_noise.value_rows(8, 1)[0])
     with pytest.raises(ValueError):
         synthesize(fine, coarse_grid.n_cells)  # cannot carry more modes than nodes
 
@@ -388,13 +396,14 @@ def test_dense_synthesis_shares_the_cache_and_wide_meshes_bypass_it(tmp_path):
         grid = Grid1D(n_cells)
         noise = EnsembleNoise(noise_config(QWienerSpec(3.0, 1.0, k), grid, seed=3), range(5))
         transposed = np.ascontiguousarray(full[:, :k].T)
-        per_row = np.matmul(noise.coeff_rows(2)[:, None, :], transposed)[:, 0, :]
-        assert np.array_equal(noise.value_rows(2), per_row)
+        per_row = np.matmul(noise.coeff_rows(2, 1)[0][:, None, :], transposed)[:, 0, :]
+        assert np.array_equal(noise.value_rows(2, 1)[0], per_row)
     # above it: no entry for a wider mesh, whichever caller synthesizes
     wide = Grid1D(4096)
     _synth_matrix.cache_clear()
     for grid in (Grid1D(128), Grid1D(256), wide):
-        EnsembleNoise(noise_config(SPEC.for_grid(grid), grid, seed=3), range(2)).value_rows(0)
+        noise = EnsembleNoise(noise_config(SPEC.for_grid(grid), grid, seed=3), range(2))
+        noise.value_rows(0, 1)
     assert _synth_matrix.cache_info().currsize == 0
     out = tmp_path / "sim"
     cfg = tmp_path / "sim.ini"

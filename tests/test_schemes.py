@@ -3,7 +3,7 @@ import pytest
 
 from tamedspde import engine
 from tamedspde.coefficients import CoefficientSpec, allen_cahn, eval_g
-from tamedspde.engine import BatchChains, EnsembleNoise, step_plan, step_rows
+from tamedspde.engine import BLOCK_STEPS, BatchChains, EnsembleNoise, step_plan, step_rows
 from tamedspde.fem import dispersion_eigenvalue
 from tamedspde.grid import (
     Grid1D,
@@ -115,10 +115,10 @@ def test_step_depends_only_on_state_and_increment():
     noise = EnsembleNoise(cfg, [0])
     chains = BatchChains(cfg, x0)
     for n in range(3):
-        chains.advance(noise.value_rows(n))
+        chains.advance(noise.value_rows(n, 1)[0])
     # a fresh copy of the same values must step identically
     clone = chains.states.copy()
-    inc = noise.value_rows(3)
+    inc = noise.value_rows(3, 1)[0]
     out_a, blown_a = step_rows(step_plan(cfg), chains.states, inc)
     out_b, blown_b = step_rows(step_plan(cfg), clone, inc.copy())
     assert np.array_equal(out_a, out_b)
@@ -171,7 +171,7 @@ def test_run_stops_stepping_once_every_row_is_frozen(monkeypatch):
     x0 = np.tile(np.sin(np.pi * grid.nodes) * 5.0, (100, 1))
     oracle, noise = BatchChains(cfg, x0), EnsembleNoise(cfg, range(100))
     for n in range(cfg.n_steps):
-        oracle.advance(noise.value_rows(n))
+        oracle.advance(noise.value_rows(n, 1)[0])
     assert oracle.blown.all()
     last = int(oracle.blowup_step.max())
     assert last < cfg.n_steps
@@ -179,15 +179,18 @@ def test_run_stops_stepping_once_every_row_is_frozen(monkeypatch):
     drawn = []
     value_rows = EnsembleNoise.value_rows
 
-    def spy(self, step_index):
-        drawn.append(step_index)
-        return value_rows(self, step_index)
+    def spy(self, step_index, n_steps):
+        drawn.append((step_index, n_steps))
+        return value_rows(self, step_index, n_steps)
 
     monkeypatch.setattr(EnsembleNoise, "value_rows", spy)
     chains = BatchChains(cfg, x0)
     steps, (states,) = chains.run(range(100), cfg.n_steps, 7,
                                   [lambda v, cfg: v])
-    assert drawn == list(range(last))  # step n draws step n - 1's noise
+    # step n draws step n - 1's noise, a block of BLOCK_STEPS at a time: the
+    # blocks that start below the last blow-up step, and no block after it
+    assert drawn == [(start, min(BLOCK_STEPS, cfg.n_steps - start))
+                     for start in range(0, last, BLOCK_STEPS)]
     assert chains.step_index == oracle.step_index == cfg.n_steps
     assert np.array_equal(chains.blowup_step, oracle.blowup_step)
     assert np.array_equal(chains.states, oracle.states)
@@ -216,7 +219,7 @@ def test_single_step_tau_continuity():
     x0 = InitialCondition("sine", amplitude=1.0).build(grid)
     base = SchemeConfig(tau=0.01, grid=grid, horizon=0.01, scheme="drift_gtem",
                         coefficients=allen_cahn(1.0), noise=noise, seed=5)
-    inc_values = EnsembleNoise(base, [0]).value_rows(0)
+    inc_values = EnsembleNoise(base, [0]).value_rows(0, 1)[0]
     limit = x0 + eval_g(allen_cahn(1.0), x0) * inc_values[0]
     errs = []
     for tau in (0.02, 0.01, 0.005, 0.0025):
@@ -284,7 +287,7 @@ def test_nonfinite_rhs_row_freezes_alone():
     chains = BatchChains(cfg, x0)
     pair = BatchChains(cfg, x0[[0, 2]])
     for n in range(1, 7):
-        inc = noise(n - 1)
+        inc = noise(n - 1, 1)[0]
         if n == 2:
             inc[1, 5] = np.inf
         chains.advance(inc)

@@ -51,8 +51,14 @@ LAYER_NOTES = {
     "fem.resolvent_us_per_row": "a stacked ladder row counts as one row",
     "engine.step_overhead_us_per_row": "a stacked ladder row counts as one row",
     "engine.norms_us_per_call": "per call, not per path; a call reduces a whole block",
-    "noise.synth_us_per_row": "a ladder's own synthesis is not spanned: it lands in "
+    "noise.synth_us_per_row": "per block step, not per row: on longrun-ensemble a call "
+                              "synthesizes a block of 8 steps of a slice's rows; a "
+                              "ladder's own synthesis is not spanned: it lands in "
                               "convergence.self_s, and this reads 0 on the ladders",
+    "noise.draw_calls": "on longrun-ensemble, one call per 8-step block of a slice's "
+                        "rows, as on the ladders",
+    "noise.draw_us_per_call": "on longrun-ensemble, one call draws an 8-step block of "
+                              "a slice's rows",
     "parallel.chunks": "on a ladder, counts path slices, not 25-path chunks",
 }
 
