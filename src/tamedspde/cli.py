@@ -19,7 +19,8 @@ map (``resolved_config.ini``), computes, and emits CSV tables and a
 plain-text verdict.  Exit codes: 0 all asserted checks pass, 1 a scientific
 check failed, 2 configuration error, 3 numerical failure during compute
 (every path blew up, or a tridiagonal LDL^T factorization or solve failed),
-4 program fault: any other exception, its traceback printed to stderr.
+4 program fault: any other exception, its traceback printed to stderr (a
+noise kernel that fails to build, ``noise.KernelBuildError``, included).
 
 The TAMEDSPDE_WORKERS environment variable sets the worker-thread count
 for Monte Carlo paths; it affects runtime only, never results.
@@ -43,7 +44,7 @@ from . import __version__, convergence, ergodicity
 from .coefficients import PRESETS, CoefficientSpec, check_assumptions
 from .engine import BatchChains
 from .grid import Grid1D
-from .noise import QWienerSpec
+from .noise import KernelBuildError, QWienerSpec
 from .parallel import worker_count
 from .reporting import CheckResult, format_value, write_csv, write_verdicts
 from .schemes import INITIAL_FIELDS, InitialCondition, Scheme, SchemeConfig
@@ -708,6 +709,8 @@ def run_experiment(config_path: Path, output_override=None) -> int:
         return EXIT_CONFIG_ERROR
     try:  # any other exception is a program fault (``main``)
         checks = RUNNERS[cfg["experiment", "kind"]](cfg, model, out_dir)
+    except KernelBuildError:  # the install's fault, not the run's: exit 4 (``main``)
+        raise
     except RuntimeError as exc:  # every path blew up, or an LDL^T factor or solve failed
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

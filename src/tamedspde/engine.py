@@ -6,12 +6,12 @@ overhead.  ``BatchChains`` keeps the ensemble as a (paths, nodes) matrix and
 advances every path in one set of array operations; a single path is a
 1-row ensemble, and a probe or a ladder steps each slice of its paths
 (``parallel.path_slices``) as one ensemble.  ``EnsembleNoise`` draws every
-path's counter-based stream with one re-keyed generator
-(``noise.PathSampler``) and synthesizes the nodal increments, once per path
+path's counter-based stream with one sampler (``noise.PathSampler``, one C
+call per block) and synthesizes the nodal increments, once per path
 however many copies of it the ensemble holds, a block of ``BLOCK_STEPS``
 steps per call, as the ladders draw their fine blocks (``convergence``).
 Per step of 100 rows at 31 modes and 32 cells (numpy 2.4.6, one BLAS
-thread, 2-vCPU x86 host), the draw and synthesis take 171-175 us in blocks
+thread, 2-vCPU x86 host), the draw and synthesis take 76-82 us in blocks
 of 8.
 
 Everything a step needs that does not change from step to step is resolved

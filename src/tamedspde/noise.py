@@ -16,11 +16,18 @@ path, step, mode): resampling is bit-identical, paths can be generated
 concurrently, truncating to fewer modes gives a prefix of the same draws,
 and summing increments over coarser steps reproduces exactly the same
 Brownian path — the properties the coupled convergence ladders rely on.
-An ensemble keeps one generator and re-keys it for each of its paths at each
-step by assigning a prebuilt state, never reading it, and one call fills
-one step's rows or a whole block of steps, such as a ladder's (steps,
-paths, K) buffer, each row drawn in place (see ``PathSampler``): on numpy
-2.4.6 and a 2-vCPU x86 host, a row of 31 modes costs about 1.5 us.
+One call of a small C kernel (``_philox.c``) fills one step's rows or a
+whole block of steps, such as a ladder's (steps, paths, K) buffer: it keys
+each row's Philox state on its own and fills the row with numpy's own
+ziggurat, so every row holds the bits of numpy's ``Generator(Philox(key,
+counter))`` (see ``PathSampler``).  The first draw of a process compiles
+the kernel with the Python build's C compiler into this package's
+``__pycache__/``, unless it is cached there; importing the module builds
+and loads nothing.  Per row, in a block of 8 steps (numpy 2.4.6, 1 BLAS
+thread, 2-vCPU x86 host): 0.56-0.59 us at 100 rows of K = 31, 1.0-1.1 us
+at 2 rows of K = 63, 4.3-4.8 us at 25 rows of K = 255 and 70-73 us at 2
+rows of K = 4095, where the normals themselves, about 17 ns each, set the
+time.
 
 ``synthesize`` turns rows of coefficients into nodal values: on meshes of up
 to 64 cells by one 1-row product per row with the cached dense sine matrix,
@@ -33,8 +40,16 @@ all of up to 64 cells never loads it (nor the ``scipy.special`` it pulls in).
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import hashlib
+import os
+import shlex
+import subprocess
+import sysconfig
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -141,82 +156,115 @@ def synthesize(coeffs: np.ndarray, n_cells: int, out: np.ndarray | None = None) 
     )
 
 
+class KernelBuildError(RuntimeError):
+    """``_philox.c`` could not be compiled: a fault of the install, not of a run."""
+
+
+_KERNEL_SOURCE = Path(__file__).with_name("_philox.c")
+_KERNEL_FLAGS = ("-O2", "-shared", "-fPIC")  # fixed: no -ffast-math, no CFLAGS read
+_kernel_lock = threading.Lock()
+_kernel = None  # the loaded ``philox_normals``
+
+
+def _build_kernel(cc: str, cache_dir: Path) -> Path:
+    """The path of ``_philox.c`` compiled by ``cc`` in ``cache_dir``, built unless cached.
+
+    The library's name holds a hash of the source, the flags and the numpy
+    version it links.  It is written under a temporary name and moved into
+    place, so a process never loads another's part-written file.  A failed
+    build raises ``KernelBuildError`` naming the command, the cache path and
+    the tail of the compiler's stderr.
+    """
+    digest = hashlib.sha256(
+        _KERNEL_SOURCE.read_bytes() + " ".join((*_KERNEL_FLAGS, np.__version__)).encode()
+    ).hexdigest()[:16]
+    library = cache_dir / f"_philox-{digest}.so"
+    if library.exists():
+        return library
+    temporary = cache_dir / f"{library.name}.{os.getpid()}.tmp"
+    npyrandom = Path(np.random.__file__).parent / "lib" / "libnpyrandom.a"
+    command = [*shlex.split(cc), *_KERNEL_FLAGS, "-I", np.get_include(), "-o", str(temporary),
+               str(_KERNEL_SOURCE), str(npyrandom), "-lm"]
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        done = subprocess.run(command, capture_output=True, text=True)
+        if done.returncode == 0:
+            os.replace(temporary, library)
+            return library
+        error = done.stderr
+    except OSError as exc:  # no such compiler, or a cache that cannot be written
+        error = str(exc)
+    temporary.unlink(missing_ok=True)
+    tail = "\n".join(error.strip().splitlines()[-10:])
+    raise KernelBuildError(
+        f"building the noise kernel failed: {shlex.join(command)}\ncache: {library}\n{tail}"
+    )
+
+
+def _philox_normals():
+    """The kernel's ``philox_normals``: built and loaded by the first draw of a process."""
+    global _kernel
+    with _kernel_lock:
+        if _kernel is None:
+            cc = sysconfig.get_config_var("CC") or "cc"
+            library = _build_kernel(cc, Path(__file__).with_name("__pycache__"))
+            kernel = ctypes.CDLL(str(library)).philox_normals  # releases the GIL per call
+            kernel.argtypes = (ctypes.c_uint64, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_uint64,
+                               ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p)
+            kernel.restype = None
+            _kernel = kernel
+    return _kernel
+
+
 class PathSampler:
-    """Sampler for a list of paths: one Philox generator, re-keyed per row.
+    """Sampler for a list of paths: each row drawn by the Philox kernel.
 
-    Built for one step size tau > 0, whose scale sqrt(lambda_k tau) it keeps.
-    The generator's state is assigned, never read: one state dict of plain
-    ints (key words (seed, path id), counter, an empty output buffer) is
-    built here.  For each step the counter's word 2 is set to the step index;
-    for each row the key's word 1 is set to that row's path id and the dict
-    is assigned.  That is bit-identical to constructing a fresh generator
-    with key (seed, path id) at counter step_index * 2^128, words buffered
-    by the previous row included: the assignment empties the buffer.
-    Measured on numpy 2.4.6 (2-vCPU x86 host), the assignment costs 0.33 us;
-    reading the state alone costs 1.2 us (a fresh dict of arrays), and
-    reading, editing and writing it back 2.1 us.  Building a sampler costs
-    about 20 us.
-
-    One ``coeffs`` call fills one step's rows, or the rows of a block of
+    Built for one step size tau > 0, whose scale sqrt(lambda_k tau) it keeps,
+    and for the key words (seed, path id), each taken mod 2^64.  One
+    ``coeffs`` call fills one step's rows, or the rows of a block of
     consecutive steps: the ladders and ``engine.BatchChains.run`` draw each
-    of their blocks in one call, so the per-call costs (the checks, the
-    final scale) are paid once per block.  Each row is drawn in place by
-    ``standard_normal(out=row)``; given a ``size`` as well, numpy would
-    check the shape on every row.  Per row (1 BLAS thread, same host), in
-    a block of 8 steps: 1.5-1.6 us at 100 rows of K = 31, 1.9-2.0 us at 2
-    rows of K = 63 and 5.0-5.1 us at 25 rows of K = 255.
+    of their blocks in one call.  The call is one ``_philox.c`` call, which
+    for each (step, path) keys a Philox4x64-10 state of its own, on the C
+    stack, as numpy's ``Philox`` would be at counter step_index * 2^128, and
+    fills the row with numpy's own ``random_standard_normal_fill``: the
+    bits of a fresh ``Generator(Philox(key, counter)).standard_normal(K)``.
+    The call releases the GIL; its cost per row is in the module docstring.
     """
 
     def __init__(self, spec: QWienerSpec, seed: int, path_ids: Sequence[int], tau: float):
         if not tau > 0:  # NaN included
             raise ValueError(f"tau must be positive, got {tau}")
         self.spec = spec
-        self._key_words = [int(pid) & _MASK64 for pid in path_ids]  # numpy ints too
+        self._seed = int(seed) & _MASK64  # numpy ints too
+        self._ids = np.array([int(pid) & _MASK64 for pid in path_ids], dtype=np.uint64)
         self._scale = np.sqrt(spec.eigenvalues() * tau)
-        self._bitgen = np.random.Philox(0)  # a placeholder: each row assigns its state
-        self._gen = np.random.Generator(self._bitgen)
-        self._counter = [0, 0, 0, 0]  # counter = step_index << 128: word 2 only
-        self._key = [int(seed) & _MASK64, 0]  # word 1: the path id of the row drawn
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": self._counter, "key": self._key},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,  # empty: no words buffered from an earlier draw
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
 
     def coeffs(self, step_index: int, out: np.ndarray | None = None) -> np.ndarray:
         """sqrt(lambda_k tau) zeta_k for one step, one row per path id.
 
-        ``out``, if given, is a C-contiguous float64 array of shape
+        ``out``, if given, is a writable C-contiguous float64 array of shape
         (len(path_ids), truncation), filled with that step's rows, or of
         shape (steps, len(path_ids), truncation), such as a block buffer,
         filled with the rows of steps ``step_index``, ``step_index + 1``, ...
         in one call; it is filled in place and returned.
         """
-        n_modes, n_paths = self.spec.truncation, len(self._key_words)
+        n_modes, n_paths = self.spec.truncation, len(self._ids)
         if out is None:
             out = np.empty((n_paths, n_modes))
         elif not (out.shape[-2:] == (n_paths, n_modes) and out.ndim in (2, 3)
-                  and out.flags.c_contiguous and out.dtype == np.float64):
-            # one row per path; every row must be a view that the draw can fill
+                  and out.flags.c_contiguous and out.flags.writeable
+                  and out.dtype == np.float64):
+            # the kernel writes the rows one after another into out's buffer
             raise ValueError(
-                f"out must be a C-contiguous float64 array of shape {(n_paths, n_modes)} "
-                f"or (steps, {n_paths}, {n_modes})"
+                f"out must be a writable C-contiguous float64 array of shape "
+                f"{(n_paths, n_modes)} or (steps, {n_paths}, {n_modes})"
             )
         n_steps = len(out) if out.ndim == 3 else 1
         last = step_index + max(n_steps, 1) - 1
         if not 0 <= step_index <= last < 1 << 64:
             raise ValueError(f"step_index out of range: {step_index}, last step {last}")
-        counter, key, state, bitgen = self._counter, self._key, self._state, self._bitgen
-        normal = self._gen.standard_normal
-        for step, rows in enumerate(out.reshape(n_steps, n_paths, n_modes), step_index):
-            counter[2] = step
-            for word, row in zip(self._key_words, rows):
-                key[1] = word
-                bitgen.state = state
-                normal(out=row)
+        _philox_normals()(self._seed, self._ids.ctypes.data, n_paths, step_index, n_steps,
+                          n_modes, out.ctypes.data)
         out *= self._scale
         return out
 

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import sysconfig
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +88,6 @@ def test_reseat_discards_words_buffered_by_an_odd_step():
     ps = PathSampler(spec, 42, [3], 0.01)
     first = ps.coeffs(2)
     ps.coeffs(9)
-    assert ps._bitgen.state["buffer_pos"] != 4
     again = ps.coeffs(2)
     assert np.array_equal(again, first)
     assert np.array_equal(again[0], fresh_philox_coeffs(spec, 0.01, 42, 3, 2))
@@ -201,7 +202,6 @@ def test_multi_path_sampler_rows_equal_fresh_generators():
         assert rows.shape == (len(ids), spec.truncation)
         for p, row in zip(ids, rows):
             assert np.array_equal(row, fresh_philox_coeffs(spec, 0.01, 42, p, step))
-    assert ps._bitgen.state["buffer_pos"] != 4
     rows = ps.coeffs(11)
     assert np.array_equal(rows[0], rows[2])  # a repeated id draws the same row
     assert np.array_equal(rows[3], rows[7])  # -1 and 2^64 - 1 share a key
@@ -229,6 +229,114 @@ def test_numpy_integer_seed_and_ids_key_mod_2_64_as_python_ints_do():
         assert ps.coeffs(step).tobytes() == python_ints.coeffs(step).tobytes()
     assert np.array_equal(ps.coeffs(11)[2], fresh_philox_coeffs(spec, 0.01, MASK64, 2, 11))
 
+
+
+# (first step, steps): blocks of 1-9 steps, one far out, one ending at 2^64 - 1
+KERNEL_BLOCKS = [(0, n) for n in range(1, 10)] + [(1 << 40, 2), (MASK64 - 2, 3)]
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 31, 63, 255, 1023, 4095])
+def test_kernel_blocks_equal_fresh_generators(n_modes):
+    # 4095 normals a row take the ziggurat's rejection branches, which read
+    # next_double; seeds and ids are keyed mod 2^64, numpy integers too
+    spec = QWienerSpec(3.0, 1.0, n_modes)
+    ids = [np.int64(-3), (1 << 64) + 7, MASK64, np.uint64(5)]
+    for seed in (np.int64(-1), (1 << 64) + 42, MASK64):
+        ps = PathSampler(spec, seed, ids, 0.01)
+        for start, n_steps in KERNEL_BLOCKS:
+            block = ps.coeffs(start, out=np.empty((n_steps, len(ids), n_modes)))
+            oracle = np.stack([
+                [fresh_philox_coeffs(spec, 0.01, int(seed), int(p), start + i) for p in ids]
+                for i in range(n_steps)
+            ])
+            assert block.tobytes() == oracle.tobytes()
+    empty = PathSampler(spec, 1, [], 0.01)
+    assert empty.coeffs(MASK64 - 2, out=np.empty((3, 0, n_modes))).shape == (3, 0, n_modes)
+
+
+def run_together(work, n_threads):
+    """work(i) in n_threads threads started at once, with a short switch interval."""
+    start, results = threading.Barrier(n_threads), [None] * n_threads
+
+    def worker(i):
+        start.wait()
+        results[i] = work(i)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+def test_threads_draw_the_bytes_of_the_same_draws_made_in_turn():
+    # each call releases the GIL and keys its Philox states on its own C stack
+    spec = QWienerSpec(3.0, 1.0, 1023)
+    samplers = [PathSampler(spec, seed, ids, 0.01)
+                for seed, ids in ((42, [1, 2, 3]), (7, [9, 8]), (42, [3]), (1, [0] * 4))]
+
+    def draw(i):
+        ps = samplers[i]
+        return [ps.coeffs(8 * b, out=np.empty((8, len(ps._ids), 1023))).tobytes()
+                for b in range(20)]
+
+    in_turn = [draw(i) for i in range(len(samplers))]
+    assert run_together(draw, len(samplers)) == in_turn
+
+
+def test_the_first_draws_of_concurrent_threads_build_the_kernel_once(monkeypatch):
+    builds = []
+    build = noise_mod._build_kernel
+
+    def counted(cc, cache_dir):
+        builds.append(cc)
+        return build(cc, cache_dir)
+
+    monkeypatch.setattr(noise_mod, "_kernel", None)
+    monkeypatch.setattr(noise_mod, "_build_kernel", counted)
+    kernels = run_together(lambda i: noise_mod._philox_normals(), 4)
+    assert len(builds) == 1 and all(k is kernels[0] for k in kernels)
+
+
+def test_coeffs_rejects_a_read_only_out():
+    ps = PathSampler(SPEC, 42, [1, 2], 0.01)
+    out = np.zeros((2, SPEC.truncation))
+    out.flags.writeable = False
+    with pytest.raises(ValueError, match="writable"):
+        ps.coeffs(3, out=out)
+    assert not out.any()
+
+
+def test_a_failed_kernel_build_names_the_command_the_cache_and_the_stderr(tmp_path):
+    with pytest.raises(noise_mod.KernelBuildError) as missing:
+        noise_mod._build_kernel("no-such-compiler-cc", tmp_path / "cache")
+    assert isinstance(missing.value, RuntimeError)
+    message = str(missing.value)
+    assert message.startswith("building the noise kernel failed: no-such-compiler-cc -O2 -shared")
+    assert f"cache: {tmp_path / 'cache'}{os.sep}_philox-" in message
+    assert "no-such-compiler-cc" in "\n".join(message.splitlines()[2:])  # the OSError's text
+    with pytest.raises(RuntimeError) as rejected:  # a compiler that runs and fails
+        noise_mod._build_kernel("cc --no-such-option-given", tmp_path)
+    tail = "\n".join(str(rejected.value).splitlines()[2:])  # below the command and the cache
+    assert "--no-such-option-given" in tail  # the compiler's stderr
+    assert list(tmp_path.iterdir()) == [tmp_path / "cache"]  # no library, no temporary
+
+
+def test_the_kernel_is_built_once_into_its_cache(tmp_path):
+    cc = sysconfig.get_config_var("CC") or "cc"
+    library = noise_mod._build_kernel(cc, tmp_path)
+    assert library.parent == tmp_path and library.name.startswith("_philox-")
+    built = library.stat().st_mtime_ns
+    assert noise_mod._build_kernel("no-such-compiler-cc", tmp_path) == library  # cached
+    assert library.stat().st_mtime_ns == built
+    assert list(tmp_path.iterdir()) == [library]
 
 def test_ensemble_rows_equal_per_path_oracles():
     # the ids lyapunov_contraction_test draws for anchor a: a * n_samples + j
