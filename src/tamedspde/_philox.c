@@ -18,7 +18,7 @@ static uint64_t next_uint64(void *st) {
     if (++s->ctr[0] == 0 && ++s->ctr[1] == 0 && ++s->ctr[2] == 0) ++s->ctr[3];
     uint64_t c0 = s->ctr[0], c1 = s->ctr[1], c2 = s->ctr[2], c3 = s->ctr[3];
     uint64_t k0 = s->key[0], k1 = s->key[1];
-#pragma GCC unroll 10  /* rolled, -O2 reads ~8% slower than numpy's Philox */
+#pragma GCC unroll 10  /* at -O2: rolled ~4% slower than numpy's Philox, unrolled ~3% faster */
     for (int round = 0; round < 10; round++, k0 += 0x9E3779B97F4A7C15u, k1 += 0xBB67AE8584CAA73Bu) {
         unsigned __int128 p0 = (unsigned __int128)0xD2E7470EE14C6C93u * c0;
         unsigned __int128 p2 = (unsigned __int128)0xCA5A826395121157u * c2;
@@ -35,6 +35,7 @@ static double next_double(void *st) { return (next_uint64(st) >> 11) * (1.0 / 90
 void philox_normals(uint64_t seed, const uint64_t *ids, ptrdiff_t n_paths, uint64_t step,
                     ptrdiff_t n_steps, ptrdiff_t n_modes, double *out) {
     philox_t s;
+    /* no next_uint32: the normal fill never calls it */
     bitgen_t bitgen = {&s, next_uint64, NULL, next_double, next_uint64};
     for (ptrdiff_t i = 0; i < n_steps; i++, step++)
         for (ptrdiff_t j = 0; j < n_paths; j++, out += n_modes) {

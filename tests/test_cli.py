@@ -513,7 +513,6 @@ def test_a_value_error_in_compute_is_a_program_fault_not_a_config_error(tmp_path
     assert (out / "resolved_config.ini").exists() and not (out / "verdict.txt").exists()
 
 
-
 def test_a_noise_kernel_that_fails_to_build_is_a_program_fault(tmp_path, capsys, monkeypatch):
     build = noise._build_kernel
     monkeypatch.setattr(noise, "_kernel", None)
@@ -526,6 +525,7 @@ def test_a_noise_kernel_that_fails_to_build_is_a_program_fault(tmp_path, capsys,
     assert err.startswith("Traceback (most recent call last):"), err
     assert "KernelBuildError: building the noise kernel failed: no-such-compiler-cc -O2" in err
     assert (out / "resolved_config.ini").exists() and not (out / "verdict.txt").exists()
+
 
 # case -> (kind, sections, first stderr line): a key the run would not read,
 # given a value other than its default.

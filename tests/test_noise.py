@@ -230,7 +230,6 @@ def test_numpy_integer_seed_and_ids_key_mod_2_64_as_python_ints_do():
     assert np.array_equal(ps.coeffs(11)[2], fresh_philox_coeffs(spec, 0.01, MASK64, 2, 11))
 
 
-
 # (first step, steps): blocks of 1-9 steps, one far out, one ending at 2^64 - 1
 KERNEL_BLOCKS = [(0, n) for n in range(1, 10)] + [(1 << 40, 2), (MASK64 - 2, 3)]
 
@@ -322,8 +321,9 @@ def test_a_failed_kernel_build_names_the_command_the_cache_and_the_stderr(tmp_pa
     assert message.startswith("building the noise kernel failed: no-such-compiler-cc -O2 -shared")
     assert f"cache: {tmp_path / 'cache'}{os.sep}_philox-" in message
     assert "no-such-compiler-cc" in "\n".join(message.splitlines()[2:])  # the OSError's text
+    cc = sysconfig.get_config_var("CC") or "cc"
     with pytest.raises(RuntimeError) as rejected:  # a compiler that runs and fails
-        noise_mod._build_kernel("cc --no-such-option-given", tmp_path)
+        noise_mod._build_kernel(f"{cc} --no-such-option-given", tmp_path)
     tail = "\n".join(str(rejected.value).splitlines()[2:])  # below the command and the cache
     assert "--no-such-option-given" in tail  # the compiler's stderr
     assert list(tmp_path.iterdir()) == [tmp_path / "cache"]  # no library, no temporary
@@ -337,6 +337,7 @@ def test_the_kernel_is_built_once_into_its_cache(tmp_path):
     assert noise_mod._build_kernel("no-such-compiler-cc", tmp_path) == library  # cached
     assert library.stat().st_mtime_ns == built
     assert list(tmp_path.iterdir()) == [library]
+
 
 def test_ensemble_rows_equal_per_path_oracles():
     # the ids lyapunov_contraction_test draws for anchor a: a * n_samples + j
