@@ -20,7 +20,7 @@ plain-text verdict.  Exit codes: 0 all asserted checks pass, 1 a scientific
 check failed, 2 configuration error, 3 numerical failure during compute
 (every path blew up, or a tridiagonal LDL^T factorization or solve failed),
 4 program fault: any other exception, its traceback printed to stderr (a
-noise kernel that fails to build, ``noise.KernelBuildError``, included).
+C kernel that fails to build, ``kernel.KernelBuildError``, included).
 
 The TAMEDSPDE_WORKERS environment variable sets the worker-thread count
 for Monte Carlo paths; it affects runtime only, never results.
@@ -44,7 +44,8 @@ from . import __version__, convergence, ergodicity
 from .coefficients import PRESETS, CoefficientSpec, check_assumptions
 from .engine import BatchChains
 from .grid import Grid1D
-from .noise import KernelBuildError, QWienerSpec
+from .kernel import KernelBuildError
+from .noise import QWienerSpec
 from .parallel import worker_count
 from .reporting import CheckResult, format_value, write_csv, write_verdicts
 from .schemes import INITIAL_FIELDS, InitialCondition, Scheme, SchemeConfig

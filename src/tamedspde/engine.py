@@ -23,7 +23,9 @@ arrays: tau, 1.0, sqrt(tau), c0, the drift's Horner terms
 diagonals.  A Python float operand costs each ufunc a scalar conversion,
 which on a narrow row is a fair share of the call.  ``step_rows`` then does
 only the step's arithmetic, through this module's ``drift_diffusion_rows``,
-``mass_matvec_rows`` and ``_dpbtrs``.
+``mass_matvec_rows`` and ``_dpbtrs``, the tridiagonal solve, which runs in
+the package's C kernel (``tamedspde.kernel``) with the bits of LAPACK's
+``dpttrs``: no run imports ``scipy.linalg``.
 
 A plan may also step a stack of grids whose nodes lie back to back on the
 node axis, all with one scheme, coefficients and tau: the drift, taming
@@ -42,7 +44,7 @@ Blow-up is detected, not raised: a row whose solution trips the overflow
 guard is frozen at its last finite state, and the failing step index is
 recorded, which is what the untamed baseline's blow-up statistics measure.
 From then on only the live rows are stepped.  Only this post-solve guard is
-needed: ``dpttrs`` solves each row's column on its own, so a non-finite
+needed: the solve treats each row's column on its own, so a non-finite
 right-hand side gives a non-finite solution in its own row, flagged at the
 same step, and leaves the other rows alone.  The guard takes two steps:
 one dot of the whole block, z.z <= G^2/2, which implies every |z| <= G
@@ -59,9 +61,8 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpttrs
 
-from . import fem
+from . import fem, kernel
 from .coefficients import DiffusionKind, eval_g, horner, horner_terms
 from .fem import mass_matvec_rows
 from .grid import Grid1D, rows_l2_sq
@@ -160,12 +161,19 @@ def drift_diffusion_rows(plan: StepPlan, values: np.ndarray):
 # perfbench's tracer (span ``fem.dpbtrs``) and the failing-solve tests patch
 # this global by its old name and call shape, until the benchmark renames both.
 def _dpbtrs(factor, load, overwrite_b=0):
-    return dpttrs(*factor, load, overwrite_b=overwrite_b)
+    """LAPACK's ``dpttrs`` on an F-ordered (nodes, rows) float64 load, or a
+    vector, given the LDL^T factor: ``(z, info)``, z the load itself when
+    ``overwrite_b``.  It runs the kernel's port of ``dptts2``, so z has the
+    bits of scipy's ``dpttrs``; info is always 0, as LAPACK's for valid
+    arguments."""
+    z = load if overwrite_b else np.array(load, dtype=np.float64, order="F")
+    kernel.load().dptts2(*factor, z)
+    return z, 0
 
 
 def _solve_rows(ops: fem.FemOperators, factor, v: np.ndarray) -> np.ndarray:
     """(M + tau K)^{-1} M applied to each row of v, given the LDL^T factor."""
-    # The load is a fresh F-ordered array, so dpttrs may solve in place.
+    # The load is a fresh F-ordered array, so the solve may work in place.
     z, info = _dpbtrs(factor, mass_matvec_rows(ops, v).T, overwrite_b=1)
     if info != 0:
         raise RuntimeError(f"tridiagonal LDL^T solve failed (info={info})")

@@ -3,11 +3,13 @@
 Assembles the tridiagonal mass matrix M (rows h/6 * [1, 4, 1]) and stiffness
 matrix K (rows 1/h * [-1, 2, -1]) for the interior nodes of a ``Grid1D``, or
 block-diagonally for a stack of grids whose nodes lie back to back.
-``ldlt`` factors (M + tau*K) as tridiagonal LDL^T (LAPACK ``dpttrf``), and
-its caller keeps the factor for as long as it steps with that tau.  The
-off-diagonal is 0.0 at each joint of a stack, so ``dpttrf`` and ``dpttrs``
-compute d - 0*0 and b - b'*0 there, and every block factors and solves with
-the bits of its own grid's operators; only a grid with one interior node
+``ldlt`` factors (M + tau*K) as tridiagonal LDL^T by ``dpttrf``, LAPACK's
+routine ported op for op into the package's C kernel (``tamedspde.kernel``),
+so it has scipy's bits without importing ``scipy.linalg``; its caller
+keeps the factor for as long as it steps with that tau.  The off-diagonal
+is 0.0 at each joint of a stack, so ``dpttrf`` and the solve compute
+d - 0*0 and b - b'*0 there, and every block factors and solves with the
+bits of its own grid's operators; only a grid with one interior node
 differs, which LAPACK solves alone with a reciprocal product, in a stack
 with a division.  The resolvent S = (M + tau*K)^{-1} M is nonexpansive in
 the mass norm, which is what makes the schemes unconditionally stable in
@@ -15,8 +17,9 @@ the linear part.
 ``mass_matvec_rows`` is the one P1 mass product.  The one tridiagonal solve
 is in ``tamedspde.engine``: every driver steps with it, and the semigroup
 ladder iterates it as ``resolvent_rows``.
-``eigen_smallest`` (inverse iteration, with its own banded Cholesky factor
-of K, so it shares no code with the solve it checks) and
+``eigen_smallest`` (inverse iteration, with scipy's banded Cholesky factor
+of K, so it shares no code with the solve it checks; it imports
+``scipy.linalg`` itself, and only tests call it) and
 ``dispersion_eigenvalue`` (closed form) are the reference eigenvalues that
 the operator suite compares.
 """
@@ -27,9 +30,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpttrf
 
+from . import kernel
 from .grid import Grid1D
 
 
@@ -58,11 +60,17 @@ class FemOperators:
         return grid
 
 
+def dpttrf(d: np.ndarray, e: np.ndarray) -> tuple:
+    """LAPACK's ``dpttrf`` on the float64 diagonals (d, e), in place: (d, e, info).
+
+    info = i > 0 when the i-th pivot is not positive (a NaN pivot passes,
+    as in LAPACK), else 0."""
+    return d, e, kernel.load().dpttrf(d, e)
+
+
 def ldlt(ops: FemOperators, tau: float) -> tuple:
-    """(d, e) of the LDL^T factor of (M + tau*K).  scipy's ``dpttrf``/``dpttrs``
-    reject an empty e, so one interior node gets [0.0]."""
-    off = ops.mass_off + tau * ops.stiff_off
-    d, e, info = dpttrf(ops.mass_diag + tau * ops.stiff_diag, off if len(off) else np.zeros(1))
+    """(d, e) of the LDL^T factor of (M + tau*K)."""
+    d, e, info = dpttrf(ops.mass_diag + tau * ops.stiff_diag, ops.mass_off + tau * ops.stiff_off)
     if info != 0:
         raise RuntimeError(f"tridiagonal LDL^T factorization failed (info={info})")
     return d, e
@@ -130,6 +138,8 @@ def eigen_smallest(ops: FemOperators, tol: float = 1e-10, max_iter: int = 200) -
     On the uniform grid this equals (6/h^2)(1 - cos(pi h))/(2 + cos(pi h)),
     the P1 dispersion approximation of pi^2.
     """
+    import scipy.linalg  # a reference for tests: no run imports it
+
     n = ops.grid.n_interior
     # Start from the slowest sine mode to avoid an unlucky orthogonal start.
     v = np.sin(np.pi * ops.grid.nodes)

@@ -16,18 +16,17 @@ path, step, mode): resampling is bit-identical, paths can be generated
 concurrently, truncating to fewer modes gives a prefix of the same draws,
 and summing increments over coarser steps reproduces exactly the same
 Brownian path — the properties the coupled convergence ladders rely on.
-One call of a small C kernel (``_philox.c``) fills one step's rows or a
-whole block of steps, such as a ladder's (steps, paths, K) buffer: it keys
-each row's Philox state on its own and fills the row with numpy's own
-ziggurat, so every row holds the bits of numpy's ``Generator(Philox(key,
-counter))`` (see ``PathSampler``).  The first draw of a process compiles
-the kernel with the Python build's C compiler into this package's
-``__pycache__/``, unless it is cached there; importing the module builds
-and loads nothing.  Per row, in a block of 8 steps (numpy 2.4.6, 1 BLAS
-thread, 2-vCPU x86 host): 0.56-0.59 us at 100 rows of K = 31, 1.0-1.1 us
-at 2 rows of K = 63, 4.3-4.8 us at 25 rows of K = 255 and 70-73 us at 2
-rows of K = 4095, where the normals themselves, about 17 ns each, set the
-time.
+One call of the package's C kernel (``_kernel.c``, ``tamedspde.kernel``)
+fills one step's rows or a whole block of steps, such as a ladder's
+(steps, paths, K) buffer: it keys each row's Philox state on its own and
+fills the row with numpy's own ziggurat, so every row holds the bits of
+numpy's ``Generator(Philox(key, counter))`` (see ``PathSampler``).  The
+first draw or factor of a process builds and loads the kernel (see
+``tamedspde.kernel``); importing this module builds and loads nothing.
+Per row, in a block of 8 steps (numpy 2.4.6, 1 BLAS thread, 2-vCPU x86
+host): 0.56-0.59 us at 100 rows of K = 31, 1.0-1.1 us at 2 rows of K = 63,
+4.3-4.8 us at 25 rows of K = 255 and 70-73 us at 2 rows of K = 4095, where
+the normals themselves, about 17 ns each, set the time.
 
 ``synthesize`` turns rows of coefficients into nodal values: on meshes of up
 to 64 cells by one 1-row product per row with the cached dense sine matrix,
@@ -40,20 +39,13 @@ all of up to 64 cells never loads it (nor the ``scipy.special`` it pulls in).
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import hashlib
-import os
-import shlex
-import subprocess
-import sysconfig
-import threading
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import kernel
 from .grid import Grid1D
 
 _MASK64 = (1 << 64) - 1
@@ -156,66 +148,6 @@ def synthesize(coeffs: np.ndarray, n_cells: int, out: np.ndarray | None = None) 
     )
 
 
-class KernelBuildError(RuntimeError):
-    """``_philox.c`` could not be compiled: a fault of the install, not of a run."""
-
-
-_KERNEL_SOURCE = Path(__file__).with_name("_philox.c")
-_KERNEL_FLAGS = ("-O2", "-shared", "-fPIC")  # fixed: no -ffast-math, no CFLAGS read
-_kernel_lock = threading.Lock()
-_kernel = None  # the loaded ``philox_normals``
-
-
-def _build_kernel(cc: str, cache_dir: Path) -> Path:
-    """The path of ``_philox.c`` compiled by ``cc`` in ``cache_dir``, built unless cached.
-
-    The library's name holds a hash of the source, the flags and the numpy
-    version it links.  It is written under a temporary name and moved into
-    place, so a process never loads another's part-written file.  A failed
-    build raises ``KernelBuildError`` naming the command, the cache path and
-    the tail of the compiler's stderr.
-    """
-    digest = hashlib.sha256(
-        _KERNEL_SOURCE.read_bytes() + " ".join((*_KERNEL_FLAGS, np.__version__)).encode()
-    ).hexdigest()[:16]
-    library = cache_dir / f"_philox-{digest}.so"
-    if library.exists():
-        return library
-    temporary = cache_dir / f"{library.name}.{os.getpid()}.tmp"
-    npyrandom = Path(np.random.__file__).parent / "lib" / "libnpyrandom.a"
-    command = [*shlex.split(cc), *_KERNEL_FLAGS, "-I", np.get_include(), "-o", str(temporary),
-               str(_KERNEL_SOURCE), str(npyrandom), "-lm"]
-    try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        done = subprocess.run(command, capture_output=True, text=True)
-        if done.returncode == 0:
-            os.replace(temporary, library)
-            return library
-        error = done.stderr
-    except OSError as exc:  # no such compiler, or a cache that cannot be written
-        error = str(exc)
-    temporary.unlink(missing_ok=True)
-    tail = "\n".join(error.strip().splitlines()[-10:])
-    raise KernelBuildError(
-        f"building the noise kernel failed: {shlex.join(command)}\ncache: {library}\n{tail}"
-    )
-
-
-def _philox_normals():
-    """The kernel's ``philox_normals``: built and loaded by the first draw of a process."""
-    global _kernel
-    with _kernel_lock:
-        if _kernel is None:
-            cc = sysconfig.get_config_var("CC") or "cc"
-            library = _build_kernel(cc, Path(__file__).with_name("__pycache__"))
-            kernel = ctypes.CDLL(str(library)).philox_normals  # releases the GIL per call
-            kernel.argtypes = (ctypes.c_uint64, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_uint64,
-                               ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p)
-            kernel.restype = None
-            _kernel = kernel
-    return _kernel
-
-
 class PathSampler:
     """Sampler for a list of paths: each row drawn by the Philox kernel.
 
@@ -223,7 +155,7 @@ class PathSampler:
     and for the key words (seed, path id), each taken mod 2^64.  One
     ``coeffs`` call fills one step's rows, or the rows of a block of
     consecutive steps: the ladders and ``engine.BatchChains.run`` draw each
-    of their blocks in one call.  The call is one ``_philox.c`` call, which
+    of their blocks in one call.  The call is one ``_kernel.c`` call, which
     for each (step, path) keys a Philox4x64-10 state of its own, on the C
     stack, as numpy's ``Philox`` would be at counter step_index * 2^128, and
     fills the row with numpy's own ``random_standard_normal_fill``: the
@@ -263,8 +195,7 @@ class PathSampler:
         last = step_index + max(n_steps, 1) - 1
         if not 0 <= step_index <= last < 1 << 64:
             raise ValueError(f"step_index out of range: {step_index}, last step {last}")
-        _philox_normals()(self._seed, self._ids.ctypes.data, n_paths, step_index, n_steps,
-                          n_modes, out.ctypes.data)
+        kernel.load().philox_normals(self._seed, self._ids, step_index, out)
         out *= self._scale
         return out
 

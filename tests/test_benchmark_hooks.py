@@ -9,6 +9,7 @@ tracer wraps.
 """
 
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,25 @@ def test_perfbench_selftest_passes():
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert "selftest passed" in proc.stdout
+
+
+SET_UP_EVERY_WORKLOAD = """
+import sys
+import settings, workloads
+from tamedspde import kernel
+for name in sorted(settings.WORKLOADS):
+    workloads.build(name, settings.DEFAULT_SEED)
+assert kernel._module is None, "a set-up loaded the C kernel"
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "a set-up imported scipy"
+"""
+
+
+def test_a_workload_set_up_loads_neither_the_kernel_nor_scipy():
+    """What ``setup_s`` times: a set-up-only process compiles and imports nothing more."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", SET_UP_EVERY_WORKLOAD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def _load_tracer():

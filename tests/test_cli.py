@@ -1,4 +1,5 @@
 import configparser
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import tamedspde
-from tamedspde import cli, convergence, engine, fem, noise
+from tamedspde import cli, convergence, engine, fem, kernel, noise
 from tamedspde.cli import EXIT_NUMERICAL_FAILURE, EXIT_PROGRAM_FAULT, KINDS, main, read_config
 from tamedspde.fem import dispersion_eigenvalue
 from tamedspde.grid import Grid1D
@@ -514,17 +515,21 @@ def test_a_value_error_in_compute_is_a_program_fault_not_a_config_error(tmp_path
 
 
 def test_a_noise_kernel_that_fails_to_build_is_a_program_fault(tmp_path, capsys, monkeypatch):
-    build = noise._build_kernel
-    monkeypatch.setattr(noise, "_kernel", None)
-    monkeypatch.setattr(noise, "_build_kernel",
+    """The kernel draws the noise and factors the operator: a run that draws
+    no noise (``semigroup-rate``) needs it too."""
+    build = kernel._build
+    monkeypatch.setattr(kernel, "_module", None)
+    monkeypatch.setattr(kernel, "_build",
                         lambda cc, cache_dir: build("no-such-compiler-cc", tmp_path / "cache"))
-    out = tmp_path / "out"
-    cfg = write(tmp_path / "sim.ini", render("simulate", out, ALLEN_CAHN_16))
-    assert main(["run", str(cfg)]) == EXIT_PROGRAM_FAULT
-    err = capsys.readouterr().err
-    assert err.startswith("Traceback (most recent call last):"), err
-    assert "KernelBuildError: building the noise kernel failed: no-such-compiler-cc -O2" in err
-    assert (out / "resolved_config.ini").exists() and not (out / "verdict.txt").exists()
+    semigroup = {"ladder": {"axis": "h", "n_cells": "8, 16, 32, 64"}}
+    for kind, sections in (("simulate", ALLEN_CAHN_16), ("semigroup-rate", semigroup)):
+        out = tmp_path / kind
+        cfg = write(tmp_path / f"{kind}.ini", render(kind, out, sections))
+        assert main(["run", str(cfg)]) == EXIT_PROGRAM_FAULT
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):"), err
+        assert "KernelBuildError: building the C kernel failed: no-such-compiler-cc -O2" in err
+        assert (out / "resolved_config.ini").exists() and not (out / "verdict.txt").exists()
 
 
 # case -> (kind, sections, first stderr line): a key the run would not read,
@@ -1274,3 +1279,41 @@ max_slope = 2.1
     assert main(["run", str(cfg)]) == 0
     assert (out / "semigroup_error_table.csv").exists()
     assert (out / "semigroup_error_plot.csv").exists()
+
+
+SCIPY_AFTER_A_RUN = """
+import json, sys
+from tamedspde import kernel
+from tamedspde.cli import main
+code = main(sys.argv[1:])
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps([code, scipy, kernel._module is not None]))
+"""
+
+
+@pytest.mark.parametrize("config, fft", [(None, False), ("longrun_allen_cahn.ini", False),
+                                         ("strong_rate_h.ini", True)],
+                         ids=["list-presets", "longrun", "strong-rate-h"])
+def test_no_run_imports_scipy_linalg(tmp_path, config, fft):
+    """In a fresh interpreter: ``list-presets`` and a 32-cell run end with no
+    scipy module loaded, and a ladder over wider meshes loads ``scipy.fft``
+    for its DST-I synthesis, but never ``scipy.linalg``: the factor and the
+    solve are the package's own.  Only a run that steps loads the kernel."""
+    root = Path(__file__).resolve().parents[1]
+    src = str(root / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", TAMEDSPDE_WORKERS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    args = ["list-presets"]
+    if config is not None:
+        # 2 paths of the strong-rate ladder: its imports follow its meshes, not its paths
+        text = (CONFIGS / config).read_text(encoding="utf-8").replace("paths = 30", "paths = 2")
+        args = ["run", str(write(tmp_path / config, text)), "--output", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_AFTER_A_RUN, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, modules, kernel_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0 and kernel_loaded == (config is not None)
+    assert ("scipy.fft" in modules) == fft
+    assert not any(m == "scipy.linalg" or m.startswith("scipy.linalg.") for m in modules)
+    if not fft:
+        assert modules == []

@@ -87,9 +87,7 @@ def test_a_stack_factors_as_its_grids_do(cells):
     for tau in (2.0**-10, 0.3):
         d, e = fem.ldlt(stack, tau)
         parts = [fem.ldlt(assemble(g), tau) for g in grids]
-        # a 2-cell grid's e is the [0.0] placeholder of its empty off-diagonal
-        offs = [e_g[: g.n_interior - 1] for g, (_, e_g) in zip(grids, parts)]
-        want_e = np.concatenate([x for off in offs for x in (np.zeros(1), off)][1:])
+        want_e = np.concatenate([x for _, off in parts for x in (np.zeros(1), off)][1:])
         assert d.tobytes() == np.concatenate([d_g for d_g, _ in parts]).tobytes()
         assert e.tobytes() == want_e.tobytes()
 
@@ -110,6 +108,85 @@ def test_a_stack_steps_each_grid_with_its_own_bits(cells):
             # but that node with a division inside a stack
             same = got_solve.tobytes() == resolvent_rows(ops, tau, part).tobytes()
             assert same or g.n_interior == 1, g
+
+
+def assert_lapack_bits(d, e, load):
+    """Factor (d, e) and solve for the F-ordered load, on copies, with the
+    package's ``fem.dpttrf`` and ``engine._dpbtrs`` and with scipy's
+    ``dpttrf`` and ``dpttrs``: the same factor, info and solution, byte for
+    byte, also after a failed factor.  Returns info."""
+    d_k, e_k, info = fem.dpttrf(d.copy(), e.copy())
+    got = (d_k, e_k, info, engine._dpbtrs((d_k, e_k), load)[0])
+    d_l, e_l, info_l = scipy.linalg.lapack.dpttrf(d, e if len(e) else np.zeros(1))  # n = 1: [0.0]
+    z, solve_info = scipy.linalg.lapack.dpttrs(d_l, e_l, np.array(load, order="F"))
+    want = (d_l, e_l[: len(d) - 1], info_l, z)
+    assert solve_info == 0
+    for a, b in zip(got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    return info
+
+
+SPECIAL_ROWS = {"+0": 0.0, "-0": -0.0, "+inf": np.inf, "-inf": -np.inf, "nan": np.nan}
+
+
+def loads(n, rng):
+    """(nodes, rows) loads of 0, 1, 2, 25 and 100 rows, their scales spread
+    over 10^-200 to 10^200, and one with a row for each special value, a
+    +-0 row whole and the others in one entry."""
+    for rows in (0, 1, 2, 25, 100):
+        yield rng.standard_normal((n, rows)) * 10.0 ** rng.uniform(-200, 200, rows)
+    special = rng.standard_normal((n, 2 * len(SPECIAL_ROWS) + 1))
+    for j, value in enumerate(SPECIAL_ROWS.values()):
+        if value == 0:
+            special[:, 2 * j + 1] = value
+        else:
+            special[rng.integers(n), 2 * j + 1] = value
+    yield special
+
+
+@pytest.mark.parametrize("n_cells", [*range(2, 11), 256, 4096])
+def test_the_factor_and_solve_have_the_bits_of_lapack(n_cells):
+    """n = 1 to 9 interior nodes cover dpttrf's unrolled loop and its remainder."""
+    rng = np.random.default_rng(n_cells)
+    ops = assemble(Grid1D(n_cells))
+    for tau in (0.0, 2.0**-13, 0.25, 1.0):
+        d = ops.mass_diag + tau * ops.stiff_diag
+        e = ops.mass_off + tau * ops.stiff_off
+        # S A S with S = diag(sqrt(spread)): positive definite, entries over 400 decades
+        spread = np.sqrt(10.0 ** rng.uniform(-200, 200, len(d)))
+        for d_in, e_in in ((d, e), (d * spread**2, e * spread[:-1] * spread[1:])):
+            for load in loads(len(d), rng):
+                assert assert_lapack_bits(d_in, e_in, load) == 0
+    # each special value stays in its own row: the others solve as they do alone
+    factor, load = fem.ldlt(ops, 0.25), list(loads(len(d), rng))[-1]
+    rows = engine._dpbtrs(factor, load)[0]
+    alone = engine._dpbtrs(factor, load[:, ::2])[0]
+    assert np.isfinite(alone).all() and rows[:, ::2].tobytes() == alone.tobytes()
+    for j, value in enumerate(SPECIAL_ROWS.values()):
+        row = rows[:, 2 * j + 1]
+        assert not row.any() if value == 0 else not np.isfinite(row).all()
+
+
+@pytest.mark.parametrize("cells", STACKS)
+def test_a_stack_factors_and_solves_with_the_bits_of_lapack(cells):
+    stack = assemble(*(Grid1D(c) for c in cells))
+    rng = np.random.default_rng(len(cells))
+    for tau in (2.0**-10, 0.3):
+        d, e = stack.mass_diag + tau * stack.stiff_diag, stack.mass_off + tau * stack.stiff_off
+        for load in loads(len(d), rng):
+            assert assert_lapack_bits(d, e, load) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 255])
+def test_a_failed_or_nan_pivot_gives_the_info_and_bits_of_lapack(n):
+    rng = np.random.default_rng(n)
+    d0, e0 = 2.0 + rng.random(n), rng.random(n - 1)
+    load = rng.standard_normal((n, 3))
+    for pivot in sorted({0, n // 2, n - 1}):
+        for bad in (0.0, -0.0, -1.0, -np.inf, np.nan):
+            d = d0.copy()
+            d[pivot] = bad
+            assert assert_lapack_bits(d, e0, load) == (0 if np.isnan(bad) else pivot + 1)
 
 
 def test_solve_semi_implicit_scalar_case():

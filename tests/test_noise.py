@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tamedspde import kernel
 from tamedspde import noise as noise_mod
 from tamedspde.cli import main
 from tamedspde.coefficients import allen_cahn
@@ -292,15 +293,15 @@ def test_threads_draw_the_bytes_of_the_same_draws_made_in_turn():
 
 def test_the_first_draws_of_concurrent_threads_build_the_kernel_once(monkeypatch):
     builds = []
-    build = noise_mod._build_kernel
+    build = kernel._build
 
     def counted(cc, cache_dir):
         builds.append(cc)
         return build(cc, cache_dir)
 
-    monkeypatch.setattr(noise_mod, "_kernel", None)
-    monkeypatch.setattr(noise_mod, "_build_kernel", counted)
-    kernels = run_together(lambda i: noise_mod._philox_normals(), 4)
+    monkeypatch.setattr(kernel, "_module", None)
+    monkeypatch.setattr(kernel, "_build", counted)
+    kernels = run_together(lambda i: kernel.load(), 4)
     assert len(builds) == 1 and all(k is kernels[0] for k in kernels)
 
 
@@ -314,16 +315,16 @@ def test_coeffs_rejects_a_read_only_out():
 
 
 def test_a_failed_kernel_build_names_the_command_the_cache_and_the_stderr(tmp_path):
-    with pytest.raises(noise_mod.KernelBuildError) as missing:
-        noise_mod._build_kernel("no-such-compiler-cc", tmp_path / "cache")
+    with pytest.raises(kernel.KernelBuildError) as missing:
+        kernel._build("no-such-compiler-cc", tmp_path / "cache")
     assert isinstance(missing.value, RuntimeError)
     message = str(missing.value)
-    assert message.startswith("building the noise kernel failed: no-such-compiler-cc -O2 -shared")
-    assert f"cache: {tmp_path / 'cache'}{os.sep}_philox-" in message
+    assert message.startswith("building the C kernel failed: no-such-compiler-cc -O2 -shared")
+    assert f"cache: {tmp_path / 'cache'}{os.sep}_kernel-" in message
     assert "no-such-compiler-cc" in "\n".join(message.splitlines()[2:])  # the OSError's text
     cc = sysconfig.get_config_var("CC") or "cc"
     with pytest.raises(RuntimeError) as rejected:  # a compiler that runs and fails
-        noise_mod._build_kernel(f"{cc} --no-such-option-given", tmp_path)
+        kernel._build(f"{cc} --no-such-option-given", tmp_path)
     tail = "\n".join(str(rejected.value).splitlines()[2:])  # below the command and the cache
     assert "--no-such-option-given" in tail  # the compiler's stderr
     assert list(tmp_path.iterdir()) == [tmp_path / "cache"]  # no library, no temporary
@@ -331,12 +332,24 @@ def test_a_failed_kernel_build_names_the_command_the_cache_and_the_stderr(tmp_pa
 
 def test_the_kernel_is_built_once_into_its_cache(tmp_path):
     cc = sysconfig.get_config_var("CC") or "cc"
-    library = noise_mod._build_kernel(cc, tmp_path)
-    assert library.parent == tmp_path and library.name.startswith("_philox-")
+    library = kernel._build(cc, tmp_path)
+    assert library.parent == tmp_path and library.name.startswith("_kernel-")
     built = library.stat().st_mtime_ns
-    assert noise_mod._build_kernel("no-such-compiler-cc", tmp_path) == library  # cached
+    assert kernel._build("no-such-compiler-cc", tmp_path) == library  # cached
     assert library.stat().st_mtime_ns == built
     assert list(tmp_path.iterdir()) == [library]
+
+
+def test_a_build_removes_the_libraries_of_other_sources_and_flags(tmp_path, monkeypatch):
+    cc = sysconfig.get_config_var("CC") or "cc"
+    other = tmp_path / "_other-0123456789abcdef.so"  # not the kernel's: kept
+    other.write_bytes(b"")
+    monkeypatch.setattr(kernel, "_FLAGS", (*kernel._FLAGS, "-DOLDER_FLAGS"))
+    older = kernel._build(cc, tmp_path)
+    monkeypatch.undo()
+    library = kernel._build(cc, tmp_path)
+    assert library != older and library.name.startswith("_kernel-")
+    assert sorted(tmp_path.iterdir()) == sorted([library, other])
 
 
 def test_ensemble_rows_equal_per_path_oracles():
